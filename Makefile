@@ -13,11 +13,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# race runs the race detector over the packages that actually spawn
-# goroutines: the sweep worker pool, the experiment drivers that use it,
-# the shared on-disk result cache, and the concurrent sweep journal.
+# race runs the race detector over the packages that actually spawn or
+# share goroutines: the sweep worker pool, the experiment drivers that use
+# it, the chunk ring the row executor streams through (its DetachFrom,
+# Stop and refcount unit tests), the tracer's shared timelines, the shared
+# on-disk result cache, and the concurrent sweep journal.
 race:
-	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/resultcache/ ./internal/journal/ ./internal/faultinject/
+	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/workload/ ./internal/xtrace/ ./internal/resultcache/ ./internal/journal/ ./internal/faultinject/
 
 # fuzz-smoke runs a short fuzzing pass over the trace codec (seeded from
 # testdata/fuzz), catching decoder regressions without a dedicated fuzz farm.
@@ -56,7 +58,7 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -out results/bench-diff.txt < results/bench-raw.txt
 
 # trace-smoke runs one instrumented fig1a sweep with the execution tracer
-# armed on the pipelined executor (4 workers, sampling on), then validates
+# armed on the row executor (4 workers, sampling on), then validates
 # the exported Chrome trace-event JSON — schema, required keys, and
 # per-timeline span nesting — with cmd/tracelint. The sweep's tables stay
 # byte-identical with tracing on (pinned by TestTraceByteIdentical); this
@@ -125,16 +127,20 @@ serve-metrics-smoke:
 
 # check is the pre-commit gate: vet, full tests, race-detector pass over the
 # concurrent packages, a 1-iteration benchmark smoke covering the scalar
-# AND staged-batch Access kernels so the benchmark harness itself can't
-# rot, 1-iteration race-mode runs of the streaming pipeline (Source
-# producer goroutines + per-chunk fan-out) and one staged-batch kernel
-# (scratch reuse across chunks), and a race-mode smoke of the pipelined
-# row executor (Workers=4, lookahead=2: ring publish/release, gate,
-# probe delivery, phase clock), the serving-layer overload +
-# serve-burst drill (serve-smoke), and the serving-telemetry drill
-# (serve-metrics-smoke).
+# Access and batch AccessBatch kernels so the benchmark harness itself
+# can't rot, 1-iteration race-mode runs of the row executor on a full
+# Figure 1a panel (ring producer goroutine + per-simulator workers) and
+# of one staged AccessBatch kernel (its own miss buffer reused across
+# chunks), a race-mode smoke of the row executor (Workers=4, 8 chunks
+# against a ring depth of 4: ring publish/release, gate, probe delivery,
+# phase clock), the serving-layer overload + serve-burst drill
+# (serve-smoke), the serving-telemetry drill (serve-metrics-smoke), and
+# vet + tests of the benchmark harness in perfbench/ (its own module), so
+# a change to an API the harness compiles against fails here rather than
+# only in the benchmark run.
 check: vet test race serve-smoke serve-metrics-smoke
 	$(GO) test -bench='BenchmarkAccess(Batch)?(HugePage|Decoupled|THP|Superpage)' -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkFig1aBimodal -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkAccessBatchDecoupled -benchtime=1x -run=^$$ .
 	$(GO) test -race -run=TestPipelinedRaceSmoke ./internal/experiments/
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

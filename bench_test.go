@@ -66,13 +66,12 @@ func BenchmarkFig1aBimodal(b *testing.B) {
 	}
 }
 
-// BenchmarkRowPipeline measures the pipelined row executor on the
-// multi-algorithm Figure 1a row at several Workers settings. workers=1
-// is the sequential barrier executor (the pre-pipeline shape); workers=2
-// and 4 run the bounded-lookahead chunk ring with per-simulator workers.
-// On a single-core host the pipeline can only overlap generation with
-// simulation; the per-sim overlap needs real cores, so interpret the
-// matrix against GOMAXPROCS.
+// BenchmarkRowPipeline measures the row executor — the chunk ring with
+// one worker per simulator — on the multi-algorithm Figure 1a row at
+// several Workers settings: workers=1 admits one simulation at a time,
+// workers=2 and 4 let that many run concurrently. On a single-core host
+// the ring can only overlap generation with simulation; the per-sim
+// overlap needs real cores, so interpret the matrix against GOMAXPROCS.
 func BenchmarkRowPipeline(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
@@ -394,22 +393,18 @@ func BenchmarkAccessSuperpage(b *testing.B) {
 	}
 }
 
-// benchAccessBatch drives a staged batch kernel in experiment-sized chunks
-// through one reused scratch, reporting per-access cost. ReportAllocs pins
-// the steady-state zero-allocation contract of the staged paths.
+// benchAccessBatch drives a staged batch kernel through AccessBatch in
+// experiment-sized chunks, reporting per-access cost. ReportAllocs pins
+// the steady-state zero-allocation contract of the staged paths (the
+// kernels reuse their own column buffers across chunks).
 func benchAccessBatch(b *testing.B, alg mm.Algorithm) {
 	gen, err := workload.NewBimodal(1<<12, 1<<18, 0.9999, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	reqs := workload.Take(gen, 1<<20)
-	sb, ok := alg.(mm.StagedBatcher)
-	if !ok {
-		b.Fatalf("%s: not a StagedBatcher", alg.Name())
-	}
-	sc := &mm.Scratch{}
 	const chunk = 4096
-	sb.AccessBatchScratch(reqs[:chunk], sc) // size the scratch outside the timer
+	alg.AccessBatch(reqs[:chunk]) // size the kernel's buffers outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += chunk {
@@ -418,7 +413,7 @@ func benchAccessBatch(b *testing.B, alg mm.Algorithm) {
 		if rem := b.N - i; rem < n {
 			n = rem
 		}
-		sb.AccessBatchScratch(reqs[lo:lo+n], sc)
+		alg.AccessBatch(reqs[lo : lo+n])
 	}
 }
 
@@ -528,7 +523,7 @@ func benchServeSim(b *testing.B, seed uint64, armed bool) *serve.Sim {
 		MaxAttempts: 3,
 		RetryBaseNs: 1000,
 		Governor:    serve.GovernorConfig{WindowNs: 1, QueueHigh: 96, MissNum: 1, MissDen: 5, RecoverDepth: 24, DegradedDiv: 4},
-	}, alg, gen, &mm.Scratch{}, nil)
+	}, alg, gen, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

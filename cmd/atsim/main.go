@@ -330,25 +330,34 @@ func main() {
 	flushManifest("ok", "")
 }
 
-// runGenerated is the materialized-window run path: mm.RunWarm semantics
-// with per-phase samples and wall times fed to rec, draining at a chunk
-// boundary when ctx is canceled. Chunking through the sampled runner
-// cannot change the counters (Batcher contract).
+// runGenerated is the materialized-window run path: both windows fed to
+// runWarmChunks in workload.DefaultChunk pieces. Chunking cannot change
+// the counters (Batcher contract).
 func runGenerated(ctx context.Context, alg mm.Algorithm, warm, meas []uint64, rec *obs.Recorder) (mm.Costs, error) {
+	return runWarmChunks(ctx, alg,
+		mm.SliceChunks(warm, workload.DefaultChunk), len(warm),
+		mm.SliceChunks(meas, workload.DefaultChunk), len(meas), rec)
+}
+
+// runWarmChunks is mm.RunWarm over two chunk iterators, through the mm
+// chunk runner: warmup phase, counter reset, measured phase, with
+// per-chunk samples and per-phase wall times fed to rec and a drain at a
+// chunk boundary when ctx is canceled. warmN and measN are the phases'
+// access counts for the phase records.
+func runWarmChunks(ctx context.Context, alg mm.Algorithm, warm mm.ChunkSeq, warmN int, meas mm.ChunkSeq, measN int, rec *obs.Recorder) (mm.Costs, error) {
 	name := alg.Name()
 	start := time.Now()
-	if _, err := mm.RunPhaseSampledCtx(ctx, alg, warm, workload.DefaultChunk, rec, mm.PhaseWarmup); err != nil {
+	if err := mm.RunPhaseChunksCtx(ctx, alg, warm, rec, mm.PhaseWarmup); err != nil {
 		return alg.Costs(), err
 	}
-	rec.RowPhase("", mm.PhaseWarmup, name, len(warm), time.Since(start))
+	rec.RowPhase("", mm.PhaseWarmup, name, warmN, time.Since(start))
 	alg.ResetCosts()
 	start = time.Now()
-	c, err := mm.RunPhaseSampledCtx(ctx, alg, meas, workload.DefaultChunk, rec, mm.PhaseMeasured)
-	if err != nil {
-		return c, err
+	if err := mm.RunPhaseChunksCtx(ctx, alg, meas, rec, mm.PhaseMeasured); err != nil {
+		return alg.Costs(), err
 	}
-	rec.RowPhase("", mm.PhaseMeasured, name, len(meas), time.Since(start))
-	return c, nil
+	rec.RowPhase("", mm.PhaseMeasured, name, measN, time.Since(start))
+	return alg.Costs(), nil
 }
 
 // writeExplain renders the recorded attribution snapshot to <base>.tsv
@@ -428,10 +437,11 @@ func replayStats(path string) (trace.Stats, error) {
 	}
 }
 
-// runReplay streams the recording through the algorithm: warmN accesses,
-// counter reset, measN accesses — decoding chunk by chunk. When dumpTo is
-// set, the measured window is simultaneously re-encoded to that file and
-// its stats string returned. rec observes the run at chunk boundaries.
+// runReplay streams the recording through the algorithm with
+// runWarmChunks: warmN accesses, counter reset, measN accesses — decoding
+// chunk by chunk into one reused buffer. When dumpTo is set, the measured
+// window is simultaneously re-encoded to that file and its stats string
+// returned. rec observes the run at chunk boundaries.
 func runReplay(ctx context.Context, alg mm.Algorithm, path string, warmN, measN int, dumpTo string, rec *obs.Recorder) (mm.Costs, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -442,97 +452,55 @@ func runReplay(ctx context.Context, alg mm.Algorithm, path string, warmN, measN 
 	if err != nil {
 		return mm.Costs{}, "", err
 	}
-
-	buf := make([]uint64, workload.DefaultChunk)
-	window := func(n int, each func([]uint64) error) error {
-		for n > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			c := len(buf)
-			if n < c {
-				c = n
-			}
-			sr.NextBatch(buf[:c])
-			if err := each(buf[:c]); err != nil {
-				return err
-			}
-			n -= c
-		}
-		return nil
-	}
-	name := alg.Name()
-	phase := mm.PhaseWarmup
-	// The replay loop bypasses the mm runners, so it carries its own trace
-	// timeline: chunk spans here, phase spans around each window below.
-	var th *xtrace.Thread
-	if tr := xtrace.Active(); tr != nil {
-		th = tr.Worker("", name)
-	}
-	serve := func(chunk []uint64) error {
-		var chunkStart int64
-		if th != nil {
-			chunkStart = th.Now()
-		}
-		if b, ok := alg.(mm.Batcher); ok {
-			b.AccessBatch(chunk)
-		} else {
-			for _, v := range chunk {
-				alg.Access(v)
-			}
-		}
-		rec.Sample(phase, name, alg.Costs())
-		if th != nil {
-			th.Span(phase, xtrace.CatChunk, chunkStart, xtrace.ArgInt("n", int64(len(chunk))))
-		}
-		return nil
-	}
-
-	start := time.Now()
-	phaseStart := th.Now()
-	if err := window(warmN, serve); err != nil {
-		return mm.Costs{}, "", err
-	}
-	th.Span(mm.PhaseWarmup, xtrace.CatPhase, phaseStart)
-	rec.RowPhase("", mm.PhaseWarmup, name, warmN, time.Since(start))
-	alg.ResetCosts()
-	phase = mm.PhaseMeasured
-	start = time.Now()
-	phaseStart = th.Now()
-	defer func() { th.Span(mm.PhaseMeasured, xtrace.CatPhase, phaseStart) }()
-
-	var dumpStats string
-	if dumpTo == "" {
-		if err := window(measN, serve); err != nil {
-			return mm.Costs{}, "", err
-		}
-	} else {
+	var (
+		tw      *trace.Writer
+		acc     trace.Accumulator
+		dumpErr error
+	)
+	if dumpTo != "" {
 		out, err := os.Create(dumpTo)
 		if err != nil {
 			return mm.Costs{}, "", err
 		}
 		defer out.Close()
-		tw, err := trace.NewWriter(out, uint64(measN))
-		if err != nil {
+		if tw, err = trace.NewWriter(out, uint64(measN)); err != nil {
 			return mm.Costs{}, "", err
 		}
-		var acc trace.Accumulator
-		if err := window(measN, func(chunk []uint64) error {
-			if err := serve(chunk); err != nil {
-				return err
-			}
-			acc.Add(chunk)
-			return tw.Write(chunk)
-		}); err != nil {
-			return mm.Costs{}, "", err
-		}
-		if err := tw.Close(); err != nil {
-			return mm.Costs{}, "", err
-		}
-		dumpStats = acc.Stats().String()
 	}
-	rec.RowPhase("", mm.PhaseMeasured, name, measN, time.Since(start))
-	return alg.Costs(), dumpStats, nil
+
+	buf := make([]uint64, workload.DefaultChunk)
+	// chunks yields the recording's next n requests one buffer at a time;
+	// with dump set each chunk is also re-encoded, and a write error ends
+	// the phase early and is returned below.
+	chunks := func(n int, dump bool) mm.ChunkSeq {
+		return func() ([]uint64, bool) {
+			if n == 0 || dumpErr != nil {
+				return nil, false
+			}
+			c := buf[:min(n, len(buf))]
+			sr.NextBatch(c)
+			n -= len(c)
+			if dump {
+				acc.Add(c)
+				dumpErr = tw.Write(c)
+			}
+			return c, dumpErr == nil
+		}
+	}
+	costs, err := runWarmChunks(ctx, alg, chunks(warmN, false), warmN, chunks(measN, tw != nil), measN, rec)
+	if err == nil {
+		err = dumpErr
+	}
+	if err != nil {
+		return mm.Costs{}, "", err
+	}
+	if tw == nil {
+		return costs, "", nil
+	}
+	if err := tw.Close(); err != nil {
+		return mm.Costs{}, "", err
+	}
+	return costs, acc.Stats().String(), nil
 }
 
 func allocName(s string) string {
@@ -750,7 +718,7 @@ func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig)
 			RecoverDepth: cfg.queueCap / 5,
 			DegradedDiv:  4,
 		},
-	}, alg, gen, &mm.Scratch{}, ec)
+	}, alg, gen, nil, ec)
 	if err != nil {
 		return obs.RunRecord{}, err
 	}

@@ -104,23 +104,22 @@ func flushTrace() {
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "experiment ids, comma-separated: f1a|f1b|f1c|t1|t2|t3|t4|e2|e3|e4|e5|h1|sv1|sv2|sv3|...|all")
-		full      = flag.Bool("full", false, "run at the paper's full dimensions (slow)")
-		seed      = flag.Uint64("seed", 1, "root random seed")
-		format    = flag.String("format", "tsv", "output format: tsv|csv")
-		outDir    = flag.String("out", "", "write one file per experiment into this directory (default stdout)")
-		cacheDir  = flag.String("cache", "results/cache", "content-addressed result cache directory (see EXPERIMENTS.md)")
-		noCache   = flag.Bool("no-cache", false, "disable the result cache: simulate every cell")
-		sample    = flag.Uint64("sample", 0, "record cost-over-time curves every N accesses per algorithm (0 disables); written as <experiment>.curves.tsv next to the outputs")
-		explainF  = flag.Bool("explain", false, "record per-algorithm cost attribution and structural gauges; written as <experiment>.explain.tsv/.json next to the outputs and summarized in the manifest")
-		maniDir   = flag.String("manifest", "results", "write a run-manifest JSON and sweep journal into this directory (empty disables)")
-		httpAddr  = flag.String("http", "", "serve live sweep counters (expvar) on this address, e.g. :8321")
-		progress  = flag.Bool("progress", true, "print live per-experiment progress with ETA to stderr")
-		resume    = flag.String("resume", "", "resume an interrupted run from its manifest: restores the recorded flags (explicit flags here win) and skips journaled experiments")
-		workers   = flag.Int("workers", 0, "max concurrent simulations per streaming row / tasks per sweep (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
-		lookahead = flag.Int("lookahead", 0, "chunks the row generator may run ahead of the slowest simulator in pipelined rows (0 = default); affects only overlap, never results")
-		traceF    = flag.String("trace", "", "export a Perfetto-loadable execution trace (Chrome trace-event JSON) of the sweep to this file; also derives <experiment>.timeline.tsv straggler reports next to the outputs. Results stay byte-identical")
-		serveMet  = flag.Bool("serve-metrics", false, "arm the virtual-time window collector on serve sweeps (sv1/sv2; sv3 always arms it): per-window counters/gauges/quantiles, SLO verdicts, and slowest-request exemplars, written as <table>.serve.metrics.tsv next to the outputs and recorded in the manifest. Tables stay byte-identical")
+		fig      = flag.String("fig", "all", "experiment ids, comma-separated: f1a|f1b|f1c|t1|t2|t3|t4|e2|e3|e4|e5|h1|sv1|sv2|sv3|...|all")
+		full     = flag.Bool("full", false, "run at the paper's full dimensions (slow)")
+		seed     = flag.Uint64("seed", 1, "root random seed")
+		format   = flag.String("format", "tsv", "output format: tsv|csv")
+		outDir   = flag.String("out", "", "write one file per experiment into this directory (default stdout)")
+		cacheDir = flag.String("cache", "results/cache", "content-addressed result cache directory (see EXPERIMENTS.md)")
+		noCache  = flag.Bool("no-cache", false, "disable the result cache: simulate every cell")
+		sample   = flag.Uint64("sample", 0, "record cost-over-time curves every N accesses per algorithm (0 disables); written as <experiment>.curves.tsv next to the outputs")
+		explainF = flag.Bool("explain", false, "record per-algorithm cost attribution and structural gauges; written as <experiment>.explain.tsv/.json next to the outputs and summarized in the manifest")
+		maniDir  = flag.String("manifest", "results", "write a run-manifest JSON and sweep journal into this directory (empty disables)")
+		httpAddr = flag.String("http", "", "serve live sweep counters (expvar) on this address, e.g. :8321")
+		progress = flag.Bool("progress", true, "print live per-experiment progress with ETA to stderr")
+		resume   = flag.String("resume", "", "resume an interrupted run from its manifest: restores the recorded flags (explicit flags here win) and skips journaled experiments")
+		workers  = flag.Int("workers", 0, "max concurrent simulations per streaming row / tasks per sweep (0 = GOMAXPROCS, 1 = one at a time); results are identical at any setting")
+		traceF   = flag.String("trace", "", "export a Perfetto-loadable execution trace (Chrome trace-event JSON) of the sweep to this file; also derives <experiment>.timeline.tsv straggler reports next to the outputs. Results stay byte-identical")
+		serveMet = flag.Bool("serve-metrics", false, "arm the virtual-time window collector on serve sweeps (sv1/sv2; sv3 always arms it): per-window counters/gauges/quantiles, SLO verdicts, and slowest-request exemplars, written as <table>.serve.metrics.tsv next to the outputs and recorded in the manifest. Tables stay byte-identical")
 	)
 	profile = prof.Register(nil)
 	flag.Parse()
@@ -175,7 +174,6 @@ func main() {
 	}
 	scale.Ctx = ctx
 	scale.Workers = *workers
-	scale.Lookahead = *lookahead
 	// The stalled-worker watchdog arms from the environment, never a
 	// default: ADDRXLAT_WATCHDOG=30s style (see DESIGN.md).
 	scale.Watchdog = experiments.WatchdogFromEnv()

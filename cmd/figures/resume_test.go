@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -56,8 +57,22 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 		t.Skip("builds and execs the figures binary")
 	}
 	bin := buildFigures(t)
-	for _, seed := range []uint64{1, 7, 42} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+	cases := []struct {
+		name string
+		seed uint64
+		// retired adds "lookahead" — a flag this binary no longer defines
+		// — to the crashed manifest's config: a manifest written before
+		// the flag was retired must still resume.
+		retired bool
+	}{
+		{"seed1", 1, false},
+		{"seed7", 7, false},
+		{"seed42", 42, false},
+		{"seed7-retired-flag", 7, true},
+	}
+	for _, tc := range cases {
+		seed := tc.seed
+		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
 			seedArg := fmt.Sprintf("-seed=%d", seed)
 			figArg := "-fig=e2,f1a"
@@ -99,6 +114,9 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			if !strings.Contains(string(data), `"status": "running"`) {
 				t.Fatalf("crashed manifest is not marked running:\n%s", data)
 			}
+			if tc.retired {
+				addConfig(t, manifests[0], "lookahead", "2")
+			}
 
 			// Resume from the crashed manifest: flags are restored from its
 			// config, e2 is skipped via the journal, f1a is recomputed.
@@ -125,6 +143,31 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// addConfig records name=val in the config block of the manifest at
+// path, as if the run that wrote it had had that flag.
+func addConfig(t *testing.T, path, name, val string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	cfg, ok := m["config"].(map[string]any)
+	if !ok {
+		t.Fatalf("manifest %s has no config block", path)
+	}
+	cfg[name] = val
+	if data, err = json.MarshalIndent(m, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -89,22 +89,18 @@ func main() {
 		var acc trace.Accumulator
 		written = *n
 		if err := writeAll(*out, uint64(*n), func(w *trace.Writer) error {
-			src, err := workload.NewSource(gen, workload.DefaultChunk, *n)
-			if err != nil {
-				return err
-			}
-			defer src.Stop()
-			for {
-				chunk, ok := src.Next()
-				if !ok {
-					return nil
-				}
+			// One reused buffer: O(chunk) memory for any -n.
+			buf := make([]uint64, workload.DefaultChunk)
+			for left := *n; left > 0; {
+				chunk := buf[:min(left, len(buf))]
+				workload.Fill(gen, chunk)
 				if err := w.Write(chunk); err != nil {
 					return err
 				}
 				acc.Add(chunk)
-				src.Recycle(chunk)
+				left -= len(chunk)
 			}
+			return nil
 		}); err != nil {
 			fail(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"addrxlat/internal/parallel"
-	"addrxlat/internal/workload"
 )
 
 // WatchdogEnvVar is the environment variable WatchdogFromEnv reads the
@@ -40,20 +39,13 @@ type Scale struct {
 	// AccessDiv divides the warmup and measured access counts.
 	AccessDiv uint64
 	// Workers bounds the goroutines a sweep may fan out across: the
-	// concurrent (row, algorithm) simulations of the pipelined row
-	// executor, and the per-parameter-point tasks of the materialized
-	// sweeps. 0 means GOMAXPROCS. 1 forces everything sequential —
-	// results are identical either way, since every simulator is
-	// independently seeded and lands in an order-stable slot (pinned by
-	// TestFig1Deterministic and TestPipelinedMatchesSequential).
+	// concurrent (row, algorithm) simulations of the row executor, and
+	// the per-parameter-point tasks of the materialized sweeps. 0 means
+	// GOMAXPROCS. 1 admits one simulation at a time — results are
+	// identical at any setting, since every simulator is independently
+	// seeded and lands in an order-stable slot (pinned by
+	// TestFig1Deterministic and TestPipelinedMatchesMaterialized).
 	Workers int
-	// Lookahead bounds how many chunks the row generator may run ahead
-	// of the slowest simulator in the pipelined row executor — the depth
-	// of the refcounted chunk ring, and therefore the peak workload
-	// memory of a row (Lookahead × 512 KiB chunks). 0 means
-	// workload.DefaultLookahead. It has no effect on results, only on
-	// how much generation overlaps simulation.
-	Lookahead int
 	// Cache, when non-nil, is consulted before simulating each cell of
 	// the streaming row drivers and updated afterwards, keyed by the
 	// canonical cell key (workload, algorithm, geometry, windows, scale,
@@ -185,22 +177,13 @@ func (s Scale) forEach(n int, fn func(i int) error) error {
 	return parallel.ForEachCtx(s.context(), n, s.Workers, fn)
 }
 
-// rowWorkers resolves the Workers default for the pipelined row
-// executor: how many simulations may run concurrently within one row.
+// rowWorkers resolves the Workers default for the row executor: how many
+// simulations may run concurrently within one row.
 func (s Scale) rowWorkers() int {
 	if s.Workers > 0 {
 		return s.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// lookahead resolves the Lookahead default: the chunk-ring depth of the
-// pipelined row executor.
-func (s Scale) lookahead() int {
-	if s.Lookahead > 0 {
-		return s.Lookahead
-	}
-	return workload.DefaultLookahead
 }
 
 // context returns the sweep's cancellation context, tolerating the nil

@@ -51,34 +51,35 @@ func crossOnce(ws *watchState, clock *phaseClock) {
 	}
 }
 
-// runRowPipelined is the barrier-free row executor: a generator goroutine
-// fills a bounded-lookahead ring of refcounted chunk buffers (segment 0
-// the warmup window, segment 1 the measured window), and one long-lived
-// worker per simulator consumes the ring from its own cursor at its own
-// pace, at most `workers` of them simulating at any instant. Row
-// wall-clock drops from Σ_chunks max(sim time) + generation to ≈ the
-// slowest simulator's total time, with generation fully overlapped.
+// runRowPipelined is the row executor — the only one: a generator
+// goroutine fills a ring of workload.DefaultLookahead refcounted chunk
+// buffers (segment 0 the warmup window, segment 1 the measured window),
+// and one long-lived worker per simulator consumes the ring from its own
+// cursor at its own pace, at most Scale.Workers of them simulating at any
+// instant. Row wall-clock is ≈ the slowest simulator's total time, with
+// generation overlapped; Workers=1 is the same ring with one admission
+// slot, and a single-cell row (e.g. every other cell cached) is a ring
+// with one consumer.
 //
-// Determinism: every simulator still sees the identical request sequence
-// in the identical chunks (the ring publishes one stream; consumers only
+// Determinism: every simulator sees the identical request sequence in
+// the identical chunks (the ring publishes one stream; consumers only
 // differ in when they read it), each worker services its chunks in order,
 // and each worker resets its own counters exactly at the segment 0 → 1
 // edge — so final counters, probe samples, and explain snapshots are
-// byte-identical to the sequential executor's (pinned by
-// TestPipelinedMatchesSequential). Per-sim scratch stays pinned to its
-// worker; no allocation happens in the chunk loop.
+// byte-identical to running each cell alone over the materialized windows
+// (pinned by TestPipelinedMatchesMaterialized). No allocation happens in
+// the chunk loop.
 //
 // Failure shapes match runRow's contract: a panic while serving one
 // simulator poisons only that cell (the worker detaches from the ring and
 // the survivors keep streaming); a canceled context stops every worker at
 // a chunk boundary and is returned as the row-fatal error.
-func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm.Algorithm, scratch []*mm.Scratch, cellErrs []error, names []string, workers int) error {
+func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm.Algorithm, cellErrs []error, names []string, rowStart int64) error {
 	ctx := s.context()
 	row := string(m.workload)
 
-	// The sweep-kill fault point fires from the producer, preserving the
-	// sequential executor's per-chunk cadence (crash-resume drills need a
-	// kill mid-row, not at a row edge).
+	// The sweep-kill fault point fires from the producer, once per chunk
+	// (crash-resume drills need a kill mid-row, not at a row edge).
 	var hook func(seq, segment, index int)
 	if faultinject.Armed() {
 		hook = func(seq, segment, index int) {
@@ -93,7 +94,7 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 	// is the one Active() load above this call.
 	tr := xtrace.Active()
 	ring, err := workload.NewRing(gen, streamChunk, []int{m.warmupN, m.measuredN},
-		s.lookahead(), len(sims), workload.WithFillHook(hook),
+		workload.DefaultLookahead, len(sims), workload.WithFillHook(hook),
 		workload.WithTrace(tr.RingThread(row)))
 	if err != nil {
 		return err
@@ -118,20 +119,15 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 	// once. It is claimed per chunk, not per row, so every simulator keeps
 	// making progress (and releasing ring slots) no matter the ratio.
 	var gate *parallel.Gate
-	if workers < len(sims) {
+	if workers := s.rowWorkers(); workers < len(sims) {
 		gate = parallel.NewGate(workers)
 	}
 
 	clock := &phaseClock{left: len(sims)}
 	start := time.Now()
-	// Every worker's timeline starts at this dispatch stamp, not at its
-	// first scheduling: until a worker runs, it is by definition waiting on
-	// the generator's lead chunks, and charging that ramp to wait-generation
-	// is what keeps busy+blocked ≈ row wall even on saturated machines.
-	spawnTS := tr.Now()
 	var grpErr error
 	if wd := s.Watchdog; wd > 0 {
-		grpErr = m.runWorkersWatched(s, wd, ring, gate, clock, sims, scratch, cellErrs, names, row, spawnTS)
+		grpErr = m.runWorkersWatched(s, wd, ring, gate, clock, sims, cellErrs, names, row, rowStart)
 	} else {
 		// No watchdog (the default, and the path the byte-identity tests
 		// pin): plain structured join.
@@ -143,7 +139,7 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 				// The pprof labels make CPU profiles attribute pipeline time
 				// per (row, algorithm) worker.
 				pprof.Do(ctx, pprof.Labels("addrxlat_row", row, "addrxlat_alg", names[i]), func(context.Context) {
-					werr = m.simWorker(s, ring, gate, clock, sims[i], scratch[i], cellErrs, names, row, i, spawnTS, nil)
+					werr = m.simWorker(s, ring, gate, clock, sims[i], cellErrs, names, row, i, rowStart, nil)
 				})
 				return werr
 			})
@@ -183,7 +179,7 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 // exact failure the watchdog exists to survive). The stuck goroutine
 // itself is not killed — Go cannot — but everything it owned is released
 // and its results are discarded.
-func (m *fig1Machine) runWorkersWatched(s Scale, wd time.Duration, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, sims []mm.Algorithm, scratch []*mm.Scratch, cellErrs []error, names []string, row string, spawnTS int64) error {
+func (m *fig1Machine) runWorkersWatched(s Scale, wd time.Duration, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, sims []mm.Algorithm, cellErrs []error, names []string, row string, rowStart int64) error {
 	ctx := s.context()
 	tr := xtrace.Active()
 	wss := make([]*watchState, len(sims))
@@ -200,7 +196,7 @@ func (m *fig1Machine) runWorkersWatched(s Scale, wd time.Duration, ring *workloa
 		go func() {
 			var werr error
 			pprof.Do(ctx, pprof.Labels("addrxlat_row", row, "addrxlat_alg", names[i]), func(context.Context) {
-				werr = m.simWorker(s, ring, gate, clock, sims[i], scratch[i], cellErrs, names, row, i, spawnTS, wss[i])
+				werr = m.simWorker(s, ring, gate, clock, sims[i], cellErrs, names, row, i, rowStart, wss[i])
 			})
 			if errors.Is(werr, errStalled) {
 				return // the monitor already signaled for this slot
@@ -262,7 +258,7 @@ func (m *fig1Machine) runWorkersWatched(s Scale, wd time.Duration, ring *workloa
 // edge. It returns nil for a poisoned cell (recorded in cellErrs[i]),
 // errStalled when the watchdog reclaimed the cell mid-chunk, and any
 // other error only for cancellation. ws is nil when no watchdog is armed.
-func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, a mm.Algorithm, sc *mm.Scratch, cellErrs []error, names []string, row string, i int, spawnTS int64, ws *watchState) error {
+func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, a mm.Algorithm, cellErrs []error, names []string, row string, i int, rowStart int64, ws *watchState) error {
 	ctx := s.context()
 	ep := s.explainProbe()
 	cur, seg := 0, 0
@@ -270,16 +266,20 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 
 	// One trace timeline per (row, simulator) worker, recorded only at the
 	// chunk boundaries this loop already observes. The worker span and the
-	// first phase and wait-generation spans all open at the row's dispatch
-	// stamp, so scheduler and spawn delay land in wait time, keeping
-	// busy+blocked ≈ wall.
+	// first phase and wait-generation spans all open at the row's start
+	// stamp — until a worker runs, ring set-up included, it is by
+	// definition waiting on the generator's lead chunks — and every later
+	// wait-generation span opens where the previous chunk span closed (so
+	// the ring release in between counts as waiting on the ring). Set-up,
+	// scheduler and hand-off delay all land in wait time, which keeps
+	// busy+blocked ≈ row wall even on saturated machines.
 	tr := xtrace.Active()
 	var th *xtrace.Thread
-	var wStart, phaseStart int64
+	var wStart, phaseStart, lastEnd int64
 	if tr != nil {
 		th = tr.Worker(row, names[i])
-		wStart = spawnTS
-		phaseStart = wStart
+		wStart = rowStart
+		phaseStart, lastEnd = wStart, wStart
 	}
 	defer func() {
 		// Trailing phase and worker spans, on every exit path (end of
@@ -294,16 +294,7 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			return fmt.Errorf("experiments: cell %s|%s canceled at a %s chunk boundary: %w",
 				row, names[i], pipePhase(seg), cerr)
 		}
-		var genStart int64
-		if th != nil {
-			if cur == 0 {
-				// The worker's ramp — dispatch to first chunk — is time the
-				// generator's lead chunks were not yet published.
-				genStart = spawnTS
-			} else {
-				genStart = th.Now()
-			}
-		}
+		genStart := lastEnd
 		c, ok := ring.Get(cur)
 		if th != nil {
 			th.Span(xtrace.WaitGeneration, xtrace.CatWait, genStart, xtrace.ArgInt("seq", int64(cur)))
@@ -319,7 +310,7 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 		if c.Segment != seg {
 			// Warmup → measured edge: this worker's own counter reset, no
 			// cross-simulator barrier. The ring never straddles segments, so
-			// the reset lands exactly where the sequential executor puts it.
+			// the reset lands exactly where mm.RunWarm puts it.
 			if th != nil {
 				th.Span(pipePhase(seg), xtrace.CatPhase, phaseStart)
 				phaseStart = th.Now()
@@ -350,7 +341,7 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			ws.beat.Store(time.Now().UnixNano())
 			ws.state.Store(wsServing)
 		}
-		cellErr := m.serveChunk(s, ep, a, sc, c.Data, row, pipePhase(seg), names[i], ws)
+		cellErr := m.serveChunk(s, ep, a, c.Data, row, pipePhase(seg), names[i], ws)
 		if ws != nil && !ws.state.CompareAndSwap(wsServing, wsIdle) {
 			// The monitor won the race: it already recorded the stall,
 			// released this worker's ring references and gate slot, and
@@ -358,7 +349,8 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			return errStalled
 		}
 		if th != nil {
-			th.Span(pipePhase(seg), xtrace.CatChunk, chunkStart,
+			lastEnd = th.Now()
+			th.SpanAt(pipePhase(seg), xtrace.CatChunk, chunkStart, lastEnd,
 				xtrace.ArgInt("seq", int64(c.Seq)), xtrace.ArgInt("n", int64(len(c.Data))))
 		}
 		gate.Leave()
@@ -383,12 +375,10 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 	return nil
 }
 
-// serveChunk services one chunk on one simulator — the pipelined
-// counterpart of streamWindow's serve closure, with the identical probe
-// and fault-injection points at the identical chunk boundaries. A panic
-// (algorithm bug or injected cell fault) is recovered into the returned
-// error.
-func (m *fig1Machine) serveChunk(s Scale, ep ExplainProbe, a mm.Algorithm, sc *mm.Scratch, chunk []uint64, row, phase, name string, ws *watchState) (err error) {
+// serveChunk services one chunk on one simulator, with the probe and
+// fault-injection points at the chunk boundary. A panic (algorithm bug or
+// injected cell fault) is recovered into the returned error.
+func (m *fig1Machine) serveChunk(s Scale, ep ExplainProbe, a mm.Algorithm, chunk []uint64, row, phase, name string, ws *watchState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiments: cell %s|%s panicked: %v", row, name, r)
@@ -416,7 +406,7 @@ func (m *fig1Machine) serveChunk(s Scale, ep ExplainProbe, a mm.Algorithm, sc *m
 			time.Sleep(time.Millisecond)
 		}
 	}
-	accessAll(a, chunk, sc)
+	a.AccessBatch(chunk)
 	if s.Probe != nil {
 		s.Probe.RowSample(row, phase, name, a.Costs())
 		if ep != nil {

@@ -24,37 +24,74 @@ func pipelineArtifacts(t *testing.T, run func(Scale, uint64) (*Table, error), s 
 	if err != nil {
 		t.Fatalf("workers=%d seed=%d: %v", s.Workers, seed, err)
 	}
-	table = renderTSV(t, tab)
-	if rec != nil {
-		var c, e strings.Builder
-		if err := rec.WriteTSV(&c); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.WriteExplainTSV(&e); err != nil {
-			t.Fatal(err)
-		}
-		curves, explainTSV = c.String(), e.String()
-	}
-	return table, curves, explainTSV
+	curves, explainTSV = recorderTSVs(t, rec)
+	return renderTSV(t, tab), curves, explainTSV
 }
 
-// TestPipelinedMatchesSequential is the pipelined executor's regression
-// guard: for each probe mode (bare, -sample, -explain) and several seeds,
-// the tables — and with a probe, the sample-curve and explain TSVs — must
-// be byte-identical between Workers=1 (the sequential barrier executor)
-// and pipelined Workers settings. The pipeline only changes when chunks
-// are simulated, never what any simulator observes.
-func TestPipelinedMatchesSequential(t *testing.T) {
-	base := Scale{SpaceDiv: 4096, AccessDiv: 500} // ≥3 chunks per window: real lookahead
-	experiments := []struct {
-		name string
-		run  func(Scale, uint64) (*Table, error)
-	}{
-		{"fig1a", func(s Scale, seed uint64) (*Table, error) { return Fig1(F1aBimodal, s, seed) }},
-		{"crossover", Crossover},
+// recorderTSVs renders a recorder's sample-curve and explain TSVs; both
+// are empty for a nil recorder.
+func recorderTSVs(t *testing.T, rec *obs.Recorder) (curves, explainTSV string) {
+	t.Helper()
+	if rec == nil {
+		return "", ""
 	}
-	workerSettings := []int{4}
-	if n := runtime.GOMAXPROCS(0); n > 1 && n != 4 {
+	var c, e strings.Builder
+	if err := rec.WriteTSV(&c); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteExplainTSV(&e); err != nil {
+		t.Fatal(err)
+	}
+	return c.String(), e.String()
+}
+
+// cacheAllButOne returns a result cache holding every Fig1a cell of
+// (s, seed) except h=4's, so a Fig1a run over it streams a row of one
+// simulator.
+func cacheAllButOne(t *testing.T, s Scale, seed uint64) *memCache {
+	t.Helper()
+	c := &memCache{m: make(map[string]mm.Costs)}
+	s.Cache, s.Probe, s.Explain = c, nil, false
+	if _, err := Fig1(F1aBimodal, s, seed); err != nil {
+		t.Fatal(err)
+	}
+	n := len(c.m)
+	for k := range c.m {
+		if strings.Contains(k, "|alg=hugepage(h=4,") {
+			delete(c.m, k)
+		}
+	}
+	if len(c.m) != n-1 {
+		t.Fatalf("expected to evict exactly the h=4 cell, cache went from %d to %d entries", n, len(c.m))
+	}
+	return c
+}
+
+// TestPipelinedMatchesMaterialized is the row executor's differential
+// guard against an independent reference: every cell run alone through
+// the mm chunk runner (Scale.runWarm) over the row's materialized
+// windows. For each probe mode (bare, -sample, -explain), seeds 1/7/42
+// and Workers 1, 4 and GOMAXPROCS, the tables — and with a probe, the
+// sample-curve and explain TSVs — must be byte-identical. The "cached"
+// case serves every Fig1a cell but one from the result cache, so the
+// executor streams a one-simulator row. The ring only changes when
+// chunks are simulated, never what any simulator observes.
+func TestPipelinedMatchesMaterialized(t *testing.T) {
+	base := Scale{SpaceDiv: 4096, AccessDiv: 500} // 8 chunks per row against a ring depth of 4
+	fig1a := func(s Scale, seed uint64) (*Table, error) { return Fig1(F1aBimodal, s, seed) }
+	fig1aRef := func(t *testing.T, s Scale, seed uint64) string { return fig1MaterializedTSV(t, F1aBimodal, s, seed) }
+	experiments := []struct {
+		name   string
+		run    func(Scale, uint64) (*Table, error)
+		ref    func(*testing.T, Scale, uint64) string
+		cached bool
+	}{
+		{"fig1a", fig1a, fig1aRef, false},
+		{"crossover", Crossover, crossoverMaterializedTSV, false},
+		{"fig1a-cached", fig1a, fig1aRef, true},
+	}
+	workerSettings := []int{1, 4}
+	if n := runtime.GOMAXPROCS(0); n != 1 && n != 4 {
 		workerSettings = append(workerSettings, n)
 	}
 	modes := []struct {
@@ -66,42 +103,51 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 		{"sample", true, false},
 		{"explain", true, true},
 	}
+	// probed attaches a fresh recorder per the mode.
+	probed := func(s Scale, sample, explain bool) (Scale, *obs.Recorder) {
+		if !sample {
+			return s, nil
+		}
+		rec := obs.NewRecorder(50_000)
+		s.Probe, s.Explain = rec, explain
+		return s, rec
+	}
 
 	for _, seed := range []uint64{1, 7, 42} {
 		for _, e := range experiments {
+			var cache *memCache
+			if e.cached {
+				cache = cacheAllButOne(t, base, seed)
+			}
 			for _, mode := range modes {
-				seq := base
-				seq.Workers = 1
-				var seqRec *obs.Recorder
-				if mode.sample {
-					seqRec = obs.NewRecorder(50_000)
-					seq.Probe = seqRec
-					seq.Explain = mode.explain
+				ref, refRec := probed(base, mode.sample, mode.explain)
+				if cache != nil {
+					ref.Cache = cache.clone()
 				}
-				wantTab, wantCurves, wantExplain := pipelineArtifacts(t, e.run, seq, seed, seqRec)
+				wantTab := e.ref(t, ref, seed)
+				wantCurves, wantExplain := recorderTSVs(t, refRec)
 
 				for _, w := range workerSettings {
-					pipe := base
+					pipe, pipeRec := probed(base, mode.sample, mode.explain)
 					pipe.Workers = w
-					pipe.Lookahead = 2
-					var pipeRec *obs.Recorder
-					if mode.sample {
-						pipeRec = obs.NewRecorder(50_000)
-						pipe.Probe = pipeRec
-						pipe.Explain = mode.explain
+					if cache != nil {
+						pipe.Cache = cache.clone()
 					}
 					gotTab, gotCurves, gotExplain := pipelineArtifacts(t, e.run, pipe, seed, pipeRec)
 					if gotTab != wantTab {
-						t.Errorf("%s seed %d %s: table differs at Workers=%d\npipelined:\n%s\nsequential:\n%s",
+						t.Errorf("%s seed %d %s: table differs at Workers=%d\nrow executor:\n%s\nmaterialized:\n%s",
 							e.name, seed, mode.name, w, gotTab, wantTab)
 					}
 					if gotCurves != wantCurves {
-						t.Errorf("%s seed %d %s: curves TSV differs at Workers=%d\npipelined:\n%s\nsequential:\n%s",
+						t.Errorf("%s seed %d %s: curves TSV differs at Workers=%d\nrow executor:\n%s\nmaterialized:\n%s",
 							e.name, seed, mode.name, w, gotCurves, wantCurves)
 					}
 					if gotExplain != wantExplain {
-						t.Errorf("%s seed %d %s: explain TSV differs at Workers=%d\npipelined:\n%s\nsequential:\n%s",
+						t.Errorf("%s seed %d %s: explain TSV differs at Workers=%d\nrow executor:\n%s\nmaterialized:\n%s",
 							e.name, seed, mode.name, w, gotExplain, wantExplain)
+					}
+					if cache != nil && mode.sample && !strings.Contains(gotCurves, "hugepage(h=4,") {
+						t.Errorf("%s seed %d %s: the uncached h=4 cell left no curve", e.name, seed, mode.name)
 					}
 				}
 			}
@@ -110,11 +156,12 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 }
 
 // TestPipelinedRaceSmoke is the `make check` race-detector smoke: one
-// pipelined Fig1a row at Workers=4, lookahead=2, with sampling and
-// attribution on, so every concurrent seam (ring publish/release, gate,
-// probe delivery, phase clock) gets exercised under -race.
+// Fig1a row at Workers=4 (8 chunks against a ring depth of 4), with
+// sampling and attribution on, so every concurrent seam (ring
+// publish/release, gate, probe delivery, phase clock) gets exercised
+// under -race.
 func TestPipelinedRaceSmoke(t *testing.T) {
-	s := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Lookahead: 2, Explain: true}
+	s := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Explain: true}
 	s.Probe = obs.NewRecorder(50_000)
 	if _, err := Fig1(F1aBimodal, s, 1); err != nil {
 		t.Fatal(err)
@@ -148,7 +195,7 @@ func TestPipelinedKillMidRow(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Lookahead: 2, Ctx: ctx}
+	s := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Ctx: ctx}
 	s.Probe = &pipelineCancelProbe{cancel: cancel}
 
 	tab, err := Fig1(F1aBimodal, s, 1)
@@ -185,7 +232,7 @@ func TestPipelinedKillMidRow(t *testing.T) {
 // survivors keep streaming and the table degrades to a footnoted error
 // row, byte-identical in every healthy cell to a clean run.
 func TestPipelinedPoisonedCell(t *testing.T) {
-	s := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Lookahead: 2}
+	s := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4}
 	clean, err := Fig1(F1aBimodal, s, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -226,7 +226,7 @@ func (sp *serveSpec) runCell(s Scale, ai, li int) (pt serve.Point, err error) {
 			DegradedDiv:  serveDegradedDiv,
 		},
 		FaultKey: fmt.Sprintf("%s|%s|load=%g", sp.table, a.name, load),
-	}, alg, gen, &mm.Scratch{}, ec)
+	}, alg, gen, nil, ec)
 	if err != nil {
 		return serve.Point{}, err
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"addrxlat/internal/explain"
-	"addrxlat/internal/faultinject"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/workload"
 	"addrxlat/internal/xtrace"
@@ -133,11 +132,11 @@ func (m *fig1Machine) cellKey(s Scale, seed uint64, alg string) string {
 // runRow drives every simulator in sims through the row's request stream:
 // warmup window, counter reset, measured window — mm.RunWarm's two-phase
 // methodology, but with each chunk generated once and shared by all sims
-// instead of materializing the windows per cell. With Workers > 1 the row
-// runs pipelined: a generator goroutine fills a bounded-lookahead chunk
-// ring and one long-lived worker per simulator consumes it at its own
-// pace (see runRowPipelined); Workers bounds the concurrent simulations.
-// Callers read the finished counters back with sims[i].Costs().
+// instead of materializing the windows per cell. A generator goroutine
+// fills a bounded chunk ring and one long-lived worker per simulator
+// consumes it at its own pace (see runRowPipelined); Workers bounds the
+// concurrent simulations. Callers read the finished counters back with
+// sims[i].Costs().
 //
 // Fault tolerance: a panic while servicing one simulator (a bug in that
 // algorithm, or an injected cell-panic) poisons only that cell — its
@@ -158,19 +157,18 @@ func (m *fig1Machine) runRow(s Scale, sims []mm.Algorithm) (cellErrs []error, er
 		return cellErrs, err
 	}
 	// Execution tracing: the row's lifecycle span lives on its own
-	// timeline, covering whichever executor runs it. rowTrace is nil when
-	// tracing is off, so the disarmed cost of the whole row is this one
-	// atomic load.
+	// timeline, and the workers' timelines open at the same stamp. The
+	// disarmed cost of the whole row is this one atomic load.
 	row := string(m.workload)
-	var rt *rowTrace
-	if tr := xtrace.Active(); tr != nil {
-		rt = &rowTrace{tr: tr, rowTh: tr.RowThread(row)}
-		rowStart := tr.Now()
-		defer func() { rt.rowTh.Span(row, xtrace.CatRow, rowStart) }()
+	tr := xtrace.Active()
+	rowStart := tr.Now()
+	if tr != nil {
+		rowTh := tr.RowThread(row)
+		defer func() { rowTh.Span(row, xtrace.CatRow, rowStart) }()
 	}
 	// Simulator names are resolved once per row: the probe hook needs
-	// them per chunk, the fault-injection matcher per cell, the pipelined
-	// executor's pprof labels per worker — and Name() formats.
+	// them per chunk, the fault-injection matcher per cell, the workers'
+	// pprof labels per worker — and Name() formats.
 	names := make([]string, len(sims))
 	for i, a := range sims {
 		names[i] = a.Name()
@@ -180,175 +178,7 @@ func (m *fig1Machine) runRow(s Scale, sims []mm.Algorithm) (cellErrs []error, er
 			mm.EnableExplain(a)
 		}
 	}
-	// One scratch per cell, reused across every chunk of both phases: the
-	// cells of a row are served concurrently, so the staged kernels' column
-	// buffers cannot be shared, but within a cell they are steady-state.
-	scratch := make([]*mm.Scratch, len(sims))
-	for i := range scratch {
-		scratch[i] = &mm.Scratch{}
-	}
-	// Two executors, same results (pinned by TestPipelinedMatchesSequential):
-	// the pipelined one removes the per-chunk fan-out barrier — each
-	// simulator consumes the shared chunk ring at its own pace — but is pure
-	// overhead when only one simulation may run at a time, so Workers=1
-	// (or a single-cell row) keeps the sequential two-window loop. That
-	// loop doubles as the differential reference for the pipelined path.
-	if w := s.rowWorkers(); w > 1 && len(sims) > 1 {
-		return cellErrs, m.runRowPipelined(s, gen, sims, scratch, cellErrs, names, w)
-	}
-	if rt != nil {
-		// The sequential executor interleaves every simulator in one
-		// goroutine (or forEach workers joined per chunk), but each still
-		// gets its own timeline so chunk latencies aggregate per (row, alg)
-		// exactly like the pipelined executor's.
-		rt.ths = make([]*xtrace.Thread, len(sims))
-		for i := range sims {
-			rt.ths[i] = rt.tr.Worker(row, names[i])
-		}
-	}
-	if err := m.window(s, gen, m.warmupN, sims, scratch, cellErrs, names, rt, mm.PhaseWarmup); err != nil {
-		return cellErrs, err
-	}
-	for i, a := range sims {
-		if cellErrs[i] == nil {
-			a.ResetCosts()
-		}
-	}
-	return cellErrs, m.window(s, gen, m.measuredN, sims, scratch, cellErrs, names, rt, mm.PhaseMeasured)
-}
-
-// rowTrace bundles one sequential row's trace timelines: the row's own
-// thread (lifecycle span, generation waits) and the per-simulator worker
-// threads. A nil *rowTrace means tracing is off; tr is non-nil whenever
-// rt is, while the thread fields may be nil past the tracer's thread cap
-// (every Thread method tolerates a nil receiver).
-type rowTrace struct {
-	tr    *xtrace.Tracer
-	rowTh *xtrace.Thread
-	ths   []*xtrace.Thread
-}
-
-// window streams one phase of the row and, with a probe attached, reports
-// the phase's access count and wall time when it completes.
-func (m *fig1Machine) window(s Scale, gen workload.Generator, n int, sims []mm.Algorithm, scratch []*mm.Scratch, cellErrs []error, names []string, rt *rowTrace, phase string) error {
-	row := string(m.workload)
-	if s.Probe == nil {
-		return streamWindow(s, gen, n, sims, scratch, cellErrs, names, rt, row, phase)
-	}
-	start := time.Now()
-	if err := streamWindow(s, gen, n, sims, scratch, cellErrs, names, rt, row, phase); err != nil {
-		return err
-	}
-	s.Probe.RowPhase(row, phase, "", n, time.Since(start))
-	return nil
-}
-
-// streamWindow feeds the next n requests of gen to every sim, chunk by
-// chunk through a double-buffered Source, so generation overlaps the
-// previous chunk's simulation. Window boundaries get their own Source:
-// chunks never straddle the warmup/measured counter reset. With a probe
-// attached, each sim's cumulative counters are sampled after it finishes
-// each chunk — between AccessBatch calls, so the access hot path never
-// sees the probe.
-//
-// Between chunks the window checks the sweep context (cooperative
-// cancellation) and the sweep-kill fault point (crash simulation for the
-// resume tests). A per-sim panic is recovered into cellErrs[i]; the sim
-// is excluded from all later chunks of the row.
-func streamWindow(s Scale, gen workload.Generator, n int, sims []mm.Algorithm, scratch []*mm.Scratch, cellErrs []error, names []string, rt *rowTrace, row, phase string) error {
-	ctx := s.context()
-	ep := s.explainProbe()
-	src, err := workload.NewSource(gen, streamChunk, n)
-	if err != nil {
-		return err
-	}
-	defer src.Stop()
-	if rt != nil {
-		// One phase span per simulator covering this window, emitted on
-		// every exit path so the chunk spans below always nest.
-		phaseStart := rt.tr.Now()
-		defer func() {
-			for _, th := range rt.ths {
-				th.Span(phase, xtrace.CatPhase, phaseStart)
-			}
-		}()
-	}
-	live := make([]int, 0, len(sims))
-	var chunk []uint64
-	for chunkIdx := 0; ; chunkIdx++ {
-		if err := ctx.Err(); err != nil {
-			if rt != nil {
-				rt.tr.Instant(xtrace.InstantCancel, xtrace.ArgStr("row", row))
-			}
-			return fmt.Errorf("experiments: row %s canceled at a %s chunk boundary: %w", row, phase, err)
-		}
-		if faultinject.Armed() && faultinject.Fire(faultinject.SweepKill, row) {
-			faultinject.Kill(fmt.Sprintf("row %s, %s chunk %d", row, phase, chunkIdx))
-		}
-		var genStart int64
-		if rt != nil {
-			genStart = rt.tr.Now()
-		}
-		var ok bool
-		chunk, ok = src.Next()
-		if rt != nil {
-			rt.rowTh.Span(xtrace.WaitGeneration, xtrace.CatWait, genStart, xtrace.ArgInt("seq", int64(chunkIdx)))
-		}
-		if !ok {
-			return nil
-		}
-		live = live[:0]
-		for i := range sims {
-			if cellErrs[i] == nil {
-				live = append(live, i)
-			}
-		}
-		if len(live) == 0 {
-			return nil
-		}
-		serve := func(i int) {
-			defer func() {
-				if r := recover(); r != nil {
-					cellErrs[i] = fmt.Errorf("experiments: cell %s|%s panicked: %v", row, sims[i].Name(), r)
-					if rt != nil {
-						rt.tr.Instant(xtrace.InstantQuarantine, xtrace.ArgStr("cell", row+"|"+names[i]))
-					}
-				}
-			}()
-			if faultinject.Armed() &&
-				faultinject.Fire(faultinject.CellPanic, row+"|"+names[i]) {
-				xtrace.Active().Instant(xtrace.InstantFault,
-					xtrace.ArgStr("point", faultinject.CellPanic), xtrace.ArgStr("cell", row+"|"+names[i]))
-				panic("injected cell fault")
-			}
-			var th *xtrace.Thread
-			var chunkStart int64
-			if rt != nil {
-				th = rt.ths[i]
-				chunkStart = th.Now()
-			}
-			accessAll(sims[i], chunk, scratch[i])
-			if s.Probe != nil {
-				s.Probe.RowSample(row, phase, names[i], sims[i].Costs())
-				if ep != nil {
-					deliverExplain(ep, row, phase, names[i], sims[i])
-				}
-			}
-			th.Span(phase, xtrace.CatChunk, chunkStart,
-				xtrace.ArgInt("seq", int64(chunkIdx)), xtrace.ArgInt("n", int64(len(chunk))))
-		}
-		if len(live) == 1 {
-			serve(live[0])
-		} else if err := s.forEach(len(live), func(j int) error {
-			// serve recovers panics into cellErrs (distinct indices, so no
-			// races); only a canceled context can surface an error here.
-			serve(live[j])
-			return nil
-		}); err != nil {
-			return fmt.Errorf("experiments: row %s canceled during a %s chunk: %w", row, phase, err)
-		}
-		src.Recycle(chunk)
-	}
+	return cellErrs, m.runRowPipelined(s, gen, sims, cellErrs, names, rowStart)
 }
 
 // joinRow collapses runRow's per-cell errors and row-fatal error into a
@@ -376,49 +206,43 @@ func (ps probeSampler) Sample(phase, alg string, c mm.Costs) {
 }
 
 // runWarm is mm.RunWarm with the scale's telemetry and cancellation
-// attached: with a probe it runs both windows through the sampled runner
-// at the stream chunk granularity, reporting per-phase samples and wall
-// times under the given row label; without one it is mm.RunWarmCtx. The
-// final counters are identical either way (chunking an AccessBatch
-// changes no state transitions — pinned by TestSampledRunsByteIdentical).
-// A canceled sweep context stops the run at a chunk boundary and returns
-// the context's error.
+// attached: both windows run through the chunk runner at the stream chunk
+// granularity, and a probe receives per-chunk samples and per-phase wall
+// times under the given row label. The final counters are identical to
+// mm.RunWarm's (chunking an AccessBatch changes no state transitions —
+// pinned by TestSampledRunsByteIdentical). A canceled sweep context stops
+// the run at a chunk boundary and returns the context's error.
 func (s Scale) runWarm(row string, a mm.Algorithm, warmup, measured []uint64) (mm.Costs, error) {
 	ctx := s.context()
 	if s.Explain {
 		mm.EnableExplain(a)
 	}
-	if s.Probe == nil {
-		return mm.RunWarmCtx(ctx, a, warmup, measured)
+	var ps mm.Sampler
+	if s.Probe != nil {
+		ps = probeSampler{row: row, p: s.Probe, ep: s.explainProbe(), a: a}
 	}
-	name := a.Name()
-	ps := probeSampler{row: row, p: s.Probe, ep: s.explainProbe(), a: a}
-	start := time.Now()
-	if _, err := mm.RunPhaseSampledCtx(ctx, a, warmup, streamChunk, ps, mm.PhaseWarmup); err != nil {
+	runPhase := func(phase string, reqs []uint64) error {
+		start := time.Now()
+		if err := mm.RunPhaseChunksCtx(ctx, a, mm.SliceChunks(reqs, streamChunk), ps, phase); err != nil {
+			return err
+		}
+		if s.Probe != nil {
+			s.Probe.RowPhase(row, phase, a.Name(), len(reqs), time.Since(start))
+		}
+		return nil
+	}
+	if err := runPhase(mm.PhaseWarmup, warmup); err != nil {
 		return a.Costs(), err
 	}
-	s.Probe.RowPhase(row, mm.PhaseWarmup, name, len(warmup), time.Since(start))
 	a.ResetCosts()
-	start = time.Now()
-	c, err := mm.RunPhaseSampledCtx(ctx, a, measured, streamChunk, ps, mm.PhaseMeasured)
-	if err != nil {
-		return c, err
-	}
-	s.Probe.RowPhase(row, mm.PhaseMeasured, name, len(measured), time.Since(start))
-	return c, nil
-}
-
-// accessAll services one chunk on one simulator through the mm package's
-// single batch-dispatch point, handing the cell's reusable scratch to the
-// staged column kernels.
-func accessAll(a mm.Algorithm, vs []uint64, sc *mm.Scratch) {
-	mm.AccessChunk(a, vs, sc)
+	err := runPhase(mm.PhaseMeasured, measured)
+	return a.Costs(), err
 }
 
 // materialize builds the row's warmup and measured windows as slices, for
 // the consumers that genuinely need the whole sequence in memory (offline
 // OPT baselines, differential tests). The concatenation is exactly what
-// runRow streams, by Source's construction.
+// runRow streams, by the ring's construction.
 func (m *fig1Machine) materialize() (warmup, measured []uint64, err error) {
 	gen, err := m.newGen()
 	if err != nil {

@@ -10,9 +10,12 @@ import (
 )
 
 // fig1MaterializedTSV reproduces the pre-streaming Fig1 implementation —
-// materialize both windows, run every h-cell independently with
-// mm.RunWarm — and renders the same table. The streaming row driver must
-// match it byte for byte.
+// materialize both windows, run every h-cell alone through the mm chunk
+// runner (Scale.runWarm: mm.RunWarm plus the scale's probe, under the
+// row's label) — and renders the same table. Cells present in s.Cache are
+// read from it instead, as Fig1 does. The streaming row driver must match
+// it byte for byte, and with a probe attached so must its sample curves
+// and attribution.
 func fig1MaterializedTSV(t *testing.T, w Fig1Workload, s Scale, seed uint64) string {
 	t.Helper()
 	machine, err := buildFig1Machine(w, s, seed)
@@ -30,6 +33,10 @@ func fig1MaterializedTSV(t *testing.T, w Fig1Workload, s Scale, seed uint64) str
 			costs[i] = mm.Costs{IOs: ^uint64(0)}
 			continue
 		}
+		if c, ok := s.cacheGet(machine.cellKey(s, seed, fmt.Sprintf("hugepage(h=%d,lru/lru)", h))); ok {
+			costs[i] = c
+			continue
+		}
 		alg, err := mm.NewHugePage(mm.HugePageConfig{
 			HugePageSize: h, TLBEntries: machine.tlbEntries,
 			RAMPages: machine.ramPages, Seed: seed,
@@ -37,7 +44,7 @@ func fig1MaterializedTSV(t *testing.T, w Fig1Workload, s Scale, seed uint64) str
 		if err != nil {
 			t.Fatal(err)
 		}
-		costs[i] = mm.RunWarm(alg, warmup, measured)
+		costs[i] = runWarmAlone(t, s, string(w), alg, warmup, measured)
 	}
 	tab := &Table{
 		Name: string(w),
@@ -57,8 +64,19 @@ func fig1MaterializedTSV(t *testing.T, w Fig1Workload, s Scale, seed uint64) str
 	return renderTSV(t, tab)
 }
 
+// runWarmAlone runs one cell by itself over materialized windows through
+// Scale.runWarm, failing the test on error.
+func runWarmAlone(t *testing.T, s Scale, row string, a mm.Algorithm, warmup, measured []uint64) mm.Costs {
+	t.Helper()
+	c, err := s.runWarm(row, a, warmup, measured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // crossoverMaterializedTSV reproduces the pre-streaming Crossover: every
-// cell runs mm.RunWarm over the materialized windows.
+// cell runs alone through Scale.runWarm over the materialized windows.
 func crossoverMaterializedTSV(t *testing.T, s Scale, seed uint64) string {
 	t.Helper()
 	tab := &Table{
@@ -90,7 +108,7 @@ func crossoverMaterializedTSV(t *testing.T, s Scale, seed uint64) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			costs[i] = mm.RunWarm(alg, warmup, measured)
+			costs[i] = runWarmAlone(t, s, string(w), alg, warmup, measured)
 			valid[i] = true
 		}
 		bestIdx := -1
@@ -114,7 +132,7 @@ func crossoverMaterializedTSV(t *testing.T, s Scale, seed uint64) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		zc := mm.RunWarm(z, warmup, measured)
+		zc := runWarmAlone(t, s, string(w), z, warmup, measured)
 		g := hs[bestIdx] / uint64(z.Params().HMax)
 		if g < 1 {
 			g = 1
@@ -126,7 +144,7 @@ func crossoverMaterializedTSV(t *testing.T, s Scale, seed uint64) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hyc = mm.RunWarm(hy, warmup, measured)
+			hyc = runWarmAlone(t, s, string(w), hy, warmup, measured)
 			hyName = hy.Name()
 		}
 		bc := costs[bestIdx]
@@ -139,7 +157,7 @@ func crossoverMaterializedTSV(t *testing.T, s Scale, seed uint64) string {
 }
 
 // TestStreamingMatchesMaterialized is the differential guard for the
-// chunked row drivers: at three seeds, the streaming Fig1 and Crossover
+// chunked row driver: at three seeds, the streaming Fig1 and Crossover
 // tables must be byte-identical to the materialized (per-cell RunWarm)
 // implementations they replaced.
 func TestStreamingMatchesMaterialized(t *testing.T) {
@@ -193,6 +211,18 @@ func (c *memCache) Put(key string, costs mm.Costs) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m[key] = costs
+}
+
+// clone returns an independent cache with the same entries and fresh
+// traffic counters.
+func (c *memCache) clone() *memCache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := &memCache{m: make(map[string]mm.Costs, len(c.m))}
+	for k, v := range c.m {
+		out.m[k] = v
+	}
+	return out
 }
 
 // TestFig1CostCache verifies the per-cell result cache: a warm second run

@@ -25,7 +25,7 @@ func TestWatchdogReclaimsStalledWorker(t *testing.T) {
 	// The watchdog timeout must sit far above the worst-case healthy chunk
 	// time (milliseconds here, but ~20× slower under -race) and far below
 	// the injected stall: 1s ≪ 10s keeps both margins wide.
-	s := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Lookahead: 2, Watchdog: time.Second}
+	s := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Watchdog: time.Second}
 	start := time.Now()
 	tab, err := Fig1(F1aBimodal, s, 7)
 	elapsed := time.Since(start)
@@ -58,7 +58,7 @@ func TestWatchdogReclaimsStalledWorker(t *testing.T) {
 // changes nothing: it only observes wall time between chunk boundaries,
 // so with no stall the tables are byte-identical to the unwatched run.
 func TestWatchdogQuiescentByteIdentical(t *testing.T) {
-	base := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Lookahead: 2}
+	base := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4}
 	clean, err := Fig1(F1aBimodal, base, 7)
 	if err != nil {
 		t.Fatal(err)

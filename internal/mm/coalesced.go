@@ -58,7 +58,6 @@ type Coalesced struct {
 }
 
 var _ Algorithm = (*Coalesced)(nil)
-var _ Batcher = (*Coalesced)(nil)
 
 // NewCoalesced builds the baseline.
 func NewCoalesced(cfg CoalescedConfig) (*Coalesced, error) {

@@ -107,15 +107,16 @@ type Decoupled struct {
 	// Staged-path specializations, resolved once at construction: the
 	// huge-page shift (HMax is a power of two), the concrete flat-LRU Y
 	// cache, and the concrete fully associative TLB. Either nil pointer
-	// routes AccessBatch to the scalar loop.
+	// routes AccessBatch to the scalar loop. miss is the TLB probe's
+	// packed miss list, grown to the high-water chunk size once and
+	// reused by every later chunk.
 	hshift  uint
 	ramFlat *policy.DenseLRU
 	tlbFlat *tlb.TLB
-	sc      Scratch
+	miss    []uint64
 }
 
 var _ Algorithm = (*Decoupled)(nil)
-var _ StagedBatcher = (*Decoupled)(nil)
 
 // NewDecoupled builds algorithm Z from the configuration.
 func NewDecoupled(cfg DecoupledConfig) (*Decoupled, error) {
@@ -208,14 +209,9 @@ func (z *Decoupled) Access(v uint64) {
 	}
 }
 
-// AccessBatch implements Batcher.
-func (z *Decoupled) AccessBatch(vs []uint64) {
-	z.AccessBatchScratch(vs, &z.sc)
-}
-
-// AccessBatchScratch implements StagedBatcher: the chunk is processed as
-// two independent column passes instead of one interleaved per-access
-// loop. The decoupling makes this exact: the TLB column lives in the
+// AccessBatch implements Batcher: the chunk is processed as two
+// independent column passes instead of one interleaved per-access loop.
+// The decoupling makes this exact: the TLB column lives in the
 // huge-page keyspace and the RAM/decode column in the base-page keyspace,
 // the scheme never invalidates or revalues TLB entries mid-stream, and
 // every cost counter is a sum — so reordering work *between* columns
@@ -229,14 +225,14 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 //     the MRU entry with no scheme traffic, and its decode check is a
 //     pure re-read; only failed pages re-charge 1+ε per repeat.
 //   - Pass 2 probes the huge-page column through the flat TLB, packing
-//     the missed keys into the scratch's miss list; the list's length is
+//     the missed keys into the reused miss list; the list's length is
 //     the column's ε-cost and (with attribution armed) its keys replay
 //     into the TLB-miss classifier, whose state is per-key, so column
 //     order preserves its answers.
 //
 // Configurations off the flat fast paths (set-associative TLB, non-LRU
 // policies) keep the scalar loop.
-func (z *Decoupled) AccessBatchScratch(vs []uint64, sc *Scratch) {
+func (z *Decoupled) AccessBatch(vs []uint64) {
 	ry, t := z.ramFlat, z.tlbFlat
 	if ry == nil || t == nil {
 		for _, v := range vs {
@@ -290,9 +286,12 @@ func (z *Decoupled) AccessBatchScratch(vs []uint64, sc *Scratch) {
 	}
 
 	// Pass 2: TLB column probe over huge-page keys, misses packed into
-	// the scratch.
-	miss, _ := t.ProbeFill(vs, z.hshift, sc.miss(len(vs)))
-	sc.Miss = miss
+	// the reused miss list.
+	if cap(z.miss) < len(vs) {
+		z.miss = make([]uint64, 0, len(vs))
+	}
+	miss, _ := t.ProbeFill(vs, z.hshift, z.miss[:0])
+	z.miss = miss
 	if z.ex != nil {
 		for _, u := range miss {
 			z.ex.TLBMiss(u)

@@ -58,7 +58,6 @@ type DirectSegment struct {
 }
 
 var _ Algorithm = (*DirectSegment)(nil)
-var _ Batcher = (*DirectSegment)(nil)
 
 // NewDirectSegment builds the baseline.
 func NewDirectSegment(cfg DirectSegmentConfig) (*DirectSegment, error) {

@@ -84,7 +84,6 @@ type Geometry struct {
 }
 
 var _ Algorithm = (*Geometry)(nil)
-var _ Batcher = (*Geometry)(nil)
 
 // NewGeometry builds the algorithm.
 func NewGeometry(cfg GeometryConfig) (*Geometry, error) {

@@ -90,7 +90,6 @@ type HawkEye struct {
 }
 
 var _ Algorithm = (*HawkEye)(nil)
-var _ Batcher = (*HawkEye)(nil)
 
 // NewHawkEye builds the baseline.
 func NewHawkEye(cfg HawkEyeConfig) (*HawkEye, error) {

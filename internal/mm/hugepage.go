@@ -80,7 +80,6 @@ type HugePage struct {
 }
 
 var _ Algorithm = (*HugePage)(nil)
-var _ StagedBatcher = (*HugePage)(nil)
 
 // NewHugePage builds the baseline simulator.
 func NewHugePage(cfg HugePageConfig) (*HugePage, error) {
@@ -171,13 +170,6 @@ func (m *HugePage) AccessBatch(vs []uint64) {
 	for _, v := range vs {
 		m.Access(v)
 	}
-}
-
-// AccessBatchScratch implements StagedBatcher. The merged-LRU kernel is
-// fully fused — it materializes no intermediate columns — so the scratch
-// is unused.
-func (m *HugePage) AccessBatchScratch(vs []uint64, _ *Scratch) {
-	m.AccessBatch(vs)
 }
 
 // Costs implements Algorithm.

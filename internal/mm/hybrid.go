@@ -33,7 +33,6 @@ type Hybrid struct {
 }
 
 var _ Algorithm = (*Hybrid)(nil)
-var _ Batcher = (*Hybrid)(nil)
 
 // NewHybrid builds the hybrid algorithm.
 func NewHybrid(cfg HybridConfig) (*Hybrid, error) {

@@ -53,8 +53,11 @@ func (c Costs) String() string {
 }
 
 // Algorithm is a memory-management algorithm servicing one request at a
-// time (online).
+// time (online), or a whole request slice per call through the embedded
+// Batcher.
 type Algorithm interface {
+	Batcher
+
 	// Access services a request for virtual page v, updating cost
 	// counters.
 	Access(v uint64)
@@ -70,10 +73,10 @@ type Algorithm interface {
 	Name() string
 }
 
-// Batcher is implemented by algorithms that can service a whole request
-// slice per call. The batch loop runs over the concrete receiver, so the
-// per-request interface dispatch of Run's generic loop disappears and the
-// access path inlines; every algorithm in this package implements it.
+// Batcher is the batch half of Algorithm: the batch loop runs over the
+// concrete receiver, so the per-request interface dispatch of a generic
+// Access loop disappears and the access path inlines. It is the one
+// entry point every runner and harness drives chunks through.
 type Batcher interface {
 	// AccessBatch services the requests in order, exactly as repeated
 	// Access calls would.
@@ -82,14 +85,14 @@ type Batcher interface {
 
 // Run services every request in order and returns the final counters.
 func Run(a Algorithm, requests []uint64) Costs {
-	AccessChunk(a, requests, nil)
+	a.AccessBatch(requests)
 	return a.Costs()
 }
 
 // RunWarm services warmup requests, resets counters, then services the
 // measured requests — the paper's two-phase methodology.
 func RunWarm(a Algorithm, warmup, measured []uint64) Costs {
-	AccessChunk(a, warmup, nil)
+	a.AccessBatch(warmup)
 	a.ResetCosts()
 	return Run(a, measured)
 }

@@ -71,7 +71,6 @@ func nestedGuestKey(gu uint64) uint64 { return gu << 1 }
 func nestedHostKey(hu uint64) uint64  { return hu<<1 | 1 }
 
 var _ Algorithm = (*Nested)(nil)
-var _ Batcher = (*Nested)(nil)
 
 // NewNested builds the two-level baseline.
 func NewNested(cfg NestedConfig) (*Nested, error) {

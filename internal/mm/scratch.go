@@ -1,63 +1,7 @@
 package mm
 
-// Scratch holds the reusable column buffers of the staged batch kernels:
-// per-simulator working memory that the probe passes pack intermediate
-// columns into (today, the TLB probe's packed miss list), so steady-state
-// batch execution allocates nothing. A Scratch belongs to one simulator at
-// a time — the experiment harness keeps one per (row, simulator) cell,
-// since cells of a row are served concurrently — but carries no simulator
-// state: it is safe to reuse across phases, chunks, and simulators as long
-// as uses do not overlap.
-//
-// The zero Scratch is ready to use; buffers grow on first use to the
-// high-water chunk size and are reused from then on.
-type Scratch struct {
-	// Miss is the packed TLB-miss key list emitted by the probe pass
-	// (tlb.ProbeFill) and consumed by the miss-resolution pass. Exposed
-	// so tests can inspect the packing; kernels reslice it per chunk.
-	Miss []uint64
-}
-
-// miss returns the miss buffer emptied and with capacity for at least n
-// keys, growing at most once per high-water mark.
-func (sc *Scratch) miss(n int) []uint64 {
-	if cap(sc.Miss) < n {
-		sc.Miss = make([]uint64, 0, n)
-	}
-	return sc.Miss[:0]
-}
-
-// StagedBatcher is implemented by algorithms whose AccessBatch runs as
-// staged column kernels and can pack intermediates into a caller-provided
-// Scratch. AccessBatch remains the plain entry point (using a simulator-
-// internal Scratch); the harness prefers AccessBatchScratch so the buffers
-// it already owns are reused across every chunk of a row.
-type StagedBatcher interface {
-	Batcher
-
-	// AccessBatchScratch services the requests in order, exactly as
-	// repeated Access calls would, using sc for intermediate columns.
-	AccessBatchScratch(vs []uint64, sc *Scratch)
-}
-
-// AccessChunk services one request chunk on a, through the fastest path
-// the algorithm implements: staged column kernels with the caller's
-// scratch, then the plain batch loop, then per-request Access calls. It is
-// the single batch-dispatch point — every runner (Run, RunWarm, the
-// sampled and context-aware runners, the experiment row drivers) funnels
-// through it, so an algorithm gaining a faster path speeds every harness
-// at once. sc may be nil; by the Batcher contract the counters are
-// identical on every path.
-func AccessChunk(a Algorithm, vs []uint64, sc *Scratch) {
-	if sb, ok := a.(StagedBatcher); ok && sc != nil {
-		sb.AccessBatchScratch(vs, sc)
-		return
-	}
-	if b, ok := a.(Batcher); ok {
-		b.AccessBatch(vs)
-		return
-	}
-	for _, v := range vs {
-		a.Access(v)
-	}
-}
+// Scratch is an empty placeholder kept only as the type of serve.New's
+// scratch parameter, which is ignored: no batch kernel takes caller
+// scratch any more — an algorithm with intermediate columns (Decoupled's
+// packed TLB-miss list) owns and reuses its own buffers.
+type Scratch struct{}

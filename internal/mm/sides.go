@@ -23,7 +23,6 @@ type TLBOnly struct {
 }
 
 var _ Algorithm = (*TLBOnly)(nil)
-var _ Batcher = (*TLBOnly)(nil)
 
 // NewTLBOnly builds X with the given huge-page size, TLB entry count and
 // replacement policy.
@@ -87,7 +86,6 @@ type RAMOnly struct {
 }
 
 var _ Algorithm = (*RAMOnly)(nil)
-var _ Batcher = (*RAMOnly)(nil)
 
 // NewRAMOnly builds Y with the given page capacity and policy.
 func NewRAMOnly(capacity uint64, kind policy.Kind, seed uint64) (*RAMOnly, error) {

@@ -33,59 +33,43 @@ func stagedTrace(seed uint64, n int) []uint64 {
 
 // TestStagedBatchMatchesScalar is the batch-equivalence contract, pinned
 // directly for every algorithm: servicing a trace through AccessBatch
-// (and through the staged AccessBatchScratch kernels, via AccessChunk
-// with a shared scratch) must leave cost counters — and, with attribution
-// armed, explain counters — identical to repeated scalar Access calls.
-// Chunk sizes are uneven so runs and repeat-key state cross chunk
-// boundaries, where the kernels' memory of the previous request resets.
+// (the staged kernels where an algorithm has them) must leave cost
+// counters — and, with attribution armed, explain counters — identical to
+// repeated scalar Access calls. Two uneven chunkings run so runs and
+// repeat-key state cross chunk boundaries, where the kernels' memory of
+// the previous request resets.
 func TestStagedBatchMatchesScalar(t *testing.T) {
+	chunks := []int{777, 1023}
 	for _, seed := range []uint64{1, 7, 42} {
 		for _, withExplain := range []bool{false, true} {
 			reqs := stagedTrace(seed*1000+3, 40000)
 			scalar := allAlgorithms(t, seed)
-			batch := allAlgorithms(t, seed)
-			staged := allAlgorithms(t, seed)
-			sc := &Scratch{}
+			batched := [][]Algorithm{allAlgorithms(t, seed), allAlgorithms(t, seed)}
 			for i := range scalar {
 				name := scalar[i].Name()
 				if withExplain {
 					EnableExplain(scalar[i])
-					EnableExplain(batch[i])
-					EnableExplain(staged[i])
+					for _, b := range batched {
+						EnableExplain(b[i])
+					}
 				}
 				for _, v := range reqs {
 					scalar[i].Access(v)
 				}
-				if b, ok := batch[i].(Batcher); ok {
-					for lo := 0; lo < len(reqs); lo += 777 {
-						hi := min(lo+777, len(reqs))
-						b.AccessBatch(reqs[lo:hi])
+				for k, chunk := range chunks {
+					b := batched[k][i]
+					for lo := 0; lo < len(reqs); lo += chunk {
+						b.AccessBatch(reqs[lo:min(lo+chunk, len(reqs))])
 					}
-				} else {
-					t.Fatalf("%s: no Batcher", name)
-				}
-				for lo := 0; lo < len(reqs); lo += 1023 {
-					hi := min(lo+1023, len(reqs))
-					AccessChunk(staged[i], reqs[lo:hi], sc)
-				}
-
-				if sco, bco := scalar[i].Costs(), batch[i].Costs(); sco != bco {
-					t.Errorf("seed %d explain=%v %s: AccessBatch diverged:\n scalar %+v\n batch  %+v",
-						seed, withExplain, name, sco, bco)
-				}
-				if sco, stc := scalar[i].Costs(), staged[i].Costs(); sco != stc {
-					t.Errorf("seed %d explain=%v %s: staged kernel diverged:\n scalar %+v\n staged %+v",
-						seed, withExplain, name, sco, stc)
-				}
-				if withExplain {
-					se := explainOf(t, scalar[i])
-					be := explainOf(t, batch[i])
-					ste := explainOf(t, staged[i])
-					if !reflect.DeepEqual(se, be) {
-						t.Errorf("seed %d %s: explain counters diverged (batch):\n scalar %+v\n batch  %+v", seed, name, se, be)
+					if sco, bco := scalar[i].Costs(), b.Costs(); sco != bco {
+						t.Errorf("seed %d explain=%v chunk=%d %s: AccessBatch diverged:\n scalar %+v\n batch  %+v",
+							seed, withExplain, chunk, name, sco, bco)
 					}
-					if !reflect.DeepEqual(se, ste) {
-						t.Errorf("seed %d %s: explain counters diverged (staged):\n scalar %+v\n staged %+v", seed, name, ste, se)
+					if withExplain {
+						if se, be := explainOf(t, scalar[i]), explainOf(t, b); !reflect.DeepEqual(se, be) {
+							t.Errorf("seed %d chunk=%d %s: explain counters diverged:\n scalar %+v\n batch  %+v",
+								seed, chunk, name, se, be)
+						}
 					}
 				}
 			}
@@ -108,40 +92,19 @@ func explainOf(t *testing.T, a Algorithm) explain.Counters {
 }
 
 // TestStagedBatchScratchReuse pins the steady-state allocation contract:
-// after the first chunk sizes the scratch, staged batch execution stays
+// after the first chunk sizes an algorithm's own column buffers (the
+// decoupled kernel's packed miss list), staged batch execution stays
 // allocation-free for the algorithms with staged kernels.
 func TestStagedBatchScratchReuse(t *testing.T) {
 	reqs := stagedTrace(9, 1<<14)
 	for _, idx := range []int{0, 1, 2, 4, 5} { // HugePage h=1/h=64, Decoupled, THP, Superpage
 		a := allAlgorithms(t, 3)[idx]
-		sb, ok := a.(StagedBatcher)
-		if !ok {
-			t.Fatalf("%s: expected StagedBatcher", a.Name())
-		}
-		sc := &Scratch{}
-		sb.AccessBatchScratch(reqs, sc) // warm caches and size the scratch
+		a.AccessBatch(reqs) // warm caches and size the buffers
 		allocs := testing.AllocsPerRun(5, func() {
-			sb.AccessBatchScratch(reqs, sc)
+			a.AccessBatch(reqs)
 		})
 		if allocs > 0 {
 			t.Errorf("%s: staged batch allocates %.1f per chunk in steady state", a.Name(), allocs)
 		}
 	}
 }
-
-// TestAccessChunkDispatch pins the dispatch helper's fallback ladder on a
-// plain non-batching Algorithm stub.
-func TestAccessChunkDispatch(t *testing.T) {
-	s := &scalarOnly{}
-	AccessChunk(s, []uint64{1, 2, 3}, &Scratch{})
-	if s.costs.Accesses != 3 {
-		t.Fatalf("scalar fallback serviced %d of 3 accesses", s.costs.Accesses)
-	}
-}
-
-type scalarOnly struct{ costs Costs }
-
-func (s *scalarOnly) Access(uint64) { s.costs.Accesses++ }
-func (s *scalarOnly) Costs() Costs  { return s.costs }
-func (s *scalarOnly) ResetCosts()   { s.costs = Costs{} }
-func (s *scalarOnly) Name() string  { return "scalar-only" }

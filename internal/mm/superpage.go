@@ -79,7 +79,6 @@ type spRegion struct {
 }
 
 var _ Algorithm = (*Superpage)(nil)
-var _ StagedBatcher = (*Superpage)(nil)
 
 // NewSuperpage builds the reservation-based baseline.
 func NewSuperpage(cfg SuperpageConfig) (*Superpage, error) {
@@ -271,22 +270,16 @@ func (m *Superpage) fits(pages uint64) bool {
 	return m.used-m.reservedFree+pages <= m.cfg.RAMPages
 }
 
-// AccessBatch implements Batcher.
-func (m *Superpage) AccessBatch(vs []uint64) {
-	m.AccessBatchScratch(vs, nil)
-}
-
-// AccessBatchScratch implements StagedBatcher. Like THP, the superpage
-// system's RAM side invalidates TLB entries mid-stream (promotion
-// shootdowns, evicted regions), so the kernel stays in-order and fused,
-// with the same exact shortcuts (TestStagedBatchMatchesScalar): repeats
+// AccessBatch implements Batcher. Like THP, the superpage system's RAM
+// side invalidates TLB entries mid-stream (promotion shootdowns, evicted
+// regions), so the kernel stays in-order and fused, with the same exact
+// shortcuts (TestStagedBatchMatchesScalar): repeats
 // of the previous request collapse to one TLB hit count (the region and
 // entry are both MRU, the page already populated); a request sharing the
 // previous TLB key — same promoted region — skips the probe, since its
 // RAM path is a pure recency refresh of a fully populated region; all
 // other requests run the scalar body with the probe-and-reserve TLB op.
-// No columns are materialized, so the scratch is unused.
-func (m *Superpage) AccessBatchScratch(vs []uint64, _ *Scratch) {
+func (m *Superpage) AccessBatch(vs []uint64) {
 	t := m.tlb
 	rshift := uint(bits.TrailingZeros64(m.cfg.HugePageSize))
 	var prevV, prevKey uint64

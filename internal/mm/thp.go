@@ -74,7 +74,6 @@ type THP struct {
 }
 
 var _ Algorithm = (*THP)(nil)
-var _ StagedBatcher = (*THP)(nil)
 
 // Unit-id tagging: base pages and promoted regions share the LRU keyspace.
 func unitBase(v uint64) uint64    { return v << 1 }
@@ -223,14 +222,9 @@ func (m *THP) promote(r uint64) {
 	m.ex.Promote()
 }
 
-// AccessBatch implements Batcher.
-func (m *THP) AccessBatch(vs []uint64) {
-	m.AccessBatchScratch(vs, nil)
-}
-
-// AccessBatchScratch implements StagedBatcher. THP's RAM side invalidates
-// TLB entries mid-stream (promotion shootdowns, demotion on eviction), so
-// its TLB work cannot be hoisted into a separate column pass the way the
+// AccessBatch implements Batcher. THP's RAM side invalidates TLB entries
+// mid-stream (promotion shootdowns, demotion on eviction), so its TLB
+// work cannot be hoisted into a separate column pass the way the
 // decoupled scheme's can; instead the kernel fuses the scalar access
 // in-order with three exact shortcuts (TestStagedBatchMatchesScalar):
 //
@@ -244,9 +238,7 @@ func (m *THP) AccessBatch(vs []uint64) {
 //   - the resident-hit path probes the unit table once (SlotOf+Touch)
 //     instead of twice (Contains+Access), and the TLB miss path reserves
 //     its slot in the probe (LookupOrReserve) instead of re-probing.
-//
-// It materializes no columns, so the scratch is unused.
-func (m *THP) AccessBatchScratch(vs []uint64, _ *Scratch) {
+func (m *THP) AccessBatch(vs []uint64) {
 	t := m.tlb
 	rshift := uint(bits.TrailingZeros64(m.cfg.HugePageSize))
 	var prevV, prevKey uint64

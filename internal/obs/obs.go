@@ -6,7 +6,7 @@
 //
 //   - Recorder samples cumulative mm.Costs snapshots delivered at the
 //     chunk boundaries of the experiment harness (experiments.Scale.Probe)
-//     or the sampled runners (mm.RunSampled and friends), downsampling to
+//     or the mm chunk runner (mm.RunPhaseChunksCtx), downsampling to
 //     a configurable access interval and rendering per-algorithm
 //     cost-over-time series as TSV or JSON. The access hot path is never
 //     touched: snapshots arrive between AccessBatch calls, so attaching a

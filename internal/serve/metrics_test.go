@@ -43,7 +43,7 @@ func retrySim(t *testing.T, seed uint64) *Sim {
 	s, err := New(Config{
 		Seed: seed, Requests: 3000, BlockPages: 64, QueueCap: 128,
 		MaxAttempts: 3, RetryBaseNs: 500,
-	}, a, gen, &mm.Scratch{}, ec)
+	}, a, gen, nil, ec)
 	if err != nil {
 		t.Fatal(err)
 	}

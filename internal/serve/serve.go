@@ -173,8 +173,7 @@ type Sim struct {
 	cfg Config
 	alg mm.Algorithm
 	gen workload.Generator // page-block source
-	sc  *mm.Scratch
-	ec  *explain.Counters // non-nil enables failure-IO retry detection
+	ec  *explain.Counters  // non-nil enables failure-IO retry detection
 	arr workload.ArrivalProcess
 	rng *hashutil.RNG // retry jitter
 
@@ -202,10 +201,11 @@ type Sim struct {
 	started       bool
 }
 
-// New builds a Sim over one simulator. gen supplies the page blocks, sc
-// the reusable batch scratch, and ec (when non-nil) the explain counters
-// whose IOFailure deltas trigger retries.
-func New(cfg Config, a mm.Algorithm, gen workload.Generator, sc *mm.Scratch, ec *explain.Counters) (*Sim, error) {
+// New builds a Sim over one simulator. gen supplies the page blocks and
+// ec (when non-nil) the explain counters whose IOFailure deltas trigger
+// retries. The *mm.Scratch parameter is ignored — simulators own their
+// batch buffers — and is kept only so existing callers compile.
+func New(cfg Config, a mm.Algorithm, gen workload.Generator, _ *mm.Scratch, ec *explain.Counters) (*Sim, error) {
 	if cfg.Requests <= 0 || cfg.BlockPages <= 0 || cfg.QueueCap <= 0 {
 		return nil, fmt.Errorf("serve: Requests, BlockPages, QueueCap must all be > 0 (got %d, %d, %d)",
 			cfg.Requests, cfg.BlockPages, cfg.QueueCap)
@@ -235,7 +235,6 @@ func New(cfg Config, a mm.Algorithm, gen workload.Generator, sc *mm.Scratch, ec 
 		cfg:   cfg,
 		alg:   a,
 		gen:   gen,
-		sc:    sc,
 		ec:    ec,
 		rng:   hashutil.NewRNG(hashutil.Mix64(cfg.Seed) ^ 0x5e27e_b0c5),
 		block: make([]uint64, cfg.BlockPages),
@@ -304,7 +303,7 @@ func (s *Sim) serviceBlock(pages int) (ns int64, failIOs uint64) {
 	if s.ec != nil {
 		failBefore = s.ec.IOFailure
 	}
-	mm.AccessChunk(s.alg, buf, s.sc)
+	s.alg.AccessBatch(buf)
 	after := s.alg.Costs()
 	ns = s.cfg.Cost.ServiceNs(mm.Costs{
 		IOs:            after.IOs - before.IOs,

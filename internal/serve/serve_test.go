@@ -34,7 +34,7 @@ func testSim(t *testing.T, seed uint64, load float64, governor bool) *Sim {
 	if governor {
 		cfg.Governor = GovernorConfig{WindowNs: 1, QueueHigh: 96, MissNum: 1, MissDen: 5, RecoverDepth: 24, DegradedDiv: 4}
 	}
-	s, err := New(cfg, a, gen, &mm.Scratch{}, nil)
+	s, err := New(cfg, a, gen, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRetriesOnFailureIOs(t *testing.T) {
 	s, err := New(Config{
 		Seed: seed, Requests: 3000, BlockPages: 64, QueueCap: 128,
 		MaxAttempts: 3, RetryBaseNs: 500,
-	}, a, gen, &mm.Scratch{}, ec)
+	}, a, gen, nil, ec)
 	if err != nil {
 		t.Fatal(err)
 	}

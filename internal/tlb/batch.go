@@ -42,7 +42,7 @@ func (t *TLB) NoteRepeatHit() { t.hits++ }
 // ProbeFill scans one request column over the flat entry array: each
 // request v probes key v>>shift and, on a miss, immediately reserves the
 // slot with an empty entry; the missed keys are appended to miss (the
-// caller's packed miss list, typically an mm.Scratch buffer) in access
+// caller's packed miss list, e.g. mm.Decoupled's reused buffer) in access
 // order. Consecutive requests with equal keys collapse to one probe — the
 // repeats are guaranteed MRU hits. State transitions and hit/miss counters
 // are byte-identical to calling

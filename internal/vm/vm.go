@@ -44,7 +44,6 @@ type AddressSpace struct {
 	vPages  uint64
 	regions []region // sorted by start, non-overlapping
 	algo    mm.Algorithm
-	batch   mm.Batcher    // algo's batch path, nil if unimplemented
 	pt      *pagetable.Table
 	touched *dense.Bitset // pages that have been demand-mapped
 
@@ -62,11 +61,9 @@ func New(vPages uint64, algo mm.Algorithm) (*AddressSpace, error) {
 	if algo == nil {
 		return nil, fmt.Errorf("vm: nil algorithm")
 	}
-	batch, _ := algo.(mm.Batcher)
 	return &AddressSpace{
 		vPages:  vPages,
 		algo:    algo,
-		batch:   batch,
 		pt:      pagetable.New(vPages),
 		touched: dense.NewBitset(0),
 	}, nil
@@ -189,28 +186,20 @@ func (as *AddressSpace) fault(addr uint64) (uint64, error) {
 }
 
 // AccessBatch services a slice of byte addresses in order, charging the
-// algorithm through its batch path when it has one. On a segfault the
-// preceding accesses remain charged and the rest are abandoned, exactly
-// as the equivalent Access loop would behave.
+// algorithm through its batch path. On a segfault the preceding accesses
+// remain charged and the rest are abandoned, exactly as the equivalent
+// Access loop would behave.
 func (as *AddressSpace) AccessBatch(addrs []uint64) error {
-	if as.batch == nil {
-		for _, addr := range addrs {
-			if err := as.Access(addr); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	pages := make([]uint64, 0, len(addrs))
 	for _, addr := range addrs {
 		p, err := as.fault(addr)
 		if err != nil {
-			as.batch.AccessBatch(pages)
+			as.algo.AccessBatch(pages)
 			return err
 		}
 		pages = append(pages, p)
 	}
-	as.batch.AccessBatch(pages)
+	as.algo.AccessBatch(pages)
 	return nil
 }
 

@@ -241,3 +241,78 @@ func TestChurningRegions(t *testing.T) {
 		}
 	}
 }
+
+// batchAddrs draws n byte addresses inside [base, base+pages·PageBytes),
+// skewed toward a hot prefix so the batch mixes TLB/RAM hits and misses.
+func batchAddrs(base, pages uint64, n int, seed uint64) []uint64 {
+	r := hashutil.NewRNG(seed)
+	addrs := make([]uint64, n)
+	for i := range addrs {
+		p := r.Uint64n(pages)
+		if r.Uint64n(4) != 0 {
+			p = r.Uint64n(pages / 16)
+		}
+		addrs[i] = base + p*PageBytes + r.Uint64n(PageBytes)
+	}
+	return addrs
+}
+
+// TestAccessBatchMatchesAccess pins the batch path against the scalar
+// one: servicing a slice of addresses through AccessBatch charges the
+// same Costs, and demand-faults the same pages, as an Access loop.
+func TestAccessBatchMatchesAccess(t *testing.T) {
+	scalar, _ := New(1<<16, mkAlgo(t))
+	batch, _ := New(1<<16, mkAlgo(t))
+	sBase, _ := scalar.Mmap(1 << 15)
+	bBase, _ := batch.Mmap(1 << 15)
+	if sBase != bBase {
+		t.Fatalf("identical spaces mapped at %#x and %#x", sBase, bBase)
+	}
+	addrs := batchAddrs(sBase, 1<<15, 50000, 3)
+	for _, a := range addrs {
+		if err := scalar.Access(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lo := 0; lo < len(addrs); lo += 4096 {
+		if err := batch.AccessBatch(addrs[lo:min(lo+4096, len(addrs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, b := scalar.Costs(), batch.Costs(); s != b {
+		t.Fatalf("AccessBatch charged %v, Access loop %v", b, s)
+	}
+	if s, b := scalar.TouchedPages(), batch.TouchedPages(); s != b {
+		t.Fatalf("AccessBatch faulted %d pages, Access loop %d", b, s)
+	}
+}
+
+// TestAccessBatchSegfaultMidBatch pins the partial-batch contract: a
+// segfault in the middle of a batch charges exactly the accesses before
+// it and returns the segfault; the addresses after it are abandoned.
+func TestAccessBatchSegfaultMidBatch(t *testing.T) {
+	ref, _ := New(1<<12, mkAlgo(t))
+	as, _ := New(1<<12, mkAlgo(t))
+	base, _ := as.Mmap(64)
+	ref.Mmap(64)
+	addrs := batchAddrs(base, 64, 100, 5)
+	bad := base + 64*PageBytes // first page past the region
+	batch := append(append(append([]uint64{}, addrs[:60]...), bad), addrs[60:]...)
+
+	err := as.AccessBatch(batch)
+	var seg *ErrSegfault
+	if !errors.As(err, &seg) || seg.Addr != bad {
+		t.Fatalf("AccessBatch returned %v, want a segfault at %#x", err, bad)
+	}
+	for _, a := range addrs[:60] {
+		if err := ref.Access(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := as.Costs(), ref.Costs(); got != want {
+		t.Fatalf("segfaulting batch charged %v, want the %d accesses before it: %v", got, 60, want)
+	}
+	if got := as.Costs().Accesses; got != 60 {
+		t.Fatalf("charged %d accesses, want 60", got)
+	}
+}

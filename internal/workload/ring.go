@@ -7,11 +7,16 @@ import (
 	"addrxlat/internal/xtrace"
 )
 
+// DefaultChunk is the chunk size the experiment harness streams with:
+// large enough to amortize per-chunk synchronization to noise, small
+// enough that a chunk (512 KiB) stays cache- and memory-friendly.
+const DefaultChunk = 1 << 16
+
 // DefaultLookahead is the chunk-ring depth the experiment harness streams
-// with when the caller does not pick one: deep enough that the generator
-// and a spread of simulator speeds stay decoupled (the fastest consumer
-// can run depth-1 chunks ahead of the slowest), shallow enough that the
-// resident window (depth × chunk) stays cache- and memory-friendly.
+// with: deep enough that the generator and a spread of simulator speeds
+// stay decoupled (the fastest consumer can run depth-1 chunks ahead of
+// the slowest), shallow enough that the resident window (depth × chunk)
+// stays cache- and memory-friendly.
 const DefaultLookahead = 4
 
 // Chunk is one published chunk of a Ring: the request slice plus its
@@ -41,16 +46,15 @@ type RingStats struct {
 // through a depth-K ring of reusable buffers, produced by a dedicated
 // goroutine running ahead of its consumers and released by reference
 // count: a buffer is recycled only when every attached consumer has
-// passed it. It generalizes the double-buffered single-consumer Source
-// in two directions the pipelined row executor needs:
+// passed it. It is the row executor's one request path:
 //
 //   - Multiple consumers, each with its own cursor: consumer i calls
 //     Get(seq) for seq = 0, 1, 2, … at its own pace; the ring bounds the
 //     skew between the fastest and slowest consumer to depth chunks.
 //   - Segments: the stream is a concatenation of per-segment request
 //     counts (the harness's warmup and measured windows). Chunks never
-//     straddle a segment boundary — each segment is chunked from zero
-//     exactly as a dedicated Source per window would — so consumers can
+//     straddle a segment boundary — each segment is chunked from zero,
+//     exactly as slicing that window alone would — so consumers can
 //     reset counters at the boundary without a global barrier.
 //
 // The chunk sequence concatenates to exactly the requests repeated
@@ -291,8 +295,8 @@ func (r *Ring) DetachFrom(seq int) {
 // chunk-generation time away). That join is what makes trace export
 // safe: the producer emits trailing wait spans and counter samples into
 // its timeline after its last publish, so a Tracer must not be read
-// until Stop has returned. Every executor path Stops its ring (or
-// Source) before exporting.
+// until Stop has returned. The row executor Stops its ring before
+// returning, hence before any export.
 func (r *Ring) Stop() {
 	r.mu.Lock()
 	if !r.stopped {

@@ -33,7 +33,7 @@ type Batcher interface {
 
 // Fill fills dst with the next len(dst) requests from g, through the
 // generator's batch path when it has one. It is the single fill-dispatch
-// point shared by the streaming producer (Source) and the materializing
+// point shared by the streaming producer (Ring) and the materializing
 // harnesses (Take).
 func Fill(g Generator, dst []uint64) {
 	if b, ok := g.(Batcher); ok {
@@ -103,7 +103,7 @@ func (b *Bimodal) Next() uint64 {
 
 // NextBatch implements Batcher: the same draws as repeated Next calls —
 // identical RNG sequence, so the stream is byte-identical — but looped
-// over the concrete receiver, so chunked fills (workload.Fill, Source)
+// over the concrete receiver, so chunked fills (workload.Fill, Ring)
 // pay one interface call per chunk instead of one per request.
 func (b *Bimodal) NextBatch(dst []uint64) {
 	for i := range dst {

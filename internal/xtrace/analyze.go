@@ -35,9 +35,9 @@ func (w WorkerReport) Blocked() float64 {
 
 // RowReport is the per-row straggler / critical-path report derived from
 // the span stream: every worker's attribution, the straggler (the worker
-// with the most busy time — the row's critical path, since the row cannot
-// finish before its slowest simulator), and the bottleneck classification
-// of where the straggler's time went.
+// that finished last — the row's critical path, since the row ends when
+// its last simulator does), and the bottleneck classification of where
+// the straggler's time went.
 type RowReport struct {
 	Experiment string `json:"experiment,omitempty"`
 	Row        string `json:"row,omitempty"`
@@ -45,8 +45,12 @@ type RowReport struct {
 	// worker threads (materialized runners) fall back to the longest
 	// worker wall.
 	WallSeconds float64 `json:"wall_seconds"`
-	// Straggler names the bottleneck simulator: the worker with the
-	// largest busy time.
+	// Straggler names the bottleneck simulator: the worker whose
+	// lifetime span ends last, ties going to the busier one. With more
+	// simulators than admission slots the busiest worker need not be the
+	// last to finish, and it is the last one that bounds the row's wall
+	// time. Workers without a lifetime span (the materialized runners)
+	// all tie, so the busiest is named.
 	Straggler string `json:"straggler,omitempty"`
 	// Bottleneck classifies the straggler's dominant component:
 	// "simulation", "generation", or "admission".
@@ -57,14 +61,14 @@ type RowReport struct {
 	Workers                []WorkerReport `json:"workers"`
 }
 
-// workerAgg accumulates one (row, alg) group across threads (a sequential
-// row creates one thread per phase pair; materialized runners one per
-// window).
+// workerAgg accumulates one (row, alg) group across threads (the
+// materialized runners create one thread per phase; a row worker has
+// one). end is the latest end of the group's lifetime spans.
 type workerAgg struct {
 	alg                          string
 	chunks                       int
 	busy, blockedGen, blockedAdm int64
-	wall                         int64
+	wall, end                    int64
 	h                            hist.H
 }
 
@@ -131,6 +135,7 @@ func (t *Tracer) Analyze() []RowReport {
 					}
 				case CatWorker:
 					wa.wall += e.Dur
+					wa.end = max(wa.end, e.TS+e.Dur)
 				}
 			}
 		case th.row != "": // row or ring thread
@@ -155,7 +160,6 @@ func (t *Tracer) Analyze() []RowReport {
 	for _, key := range rowOrder {
 		ra := rows[key]
 		rep := ra.report
-		var maxBusy int64 = -1
 		var straggler *workerAgg
 		for _, alg := range ra.order {
 			wa := ra.workers[alg]
@@ -172,8 +176,9 @@ func (t *Tracer) Analyze() []RowReport {
 				WallSeconds:              seconds(wa.wall),
 			}
 			rep.Workers = append(rep.Workers, wr)
-			if wa.busy > maxBusy {
-				maxBusy, straggler = wa.busy, wa
+			if straggler == nil || wa.end > straggler.end ||
+				(wa.end == straggler.end && wa.busy > straggler.busy) {
+				straggler = wa
 			}
 		}
 		if rep.WallSeconds == 0 {

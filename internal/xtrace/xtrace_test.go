@@ -129,8 +129,8 @@ func TestValidateRejects(t *testing.T) {
 }
 
 // TestAnalyze: the straggler report aggregates chunk/wait/worker spans by
-// (row, alg), picks the busiest worker as the straggler, and carries the
-// ring producer's blocked time.
+// (row, alg), names the worker that finished last as the straggler, and
+// carries the ring producer's blocked time.
 func TestAnalyze(t *testing.T) {
 	tr := New()
 	tr.SetScope("x")
@@ -202,6 +202,39 @@ func TestAnalyze(t *testing.T) {
 	}
 	if !strings.Contains(r.Summary(), "straggler slow") {
 		t.Fatalf("summary = %q", r.Summary())
+	}
+}
+
+// TestAnalyzeStragglerEndsLast: the straggler is the worker whose
+// lifetime span ends last even when another worker was busier — with an
+// admission gate the busiest worker can finish first, and the row's wall
+// time ends with the last one. Workers without lifetime spans (the
+// materialized runners) tie, and the busier one is named.
+func TestAnalyzeStragglerEndsLast(t *testing.T) {
+	tr := New()
+	start := tr.Now()
+	busy := tr.Worker("r", "busy")
+	busy.SpanAt("measured", CatChunk, start, start+8_000_000)
+	busy.SpanAt("busy", CatWorker, start, start+8_000_000)
+	late := tr.Worker("r", "late")
+	late.SpanAt(WaitAdmission, CatWait, start, start+6_000_000)
+	late.SpanAt("measured", CatChunk, start+6_000_000, start+10_000_000)
+	late.SpanAt("late", CatWorker, start, start+10_000_000)
+
+	light := tr.Worker("", "light")
+	light.SpanAt("measured", CatChunk, start, start+1_000_000)
+	heavy := tr.Worker("", "heavy")
+	heavy.SpanAt("measured", CatChunk, start, start+3_000_000)
+
+	reps := tr.Analyze()
+	if len(reps) != 2 {
+		t.Fatalf("got %d row reports, want 2", len(reps))
+	}
+	if r := reps[0]; r.Straggler != "late" || r.Bottleneck != "admission" {
+		t.Errorf("row r: straggler/bottleneck = %q/%q, want late/admission", r.Straggler, r.Bottleneck)
+	}
+	if r := reps[1]; r.Straggler != "heavy" {
+		t.Errorf("materialized row: straggler = %q, want heavy", r.Straggler)
 	}
 }
 
