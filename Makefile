@@ -21,10 +21,13 @@ vet:
 race:
 	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/workload/ ./internal/xtrace/ ./internal/resultcache/ ./internal/journal/ ./internal/faultinject/
 
-# fuzz-smoke runs a short fuzzing pass over the trace codec (seeded from
-# testdata/fuzz), catching decoder regressions without a dedicated fuzz farm.
+# fuzz-smoke runs short fuzzing passes over the trace codec (seeded from
+# testdata/fuzz) and over the TLB encoder (random kind, P, w and
+# page-in/page-out scripts, every touched huge page decoded after each
+# step), catching decoder regressions without a dedicated fuzz farm.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=20s ./internal/trace/
+	$(GO) test -run=^$$ -fuzz=FuzzEncoderDecode -fuzztime=15s ./internal/core/
 
 # bench runs the hot-path benchmarks with allocation reporting, teeing the
 # output into a timestamped file under results/ so runs can be compared
@@ -36,16 +39,18 @@ bench:
 # bench-diff reruns the hot-path benchmarks and compares them against a
 # named committed BENCH_*.json baseline, failing on a >10% ns/op
 # regression in any hot-path benchmark (Access*, Fig1aBimodal, Replay*,
-# TraceDecode). The baseline is pinned to the intended anchor — the
-# previous perf PR's numbers — rather than the newest file, which after a
-# perf PR lands is that PR's own "after" numbers (comparing against
-# yourself only measures noise). Each benchmark runs -count=3 and
+# TraceDecode). The baseline is pinned to a named anchor rather than
+# whatever file is newest. BENCH_PR16.json was recorded on the current
+# 2-vCPU host: its "before" is the tree before the flat-ψ decode and its
+# "after" the tree with it, interleaved runs, best of 3 — so a run scores
+# against the flat-ψ numbers on the same host, not against the 1-core
+# host BENCH_PR6.json came from. Each benchmark runs -count=3 and
 # benchdiff scores the best (lowest) ns/op per name — baselines are
 # best-of numbers, and single runs on a noisy shared box swing 10-40%,
 # so comparing one run against a best-of baseline would flap. The
 # comparison is hand-rolled (cmd/benchdiff) — benchstat is deliberately
 # not a dependency. Report lands in results/bench-diff.txt.
-BENCH_BASELINE ?= BENCH_PR6.json
+BENCH_BASELINE ?= BENCH_PR16.json
 # BENCH_COUNT: runs per benchmark (best-of scoring). 3 is the CI default;
 # on a noisy day run `make bench-diff BENCH_COUNT=8` — with too few
 # samples a single slow window can fail an untouched benchmark.

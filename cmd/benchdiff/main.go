@@ -166,10 +166,9 @@ func main() {
 // unlike real errors (unreadable file, bad JSON), which stay exit 2.
 var errNoBaselines = errors.New("no BENCH_*.json baseline")
 
-// newestBaseline finds the lexicographically last BENCH_*.json in dir —
-// the convention names them BENCH_PR<n>.json, so "newest" and "last"
-// coincide for single-digit sequences and the Makefile overrides with an
-// explicit anchor anyway.
+// newestBaseline finds the BENCH_*.json in dir with the highest n —
+// the convention names them BENCH_PR<n>.json. The Makefile overrides it
+// with an explicit anchor anyway.
 func newestBaseline(dir string) (string, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
@@ -178,7 +177,14 @@ func newestBaseline(dir string) (string, error) {
 	if len(matches) == 0 {
 		return "", fmt.Errorf("%w found in %s", errNoBaselines, dir)
 	}
-	sort.Strings(matches)
+	// BENCH_PR<n>.json: a shorter name has a smaller n, so order by
+	// length first (BENCH_PR7 before BENCH_PR16), then lexically.
+	sort.Slice(matches, func(i, j int) bool {
+		if len(matches[i]) != len(matches[j]) {
+			return len(matches[i]) < len(matches[j])
+		}
+		return matches[i] < matches[j]
+	})
 	return matches[len(matches)-1], nil
 }
 

@@ -185,3 +185,21 @@ func TestNewestBaselinePicksLast(t *testing.T) {
 		t.Fatalf("newestBaseline picked %s, want BENCH_PR3.json", got)
 	}
 }
+
+// TestNewestBaselineOrdersNumerically: BENCH_PR16 is newer than
+// BENCH_PR7 even though it sorts first as a string.
+func TestNewestBaselineOrdersNumerically(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_PR7.json", "BENCH_PR16.json", "BENCH_PR2.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := newestBaseline(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Base(got) != "BENCH_PR16.json" {
+		t.Fatalf("newestBaseline picked %s, want BENCH_PR16.json", got)
+	}
+}

@@ -38,6 +38,11 @@ func main() {
 		}
 	}
 
+	// ψ(u) is hmax codes of BitsPerPage bits packed into machine words;
+	// at w = 64 that is one word, and absent pages hold the sentinel code.
+	fmt.Printf("ψ(0) = %#016x (a %d-word value: %d codes of %d bits)\n\n",
+		scheme.Value(0)[0], len(scheme.Value(0)), params.HMax, params.BitsPerPage)
+
 	// The TLB-decoding function f recovers φ(v) from (v, ψ(u)) alone.
 	fmt.Println("decoding against live TLB values:")
 	for _, v := range append(pagesIn, 2, 7*h+3) {

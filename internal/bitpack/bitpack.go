@@ -4,8 +4,10 @@
 // The paper's TLB-encoding scheme stores, inside a single w-bit TLB value,
 // an array of hmax fields of ceil(log2(kB+1)) bits each — one field per
 // constituent base page of a virtual huge page. This package provides that
-// array: a FieldArray of n fields of fixed width laid out contiguously in a
-// little bit vector, with O(1) get/set per field.
+// array: fields of fixed width laid out contiguously in a little-endian
+// bit vector, with O(1) get/set per field. Get and Set do the bit math over
+// a caller-held []uint64, so a table of many such values can live in one
+// flat slice; FieldArray wraps them for a single bounds-checked value.
 package bitpack
 
 import "fmt"
@@ -44,12 +46,31 @@ func (a *FieldArray) Width() uint { return a.width }
 // Bits returns the total number of bits the array occupies (n * width).
 func (a *FieldArray) Bits() int { return a.n * int(a.width) }
 
-// mask returns a mask of the low `width` bits.
-func (a *FieldArray) mask() uint64 {
-	if a.width == 64 {
-		return ^uint64(0)
+// Mask returns a mask of the low width bits, for width in [1, 64].
+func Mask(width uint) uint64 { return ^uint64(0) >> (64 - width) }
+
+// Get returns the width-bit field that starts at bit offset bit of words
+// (bit 0 is the least-significant bit of words[0]). The field may
+// straddle a word boundary. width must be in [1, 64].
+func Get(words []uint64, bit uint64, width uint) uint64 {
+	word, off := bit>>6, bit&63
+	v := words[word] >> off
+	if off+uint64(width) > 64 {
+		v |= words[word+1] << (64 - off)
 	}
-	return (uint64(1) << a.width) - 1
+	return v & Mask(width)
+}
+
+// Set stores v into the width-bit field that starts at bit offset bit of
+// words, leaving every other bit unchanged. v must fit in width bits.
+func Set(words []uint64, bit uint64, width uint, v uint64) {
+	m := Mask(width)
+	word, off := bit>>6, bit&63
+	words[word] = words[word]&^(m<<off) | v<<off
+	if off+uint64(width) > 64 {
+		spill := 64 - off
+		words[word+1] = words[word+1]&^(m>>spill) | v>>spill
+	}
 }
 
 // Get returns field i.
@@ -57,14 +78,7 @@ func (a *FieldArray) Get(i int) uint64 {
 	if i < 0 || i >= a.n {
 		panic(fmt.Sprintf("bitpack: Get index %d out of range [0,%d)", i, a.n))
 	}
-	bit := uint64(i) * uint64(a.width)
-	word := bit / 64
-	off := bit % 64
-	v := a.words[word] >> off
-	if off+uint64(a.width) > 64 {
-		v |= a.words[word+1] << (64 - off)
-	}
-	return v & a.mask()
+	return Get(a.words, uint64(i)*uint64(a.width), a.width)
 }
 
 // Set stores v into field i. v must fit in Width() bits.
@@ -72,18 +86,10 @@ func (a *FieldArray) Set(i int, v uint64) {
 	if i < 0 || i >= a.n {
 		panic(fmt.Sprintf("bitpack: Set index %d out of range [0,%d)", i, a.n))
 	}
-	m := a.mask()
-	if v&^m != 0 {
+	if v&^Mask(a.width) != 0 {
 		panic(fmt.Sprintf("bitpack: value %d does not fit in %d bits", v, a.width))
 	}
-	bit := uint64(i) * uint64(a.width)
-	word := bit / 64
-	off := bit % 64
-	a.words[word] = a.words[word]&^(m<<off) | v<<off
-	if off+uint64(a.width) > 64 {
-		spill := 64 - off
-		a.words[word+1] = a.words[word+1]&^(m>>spill) | v>>spill
-	}
+	Set(a.words, uint64(i)*uint64(a.width), a.width, v)
 }
 
 // Fill sets every field to v.

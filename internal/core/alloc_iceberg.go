@@ -17,7 +17,9 @@ import (
 // code = choice·B + slot, needing ⌈log₂(3B+1)⌉ bits.
 type IcebergAllocator struct {
 	params Params
+	b      uint64           // bucket size B
 	fam    *hashutil.Family // 3 functions
+	seeds  [3]uint64        // fam's seeds, for Decode's inlined hash
 	space  *bucketSpace
 	front  []int32 // per-bucket count of front-inserted pages
 	back   []int32 // per-bucket count of back-inserted pages
@@ -42,9 +44,12 @@ func NewIcebergAllocator(p Params, seed uint64) (*IcebergAllocator, error) {
 		return nil, fmt.Errorf("core: invalid iceberg geometry n=%d B=%d threshold=%d",
 			p.NumBuckets, p.B, p.Threshold)
 	}
+	fam := hashutil.NewFamily(seed, 3, p.NumBuckets)
 	return &IcebergAllocator{
 		params: p,
-		fam:    hashutil.NewFamily(seed, 3, p.NumBuckets),
+		b:      uint64(p.B),
+		fam:    fam,
+		seeds:  [3]uint64{fam.Seed(0), fam.Seed(1), fam.Seed(2)},
 		space:  newBucketSpace(p.NumBuckets, p.B),
 		front:  make([]int32, p.NumBuckets),
 		back:   make([]int32, p.NumBuckets),
@@ -100,10 +105,9 @@ func (a *IcebergAllocator) Release(v uint64) {
 	if !ok {
 		panic(fmt.Sprintf("core: Release of unassigned page %d", v))
 	}
-	choice := int(code) / a.params.B
-	slot := int(code) % a.params.B
+	choice, slot := a.split(uint64(code))
 	bucket := a.fam.At(choice, v)
-	a.space.freeSlot(bucket, slot)
+	a.space.freeSlot(bucket, int(slot))
 	if choice == 0 {
 		a.front[bucket]--
 	} else {
@@ -122,12 +126,26 @@ func (a *IcebergAllocator) PhysOf(v uint64) (uint64, bool) {
 }
 
 // Decode implements Allocator: code = choice·B + slot; the bucket for the
-// choice is recomputed from v's hashes.
+// choice is recomputed from v's hashes. Decode runs on every resident
+// access of algorithm Z, so it evaluates fam.At(choice, v) inline.
 func (a *IcebergAllocator) Decode(v uint64, code uint64) uint64 {
-	choice := int(code) / a.params.B
-	slot := code % uint64(a.params.B)
-	bucket := a.fam.At(choice, v)
-	return bucket*uint64(a.params.B) + slot
+	choice, slot := a.split(code)
+	bucket := hashutil.Range(hashutil.Hash64(a.seeds[choice], v), a.params.NumBuckets)
+	return bucket*a.b + slot
+}
+
+// split recovers (choice, slot) from code = choice·B + slot. choice < 3,
+// so two compares and subtractions replace a division by B.
+func (a *IcebergAllocator) split(code uint64) (choice int, slot uint64) {
+	if code >= a.b {
+		code -= a.b
+		choice = 1
+		if code >= a.b {
+			code -= a.b
+			choice = 2
+		}
+	}
+	return choice, code
 }
 
 // CodeBound implements Allocator: codes are in [0, 3B).

@@ -250,6 +250,47 @@ func TestIcebergSurvivesSingleBucketPressure(t *testing.T) {
 	}
 }
 
+// TestIcebergDecodeBackPath: split agrees with dividing by B on every
+// code, and pages placed on the back path (codes ≥ B, which light loads
+// never produce) decode to an occupied slot of the bucket their choice
+// names.
+func TestIcebergDecodeBackPath(t *testing.T) {
+	p := mkParams(t, IcebergAlloc, 1<<14)
+	a, err := NewIcebergAllocator(p, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	B := uint64(p.B)
+	for code := uint64(0); code < a.CodeBound(); code++ {
+		if choice, slot := a.split(code); uint64(choice) != code/B || slot != code%B {
+			t.Fatalf("split(%d) = (%d, %d), want (%d, %d)", code, choice, slot, code/B, code%B)
+		}
+	}
+	target := a.fam.At(0, 0)
+	backCodes := 0
+	for v := uint64(0); backCodes < 2*p.B; v++ {
+		if a.fam.At(0, v) != target {
+			continue
+		}
+		code, ok := a.Assign(v)
+		if !ok {
+			t.Fatalf("Iceberg failed on front-bucket pressure at page %d", v)
+		}
+		if code >= B {
+			backCodes++
+		}
+		phys := a.Decode(v, code)
+		bucket, slot := phys/B, phys%B
+		if want := a.fam.At(int(code/B), v); bucket != want || slot != code%B {
+			t.Fatalf("page %d code %d: decoded bucket %d slot %d, want bucket %d slot %d",
+				v, code, bucket, slot, want, code%B)
+		}
+		if a.space.bitmap[bucket*uint64(a.space.wordsPer)+slot/64]&(1<<(slot%64)) == 0 {
+			t.Fatalf("page %d decodes to free slot %d of bucket %d", v, slot, bucket)
+		}
+	}
+}
+
 // TestIcebergFrontThresholdRespected: front occupancy never exceeds the
 // threshold.
 func TestIcebergFrontThresholdRespected(t *testing.T) {

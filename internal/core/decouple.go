@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"addrxlat/internal/bitpack"
+	"addrxlat/internal/dense"
 )
 
 // Scheme is a huge-page decoupling scheme D (Section 3): the assembly of a
@@ -27,7 +27,7 @@ type Scheme struct {
 	alloc  Allocator
 	enc    *Encoder
 
-	failed map[uint64]bool // F: pages in A without a physical address
+	failed dense.Bitset // F: pages in A without a physical address
 
 	// Lifetime statistics.
 	pageIns      uint64
@@ -46,7 +46,6 @@ func NewScheme(p Params, seed uint64) (*Scheme, error) {
 		params: p,
 		alloc:  alloc,
 		enc:    NewEncoder(p),
-		failed: make(map[uint64]bool),
 	}, nil
 }
 
@@ -58,10 +57,13 @@ func (s *Scheme) Allocator() Allocator { return s.alloc }
 
 // PageIn is called when the RAM-replacement policy adds virtual page v to
 // the active set. It returns ok=false on a paging failure, in which case v
-// enters F (and must still be paged out later). It panics if the caller
-// exceeds MaxResident — that is a violation of the policy contract, not a
-// runtime condition.
+// enters F (and must still be paged out later). It panics if v is outside
+// the virtual address space [0, V) or if the caller exceeds MaxResident —
+// those are violations of the policy contract, not runtime conditions.
 func (s *Scheme) PageIn(v uint64) (ok bool) {
+	if v >= s.params.V {
+		panic(fmt.Sprintf("core: PageIn of page %d outside the virtual address space [0, V=%d)", v, s.params.V))
+	}
 	if s.Resident() >= s.params.MaxResident {
 		panic(fmt.Sprintf("core: PageIn would exceed MaxResident=%d (δ=%0.4f); RAM-replacement policy misconfigured",
 			s.params.MaxResident, s.params.Delta))
@@ -69,7 +71,7 @@ func (s *Scheme) PageIn(v uint64) (ok bool) {
 	s.pageIns++
 	code, ok := s.alloc.Assign(v)
 	if !ok {
-		s.failed[v] = true
+		s.failed.Add(v)
 		s.failureCount++
 		return false
 	}
@@ -81,8 +83,7 @@ func (s *Scheme) PageIn(v uint64) (ok bool) {
 // active set.
 func (s *Scheme) PageOut(v uint64) {
 	s.pageOuts++
-	if len(s.failed) > 0 && s.failed[v] {
-		delete(s.failed, v)
+	if s.failed.Remove(v) {
 		return
 	}
 	s.alloc.Release(v)
@@ -107,7 +108,7 @@ func (s *Scheme) ResolveMiss(v uint64, victim uint64, hasVictim bool) (failed bo
 // InActiveSet reports whether v is currently in the active set (including
 // pages suffering a paging failure).
 func (s *Scheme) InActiveSet(v uint64) bool {
-	if len(s.failed) > 0 && s.failed[v] {
+	if s.IsFailed(v) {
 		return true
 	}
 	_, ok := s.alloc.PhysOf(v)
@@ -116,35 +117,48 @@ func (s *Scheme) InActiveSet(v uint64) bool {
 
 // Resident returns |A|: allocator-resident pages plus failed pages.
 func (s *Scheme) Resident() uint64 {
-	return s.alloc.Resident() + uint64(len(s.failed))
+	return s.alloc.Resident() + uint64(s.failed.Len())
 }
 
-// Value returns the live TLB value ψ(u) for huge page u.
-func (s *Scheme) Value(u uint64) *bitpack.FieldArray { return s.enc.Value(u) }
+// Value returns the live TLB value ψ(u) for huge page u: read-only words
+// that alias the encoder's table (see Encoder.Value).
+func (s *Scheme) Value(u uint64) []uint64 { return s.enc.Value(u) }
 
 // Snapshot returns a frozen copy of ψ(u).
-func (s *Scheme) Snapshot(u uint64) *bitpack.FieldArray { return s.enc.Snapshot(u) }
+func (s *Scheme) Snapshot(u uint64) []uint64 { return s.enc.Snapshot(u) }
 
-// Lookup runs the decoding function f on the *live* TLB value for v's huge
-// page: it returns φ(v), or NullAddress if v is absent (or failed).
+// Lookup runs the decoding function f (Equation 4 of the paper) on the
+// *live* TLB value for v's huge page: it returns φ(v), or NullAddress if v
+// is absent (or failed). It reads v's code out of ψ(r(v)) with a shift
+// and a mask and hands it to the allocator, which recomputes the bucket
+// from v's fixed hash — O(1), using only v, the value bits and the hash
+// functions.
 func (s *Scheme) Lookup(v uint64) uint64 {
-	return Decode(s.alloc, s.params, v, s.enc.Value(s.params.HugePage(v)))
+	return s.decode(v, s.enc.code(v))
 }
 
-// LookupIn runs the decoding function f against a caller-held TLB value
-// (e.g. one latched into the TLB model earlier).
-func (s *Scheme) LookupIn(v uint64, value *bitpack.FieldArray) uint64 {
-	return Decode(s.alloc, s.params, v, value)
+// LookupIn runs the decoding function f against value, a caller-held copy
+// of ψ(r(v)) (e.g. one latched into the TLB model earlier by Snapshot).
+func (s *Scheme) LookupIn(v uint64, value []uint64) uint64 {
+	return s.decode(v, s.enc.codeIn(v, value))
+}
+
+// decode maps v's page code to φ(v), or the absent code to NullAddress.
+func (s *Scheme) decode(v, code uint64) uint64 {
+	if code == s.enc.absent {
+		return NullAddress
+	}
+	return s.alloc.Decode(v, code)
 }
 
 // Failures returns |F|, the number of in-force paging failures.
-func (s *Scheme) Failures() int { return len(s.failed) }
+func (s *Scheme) Failures() int { return s.failed.Len() }
 
 // IsFailed reports whether v is currently in the failure set F. The
-// empty-set fast path keeps this off the hash on the per-access hot path:
-// failures are rare by construction (w.h.p. none occur), so the common
-// case is a single length check.
-func (s *Scheme) IsFailed(v uint64) bool { return len(s.failed) > 0 && s.failed[v] }
+// empty-set fast path keeps this to a single length check on the
+// per-access hot path: failures are rare by construction (w.h.p. none
+// occur).
+func (s *Scheme) IsFailed(v uint64) bool { return s.failed.Len() > 0 && s.failed.Contains(v) }
 
 // TotalFailures returns the number of paging failures over the scheme's
 // lifetime (entries ever added to F).

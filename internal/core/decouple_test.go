@@ -294,18 +294,24 @@ func TestEncoderPanics(t *testing.T) {
 	})
 }
 
-// TestValueBitBudget: every TLB value must fit in w bits.
+// TestValueBitBudget: every TLB value must fit in w bits: its hmax codes
+// take hmax·b ≤ w bits, and every bit of ψ(u) above them stays zero.
 func TestValueBitBudget(t *testing.T) {
 	for _, kind := range []AllocKind{FullyAssociative, SingleChoice, IcebergAlloc} {
 		s := mkScheme(t, kind, 1<<16, 3)
 		p := s.Params()
-		if bits := p.HMax * int(p.BitsPerPage); bits > p.W {
+		bits := p.HMax * int(p.BitsPerPage)
+		if bits > p.W {
 			t.Errorf("%s: value uses %d bits > w=%d", kind, bits, p.W)
 		}
 		v := uint64(0)
 		s.PageIn(v)
-		if got := s.Value(p.HugePage(v)).Bits(); got > p.W {
-			t.Errorf("%s: encoded value %d bits > w=%d", kind, got, p.W)
+		val := s.Value(p.HugePage(v))
+		if len(val) != (bits+63)/64 {
+			t.Errorf("%s: ψ(u) has %d words for %d bits", kind, len(val), bits)
+		}
+		if top := val[len(val)-1]; bits%64 != 0 && top>>(bits%64) != 0 {
+			t.Errorf("%s: ψ(u) sets bits above hmax·b=%d: top word %#x", kind, bits, top)
 		}
 	}
 }

@@ -11,65 +11,75 @@ import (
 const NullAddress = ^uint64(0)
 
 // Encoder is the TLB-encoding scheme ψ (Section 3). For every virtual huge
-// page with at least one resident constituent page it maintains the w-bit
-// TLB value: an array of hmax per-page location codes, each BitsPerPage
-// wide, with the absent sentinel for non-resident pages. Maintaining the
-// table keyed by huge-page address is exactly the "constant time" hash
-// table from the proof of Theorem 1.
+// page it maintains the w-bit TLB value: an array of hmax per-page location
+// codes, each BitsPerPage wide, with the absent sentinel for non-resident
+// pages.
+//
+// ψ is one flat []uint64 allocated once for the ⌈V/hmax⌉ virtual huge
+// pages: huge page u owns the ⌈hmax·b/64⌉ words starting at word
+// u·⌈hmax·b/64⌉, and page index i within it is the b-bit field at bit
+// i·b of those words — the layout of a bitpack.FieldArray of hmax fields.
+// Virtual huge pages are densely numbered, so the table is the paper's
+// "constant time" hash table of the Theorem 1 proof with the hash being
+// the identity. Every huge page starts all-absent; paging never allocates.
 //
 // The Encoder is updated by the decoupling scheme whenever the
 // RAM-replacement policy changes the active set; the TLB model reads
 // values out when the TLB-replacement policy inserts a huge page.
-// The entries table is flat, indexed by huge-page number: virtual huge
-// pages are densely numbered in [0, V/hmax], so ψ lives in an array rather
-// than a hash table. An entry whose huge page has no resident pages keeps
-// its (all-absent) field array cached, so churn on a huge page allocates
-// its value exactly once over the encoder's lifetime.
 type Encoder struct {
-	params    Params
-	entries   []encEntry          // flat by huge page; arr == nil ⇒ never touched
-	active    int                 // entries with resident > 0
-	absent    uint64              // sentinel code
-	allAbsent *bitpack.FieldArray // shared read-only "no pages resident" value
+	words    []uint64 // ψ, stride words per huge page
+	resident []uint16 // resident pages per huge page (hmax ≤ 4096)
+	active   int      // huge pages with resident > 0
+
+	// Decode constants, cached so the read path touches no Params.
+	shift  uint   // log₂ hmax: r(v) = v >> shift
+	index  uint64 // hmax − 1: v's page index = v & index
+	width  uint   // b, bits per page code
+	stride uint64 // words per huge page
+	absent uint64 // the absent sentinel code
 }
 
-type encEntry struct {
-	arr      *bitpack.FieldArray
-	resident int32
-}
-
-// NewEncoder creates the encoding scheme for the given parameters.
+// NewEncoder creates the encoding scheme for the given parameters, with
+// every page of every virtual huge page in [0, ⌈V/hmax⌉) absent.
 func NewEncoder(p Params) *Encoder {
-	if p.HMax <= 0 || p.BitsPerPage == 0 {
+	if p.HMax <= 0 || p.HMax&(p.HMax-1) != 0 || p.BitsPerPage == 0 || p.BitsPerPage > 64 {
 		panic(fmt.Sprintf("core: invalid encoder params hmax=%d bits=%d", p.HMax, p.BitsPerPage))
 	}
-	allAbsent := bitpack.NewFieldArray(p.HMax, p.BitsPerPage)
-	allAbsent.Fill(p.AbsentCode())
+	hmax, width := uint64(p.HMax), p.BitsPerPage
+	huge := (p.V + hmax - 1) / hmax
+	stride := (hmax*uint64(width) + 63) / 64
+	words := make([]uint64, huge*stride)
+	// Mark huge page 0 all-absent, then stamp its words over the rest.
+	for i := uint64(0); i < hmax; i++ {
+		bitpack.Set(words, i*uint64(width), width, p.AbsentCode())
+	}
+	for base := stride; base < uint64(len(words)); base += stride {
+		copy(words[base:base+stride], words[:stride])
+	}
 	return &Encoder{
-		params:    p,
-		absent:    p.AbsentCode(),
-		allAbsent: allAbsent,
+		words:    words,
+		resident: make([]uint16, huge),
+		shift:    p.hugeShift(),
+		index:    hmax - 1,
+		width:    width,
+		stride:   stride,
+		absent:   p.AbsentCode(),
 	}
 }
 
-// entryFor returns the (possibly fresh) entry for huge page u, growing the
-// flat table on demand.
-func (e *Encoder) entryFor(u uint64) *encEntry {
-	if u >= uint64(len(e.entries)) {
-		newLen := uint64(len(e.entries))*2 + 1
-		if newLen <= u {
-			newLen = u + 1
-		}
-		entries := make([]encEntry, newLen)
-		copy(entries, e.entries)
-		e.entries = entries
-	}
-	ent := &e.entries[u]
-	if ent.arr == nil {
-		ent.arr = bitpack.NewFieldArray(e.params.HMax, e.params.BitsPerPage)
-		ent.arr.Fill(e.absent)
-	}
-	return ent
+// bit returns the bit offset of v's code within ψ.
+func (e *Encoder) bit(v uint64) uint64 {
+	return (v>>e.shift)*e.stride<<6 + (v&e.index)*uint64(e.width)
+}
+
+// code returns v's code in the live ψ(r(v)).
+func (e *Encoder) code(v uint64) uint64 {
+	return bitpack.Get(e.words, e.bit(v), e.width)
+}
+
+// codeIn returns v's code in value, a caller-held copy of ψ(r(v)).
+func (e *Encoder) codeIn(v uint64, value []uint64) uint64 {
+	return bitpack.Get(value, (v&e.index)*uint64(e.width), e.width)
 }
 
 // PageAdded records that virtual page v became resident with the given
@@ -78,76 +88,52 @@ func (e *Encoder) PageAdded(v uint64, code uint64) {
 	if code >= e.absent {
 		panic(fmt.Sprintf("core: code %d out of range [0,%d)", code, e.absent))
 	}
-	ent := e.entryFor(e.params.HugePage(v))
-	idx := e.params.PageIndex(v)
-	if ent.arr.Get(idx) != e.absent {
+	bit := e.bit(v)
+	if bitpack.Get(e.words, bit, e.width) != e.absent {
 		panic(fmt.Sprintf("core: PageAdded for already-resident page %d", v))
 	}
-	ent.arr.Set(idx, code)
-	if ent.resident == 0 {
+	bitpack.Set(e.words, bit, e.width, code)
+	u := v >> e.shift
+	if e.resident[u] == 0 {
 		e.active++
 	}
-	ent.resident++
+	e.resident[u]++
 }
 
 // PageRemoved records that virtual page v left the active set.
 func (e *Encoder) PageRemoved(v uint64) {
-	u := e.params.HugePage(v)
-	if u >= uint64(len(e.entries)) || e.entries[u].arr == nil || e.entries[u].resident == 0 {
-		panic(fmt.Sprintf("core: PageRemoved for page %d with no encoded huge page", v))
-	}
-	ent := &e.entries[u]
-	idx := e.params.PageIndex(v)
-	if ent.arr.Get(idx) == e.absent {
+	bit := e.bit(v)
+	if bitpack.Get(e.words, bit, e.width) == e.absent {
 		panic(fmt.Sprintf("core: PageRemoved for non-resident page %d", v))
 	}
-	ent.arr.Set(idx, e.absent)
-	ent.resident--
-	if ent.resident == 0 {
+	bitpack.Set(e.words, bit, e.width, e.absent)
+	u := v >> e.shift
+	e.resident[u]--
+	if e.resident[u] == 0 {
 		e.active--
 	}
 }
 
-// Value returns ψ(u), the current w-bit TLB value for virtual huge page u.
-// Huge pages with no resident constituent pages share one all-absent value.
-// The returned array must be treated as read-only; the TLB copies it on
+// Value returns ψ(u), the current w-bit TLB value for virtual huge page u,
+// as the live words of the table. The slice aliases ψ and must be treated
+// as read-only; it changes as pages of u come and go. The TLB copies it on
 // insertion (Snapshot) to model the hardware latching a value.
-func (e *Encoder) Value(u uint64) *bitpack.FieldArray {
-	// A cached entry with resident == 0 holds all-absent codes, so it is
-	// interchangeable with the shared allAbsent value.
-	if u < uint64(len(e.entries)) && e.entries[u].arr != nil {
-		return e.entries[u].arr
-	}
-	return e.allAbsent
+func (e *Encoder) Value(u uint64) []uint64 {
+	base := u * e.stride
+	return e.words[base : base+e.stride : base+e.stride]
 }
 
 // Snapshot returns a copy of ψ(u) frozen at the current moment.
-func (e *Encoder) Snapshot(u uint64) *bitpack.FieldArray {
-	return e.Value(u).Clone()
+func (e *Encoder) Snapshot(u uint64) []uint64 {
+	return append([]uint64(nil), e.Value(u)...)
 }
 
 // ResidentInHugePage returns how many of u's constituent pages are
 // resident.
 func (e *Encoder) ResidentInHugePage(u uint64) int {
-	if u < uint64(len(e.entries)) {
-		return int(e.entries[u].resident)
-	}
-	return 0
+	return int(e.resident[u])
 }
 
 // EncodedHugePages returns how many huge pages currently have at least one
 // resident page (the occupancy of the proof's "constant time" table).
 func (e *Encoder) EncodedHugePages() int { return e.active }
-
-// Decode is the TLB-decoding function f (Equation 4 of the paper): given a
-// virtual page address v and a TLB value ψ(u) for the huge page u ∋ v, it
-// returns φ(v) if v is in the active set and NullAddress otherwise. It is
-// evaluated in O(1) and uses only v, the value bits, and the allocator's
-// fixed random hash functions.
-func Decode(alloc Allocator, p Params, v uint64, value *bitpack.FieldArray) uint64 {
-	code := value.Get(p.PageIndex(v))
-	if code == p.AbsentCode() {
-		return NullAddress
-	}
-	return alloc.Decode(v, code)
-}

@@ -13,15 +13,16 @@
 //     addresses with limited associativity; three implementations
 //     (fully associative, single-choice/Theorem 1, Iceberg/Theorem 3).
 //   - Encoder: the TLB-encoding scheme ψ maintaining a w-bit value per
-//     virtual huge page, and the decoding function f recovering φ(v) or
-//     the null address −1.
+//     virtual huge page, all of them in one flat table of machine words.
 //   - Scheme: the assembled huge-page decoupling scheme D, tracking the
-//     paging-failure set F.
+//     paging-failure set F; its Lookup is the decoding function f
+//     recovering φ(v) or the null address −1.
 package core
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"addrxlat/internal/bitpack"
 )
@@ -196,14 +197,19 @@ func DeriveParams(kind AllocKind, P, V uint64, w int) (Params, error) {
 
 // HugePage returns the virtual huge-page address r(v) containing virtual
 // page v: the paper's r(v) = v − (v mod hmax), expressed as the huge-page
-// index v / hmax.
+// index v / hmax. HMax is a power of two, so this is a shift.
 func (p Params) HugePage(v uint64) uint64 {
-	return v / uint64(p.HMax)
+	return v >> p.hugeShift()
 }
 
-// PageIndex returns v's index within its huge page.
+// PageIndex returns v's index within its huge page, v mod hmax, as a mask.
 func (p Params) PageIndex(v uint64) int {
-	return int(v % uint64(p.HMax))
+	return int(v & (uint64(p.HMax) - 1))
+}
+
+// hugeShift returns log₂ hmax.
+func (p Params) hugeShift() uint {
+	return uint(bits.TrailingZeros64(uint64(p.HMax)))
 }
 
 // AbsentCode is the per-page sentinel meaning "not resident" (the paper's

@@ -70,6 +70,11 @@ func NewFamily(masterSeed uint64, k int, n uint64) *Family {
 	return &Family{seeds: seeds, n: n}
 }
 
+// Seed returns the seed of function i: At(i, key) is
+// Range(Hash64(Seed(i), key), N()), which a caller can inline on a hot
+// path that At's call would dominate.
+func (f *Family) Seed(i int) uint64 { return f.seeds[i] }
+
 // K returns the number of functions in the family.
 func (f *Family) K() int { return len(f.seeds) }
 

@@ -44,9 +44,10 @@ func NewHybrid(cfg HybridConfig) (*Hybrid, error) {
 		return nil, fmt.Errorf("mm: group size %d exceeds memory (P=%d, V=%d)",
 			cfg.GroupSize, inner.RAMPages, inner.VirtualPages)
 	}
-	// Rescale the machine to group granularity.
+	// Rescale the machine to group granularity. A partial last group is
+	// still a group: pages up to V−1 map to groups up to ⌈V/g⌉−1.
 	inner.RAMPages /= cfg.GroupSize
-	inner.VirtualPages /= cfg.GroupSize
+	inner.VirtualPages = (inner.VirtualPages + cfg.GroupSize - 1) / cfg.GroupSize
 	z, err := NewDecoupled(inner)
 	if err != nil {
 		return nil, err

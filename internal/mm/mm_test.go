@@ -378,6 +378,21 @@ func TestHybridG1MatchesDecoupled(t *testing.T) {
 	}
 }
 
+// TestHybridPartialLastGroup: when g does not divide V, the pages of the
+// last, partial group are still in the address space and must page in.
+func TestHybridPartialLastGroup(t *testing.T) {
+	const V = 1<<16 + 3
+	base := DecoupledConfig{RAMPages: 1 << 12, VirtualPages: V, TLBEntries: 8, Seed: 1}
+	h, err := NewHybrid(HybridConfig{Decoupled: base, GroupSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Access(V - 1)
+	if got := h.Costs().IOs; got != 8 {
+		t.Fatalf("last-group access IOs = %d, want 8", got)
+	}
+}
+
 func TestHybridCoverageAndAmplification(t *testing.T) {
 	base := DecoupledConfig{RAMPages: 1 << 14, VirtualPages: 1 << 18, TLBEntries: 16, Seed: 2}
 	h4, err := NewHybrid(HybridConfig{Decoupled: base, GroupSize: 4})

@@ -177,6 +177,36 @@ func TestNestedConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNestedNameCarriesTLBSplit: e5's cells share huge-page sizes and
+// differ only in the guest/host TLB split, so the split must be in the
+// name that keys their .curves.tsv and .explain.tsv series.
+func TestNestedNameCarriesTLBSplit(t *testing.T) {
+	seen := map[string]bool{}
+	for _, guest := range []int{24, 36, 42} {
+		n, err := NewNested(NestedConfig{
+			GuestHugePageSize: 1, HostHugePageSize: 1,
+			GuestTLBEntries: guest, HostTLBEntries: 48 - guest, RAMPages: 64,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[n.Name()] {
+			t.Fatalf("two TLB splits share the name %q", n.Name())
+		}
+		seen[n.Name()] = true
+	}
+	n, err := NewNested(NestedConfig{
+		GuestHugePageSize: 2, HostHugePageSize: 4,
+		GuestTLBEntries: 8, HostTLBEntries: 16, RAMPages: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := n.Name(), "nested(hg=2,hh=4,guest=8,host=16)"; got != want {
+		t.Fatalf("Name() = %q, want %q", got, want)
+	}
+}
+
 func TestNestedAmplification(t *testing.T) {
 	// A guest TLB miss must trigger an extra host reference; with a tiny
 	// guest TLB and scattered accesses, host TLB misses should exceed
