@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench bench-diff race vet fuzz-smoke trace-smoke serve-smoke serve-metrics-smoke
+.PHONY: all build test check examples bench bench-diff race vet fuzz-smoke trace-smoke serve-smoke serve-metrics-smoke
 
 all: build
 
@@ -12,6 +12,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# examples runs every program under examples/ and fails on the first
+# nonzero exit: `go build ./...` only compiles them.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # race runs the race detector over the packages that actually spawn or
 # share goroutines: the sweep worker pool, the experiment drivers that use
@@ -139,11 +147,12 @@ serve-metrics-smoke:
 # chunks), a race-mode smoke of the row executor (Workers=4, 8 chunks
 # against a ring depth of 4: ring publish/release, gate, probe delivery,
 # phase clock), the serving-layer overload + serve-burst drill
-# (serve-smoke), the serving-telemetry drill (serve-metrics-smoke), and
-# vet + tests of the benchmark harness in perfbench/ (its own module), so
-# a change to an API the harness compiles against fails here rather than
-# only in the benchmark run.
-check: vet test race serve-smoke serve-metrics-smoke
+# (serve-smoke), the serving-telemetry drill (serve-metrics-smoke), a run
+# of every example program (examples), and vet + tests of the benchmark
+# harness in perfbench/ (its own module), so a change to an API the
+# harness compiles against fails here rather than only in the benchmark
+# run.
+check: vet test race serve-smoke serve-metrics-smoke examples
 	$(GO) test -bench='BenchmarkAccess(Batch)?(HugePage|Decoupled|THP|Superpage)' -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkFig1aBimodal -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkAccessBatchDecoupled -benchtime=1x -run=^$$ .

@@ -69,10 +69,18 @@ func flushTrace() {
 	}
 }
 
+// The names -algo and -workload accept: buildAlgorithm takes every
+// algorithm, buildGenerator every streaming generator, and buildWorkload
+// the generators plus graph500.
+const (
+	algorithmNames = "hugepage|decoupled|hybrid|thp|superpage|hawkeye|directseg|coalesced|nested|tlb-only|ram-only"
+	generatorNames = "bimodal|graphwalk|uniform|zipf|sequential"
+)
+
 func main() {
 	var (
-		wl       = flag.String("workload", "bimodal", "workload: bimodal|graphwalk|graph500|uniform|zipf|sequential")
-		algo     = flag.String("algo", "hugepage", "algorithm: hugepage|decoupled|hybrid|thp|superpage|hawkeye|directseg|coalesced|nested|tlb-only|ram-only")
+		wl       = flag.String("workload", "bimodal", "workload: "+generatorNames+"|graph500")
+		algo     = flag.String("algo", "hugepage", "algorithm: "+algorithmNames)
 		alloc    = flag.String("alloc", "iceberg", "decoupled allocation scheme: full|single|iceberg")
 		h        = flag.Uint64("h", 1, "huge-page size for -algo hugepage")
 		g        = flag.Uint64("g", 2, "group size for -algo hybrid")
@@ -529,7 +537,7 @@ func buildGenerator(kind string, vPages, hotPg uint64, hotProb, zipfS, alpha flo
 	case "sequential":
 		return workload.NewSequential(vPages)
 	default:
-		return nil, fmt.Errorf("workload %q is not a streaming generator (want bimodal|graphwalk|uniform|zipf|sequential)", kind)
+		return nil, fmt.Errorf("workload %q is not a streaming generator (want %s)", kind, generatorNames)
 	}
 }
 

@@ -138,7 +138,8 @@ func (s *Scheme) Lookup(v uint64) uint64 {
 }
 
 // LookupIn runs the decoding function f against value, a caller-held copy
-// of ψ(r(v)) (e.g. one latched into the TLB model earlier by Snapshot).
+// of ψ(r(v)) (e.g. one taken earlier by Snapshot, as a hardware TLB entry
+// would hold it).
 func (s *Scheme) LookupIn(v uint64, value []uint64) uint64 {
 	return s.decode(v, s.enc.codeIn(v, value))
 }

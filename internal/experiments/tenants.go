@@ -74,7 +74,7 @@ func Tenants(entries int, hotPages uint64, nAccesses int, seed uint64) (*Table, 
 
 // touch performs one TLB reference, inserting on miss.
 func touch(t *tlb.TLB, page uint64) {
-	if _, ok := t.Lookup(page); !ok {
-		t.Insert(page, tlb.Entry{})
+	if !t.Lookup(page) {
+		t.Insert(page)
 	}
 }

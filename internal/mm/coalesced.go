@@ -128,20 +128,20 @@ func (m *Coalesced) Access(v uint64) {
 
 	// TLB side: a group entry covering v counts as a hit.
 	group := v / m.cfg.CoalesceLimit
-	if _, ok := m.tlb.Lookup(coalKeyGroup(group)); ok {
+	if m.tlb.Lookup(coalKeyGroup(group)) {
 		return
 	}
-	if _, ok := m.tlb.Lookup(coalKeySingle(v)); ok {
+	if m.tlb.Lookup(coalKeySingle(v)) {
 		return
 	}
 	m.costs.TLBMisses++
 	m.ex.TLBMiss(v)
 	if m.groupContiguous(v) {
-		m.tlb.Insert(coalKeyGroup(group), tlb.Entry{})
+		m.tlb.Insert(coalKeyGroup(group))
 		m.coalesced++
 		m.ex.CoalescedFill()
 	} else {
-		m.tlb.Insert(coalKeySingle(v), tlb.Entry{})
+		m.tlb.Insert(coalKeySingle(v))
 		m.singles++
 		m.ex.SingleFill()
 	}

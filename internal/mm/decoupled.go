@@ -27,10 +27,6 @@ type DecoupledConfig struct {
 	// m = (1−δ)P). The paper's experiments use LRU for both.
 	TLBPolicy policy.Kind
 	RAMPolicy policy.Kind
-	// TLBWays, if nonzero, models the TLB as TLBWays-way set-associative
-	// instead of fully associative (the paper's model). TLBWays must
-	// divide TLBEntries.
-	TLBWays int
 	// Seed feeds the scheme's hash functions and randomized policies.
 	Seed uint64
 }
@@ -54,29 +50,6 @@ func (c *DecoupledConfig) validate() error {
 	return nil
 }
 
-// decoupledTLB is the minimal TLB surface Z needs, satisfied by both the
-// fully associative and set-associative models.
-type decoupledTLB interface {
-	lookupHit(u uint64) bool
-	insertEntry(u uint64)
-	resetCounters()
-	reach(pagesPerEntry uint64) uint64
-}
-
-type fullDecoupledTLB struct{ t *tlb.TLB }
-
-func (f fullDecoupledTLB) lookupHit(u uint64) bool   { return f.t.LookupHit(u) }
-func (f fullDecoupledTLB) insertEntry(u uint64)      { f.t.Insert(u, tlb.Entry{}) }
-func (f fullDecoupledTLB) resetCounters()            { f.t.ResetCounters() }
-func (f fullDecoupledTLB) reach(pages uint64) uint64 { return f.t.Reach(pages) }
-
-type setDecoupledTLB struct{ t *tlb.SetAssociative }
-
-func (s setDecoupledTLB) lookupHit(u uint64) bool   { return s.t.LookupHit(u) }
-func (s setDecoupledTLB) insertEntry(u uint64)      { s.t.Insert(u, tlb.Entry{}) }
-func (s setDecoupledTLB) resetCounters()            { s.t.ResetCounters() }
-func (s setDecoupledTLB) reach(pages uint64) uint64 { return s.t.Reach(pages) }
-
 // Decoupled is the paper's algorithm Z (Theorem 4): a huge-page decoupling
 // scheme D combined with a TLB-replacement policy X over virtual huge
 // pages of size hmax and a RAM-replacement policy Y over base pages with
@@ -85,8 +58,9 @@ func (s setDecoupledTLB) reach(pages uint64) uint64 { return s.t.Reach(pages) }
 // On each request v:
 //
 //   - TLB side: huge page u = r(v) is looked up; a miss costs ε and
-//     inserts u with value ψ(u) (evicting per X). ψ updates while u is
-//     TLB-resident are free, per the model.
+//     inserts u (evicting per X). The TLB holds keys only: the entry's
+//     value ψ(u) is read live from the scheme's encoder, which the model
+//     allows because ψ updates while u is TLB-resident are free.
 //   - RAM side: if v is not in Y's active set, one IO (cost 1) brings it
 //     in; Y's eviction is pushed through D (PageOut) so φ stays in sync.
 //     D assigns v a bucket slot; on a paging failure v enters F.
@@ -97,7 +71,7 @@ type Decoupled struct {
 	cfg    DecoupledConfig
 	params core.Params
 	scheme *core.Scheme
-	tlb    decoupledTLB
+	tlb    *tlb.TLB      // X: fully associative, over huge pages of size hmax
 	ramY   policy.Policy // Y: base-page cache of capacity m
 
 	costs       Costs
@@ -105,14 +79,12 @@ type Decoupled struct {
 	failureHits uint64 // requests serviced while the page was in F
 
 	// Staged-path specializations, resolved once at construction: the
-	// huge-page shift (HMax is a power of two), the concrete flat-LRU Y
-	// cache, and the concrete fully associative TLB. Either nil pointer
-	// routes AccessBatch to the scalar loop. miss is the TLB probe's
-	// packed miss list, grown to the high-water chunk size once and
-	// reused by every later chunk.
+	// huge-page shift (HMax is a power of two) and the concrete flat-LRU
+	// Y cache. A nil ramFlat or a non-flat TLB routes AccessBatch to the
+	// scalar loop. miss is the TLB probe's packed miss list, grown to the
+	// high-water chunk size once and reused by every later chunk.
 	hshift  uint
 	ramFlat *policy.DenseLRU
-	tlbFlat *tlb.TLB
 	miss    []uint64
 }
 
@@ -131,19 +103,9 @@ func NewDecoupled(cfg DecoupledConfig) (*Decoupled, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cache decoupledTLB
-	if cfg.TLBWays > 0 {
-		t, err := tlb.NewSetAssociative(cfg.TLBEntries, cfg.TLBWays, cfg.TLBPolicy, cfg.Seed+2)
-		if err != nil {
-			return nil, err
-		}
-		cache = setDecoupledTLB{t}
-	} else {
-		t, err := tlb.New(cfg.TLBEntries, cfg.TLBPolicy, cfg.Seed+2)
-		if err != nil {
-			return nil, err
-		}
-		cache = fullDecoupledTLB{t}
+	t, err := tlb.New(cfg.TLBEntries, cfg.TLBPolicy, cfg.Seed+2)
+	if err != nil {
+		return nil, err
 	}
 	ramY, err := policy.New(cfg.RAMPolicy, int(params.MaxResident), cfg.Seed+3)
 	if err != nil {
@@ -153,14 +115,11 @@ func NewDecoupled(cfg DecoupledConfig) (*Decoupled, error) {
 		cfg:    cfg,
 		params: params,
 		scheme: scheme,
-		tlb:    cache,
+		tlb:    t,
 		ramY:   ramY,
 		hshift: uint(bits.TrailingZeros64(uint64(params.HMax))),
 	}
 	z.ramFlat, _ = ramY.(*policy.DenseLRU)
-	if ft, ok := cache.(fullDecoupledTLB); ok && ft.t.Flat() {
-		z.tlbFlat = ft.t
-	}
 	return z, nil
 }
 
@@ -184,12 +143,10 @@ func (z *Decoupled) Access(v uint64) {
 	}
 
 	// --- TLB side (policy X) ---
-	// The TLB stores ψ(u); since ψ updates are free while u is resident,
-	// we model the entry as always holding the live value.
-	if !z.tlb.lookupHit(u) {
+	if !z.tlb.Lookup(u) {
 		z.costs.TLBMisses++
 		z.ex.TLBMiss(u)
-		z.tlb.insertEntry(u)
+		z.tlb.Insert(u)
 	}
 
 	// --- Service the request via the decoding function f ---
@@ -230,11 +187,11 @@ func (z *Decoupled) Access(v uint64) {
 //     into the TLB-miss classifier, whose state is per-key, so column
 //     order preserves its answers.
 //
-// Configurations off the flat fast paths (set-associative TLB, non-LRU
-// policies) keep the scalar loop.
+// Configurations off the flat fast paths (non-LRU policies) keep the
+// scalar loop.
 func (z *Decoupled) AccessBatch(vs []uint64) {
-	ry, t := z.ramFlat, z.tlbFlat
-	if ry == nil || t == nil {
+	ry, t := z.ramFlat, z.tlb
+	if ry == nil || !t.Flat() {
 		for _, v := range vs {
 			z.Access(v)
 		}
@@ -313,7 +270,7 @@ func (z *Decoupled) ResetCosts() {
 	z.costs = Costs{}
 	z.ex.Reset()
 	z.failureHits = 0
-	z.tlb.resetCounters()
+	z.tlb.ResetCounters()
 }
 
 // EnableExplain implements Explainer.
@@ -334,7 +291,7 @@ func (z *Decoupled) ExplainGauges() (explain.Gauges, bool) {
 	g := occupancyGauges(z.scheme.Resident(), z.params.P)
 	g.DeltaTarget = z.params.Delta
 	g.CoveragePages = uint64(z.params.HMax)
-	g.TLBReachPages = z.tlb.reach(uint64(z.params.HMax))
+	g.TLBReachPages = z.tlb.Reach(uint64(z.params.HMax))
 	if la, ok := z.scheme.Allocator().(interface{ LoadHistogram() []int }); ok && z.params.NumBuckets > 0 {
 		hist := la.LoadHistogram()
 		var balls uint64

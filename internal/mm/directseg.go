@@ -106,10 +106,10 @@ func (d *DirectSegment) Access(v uint64) {
 			d.ex.Evict()
 		}
 	}
-	if _, ok := d.tlb.Lookup(v); !ok {
+	if !d.tlb.Lookup(v) {
 		d.costs.TLBMisses++
 		d.ex.TLBMiss(v)
-		d.tlb.Insert(v, tlb.Entry{})
+		d.tlb.Insert(v)
 	}
 }
 

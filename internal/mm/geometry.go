@@ -52,27 +52,13 @@ func (c *GeometryConfig) validate() error {
 	return nil
 }
 
-// translationCache is the minimal surface the three TLB organizations
-// share for this experiment.
+// translationCache is the surface the three TLB organizations
+// (*tlb.TLB, *tlb.SetAssociative, *tlb.TwoLevel) share for this study.
 type translationCache interface {
-	lookup(key uint64) bool
-	insert(key uint64)
+	Lookup(key uint64) bool
+	Insert(key uint64) (victim uint64, evicted bool)
+	Len() int
 }
-
-type fullCache struct{ t *tlb.TLB }
-
-func (f fullCache) lookup(k uint64) bool { _, ok := f.t.Lookup(k); return ok }
-func (f fullCache) insert(k uint64)      { f.t.Insert(k, tlb.Entry{}) }
-
-type setCache struct{ t *tlb.SetAssociative }
-
-func (s setCache) lookup(k uint64) bool { _, ok := s.t.Lookup(k); return ok }
-func (s setCache) insert(k uint64)      { s.t.Insert(k, tlb.Entry{}) }
-
-type twoLevelCache struct{ t *tlb.TwoLevel }
-
-func (h twoLevelCache) lookup(k uint64) bool { _, level := h.t.Lookup(k); return level != 0 }
-func (h twoLevelCache) insert(k uint64)      { h.t.Insert(k, tlb.Entry{}) }
 
 // Geometry is the TLB-organization study algorithm.
 type Geometry struct {
@@ -90,40 +76,28 @@ func NewGeometry(cfg GeometryConfig) (*Geometry, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	g := &Geometry{cfg: cfg}
+	var cache translationCache
+	var err error
 	switch cfg.Geometry {
 	case GeometryFull:
-		t, err := tlb.New(cfg.Entries, policy.LRUKind, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		g.cache = fullCache{t}
+		cache, err = tlb.New(cfg.Entries, policy.LRUKind, cfg.Seed)
 	case GeometrySetAssoc:
-		t, err := tlb.NewSetAssociative(cfg.Entries, cfg.Ways, policy.LRUKind, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		g.cache = setCache{t}
+		cache, err = tlb.NewSetAssociative(cfg.Entries, cfg.Ways, policy.LRUKind, cfg.Seed)
 	case GeometryTwoLevel:
-		l1 := cfg.Entries / 16
-		if l1 < 4 {
-			l1 = 4
-		}
+		l1 := max(cfg.Entries/16, 4)
 		if l1 >= cfg.Entries {
 			return nil, fmt.Errorf("mm: entries %d too small for a two-level split", cfg.Entries)
 		}
-		t, err := tlb.NewTwoLevel(l1, cfg.Entries, policy.LRUKind, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		g.cache = twoLevelCache{t}
+		cache, err = tlb.NewTwoLevel(l1, cfg.Entries, policy.LRUKind, cfg.Seed)
+	}
+	if err != nil {
+		return nil, err
 	}
 	ram, err := policy.New(policy.LRUKind, int(cfg.RAMPages), cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
-	g.ram = ram
-	return g, nil
+	return &Geometry{cfg: cfg, cache: cache, ram: ram}, nil
 }
 
 // Access implements Algorithm.
@@ -136,10 +110,10 @@ func (g *Geometry) Access(v uint64) {
 			g.ex.Evict()
 		}
 	}
-	if !g.cache.lookup(v) {
+	if !g.cache.Lookup(v) {
 		g.costs.TLBMisses++
 		g.ex.TLBMiss(v)
-		g.cache.insert(v)
+		g.cache.Insert(v)
 	}
 }
 
@@ -169,10 +143,13 @@ func (g *Geometry) EnableExplain() {
 // Explain implements Explainer.
 func (g *Geometry) Explain() *explain.Counters { return g.ex }
 
-// ExplainGauges implements Gauger.
+// ExplainGauges implements Gauger. Each entry covers one page, so the
+// TLB reach is the number of distinct pages cached (for two-level, in
+// either level).
 func (g *Geometry) ExplainGauges() (explain.Gauges, bool) {
 	gg := occupancyGauges(uint64(g.ram.Len()), g.cfg.RAMPages)
 	gg.CoveragePages = 1
+	gg.TLBReachPages = uint64(g.cache.Len())
 	return gg, true
 }
 

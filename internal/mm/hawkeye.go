@@ -181,10 +181,10 @@ func (m *HawkEye) Access(v uint64) {
 		tlbKey = tlbBase(v)
 	}
 
-	if _, ok := m.tlb.Lookup(tlbKey); !ok {
+	if !m.tlb.Lookup(tlbKey) {
 		m.costs.TLBMisses++
 		m.ex.TLBMiss(tlbKey)
-		m.tlb.Insert(tlbKey, tlb.Entry{})
+		m.tlb.Insert(tlbKey)
 	}
 
 	m.tick++

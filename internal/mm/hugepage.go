@@ -144,10 +144,10 @@ func (m *HugePage) Access(v uint64) {
 	}
 
 	// TLB: one entry covers the whole huge page.
-	if _, ok := m.tlb.Lookup(u); !ok {
+	if !m.tlb.Lookup(u) {
 		m.costs.TLBMisses++
 		m.ex.TLBMiss(u)
-		m.tlb.Insert(u, tlb.Entry{Phys: u})
+		m.tlb.Insert(u)
 	}
 }
 

@@ -107,11 +107,11 @@ func (m *MultiCore) AccessOn(core int, v uint64) {
 		}
 	}
 
-	if _, ok := m.tlbs[core].Lookup(u); !ok {
+	if !m.tlbs[core].Lookup(u) {
 		m.costs.TLBMisses++
 		m.perCore[core].TLBMisses++
 		m.ex.TLBMiss(m.multiCoreKey(u, core))
-		m.tlbs[core].Insert(u, tlb.Entry{})
+		m.tlbs[core].Insert(u)
 	}
 }
 

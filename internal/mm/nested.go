@@ -105,10 +105,10 @@ func (n *Nested) hostReference(gpa uint64) {
 			n.ex.Evict()
 		}
 	}
-	if _, ok := n.hostTLB.Lookup(hu); !ok {
+	if !n.hostTLB.Lookup(hu) {
 		n.costs.TLBMisses++
 		n.ex.TLBMiss(nestedHostKey(hu))
-		n.hostTLB.Insert(hu, tlb.Entry{})
+		n.hostTLB.Insert(hu)
 	}
 }
 
@@ -117,10 +117,10 @@ func (n *Nested) hostReference(gpa uint64) {
 func (n *Nested) Access(v uint64) {
 	n.costs.Accesses++
 	gu := v / n.cfg.GuestHugePageSize
-	if _, ok := n.guestTLB.Lookup(gu); !ok {
+	if !n.guestTLB.Lookup(gu) {
 		n.costs.TLBMisses++
 		n.ex.TLBMiss(nestedGuestKey(gu))
-		n.guestTLB.Insert(gu, tlb.Entry{})
+		n.guestTLB.Insert(gu)
 		// The guest page-table walk reads guest-physical memory: one
 		// extra host reference (to the guest's page-table page, which we
 		// place alongside the data region).

@@ -256,10 +256,10 @@ func (m *Superpage) Access(v uint64) {
 	} else {
 		key = tlbBase(v)
 	}
-	if _, ok := m.tlb.Lookup(key); !ok {
+	if !m.tlb.Lookup(key) {
 		m.costs.TLBMisses++
 		m.ex.TLBMiss(key)
-		m.tlb.Insert(key, tlb.Entry{})
+		m.tlb.Insert(key)
 	}
 }
 

@@ -183,10 +183,10 @@ func (m *THP) Access(v uint64) {
 		}
 	}
 
-	if _, ok := m.tlb.Lookup(tlbKey); !ok {
+	if !m.tlb.Lookup(tlbKey) {
 		m.costs.TLBMisses++
 		m.ex.TLBMiss(tlbKey)
-		m.tlb.Insert(tlbKey, tlb.Entry{})
+		m.tlb.Insert(tlbKey)
 	}
 }
 

@@ -72,7 +72,7 @@ func (l *DenseLRU) pushFront(s int32) {
 }
 
 // AccessSlot requests key and additionally returns the slot now holding it,
-// so callers storing per-entry values (the TLB) can index a parallel array
+// so callers storing per-entry values can index a parallel array
 // without a second key lookup. On an eviction the victim's slot is reused
 // for key, so the caller's value array needs no compaction.
 func (l *DenseLRU) AccessSlot(key uint64) (slot int32, hit bool, victim uint64) {

@@ -2,7 +2,7 @@ package tlb
 
 // This file holds the TLB's columnar batch kernels: fused variants of the
 // Lookup/Insert pairs the scalar simulators issue per access, specialized
-// to the flat (fully associative LRU) entry array. Each kernel performs
+// to the flat (fully associative LRU) slot array. Each kernel performs
 // byte-identical state transitions and counter updates to its scalar
 // decomposition — pinned by the differential tests in batch_test.go — while
 // touching the dense slot table once per access instead of twice.
@@ -12,23 +12,20 @@ package tlb
 // scalar path.
 func (t *TLB) Flat() bool { return t.flat != nil }
 
-// LookupOrReserve is LookupHit fused with the miss-side Insert of an empty
-// entry: on a hit it refreshes recency and counts the hit; on a miss it
-// counts the miss, claims a slot (evicting per LRU, the victim's value
-// overwritten), and caches u with the zero Entry. It is exactly
+// LookupOrReserve is Lookup fused with the miss-side Insert: on a hit it
+// refreshes recency and counts the hit; on a miss it counts the miss and
+// caches u, evicting per LRU. It is exactly
 //
-//	if !t.LookupHit(u) { t.Insert(u, Entry{}) }
+//	if !t.Lookup(u) { t.Insert(u) }
 //
-// in one slot-table access instead of two (LookupHit probes, Insert
+// in one slot-table access instead of two (Lookup probes, Insert
 // re-probes). Flat TLBs only.
 func (t *TLB) LookupOrReserve(u uint64) bool {
-	s, hit, _ := t.flat.AccessSlot(u)
-	if hit {
+	if _, hit, _ := t.flat.AccessSlot(u); hit {
 		t.hits++
 		return true
 	}
 	t.misses++
-	t.fvals[s] = Entry{}
 	return false
 }
 
@@ -39,15 +36,15 @@ func (t *TLB) LookupOrReserve(u uint64) bool {
 // collapse run-length repeats without probing the slot table.
 func (t *TLB) NoteRepeatHit() { t.hits++ }
 
-// ProbeFill scans one request column over the flat entry array: each
-// request v probes key v>>shift and, on a miss, immediately reserves the
-// slot with an empty entry; the missed keys are appended to miss (the
-// caller's packed miss list, e.g. mm.Decoupled's reused buffer) in access
-// order. Consecutive requests with equal keys collapse to one probe — the
-// repeats are guaranteed MRU hits. State transitions and hit/miss counters
-// are byte-identical to calling
+// ProbeFill scans one request column over the flat slot array: each
+// request v probes key v>>shift and, on a miss, immediately caches it;
+// the missed keys are appended to miss (the caller's packed miss list,
+// e.g. mm.Decoupled's reused buffer) in access order. Consecutive requests
+// with equal keys collapse to one probe — the repeats are guaranteed MRU
+// hits. State transitions and hit/miss counters are byte-identical to
+// calling
 //
-//	if !t.LookupHit(v >> shift) { t.Insert(v>>shift, Entry{}) }
+//	if !t.Lookup(v >> shift) { t.Insert(v >> shift) }
 //
 // per request. It returns the appended-to miss list and ok=false (with no
 // state touched) when the TLB is not flat.
@@ -66,13 +63,11 @@ func (t *TLB) ProbeFill(vs []uint64, shift uint, miss []uint64) (_ []uint64, ok 
 			continue
 		}
 		havePrev, prevU = true, u
-		s, hit, _ := fl.AccessSlot(u)
-		if hit {
+		if _, hit, _ := fl.AccessSlot(u); hit {
 			hits++
 			continue
 		}
 		misses++
-		t.fvals[s] = Entry{}
 		miss = append(miss, u)
 	}
 	t.hits += hits

@@ -30,7 +30,7 @@ func batchTrace(seed uint64, n int, shift uint) []uint64 {
 // TestProbeFillMatchesScalar pins the columnar probe against its scalar
 // decomposition: over uneven chunks of a shared trace, ProbeFill must leave
 // hit/miss counters, occupancy, and cached keys identical to a per-element
-// LookupHit/Insert loop, and the packed miss list must be exactly the
+// Lookup/Insert loop, and the packed miss list must be exactly the
 // scalar loop's miss sequence appended to the caller's slice.
 func TestProbeFillMatchesScalar(t *testing.T) {
 	const shift, entries = 6, 64
@@ -61,8 +61,8 @@ func TestProbeFillMatchesScalar(t *testing.T) {
 			var want []uint64
 			for _, v := range chunk {
 				u := v >> shift
-				if !ref.LookupHit(u) {
-					ref.Insert(u, Entry{})
+				if !ref.Lookup(u) {
+					ref.Insert(u)
 					want = append(want, u)
 				}
 			}
@@ -91,7 +91,7 @@ func TestProbeFillMatchesScalar(t *testing.T) {
 }
 
 // TestLookupOrReserveMatchesScalar pins the fused single-probe kernel
-// against the LookupHit+Insert pair it replaces, including recency effects
+// against the Lookup+Insert pair it replaces, including recency effects
 // (observed through later evictions).
 func TestLookupOrReserveMatchesScalar(t *testing.T) {
 	const entries = 16
@@ -107,9 +107,9 @@ func TestLookupOrReserveMatchesScalar(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		u := rng.Uint64n(entries * 3)
 		gotHit := fused.LookupOrReserve(u)
-		wantHit := ref.LookupHit(u)
+		wantHit := ref.Lookup(u)
 		if !wantHit {
-			ref.Insert(u, Entry{})
+			ref.Insert(u)
 		}
 		if gotHit != wantHit {
 			t.Fatalf("step %d key %d: fused hit=%v, scalar hit=%v", i, u, gotHit, wantHit)

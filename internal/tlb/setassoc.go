@@ -59,21 +59,9 @@ func (s *SetAssociative) setOf(key uint64) int {
 	return int(s.indexer.At(0, key))
 }
 
-// Lookup checks for key, updating recency and counters.
-func (s *SetAssociative) Lookup(key uint64) (Entry, bool) {
-	e, ok := s.subs[s.setOf(key)].Lookup(key)
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	return e, ok
-}
-
-// LookupHit is Lookup without the entry copy, for hot paths that only
-// steer ε-costs.
-func (s *SetAssociative) LookupHit(key uint64) bool {
-	ok := s.subs[s.setOf(key)].LookupHit(key)
+// Lookup reports whether key is cached, updating recency and counters.
+func (s *SetAssociative) Lookup(key uint64) bool {
+	ok := s.subs[s.setOf(key)].Lookup(key)
 	if ok {
 		s.hits++
 	} else {
@@ -83,8 +71,8 @@ func (s *SetAssociative) LookupHit(key uint64) bool {
 }
 
 // Insert caches key in its set, evicting within the set per the policy.
-func (s *SetAssociative) Insert(key uint64, e Entry) (victim uint64, evicted bool) {
-	return s.subs[s.setOf(key)].Insert(key, e)
+func (s *SetAssociative) Insert(key uint64) (victim uint64, evicted bool) {
+	return s.subs[s.setOf(key)].Insert(key)
 }
 
 // Invalidate drops key if present.
@@ -116,12 +104,6 @@ func (s *SetAssociative) Len() int {
 		n += sub.Len()
 	}
 	return n
-}
-
-// Reach returns the address-space coverage of the live entries in base
-// pages, given the pages each entry translates.
-func (s *SetAssociative) Reach(pagesPerEntry uint64) uint64 {
-	return uint64(s.Len()) * pagesPerEntry
 }
 
 // ResetCounters zeroes aggregate and per-set counters.

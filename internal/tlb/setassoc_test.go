@@ -30,18 +30,20 @@ func TestSetAssociativeBasic(t *testing.T) {
 	if s.Sets() != 4 || s.Ways() != 4 {
 		t.Fatalf("geometry %d×%d", s.Sets(), s.Ways())
 	}
-	s.Insert(42, Entry{Phys: 7})
-	e, ok := s.Lookup(42)
-	if !ok || e.Phys != 7 {
-		t.Fatalf("lookup = %+v,%v", e, ok)
+	if s.Lookup(42) {
+		t.Fatal("empty TLB hit")
 	}
-	if !s.Contains(42) {
-		t.Fatal("Contains false after insert")
+	s.Insert(42)
+	if !s.Lookup(42) {
+		t.Fatal("lookup missed after insert")
+	}
+	if !s.Contains(42) || s.Contains(43) || s.Len() != 1 {
+		t.Fatalf("after Insert(42): Contains(42)=%v Contains(43)=%v Len=%d", s.Contains(42), s.Contains(43), s.Len())
 	}
 	if !s.Invalidate(42) || s.Invalidate(42) {
 		t.Fatal("invalidate semantics wrong")
 	}
-	if s.Hits() != 1 || s.Misses() != 0 {
+	if s.Hits() != 1 || s.Misses() != 1 {
 		t.Fatalf("counters: %d/%d", s.Hits(), s.Misses())
 	}
 	s.ResetCounters()
@@ -57,36 +59,31 @@ func TestSetAssociativeConflictMisses(t *testing.T) {
 	// small working set.
 	const entries = 64
 	const workingSet = 32
-	run := func(mk func() interface {
-		Lookup(uint64) (Entry, bool)
-		Insert(uint64, Entry) (uint64, bool)
-	}) uint64 {
+	type cache interface {
+		Lookup(uint64) bool
+		Insert(uint64) (uint64, bool)
+	}
+	run := func(mk func() cache) uint64 {
 		c := mk()
 		r := hashutil.NewRNG(5)
 		var misses uint64
 		for i := 0; i < 100000; i++ {
 			key := r.Uint64n(workingSet)
-			if _, ok := c.Lookup(key); !ok {
+			if !c.Lookup(key) {
 				misses++
-				c.Insert(key, Entry{})
+				c.Insert(key)
 			}
 		}
 		return misses
 	}
-	directMisses := run(func() interface {
-		Lookup(uint64) (Entry, bool)
-		Insert(uint64, Entry) (uint64, bool)
-	} {
+	directMisses := run(func() cache {
 		s, err := NewSetAssociative(entries, 1, policy.LRUKind, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	})
-	fullMisses := run(func() interface {
-		Lookup(uint64) (Entry, bool)
-		Insert(uint64, Entry) (uint64, bool)
-	} {
+	fullMisses := run(func() cache {
 		f, err := New(entries, policy.LRUKind, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -117,9 +114,9 @@ func TestSetAssociativeMoreWaysFewerMisses(t *testing.T) {
 		}
 		var misses uint64
 		for _, k := range keys {
-			if _, ok := s.Lookup(k); !ok {
+			if !s.Lookup(k) {
 				misses++
-				s.Insert(k, Entry{})
+				s.Insert(k)
 			}
 		}
 		return misses
@@ -133,7 +130,7 @@ func TestSetAssociativeMoreWaysFewerMisses(t *testing.T) {
 func TestSetAssociativeCapacity(t *testing.T) {
 	s, _ := NewSetAssociative(16, 2, policy.LRUKind, 1)
 	for k := uint64(0); k < 1000; k++ {
-		s.Insert(k, Entry{})
+		s.Insert(k)
 	}
 	if s.Len() > 16 {
 		t.Fatalf("Len = %d exceeds 16 entries", s.Len())
@@ -157,24 +154,37 @@ func TestTwoLevelHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Full miss.
-	if _, level := h.Lookup(1); level != 0 {
-		t.Fatalf("level = %d, want 0", level)
+	// level reports which level served a lookup (1 or 2), or 0 on a full
+	// miss, read off the per-level hit counters.
+	level := func(key uint64) int {
+		l1, l2 := h.L1Hits(), h.L2Hits()
+		hit := h.Lookup(key)
+		switch {
+		case h.L1Hits() > l1:
+			return 1
+		case h.L2Hits() > l2:
+			return 2
+		case hit:
+			t.Fatalf("Lookup(%d) hit without moving a level counter", key)
+		}
+		return 0
 	}
-	h.Insert(1, Entry{Phys: 10})
-	// L1 hit.
-	if e, level := h.Lookup(1); level != 1 || e.Phys != 10 {
-		t.Fatalf("level = %d, e = %+v", level, e)
+	if lv := level(1); lv != 0 {
+		t.Fatalf("level = %d, want 0", lv)
+	}
+	h.Insert(1)
+	if lv := level(1); lv != 1 {
+		t.Fatalf("level = %d, want 1", lv)
 	}
 	// Flood L1 (2 entries) so key 1 falls back to L2 only.
-	h.Insert(2, Entry{})
-	h.Insert(3, Entry{})
-	if e, level := h.Lookup(1); level != 2 || e.Phys != 10 {
-		t.Fatalf("after L1 flood: level = %d, e = %+v", level, e)
+	h.Insert(2)
+	h.Insert(3)
+	if lv := level(1); lv != 2 {
+		t.Fatalf("after L1 flood: level = %d, want 2", lv)
 	}
 	// The L2 hit refilled L1.
-	if _, level := h.Lookup(1); level != 1 {
-		t.Fatalf("refill failed: level = %d", level)
+	if lv := level(1); lv != 1 {
+		t.Fatalf("refill failed: level = %d", lv)
 	}
 	if h.L1Hits() != 2 || h.L2Hits() != 1 || h.Misses() != 1 {
 		t.Fatalf("traffic: l1=%d l2=%d miss=%d", h.L1Hits(), h.L2Hits(), h.Misses())
@@ -182,7 +192,7 @@ func TestTwoLevelHierarchy(t *testing.T) {
 	if !h.Invalidate(1) {
 		t.Fatal("invalidate failed")
 	}
-	if _, level := h.Lookup(1); level != 0 {
+	if lv := level(1); lv != 0 {
 		t.Fatal("key survived invalidation")
 	}
 	h.ResetCounters()
@@ -191,6 +201,51 @@ func TestTwoLevelHierarchy(t *testing.T) {
 	}
 	if h.L1().Cap() != 2 || h.L2().Cap() != 8 {
 		t.Fatal("level accessors broken")
+	}
+}
+
+// TestTwoLevelLen checks Len against the union of the two levels' key
+// sets over a stream whose L2 evictions leave keys cached in L1 only, and
+// whose invalidations often hit such a key.
+func TestTwoLevelLen(t *testing.T) {
+	const keys = 64
+	h, err := NewTwoLevel(4, 8, policy.LRUKind, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := hashutil.NewRNG(9)
+	l1Only := 0
+	for i := 0; i < 20000; i++ {
+		var key uint64
+		switch {
+		case i%64 == 63:
+			h.Invalidate(uint64(i/64) % 2)
+		case i%2 == 0:
+			// Keys 0 and 1 alternate with cold keys: L1 serves every
+			// reference to them, so their L2 entries age out.
+			key = uint64(i/2) % 2
+		default:
+			key = 2 + r.Uint64n(keys-2)
+		}
+		if i%64 != 63 && !h.Lookup(key) {
+			h.Insert(key)
+		}
+		union := 0
+		for k := uint64(0); k < keys; k++ {
+			in1, in2 := h.L1().Contains(k), h.L2().Contains(k)
+			if in1 || in2 {
+				union++
+			}
+			if in1 && !in2 {
+				l1Only++
+			}
+		}
+		if h.Len() != union {
+			t.Fatalf("step %d: Len = %d, union of levels = %d", i, h.Len(), union)
+		}
+	}
+	if l1Only == 0 {
+		t.Fatal("stream never left a key in L1 only")
 	}
 }
 
@@ -206,8 +261,8 @@ func TestTwoLevelFiltering(t *testing.T) {
 		} else {
 			key = 100 + r.Uint64n(400) // cold tail
 		}
-		if _, level := h.Lookup(key); level == 0 {
-			h.Insert(key, Entry{})
+		if !h.Lookup(key) {
+			h.Insert(key)
 		}
 	}
 	if h.L1Hits() < h.L2Hits() {

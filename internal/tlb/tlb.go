@@ -1,48 +1,32 @@
-// Package tlb models a translation lookaside buffer: a small key-value
-// cache whose keys are virtual huge-page addresses and whose values are
-// w-bit encodings of physical locations.
+// Package tlb models a translation lookaside buffer as a key set: a small
+// cache of virtual huge-page numbers with a replacement policy.
 //
 // Matching the paper's Section 6 simulator, the TLB is fully associative
 // with a pluggable replacement policy (LRU by default, 1536 entries — the
-// size of Cascade Lake's L2 data TLB). Unlike a plain cache, each entry
-// carries a value; for decoupled configurations the value is the w-bit
-// field array produced by the core Encoder, while for classical
-// configurations it is a single physical huge-page address.
+// size of Cascade Lake's L2 data TLB). The cost model charges ε for a
+// miss and nothing for a hit, so the simulator never needs the value an
+// entry would hold. For the decoupled schemes that value is ψ(u), which
+// lives in core.Encoder and is read live: the model makes ψ updates free
+// while u is TLB-resident, so a cached copy would always equal it.
 package tlb
 
 import (
 	"fmt"
 
-	"addrxlat/internal/bitpack"
 	"addrxlat/internal/policy"
 )
-
-// Entry is a TLB entry's value: either a packed field array (decoupled
-// schemes) or a plain physical address (classical schemes). Exactly one is
-// meaningful per configuration.
-type Entry struct {
-	Fields *bitpack.FieldArray // decoupled: per-page location codes
-	Phys   uint64              // classical: physical huge-page address
-}
 
 // TLB is a fixed-capacity translation cache.
 //
 // For the default LRU replacement policy the TLB runs on a flat slot
 // array: recency is an intrusive doubly-linked list over slot indices
-// (policy.DenseLRU) and values live in a parallel ℓ-sized Entry array
-// indexed by slot, so a steady-state access touches no hash table and
-// performs no allocation. Other policy kinds use the generic map-backed
-// path.
+// (policy.DenseLRU), so a steady-state access touches no hash table and
+// performs no allocation. Other policy kinds use the generic Policy path.
 type TLB struct {
 	entries int
 
-	// Flat path (LRU kind only).
-	flat  *policy.DenseLRU
-	fvals []Entry // slot-indexed values, parallel to flat's slots
-
-	// Generic path (every other policy kind).
-	policy policy.Policy
-	values map[uint64]Entry
+	flat   *policy.DenseLRU // LRU kind only
+	policy policy.Policy    // every other policy kind
 
 	hits   uint64
 	misses uint64
@@ -55,106 +39,51 @@ func New(entries int, kind policy.Kind, seed uint64) (*TLB, error) {
 		return nil, fmt.Errorf("tlb: entries must be positive, got %d", entries)
 	}
 	if kind == policy.LRUKind {
-		return &TLB{
-			entries: entries,
-			flat:    policy.NewDenseLRU(entries, 0),
-			fvals:   make([]Entry, entries),
-		}, nil
+		return &TLB{entries: entries, flat: policy.NewDenseLRU(entries, 0)}, nil
 	}
 	pol, err := policy.New(kind, entries, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &TLB{
-		entries: entries,
-		policy:  pol,
-		values:  make(map[uint64]Entry, entries),
-	}, nil
+	return &TLB{entries: entries, policy: pol}, nil
 }
 
-// Lookup checks whether huge page u is cached, updating recency state and
-// hit/miss counters. On a hit it returns the cached entry.
-func (t *TLB) Lookup(u uint64) (Entry, bool) {
+// Lookup reports whether huge page u is cached, updating recency state
+// and hit/miss counters.
+func (t *TLB) Lookup(u uint64) bool {
 	if t.flat != nil {
 		s := t.flat.SlotOf(u)
 		if s < 0 {
 			t.misses++
-			return Entry{}, false
+			return false
 		}
-		t.flat.Access(u) // refresh recency
+		t.flat.Touch(s) // refresh recency
 		t.hits++
-		return t.fvals[s], true
+		return true
 	}
 	if !t.policy.Contains(u) {
 		t.misses++
-		return Entry{}, false
+		return false
 	}
 	t.policy.Access(u) // refresh recency
 	t.hits++
-	return t.values[u], true
-}
-
-// LookupHit reports whether huge page u is cached, with the same recency
-// and counter side effects as Lookup but without copying the entry out —
-// the variant callers that only steer ε-costs want on the hot path.
-func (t *TLB) LookupHit(u uint64) bool {
-	if t.flat != nil {
-		if t.flat.SlotOf(u) < 0 {
-			t.misses++
-			return false
-		}
-		t.flat.Access(u)
-		t.hits++
-		return true
-	}
-	if !t.policy.Contains(u) {
-		t.misses++
-		return false
-	}
-	t.policy.Access(u)
-	t.hits++
 	return true
 }
 
-// Insert caches the entry for huge page u, evicting per the policy. It
-// returns the evicted huge page and true if an eviction occurred. Callers
-// insert after a miss; inserting an already-present key just refreshes it.
-func (t *TLB) Insert(u uint64, e Entry) (victim uint64, evicted bool) {
+// Insert caches huge page u, evicting per the policy. It returns the
+// evicted huge page and true if an eviction occurred. Callers insert
+// after a miss; inserting an already-present key just refreshes it.
+func (t *TLB) Insert(u uint64) (victim uint64, evicted bool) {
+	var v uint64
 	if t.flat != nil {
-		s, _, v := t.flat.AccessSlot(u)
-		t.fvals[s] = e // victim's slot is reused, overwriting its value
-		if v != policy.NoEviction {
-			return v, true
-		}
-		return 0, false
+		_, v = t.flat.Access(u)
+	} else {
+		_, v = t.policy.Access(u)
 	}
-	_, v := t.policy.Access(u)
 	if v != policy.NoEviction {
-		delete(t.values, v)
-		victim, evicted = v, true
+		return v, true
 	}
-	t.values[u] = e
-	return victim, evicted
-}
-
-// Update overwrites the value of a cached entry without touching recency
-// or counters. It reports whether u was present. The decoupled scheme uses
-// this when the encoder's ψ(u) changes while u sits in the TLB (the paper
-// makes these updates free).
-func (t *TLB) Update(u uint64, e Entry) bool {
-	if t.flat != nil {
-		s := t.flat.SlotOf(u)
-		if s < 0 {
-			return false
-		}
-		t.fvals[s] = e
-		return true
-	}
-	if _, ok := t.values[u]; !ok {
-		return false
-	}
-	t.values[u] = e
-	return true
+	return 0, false
 }
 
 // Contains reports whether u is cached, without side effects.
@@ -165,35 +94,13 @@ func (t *TLB) Contains(u uint64) bool {
 	return t.policy.Contains(u)
 }
 
-// Value returns the cached entry without touching recency or counters.
-func (t *TLB) Value(u uint64) (Entry, bool) {
-	if t.flat != nil {
-		s := t.flat.SlotOf(u)
-		if s < 0 {
-			return Entry{}, false
-		}
-		return t.fvals[s], true
-	}
-	e, ok := t.values[u]
-	return e, ok
-}
-
 // Invalidate drops huge page u from the TLB (a TLB shootdown), reporting
 // whether it was present.
 func (t *TLB) Invalidate(u uint64) bool {
 	if t.flat != nil {
-		s := t.flat.RemoveSlot(u)
-		if s < 0 {
-			return false
-		}
-		t.fvals[s] = Entry{} // release the value's field array for GC
-		return true
+		return t.flat.Remove(u)
 	}
-	if !t.policy.Remove(u) {
-		return false
-	}
-	delete(t.values, u)
-	return true
+	return t.policy.Remove(u)
 }
 
 // Hits and Misses return the lookup counters.

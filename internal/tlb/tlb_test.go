@@ -3,7 +3,6 @@ package tlb
 import (
 	"testing"
 
-	"addrxlat/internal/bitpack"
 	"addrxlat/internal/hashutil"
 	"addrxlat/internal/policy"
 )
@@ -22,78 +21,48 @@ func TestLookupInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tl.Lookup(1); ok {
+	if tl.Lookup(1) {
 		t.Fatal("empty TLB should miss")
 	}
-	tl.Insert(1, Entry{Phys: 100})
-	e, ok := tl.Lookup(1)
-	if !ok || e.Phys != 100 {
-		t.Fatalf("Lookup(1) = %+v,%v", e, ok)
+	tl.Insert(1)
+	if !tl.Lookup(1) {
+		t.Fatal("Lookup(1) missed after Insert(1)")
 	}
-	tl.Insert(2, Entry{Phys: 200})
-	// Insert 3: LRU victim should be 1 (2 was inserted later, 1 was
-	// refreshed by lookup... order: lookup(1) made 1 most recent, then
-	// insert(2). So LRU is 1? No: after Lookup(1), order [1]. Insert(2):
-	// order [2,1]. Insert(3) evicts 1.
-	victim, evicted := tl.Insert(3, Entry{Phys: 300})
+	// Lookup(1) made 1 the most recent; Insert(2) puts 2 in front of it,
+	// so Insert(3) evicts 1.
+	tl.Insert(2)
+	victim, evicted := tl.Insert(3)
 	if !evicted || victim != 1 {
 		t.Fatalf("Insert(3) victim = %d,%v want 1,true", victim, evicted)
 	}
-	if tl.Contains(1) {
-		t.Fatal("evicted entry still present")
-	}
-	if _, ok := tl.Value(1); ok {
-		t.Fatal("evicted entry's value retained")
+	if tl.Contains(1) || !tl.Contains(2) || !tl.Contains(3) {
+		t.Fatalf("membership after eviction: 1=%v 2=%v 3=%v", tl.Contains(1), tl.Contains(2), tl.Contains(3))
 	}
 	if tl.Hits() != 1 || tl.Misses() != 1 {
 		t.Fatalf("counters: hits=%d misses=%d", tl.Hits(), tl.Misses())
 	}
 }
 
-func TestValueNoSideEffects(t *testing.T) {
+func TestContainsNoSideEffects(t *testing.T) {
 	tl, _ := New(2, policy.LRUKind, 1)
-	tl.Insert(1, Entry{Phys: 10})
-	tl.Insert(2, Entry{Phys: 20})
+	tl.Insert(1)
+	tl.Insert(2)
 	// Peeking at 1 must NOT refresh it; inserting 3 must still evict 1.
-	if _, ok := tl.Value(1); !ok {
-		t.Fatal("Value(1) should find entry")
+	if !tl.Contains(1) {
+		t.Fatal("Contains(1) should find entry")
 	}
-	h, m := tl.Hits(), tl.Misses()
-	if h != 0 || m != 0 {
-		t.Fatal("Value must not touch counters")
+	if tl.Hits() != 0 || tl.Misses() != 0 {
+		t.Fatal("Contains must not touch counters")
 	}
-	victim, _ := tl.Insert(3, Entry{})
+	victim, _ := tl.Insert(3)
 	if victim != 1 {
-		t.Fatalf("victim = %d, want 1 (Value must not refresh recency)", victim)
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	tl, _ := New(2, policy.LRUKind, 1)
-	if tl.Update(5, Entry{Phys: 1}) {
-		t.Fatal("Update of absent key should report false")
-	}
-	tl.Insert(5, Entry{Phys: 1})
-	if !tl.Update(5, Entry{Phys: 2}) {
-		t.Fatal("Update of present key should report true")
-	}
-	e, _ := tl.Value(5)
-	if e.Phys != 2 {
-		t.Fatalf("value after Update = %d, want 2", e.Phys)
-	}
-	// Update must not affect recency: 5 then 6 inserted, update 5,
-	// insert 7 → victim must be 5.
-	tl.Insert(6, Entry{})
-	tl.Update(5, Entry{Phys: 3})
-	victim, _ := tl.Insert(7, Entry{})
-	if victim != 5 {
-		t.Fatalf("victim = %d, want 5 (Update must not refresh)", victim)
+		t.Fatalf("victim = %d, want 1 (Contains must not refresh recency)", victim)
 	}
 }
 
 func TestInvalidate(t *testing.T) {
 	tl, _ := New(4, policy.LRUKind, 1)
-	tl.Insert(1, Entry{Phys: 1})
+	tl.Insert(1)
 	if !tl.Invalidate(1) {
 		t.Fatal("Invalidate of present key should report true")
 	}
@@ -105,21 +74,10 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestFieldEntries(t *testing.T) {
-	tl, _ := New(4, policy.LRUKind, 1)
-	arr := bitpack.NewFieldArray(8, 6)
-	arr.Set(3, 42)
-	tl.Insert(9, Entry{Fields: arr})
-	e, ok := tl.Lookup(9)
-	if !ok || e.Fields.Get(3) != 42 {
-		t.Fatal("field-array entry lost")
-	}
-}
-
 func TestResetCounters(t *testing.T) {
 	tl, _ := New(4, policy.LRUKind, 1)
 	tl.Lookup(1)
-	tl.Insert(1, Entry{})
+	tl.Insert(1)
 	tl.Lookup(1)
 	tl.ResetCounters()
 	if tl.Hits() != 0 || tl.Misses() != 0 {
@@ -127,33 +85,57 @@ func TestResetCounters(t *testing.T) {
 	}
 }
 
+// TestCapacityEnforced drives the TLB and an independent reference cache
+// with one random stream: for the flat path, policy.NewLRU, the
+// map-and-list LRU that DenseLRU is tested against; for every generic
+// kind, the policy itself. Every lookup must agree on hit or miss, every
+// insert on its victim, and the two key sets on membership.
 func TestCapacityEnforced(t *testing.T) {
-	const n = 16
-	tl, _ := New(n, policy.LRUKind, 1)
-	r := hashutil.NewRNG(2)
-	values := map[uint64]uint64{}
-	for i := 0; i < 10000; i++ {
-		u := r.Uint64n(100)
-		if e, ok := tl.Lookup(u); ok {
-			if want := values[u]; e.Phys != want {
-				t.Fatalf("entry %d value %d, want %d", u, e.Phys, want)
+	const n, keys = 16, 100
+	for _, kind := range policy.Kinds() {
+		tl, err := New(n, kind, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tl.Flat() != (kind == policy.LRUKind) {
+			t.Fatalf("%s: Flat() = %v", kind, tl.Flat())
+		}
+		var ref policy.Policy = policy.NewLRU(n)
+		if kind != policy.LRUKind {
+			if ref, err = policy.New(kind, n, 1); err != nil {
+				t.Fatal(err)
 			}
-			continue
 		}
-		val := r.Uint64()
-		values[u] = val
-		if victim, evicted := tl.Insert(u, Entry{Phys: val}); evicted {
-			delete(values, victim)
+		r := hashutil.NewRNG(2)
+		for i := 0; i < 10000; i++ {
+			u := r.Uint64n(keys)
+			want := ref.Contains(u)
+			if want {
+				ref.Access(u) // a hit refreshes recency
+			}
+			if got := tl.Lookup(u); got != want {
+				t.Fatalf("%s step %d: Lookup(%d) = %v, reference %v", kind, i, u, got, want)
+			}
+			if want {
+				continue
+			}
+			_, rv := ref.Access(u)
+			v, evicted := tl.Insert(u)
+			if evicted != (rv != policy.NoEviction) || (evicted && v != rv) {
+				t.Fatalf("%s step %d: Insert(%d) victim %d,%v, reference %d", kind, i, u, v, evicted, rv)
+			}
+			if tl.Len() > n || tl.Len() != ref.Len() {
+				t.Fatalf("%s step %d: Len = %d, reference %d, capacity %d", kind, i, tl.Len(), ref.Len(), n)
+			}
 		}
-		if tl.Len() > n {
-			t.Fatalf("Len = %d exceeds capacity %d", tl.Len(), n)
+		for u := uint64(0); u < keys; u++ {
+			if tl.Contains(u) != ref.Contains(u) {
+				t.Fatalf("%s: membership of key %d diverged", kind, u)
+			}
 		}
-		if tl.Len() != len(values) {
-			t.Fatalf("Len = %d, shadow = %d", tl.Len(), len(values))
+		if tl.Hits() == 0 || tl.Misses() == 0 {
+			t.Fatalf("%s: counters never moved (h=%d m=%d)", kind, tl.Hits(), tl.Misses())
 		}
-	}
-	if tl.Hits()+tl.Misses() == 0 {
-		t.Fatal("counters never moved")
 	}
 }
 
@@ -163,15 +145,15 @@ func TestHitRateConvergesForSmallWorkingSet(t *testing.T) {
 	r := hashutil.NewRNG(3)
 	for i := 0; i < 1000; i++ {
 		u := r.Uint64n(64)
-		if _, ok := tl.Lookup(u); !ok {
-			tl.Insert(u, Entry{})
+		if !tl.Lookup(u) {
+			tl.Insert(u)
 		}
 	}
 	tl.ResetCounters()
 	for i := 0; i < 10000; i++ {
 		u := r.Uint64n(64)
-		if _, ok := tl.Lookup(u); !ok {
-			tl.Insert(u, Entry{})
+		if !tl.Lookup(u) {
+			tl.Insert(u)
 		}
 	}
 	if tl.Misses() != 0 {
@@ -179,10 +161,10 @@ func TestHitRateConvergesForSmallWorkingSet(t *testing.T) {
 	}
 }
 
-func BenchmarkLookupHit(b *testing.B) {
+func BenchmarkLookupResident(b *testing.B) {
 	tl, _ := New(1536, policy.LRUKind, 1)
 	for u := uint64(0); u < 1536; u++ {
-		tl.Insert(u, Entry{Phys: u})
+		tl.Insert(u)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

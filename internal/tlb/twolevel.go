@@ -9,9 +9,11 @@ import (
 // TwoLevel models an L1/L2 TLB hierarchy, as in every modern CPU (e.g.
 // Cascade Lake: 64-entry L1 dTLB in front of the 1536-entry L2). Lookups
 // probe L1, then L2; an L2 hit refills L1 (evicting per L1's policy); a
-// full miss fills both. Inclusive: invalidations drop both levels.
+// full miss fills both. Each level evicts on its own, so L1 can keep a key
+// that L2 has dropped; invalidations drop both levels.
 type TwoLevel struct {
 	l1, l2 *TLB
+	l1Only int // keys cached in L1 but no longer in L2
 
 	l1Hits uint64
 	l2Hits uint64
@@ -37,26 +39,38 @@ func NewTwoLevel(l1Entries, l2Entries int, kind policy.Kind, seed uint64) (*TwoL
 	return &TwoLevel{l1: l1, l2: l2}, nil
 }
 
-// Lookup probes the hierarchy. level reports where the hit landed (1 or
-// 2), or 0 on a full miss.
-func (t *TwoLevel) Lookup(key uint64) (e Entry, level int) {
-	if e, ok := t.l1.Lookup(key); ok {
+// Lookup probes the hierarchy, reporting whether either level held key.
+// L1Hits and L2Hits record which level served it.
+func (t *TwoLevel) Lookup(key uint64) bool {
+	if t.l1.Lookup(key) {
 		t.l1Hits++
-		return e, 1
+		return true
 	}
-	if e, ok := t.l2.Lookup(key); ok {
+	if t.l2.Lookup(key) {
 		t.l2Hits++
-		t.l1.Insert(key, e) // refill L1
-		return e, 2
+		t.fillL1(key)
+		return true
 	}
 	t.misses++
-	return Entry{}, 0
+	return false
 }
 
-// Insert fills both levels after a full miss.
-func (t *TwoLevel) Insert(key uint64, e Entry) {
-	t.l2.Insert(key, e)
-	t.l1.Insert(key, e)
+// Insert fills both levels after a full miss. It returns L2's victim, as
+// TLB.Insert does; L1 may still cache that key.
+func (t *TwoLevel) Insert(key uint64) (victim uint64, evicted bool) {
+	victim, evicted = t.l2.Insert(key)
+	if evicted && t.l1.Contains(victim) {
+		t.l1Only++
+	}
+	t.fillL1(key)
+	return victim, evicted
+}
+
+// fillL1 caches key in L1, retiring an L1 victim that L2 no longer holds.
+func (t *TwoLevel) fillL1(key uint64) {
+	if v, ok := t.l1.Insert(key); ok && !t.l2.Contains(v) {
+		t.l1Only--
+	}
 }
 
 // Invalidate drops key from both levels, reporting whether it was present
@@ -64,8 +78,14 @@ func (t *TwoLevel) Insert(key uint64, e Entry) {
 func (t *TwoLevel) Invalidate(key uint64) bool {
 	in1 := t.l1.Invalidate(key)
 	in2 := t.l2.Invalidate(key)
+	if in1 && !in2 {
+		t.l1Only--
+	}
 	return in1 || in2
 }
+
+// Len returns the number of distinct keys cached in either level.
+func (t *TwoLevel) Len() int { return t.l2.Len() + t.l1Only }
 
 // L1Hits, L2Hits and Misses report the traffic split.
 func (t *TwoLevel) L1Hits() uint64 { return t.l1Hits }
