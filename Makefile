@@ -47,25 +47,29 @@ bench:
 # bench-diff reruns the hot-path benchmarks and compares them against a
 # named committed BENCH_*.json baseline, failing on a >10% ns/op
 # regression in any hot-path benchmark (Access*, Fig1aBimodal, Replay*,
-# TraceDecode). The baseline is pinned to a named anchor rather than
-# whatever file is newest. BENCH_PR16.json was recorded on the current
-# 2-vCPU host: its "before" is the tree before the flat-ψ decode and its
-# "after" the tree with it, interleaved runs, best of 3 — so a run scores
-# against the flat-ψ numbers on the same host, not against the 1-core
+# TraceDecode). It also measures, report-only, Figure 1's input
+# generation: the Fig1bGraphWalk and Fig1cGraph500 panels, whose serial
+# cost is their generators, and Graph500TraceGeneration, the f1c graph
+# build plus its BFS excerpt. The baseline is pinned to a named anchor
+# rather than whatever file is newest. BENCH_PR18.json was recorded on
+# the current 2-vCPU host: its "before" is the tree before the sort-free
+# graph500 build and the hoisted GraphWalk/Zipf constants and its
+# "after" the tree with them, interleaved runs, best of 3 — so a run
+# scores against those numbers on the same host, not against the 1-core
 # host BENCH_PR6.json came from. Each benchmark runs -count=3 and
 # benchdiff scores the best (lowest) ns/op per name — baselines are
 # best-of numbers, and single runs on a noisy shared box swing 10-40%,
 # so comparing one run against a best-of baseline would flap. The
 # comparison is hand-rolled (cmd/benchdiff) — benchstat is deliberately
 # not a dependency. Report lands in results/bench-diff.txt.
-BENCH_BASELINE ?= BENCH_PR16.json
+BENCH_BASELINE ?= BENCH_PR18.json
 # BENCH_COUNT: runs per benchmark (best-of scoring). 3 is the CI default;
 # on a noisy day run `make bench-diff BENCH_COUNT=8` — with too few
 # samples a single slow window can fail an untouched benchmark.
 BENCH_COUNT ?= 3
 bench-diff:
 	@mkdir -p results
-	$(GO) test -run=^$$ -bench='Access(Batch)?(HugePage|Decoupled|THP|Superpage)|Fig1aBimodal|RowPipeline|ServeStep' -benchtime=1s -count=$(BENCH_COUNT) . > results/bench-raw.txt
+	$(GO) test -run=^$$ -bench='Access(Batch)?(HugePage|Decoupled|THP|Superpage)|Fig1aBimodal|Fig1bGraphWalk|Fig1cGraph500|Graph500TraceGeneration|RowPipeline|ServeStep' -benchtime=1s -count=$(BENCH_COUNT) . > results/bench-raw.txt
 	$(GO) test -run=^$$ -bench='ReplayStream|ReplayMaterialized' -benchtime=1s -count=$(BENCH_COUNT) ./internal/workload/ >> results/bench-raw.txt
 	$(GO) test -run=^$$ -bench='TraceDecode' -benchtime=1s -count=$(BENCH_COUNT) ./internal/trace/ >> results/bench-raw.txt
 	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -out results/bench-diff.txt < results/bench-raw.txt
@@ -140,20 +144,21 @@ serve-metrics-smoke:
 
 # check is the pre-commit gate: vet, full tests, race-detector pass over the
 # concurrent packages, a 1-iteration benchmark smoke covering the scalar
-# Access and batch AccessBatch kernels so the benchmark harness itself
-# can't rot, 1-iteration race-mode runs of the row executor on a full
-# Figure 1a panel (ring producer goroutine + per-simulator workers) and
-# of one staged AccessBatch kernel (its own miss buffer reused across
-# chunks), a race-mode smoke of the row executor (Workers=4, 8 chunks
-# against a ring depth of 4: ring publish/release, gate, probe delivery,
-# phase clock), the serving-layer overload + serve-burst drill
-# (serve-smoke), the serving-telemetry drill (serve-metrics-smoke), a run
-# of every example program (examples), and vet + tests of the benchmark
-# harness in perfbench/ (its own module), so a change to an API the
-# harness compiles against fails here rather than only in the benchmark
-# run.
+# Access and batch AccessBatch kernels and Figure 1's input generation
+# (the f1b and f1c panels and the graph500 build) so the benchmark
+# harness itself can't rot, 1-iteration race-mode runs of the row
+# executor on a full Figure 1a panel (ring producer goroutine +
+# per-simulator workers) and of one staged AccessBatch kernel (its own
+# miss buffer reused across chunks), a race-mode smoke of the row
+# executor (Workers=4, 8 chunks against a ring depth of 4: ring
+# publish/release, gate, probe delivery, phase clock), the
+# serving-layer overload + serve-burst drill (serve-smoke), the
+# serving-telemetry drill (serve-metrics-smoke), a run of every example
+# program (examples), and vet + tests of the benchmark harness in
+# perfbench/ (its own module), so a change to an API the harness
+# compiles against fails here rather than only in the benchmark run.
 check: vet test race serve-smoke serve-metrics-smoke examples
-	$(GO) test -bench='BenchmarkAccess(Batch)?(HugePage|Decoupled|THP|Superpage)' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='BenchmarkAccess(Batch)?(HugePage|Decoupled|THP|Superpage)|BenchmarkFig1bGraphWalk|BenchmarkFig1cGraph500|BenchmarkGraph500TraceGeneration' -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkFig1aBimodal -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkAccessBatchDecoupled -benchtime=1x -run=^$$ .
 	$(GO) test -race -run=TestPipelinedRaceSmoke ./internal/experiments/

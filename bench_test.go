@@ -468,16 +468,18 @@ func BenchmarkAccessBatchSuperpage(b *testing.B) {
 	benchAccessBatch(b, alg)
 }
 
-// BenchmarkGraph500TraceGeneration measures building the Figure 1c input.
+// BenchmarkGraph500TraceGeneration measures building the Figure 1c input
+// as the default scale (experiments.DownScale) builds it, each iteration
+// from scratch: the graph500 scale-16 R-MAT graph, its highest-degree
+// root and the BFS excerpt of 2 × 5 M/50 accesses.
 func BenchmarkGraph500TraceGeneration(b *testing.B) {
-	g, err := graph500.Generate(graph500.Config{Scale: 14, EdgeFactor: 16, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	root := g.HighestDegreeVertex()
-	b.ResetTimer()
+	const excerpt = 2 * 5_000_000 / 50
 	for i := 0; i < b.N; i++ {
-		res, err := g.BFSTrace(root, graph500.DefaultLayout(), 0)
+		g, err := graph500.Generate(graph500.Config{Scale: 16, EdgeFactor: 16, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := g.BFSTrace(g.HighestDegreeVertex(), graph500.DefaultLayout(), excerpt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -78,6 +79,25 @@ func TestBuildGeneratorEveryStreamingKind(t *testing.T) {
 			if v >= testVPages {
 				t.Fatalf("%s: page %d outside [0, %d)", kind, v, testVPages)
 			}
+		}
+	}
+}
+
+// TestBuildGeneratorRejectsNaN: flag.Float64 parses "NaN", so each
+// generator's shape flag must be rejected at construction; a NaN -zipf-s
+// would otherwise hang the run in Zipf's rejection loop.
+func TestBuildGeneratorRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		flag, kind            string
+		hotProb, zipfS, alpha float64
+	}{
+		{"-hot-prob", "bimodal", nan, 1.1, 0.01},
+		{"-alpha", "graphwalk", 0.99, 1.1, nan},
+		{"-zipf-s", "zipf", 0.99, nan, 0.01},
+	} {
+		if _, err := buildGenerator(c.kind, testVPages, 1<<10, c.hotProb, c.zipfS, c.alpha, 1); err == nil {
+			t.Errorf("%s: %s NaN accepted", c.kind, c.flag)
 		}
 	}
 }

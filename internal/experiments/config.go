@@ -105,7 +105,10 @@ type Scale struct {
 	Ctx context.Context
 }
 
-// PaperScale runs the paper's exact dimensions (hours of CPU).
+// PaperScale runs the paper's exact dimensions. On a 2-vCPU Xeon host
+// Figure 1's tables take under a minute each (f1a 18 s, f1b 58 s, f1c
+// 28 s at 1.6 GiB peak RSS; EXPERIMENTS.md). The t4 offline-OPT rows do
+// not finish in 8 GiB of memory.
 func PaperScale() Scale { return Scale{SpaceDiv: 1, AccessDiv: 1} }
 
 // DownScale is the default laptop-friendly configuration: address spaces

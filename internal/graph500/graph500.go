@@ -18,7 +18,6 @@ package graph500
 
 import (
 	"fmt"
-	"sort"
 
 	"addrxlat/internal/hashutil"
 )
@@ -61,7 +60,14 @@ type Graph struct {
 
 // Generate builds an R-MAT graph in CSR form. Each undirected edge is
 // inserted in both directions; self-loops and duplicate edges are kept, as
-// in the reference generator (kernel 1 tolerates them).
+// in the reference generator (kernel 1 tolerates them). Every adjacency
+// list is sorted, for a deterministic traversal order (the reference
+// implementation's validator also sorts), by construction rather than by
+// a comparison sort: a first counting pass scatters each edge's two slots
+// into an unsorted CSR; a second scans the sources w in ascending order
+// and appends w to each of w's neighbours' lists. Because every edge is
+// stored in both directions, x appears in w's list exactly as often as w
+// in x's, so the second pass rebuilds the same lists, each in order.
 func Generate(cfg Config) (*Graph, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -70,61 +76,71 @@ func Generate(cfg Config) (*Graph, error) {
 	m := n * uint64(cfg.EdgeFactor)
 	rng := hashutil.NewRNG(cfg.Seed)
 
-	srcs := make([]uint32, 0, 2*m)
-	dsts := make([]uint32, 0, 2*m)
-	for e := uint64(0); e < m; e++ {
-		u, v := rmatEdge(rng, cfg.Scale)
-		srcs = append(srcs, u, v)
-		dsts = append(dsts, v, u)
-	}
-
-	// Counting sort into CSR.
+	// buf holds the m edges' endpoints (u, v) in draw order, then, after
+	// the first pass has read them, the sorted lists: it becomes Targets.
+	buf := make([]uint32, 2*m)
 	offsets := make([]uint64, n+1)
-	for _, u := range srcs {
+	for e := 0; e < len(buf); e += 2 {
+		u, v := rmatEdge(rng, cfg.Scale)
+		buf[e], buf[e+1] = u, v
 		offsets[u+1]++
+		offsets[v+1]++
 	}
 	for i := uint64(1); i <= n; i++ {
 		offsets[i] += offsets[i-1]
 	}
-	targets := make([]uint32, len(srcs))
+
+	// Pass 1: the unsorted CSR, each list in edge order.
+	unsorted := make([]uint32, 2*m)
 	cursor := make([]uint64, n)
 	copy(cursor, offsets[:n])
-	for i, u := range srcs {
-		targets[cursor[u]] = dsts[i]
+	for e := 0; e < len(buf); e += 2 {
+		u, v := buf[e], buf[e+1]
+		unsorted[cursor[u]] = v
 		cursor[u]++
+		unsorted[cursor[v]] = u
+		cursor[v]++
 	}
-	// Sort adjacency lists for deterministic traversal order (the
-	// reference implementation's validator also sorts).
-	for v := uint64(0); v < n; v++ {
-		seg := targets[offsets[v]:offsets[v+1]]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+
+	// Pass 2: the sorted CSR, into buf.
+	copy(cursor, offsets[:n])
+	for w := uint64(0); w < n; w++ {
+		for _, x := range unsorted[offsets[w]:offsets[w+1]] {
+			buf[cursor[x]] = uint32(w)
+			cursor[x]++
+		}
 	}
 	return &Graph{
 		NumVertices: n,
-		NumEdges:    uint64(len(targets)),
+		NumEdges:    uint64(len(buf)),
 		Offsets:     offsets,
-		Targets:     targets,
+		Targets:     buf,
 	}, nil
 }
 
-// rmatEdge draws one edge by recursive quadrant descent.
+// rmatEdge draws one edge by recursive quadrant descent. Level bit's
+// quadrant q counts the thresholds its draw r reaches: q = 0 below A
+// (top-left, no bit set), 1 below A+B (v's bit), 2 below A+B+C (u's bit),
+// 3 otherwise (both bits). So u's bit is q>>1 and v's is q&1, with no
+// branch on r.
 func rmatEdge(rng *hashutil.RNG, scale int) (uint32, uint32) {
 	var u, v uint32
 	for bit := 0; bit < scale; bit++ {
 		r := rng.Float64()
-		switch {
-		case r < ParamA:
-			// top-left: no bits set
-		case r < ParamA+ParamB:
-			v |= 1 << uint(bit)
-		case r < ParamA+ParamB+ParamC:
-			u |= 1 << uint(bit)
-		default:
-			u |= 1 << uint(bit)
-			v |= 1 << uint(bit)
-		}
+		q := atLeast(r, ParamA) + atLeast(r, ParamA+ParamB) + atLeast(r, ParamA+ParamB+ParamC)
+		u |= q >> 1 << uint(bit)
+		v |= q & 1 << uint(bit)
 	}
 	return u, v
+}
+
+// atLeast is 1 if r ≥ t and 0 otherwise; the compiler lowers it to a
+// flag-setting compare with no branch.
+func atLeast(r, t float64) uint32 {
+	if r >= t {
+		return 1
+	}
+	return 0
 }
 
 // Degree returns vertex v's degree.

@@ -1,8 +1,121 @@
 package graph500
 
 import (
+	"fmt"
+	"sort"
 	"testing"
+
+	"addrxlat/internal/hashutil"
 )
+
+// referenceGenerate is the oracle for Generate's counting-pass build: the
+// same R-MAT draws taken with a branch per level, scattered into an
+// unsorted CSR, and each adjacency list then sorted with sort.Slice.
+func referenceGenerate(cfg Config) (*Graph, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	n := uint64(1) << uint(cfg.Scale)
+	m := n * uint64(cfg.EdgeFactor)
+	rng := hashutil.NewRNG(cfg.Seed)
+
+	srcs := make([]uint32, 0, 2*m)
+	dsts := make([]uint32, 0, 2*m)
+	for e := uint64(0); e < m; e++ {
+		u, v := referenceRMATEdge(rng, cfg.Scale)
+		srcs = append(srcs, u, v)
+		dsts = append(dsts, v, u)
+	}
+
+	// Counting sort into CSR.
+	offsets := make([]uint64, n+1)
+	for _, u := range srcs {
+		offsets[u+1]++
+	}
+	for i := uint64(1); i <= n; i++ {
+		offsets[i] += offsets[i-1]
+	}
+	targets := make([]uint32, len(srcs))
+	cursor := make([]uint64, n)
+	copy(cursor, offsets[:n])
+	for i, u := range srcs {
+		targets[cursor[u]] = dsts[i]
+		cursor[u]++
+	}
+	// Sort adjacency lists for deterministic traversal order (the
+	// reference implementation's validator also sorts).
+	for v := uint64(0); v < n; v++ {
+		seg := targets[offsets[v]:offsets[v+1]]
+		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+	}
+	return &Graph{
+		NumVertices: n,
+		NumEdges:    uint64(len(targets)),
+		Offsets:     offsets,
+		Targets:     targets,
+	}, nil
+}
+
+// referenceRMATEdge draws one edge by recursive quadrant descent.
+func referenceRMATEdge(rng *hashutil.RNG, scale int) (uint32, uint32) {
+	var u, v uint32
+	for bit := 0; bit < scale; bit++ {
+		r := rng.Float64()
+		switch {
+		case r < ParamA:
+			// top-left: no bits set
+		case r < ParamA+ParamB:
+			v |= 1 << uint(bit)
+		case r < ParamA+ParamB+ParamC:
+			u |= 1 << uint(bit)
+		default:
+			u |= 1 << uint(bit)
+			v |= 1 << uint(bit)
+		}
+	}
+	return u, v
+}
+
+// TestGenerateMatchesReference pins Generate's branch-free draw and
+// sort-free build to the comparison-sort reference: the same offsets and
+// the same sorted targets, over scales from a 2-vertex graph up to
+// Figure 1c's default (16), sparse to the spec's edge factor, three seeds.
+func TestGenerateMatchesReference(t *testing.T) {
+	for _, scale := range []int{1, 2, 5, 10, 12, 16} {
+		for _, ef := range []int{1, 3, 16} {
+			for _, seed := range []uint64{1, 7, 42} {
+				cfg := Config{Scale: scale, EdgeFactor: ef, Seed: seed}
+				t.Run(fmt.Sprintf("scale%d/ef%d/seed%d", scale, ef, seed), func(t *testing.T) {
+					got, err := Generate(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := referenceGenerate(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.NumVertices != want.NumVertices || got.NumEdges != want.NumEdges {
+						t.Fatalf("%d vertices, %d edges; reference %d, %d",
+							got.NumVertices, got.NumEdges, want.NumVertices, want.NumEdges)
+					}
+					for i := range want.Offsets {
+						if got.Offsets[i] != want.Offsets[i] {
+							t.Fatalf("Offsets[%d] = %d, reference %d", i, got.Offsets[i], want.Offsets[i])
+						}
+					}
+					if len(got.Targets) != len(want.Targets) {
+						t.Fatalf("%d targets, reference %d", len(got.Targets), len(want.Targets))
+					}
+					for i := range want.Targets {
+						if got.Targets[i] != want.Targets[i] {
+							t.Fatalf("Targets[%d] = %d, reference %d", i, got.Targets[i], want.Targets[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
 
 func TestConfigValidation(t *testing.T) {
 	if _, err := Generate(Config{Scale: 0}); err == nil {
@@ -258,9 +371,10 @@ func TestFootprintLayout(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerateScale14(b *testing.B) {
+// BenchmarkGenerateScale16 builds Figure 1c's graph at its default scale.
+func BenchmarkGenerateScale16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Generate(Config{Scale: 14, EdgeFactor: 16, Seed: uint64(i)}); err != nil {
+		if _, err := Generate(Config{Scale: 16, EdgeFactor: 16, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,7 +73,8 @@ func NewBimodal(hotPages, totalPages uint64, hotProb float64, seed uint64) (*Bim
 	if hotPages == 0 || totalPages == 0 || hotPages > totalPages {
 		return nil, fmt.Errorf("workload: invalid bimodal sizes hot=%d total=%d", hotPages, totalPages)
 	}
-	if hotProb < 0 || hotProb > 1 {
+	// Test for inclusion: NaN fails every comparison.
+	if !(hotProb >= 0 && hotProb <= 1) {
 		return nil, fmt.Errorf("workload: hotProb %v outside [0,1]", hotProb)
 	}
 	rng := hashutil.NewRNG(seed)
@@ -131,46 +132,46 @@ func (b *Bimodal) HotRange() (start, length uint64) { return b.hotStart, b.hotPa
 // the graph is consistent across revisits without storing 64 GiB of
 // adjacency: edge j of node v has destination pareto(Hash(v,j)).
 type GraphWalk struct {
-	totalPages uint64
-	outDegree  int
-	alpha      float64
-	rng        *hashutil.RNG
-	edgeSeed   uint64
-	current    uint64
+	totalPages  uint64
+	outDegree   int
+	fMax        float64 // 1 − (N+1)^−α, the CDF's mass on the page range
+	negInvAlpha float64 // −1/α, the inverse CDF's exponent
+	rng         *hashutil.RNG
+	edgeSeed    uint64
+	current     uint64
 }
 
 var _ Generator = (*GraphWalk)(nil)
 
 // NewGraphWalk creates the Pareto graph-walk generator over totalPages
-// pages with the given Pareto shape α > 0.
+// pages with the given finite Pareto shape α > 0.
 func NewGraphWalk(totalPages uint64, alpha float64, seed uint64) (*GraphWalk, error) {
 	if totalPages == 0 {
 		return nil, fmt.Errorf("workload: totalPages must be positive")
 	}
-	if alpha <= 0 {
-		return nil, fmt.Errorf("workload: Pareto α must be positive, got %v", alpha)
+	if !(alpha > 0) || math.IsInf(alpha, 1) {
+		return nil, fmt.Errorf("workload: Pareto α must be positive and finite, got %v", alpha)
 	}
 	outDegree := int(math.Max(1, math.Log2(float64(totalPages))))
 	rng := hashutil.NewRNG(seed)
+	// Truncated Pareto with x_m = 1 over [1, N+1): CDF F(x) = 1 − x^{−α};
+	// pareto normalizes by F(N+1).
 	return &GraphWalk{
-		totalPages: totalPages,
-		outDegree:  outDegree,
-		alpha:      alpha,
-		rng:        rng,
-		edgeSeed:   hashutil.Mix64(seed ^ 0xedce5eed),
-		current:    rng.Uint64n(totalPages),
+		totalPages:  totalPages,
+		outDegree:   outDegree,
+		fMax:        1 - math.Pow(float64(totalPages)+1, -alpha),
+		negInvAlpha: -1 / alpha,
+		rng:         rng,
+		edgeSeed:    hashutil.Mix64(seed ^ 0xedce5eed),
+		current:     rng.Uint64n(totalPages),
 	}, nil
 }
 
 // pareto draws a page index with Pr[i] ∝ (i+1)^(−α−1) using inverse
 // transform sampling of the continuous Pareto CDF truncated to the page
-// range: i = ⌊(1−u·F)^{−1/α}⌋ − 1 for u ∈ [0,1).
+// range: i = ⌊(1−u·F)^{−1/α}⌋ − 1 for u ∈ [0,1), with F = F(N+1).
 func (g *GraphWalk) pareto(u float64) uint64 {
-	// Truncated Pareto with x_m = 1 over [1, N+1): CDF F(x) = 1 − x^{−α};
-	// normalize by F(N+1).
-	n := float64(g.totalPages)
-	fMax := 1 - math.Pow(n+1, -g.alpha)
-	x := math.Pow(1-u*fMax, -1/g.alpha)
+	x := math.Pow(1-u*g.fMax, g.negInvAlpha)
 	i := uint64(x) - 1
 	if i >= g.totalPages {
 		i = g.totalPages - 1
@@ -333,24 +334,26 @@ func (s *Strided) Name() string { return "strided" }
 // [0, totalPages), using the rejection-inversion sampler of Hörmann and
 // Derflinger, which needs O(1) time and no precomputed tables.
 type Zipf struct {
-	n            uint64
-	s            float64
-	rng          *hashutil.RNG
-	hIntegralX1  float64
-	hIntegralN   float64
-	sOver1MinusS float64
+	n           uint64
+	s           float64
+	rng         *hashutil.RNG
+	hIntegralX1 float64
+	hIntegralN  float64
+	// accept is 1 − H⁻¹(H(1.5) − h(1)): a draw x that rounds to k with
+	// k − x ≤ accept is taken without the density test.
+	accept float64
 }
 
 var _ Generator = (*Zipf)(nil)
 
-// NewZipf creates a Zipf generator with exponent s > 0, s != 1 handled
-// exactly and s == 1 via a tiny offset.
+// NewZipf creates a Zipf generator with finite exponent s > 0, s != 1
+// handled exactly and s == 1 via a tiny offset.
 func NewZipf(totalPages uint64, s float64, seed uint64) (*Zipf, error) {
 	if totalPages == 0 {
 		return nil, fmt.Errorf("workload: totalPages must be positive")
 	}
-	if s <= 0 {
-		return nil, fmt.Errorf("workload: Zipf exponent must be positive, got %v", s)
+	if !(s > 0) || math.IsInf(s, 1) {
+		return nil, fmt.Errorf("workload: Zipf exponent s must be positive and finite, got %v", s)
 	}
 	if s == 1 {
 		s = 1.0000001 // avoid the log special case; indistinguishable
@@ -358,7 +361,7 @@ func NewZipf(totalPages uint64, s float64, seed uint64) (*Zipf, error) {
 	z := &Zipf{n: totalPages, s: s, rng: hashutil.NewRNG(seed)}
 	z.hIntegralX1 = z.hIntegral(1.5) - 1
 	z.hIntegralN = z.hIntegral(float64(totalPages) + 0.5)
-	z.sOver1MinusS = s / (1 - s)
+	z.accept = 1 - z.hIntegralInverse(z.hIntegral(1.5)-z.h(1))
 	return z, nil
 }
 
@@ -386,7 +389,7 @@ func (z *Zipf) Next() uint64 {
 		} else if k > float64(z.n) {
 			k = float64(z.n)
 		}
-		if k-x <= 1-z.hIntegralInverse(z.hIntegral(1.5)-z.h(1)) ||
+		if k-x <= z.accept ||
 			u >= z.hIntegral(k+0.5)-z.h(k) {
 			return uint64(k) - 1
 		}

@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
+
+	"addrxlat/internal/hashutil"
 )
 
 func TestTake(t *testing.T) {
@@ -229,6 +233,183 @@ func TestZipfSEqualOne(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		if v := g.Next(); v >= 100 {
 			t.Fatalf("value %d outside range", v)
+		}
+	}
+}
+
+// TestNonFiniteParamsRejected: a NaN or infinite shape parameter must
+// fail construction with an error naming the parameter. NaN compares
+// false against every bound, so a range check alone lets it through, and
+// the generator then hangs (Zipf's rejection loop never accepts) or
+// collapses (GraphWalk walks two pages, Bimodal draws ~1% hot).
+func TestNonFiniteParamsRejected(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct {
+			gen, param string
+			build      func() error
+		}{
+			{"bimodal", "hotProb", func() error { _, err := NewBimodal(10, 100, x, 1); return err }},
+			{"graphwalk", "α", func() error { _, err := NewGraphWalk(100, x, 1); return err }},
+			{"zipf", "exponent s", func() error { _, err := NewZipf(100, x, 1); return err }},
+		} {
+			t.Run(fmt.Sprintf("%s/%v", c.gen, x), func(t *testing.T) {
+				err := c.build()
+				if err == nil {
+					t.Fatalf("%s = %v accepted", c.param, x)
+				}
+				if !strings.Contains(err.Error(), c.param) {
+					t.Fatalf("error %q does not name %s", err, c.param)
+				}
+			})
+		}
+	}
+}
+
+// refGraphWalk is GraphWalk's reference: the same walk with the Pareto
+// draw written out in full, F(N+1) = 1 − (N+1)^−α and the exponent −1/α
+// evaluated on every draw.
+type refGraphWalk struct {
+	totalPages uint64
+	outDegree  int
+	alpha      float64
+	rng        *hashutil.RNG
+	edgeSeed   uint64
+	current    uint64
+}
+
+func newRefGraphWalk(totalPages uint64, alpha float64, seed uint64) *refGraphWalk {
+	rng := hashutil.NewRNG(seed)
+	return &refGraphWalk{
+		totalPages: totalPages,
+		outDegree:  int(math.Max(1, math.Log2(float64(totalPages)))),
+		alpha:      alpha,
+		rng:        rng,
+		edgeSeed:   hashutil.Mix64(seed ^ 0xedce5eed),
+		current:    rng.Uint64n(totalPages),
+	}
+}
+
+func (g *refGraphWalk) Next() uint64 {
+	v := g.current
+	j := g.rng.Intn(g.outDegree)
+	h := hashutil.Hash64(g.edgeSeed+uint64(j), v)
+	u := float64(h>>11) / (1 << 53)
+	n := float64(g.totalPages)
+	fMax := 1 - math.Pow(n+1, -g.alpha)
+	x := math.Pow(1-u*fMax, -1/g.alpha)
+	i := uint64(x) - 1
+	if i >= g.totalPages {
+		i = g.totalPages - 1
+	}
+	g.current = i
+	return v
+}
+
+// refZipf is Zipf's reference: the same rejection-inversion sampler with
+// the quick-accept bound 1 − H⁻¹(H(1.5) − h(1)) evaluated on every pass
+// of the rejection loop.
+type refZipf struct {
+	n           uint64
+	s           float64
+	rng         *hashutil.RNG
+	hIntegralX1 float64
+	hIntegralN  float64
+}
+
+func newRefZipf(n uint64, s float64, seed uint64) *refZipf {
+	if s == 1 {
+		s = 1.0000001
+	}
+	z := &refZipf{n: n, s: s, rng: hashutil.NewRNG(seed)}
+	z.hIntegralX1 = z.hIntegral(1.5) - 1
+	z.hIntegralN = z.hIntegral(float64(n) + 0.5)
+	return z
+}
+
+func (z *refZipf) hIntegral(x float64) float64 { return math.Pow(x, 1-z.s) / (1 - z.s) }
+
+func (z *refZipf) hIntegralInverse(x float64) float64 {
+	return math.Pow(x*(1-z.s), 1/(1-z.s))
+}
+
+func (z *refZipf) h(x float64) float64 { return math.Pow(x, -z.s) }
+
+func (z *refZipf) Next() uint64 {
+	for {
+		u := z.hIntegralN + z.rng.Float64()*(z.hIntegralX1-z.hIntegralN)
+		x := z.hIntegralInverse(u)
+		k := math.Floor(x + 0.5)
+		if k < 1 {
+			k = 1
+		} else if k > float64(z.n) {
+			k = float64(z.n)
+		}
+		if k-x <= 1-z.hIntegralInverse(z.hIntegral(1.5)-z.h(1)) ||
+			u >= z.hIntegral(k+0.5)-z.h(k) {
+			return uint64(k) - 1
+		}
+	}
+}
+
+// streamLen is the length of each compared stream: a prime, so no chunk
+// size divides it.
+const streamLen = 10_007
+
+// requireSameStream draws streamLen pages from gen, in turn by Fill
+// chunks of 333 and 1000 and single Next calls, and requires each to
+// equal ref's next draw.
+func requireSameStream(t *testing.T, gen Generator, ref interface{ Next() uint64 }) {
+	t.Helper()
+	buf := make([]uint64, 1000)
+	sizes := []int{333, 1, 1000, 1}
+	for drawn, k := 0, 0; drawn < streamLen; k++ {
+		size := min(sizes[k%len(sizes)], streamLen-drawn)
+		if size == 1 {
+			buf[0] = gen.Next()
+		} else {
+			Fill(gen, buf[:size])
+		}
+		for i, got := range buf[:size] {
+			if want := ref.Next(); got != want {
+				t.Fatalf("draw %d = %d, reference %d", drawn+i, got, want)
+			}
+		}
+		drawn += size
+	}
+}
+
+// referenceSizes spans a one-page space, a small one, Figure 1b's
+// default-scale space and a large odd one.
+var referenceSizes = []uint64{1, 100, 1 << 18, 1<<24 - 3}
+
+func TestGraphWalkMatchesReference(t *testing.T) {
+	for _, n := range referenceSizes {
+		for _, alpha := range []float64{0.01, 1, 2.5} {
+			for _, seed := range []uint64{1, 42} {
+				t.Run(fmt.Sprintf("N=%d/alpha=%v/seed=%d", n, alpha, seed), func(t *testing.T) {
+					g, err := NewGraphWalk(n, alpha, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameStream(t, g, newRefGraphWalk(n, alpha, seed))
+				})
+			}
+		}
+	}
+}
+
+func TestZipfMatchesReference(t *testing.T) {
+	for _, n := range referenceSizes {
+		for _, s := range []float64{0.5, 1.1, 2} {
+			for _, seed := range []uint64{1, 42} {
+				t.Run(fmt.Sprintf("N=%d/s=%v/seed=%d", n, s, seed), func(t *testing.T) {
+					z, err := NewZipf(n, s, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameStream(t, z, newRefZipf(n, s, seed))
+				})
+			}
 		}
 	}
 }
