@@ -151,7 +151,7 @@ serve-metrics-smoke:
 # per-simulator workers) and of one staged AccessBatch kernel (its own
 # miss buffer reused across chunks), a race-mode smoke of the row
 # executor (Workers=4, 8 chunks against a ring depth of 4: ring
-# publish/release, gate, probe delivery, phase clock), the
+# publish/release, gate, observer event delivery, phase clock), the
 # serving-layer overload + serve-burst drill (serve-smoke), the
 # serving-telemetry drill (serve-metrics-smoke), a run of every example
 # program (examples), and vet + tests of the benchmark harness in

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -24,6 +25,8 @@ import (
 	"time"
 
 	"addrxlat/internal/core"
+	"addrxlat/internal/event"
+	"addrxlat/internal/experiments"
 	"addrxlat/internal/faultinject"
 	"addrxlat/internal/graph500"
 	"addrxlat/internal/metrics"
@@ -190,32 +193,22 @@ func main() {
 	}
 
 	var (
-		warm, meas []uint64
-		vSpace     uint64
-		err        error
+		src stream
+		err error
 	)
 	if *replay != "" {
-		// Streaming replay: a stats pre-pass sizes the address space and
-		// clamps the windows, then the simulation decodes the recording
-		// chunk by chunk — replay memory is O(chunk), not O(trace).
 		*wl = "replay:" + *replay
-		st, err := replayStats(*replay)
-		if err != nil {
+		var f *os.File
+		if src, f, err = openReplay(*replay, *warmN, *measN); err != nil {
 			fail(err)
 		}
-		vSpace = st.MaxPage + 1
-		if uint64(*warmN)+uint64(*measN) > st.Accesses {
-			*warmN = int(st.Accesses / 2)
-			*measN = int(st.Accesses) - *warmN
-		}
-	} else {
-		warm, meas, vSpace, err = buildWorkload(*wl, *vPages, *warmN, *measN, *hotPg, *hotFrac, *zipfS, *alpha, *gscale, *seed)
-		if err != nil {
-			fail(err)
-		}
+		defer f.Close()
+	} else if src, err = buildWorkload(*wl, *vPages, *warmN, *measN, *hotPg, *hotFrac, *zipfS, *alpha, *gscale, *seed); err != nil {
+		fail(err)
 	}
-	if vSpace > 0 {
-		*vPages = vSpace
+	*warmN, *measN = src.warmN, src.measN
+	if src.vSpace > 0 {
+		*vPages = src.vSpace
 	}
 
 	alg, err := buildAlgorithm(*algo, core.AllocKind(allocName(*alloc)), *h, *g, *vPages, *ramPg,
@@ -223,24 +216,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var exCounters *obs.Counters
-	if *explainF {
-		exCounters = mm.EnableExplain(alg)
-		if exCounters == nil {
-			fmt.Fprintf(os.Stderr, "atsim: -explain: algorithm %q records no attribution\n", *algo)
-		}
+	if *explainF && mm.EnableExplain(alg) == nil {
+		fmt.Fprintf(os.Stderr, "atsim: -explain: algorithm %q records no attribution\n", *algo)
 	}
 
 	rec := obs.NewRecorder(*sample)
-
-	var costs mm.Costs
-	var dumpStats string
 	runStart := time.Now()
-	if *replay != "" {
-		costs, dumpStats, err = runReplay(ctx, alg, *replay, *warmN, *measN, *dumpTo, rec)
-	} else {
-		costs, err = runGenerated(ctx, alg, warm, meas, rec)
-	}
+	costs, dumpStats, err := runStream(ctx, alg, *wl, src, *dumpTo, rec)
 	if err != nil {
 		fail(err)
 	}
@@ -256,41 +238,25 @@ func main() {
 		fmt.Printf("failures:  %d lifetime paging failures, %d failure-path accesses\n",
 			z.Scheme().TotalFailures(), z.FailureHits())
 	}
-	if exCounters != nil {
+	if ev := event.Sample(*wl, mm.PhaseMeasured, alg.Name(), alg, *explainF); ev.Explain != nil {
 		// The measured window's attribution (ResetCosts resets the explain
 		// counters with the costs, so only post-warmup events remain).
-		c := exCounters.Snapshot()
+		c := ev.Explain
 		fmt.Printf("explain:   ios = %d demand + %d amplified + %d failure (%d evictions)\n",
 			c.IODemand, c.IOAmplified, c.IOFailure, c.Evictions)
 		fmt.Printf("           tlb = %d compulsory + %d capacity + %d coverage-loss (%d invalidations), %d decode misses\n",
 			c.TLBCompulsory, c.TLBCapacity, c.TLBCoverageLoss, c.TLBInvalidations, c.DecodeMisses)
-		var g obs.Gauges
-		var hasG bool
-		if gg, ok := alg.(mm.Gauger); ok {
-			if g, hasG = gg.ExplainGauges(); hasG {
-				fmt.Printf("gauges:    util=%.4f frag=%.4f coverage=%d pages/entry, tlb reach=%d pages\n",
-					g.Utilization, g.Fragmentation, g.CoveragePages, g.TLBReachPages)
-				if g.HasLoads {
-					fmt.Printf("buckets:   n=%d avg=%.2f max=%d, Theorem 2 bound=%.1f\n",
-						g.Buckets, g.AvgLoad, g.MaxLoad, g.Theorem2Bound)
-				}
+		if g := ev.Gauges; g != nil {
+			fmt.Printf("gauges:    util=%.4f frag=%.4f coverage=%d pages/entry, tlb reach=%d pages\n",
+				g.Utilization, g.Fragmentation, g.CoveragePages, g.TLBReachPages)
+			if g.HasLoads {
+				fmt.Printf("buckets:   n=%d avg=%.2f max=%d, Theorem 2 bound=%.1f\n",
+					g.Buckets, g.AvgLoad, g.MaxLoad, g.Theorem2Bound)
 			}
 		}
-		rec.RowExplain("", mm.PhaseMeasured, alg.Name(), c, g, hasG)
+		rec.Observe(ev)
 	}
-
 	if *dumpTo != "" {
-		if *replay == "" {
-			f, err := os.Create(*dumpTo)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			if err := trace.Write(f, meas); err != nil {
-				fail(err)
-			}
-			dumpStats = trace.Summarize(meas).String()
-		}
 		fmt.Printf("trace:     wrote %d accesses to %s (%s)\n", *measN, *dumpTo, dumpStats)
 	}
 
@@ -322,12 +288,7 @@ func main() {
 		rr.Explain = &tot
 	}
 	if tracer != nil {
-		// The run's one stream carries no row label inside the runners;
-		// label the report with the workload for the manifest and digest.
 		for _, rep := range tracer.Analyze() {
-			if rep.Row == "" {
-				rep.Row = *wl
-			}
 			rec.RowTimeline(rep)
 			fmt.Printf("timeline:  %s\n", rep.Summary())
 		}
@@ -338,34 +299,80 @@ func main() {
 	flushManifest("ok", "")
 }
 
-// runGenerated is the materialized-window run path: both windows fed to
-// runWarmChunks in workload.DefaultChunk pieces. Chunking cannot change
-// the counters (Batcher contract).
-func runGenerated(ctx context.Context, alg mm.Algorithm, warm, meas []uint64, rec *obs.Recorder) (mm.Costs, error) {
-	return runWarmChunks(ctx, alg,
-		mm.SliceChunks(warm, workload.DefaultChunk), len(warm),
-		mm.SliceChunks(meas, workload.DefaultChunk), len(meas), rec)
+// runStream runs alg over src's warmup and measured windows through the
+// experiments' row executor, under the row label row: one streamed row
+// of one simulator, observed by rec at every chunk boundary and drained
+// at a chunk boundary when ctx is canceled. With dumpTo set, the measured
+// window is re-encoded to that file as it streams, and its stats string
+// returned.
+func runStream(ctx context.Context, alg mm.Algorithm, row string, src stream, dumpTo string, rec *obs.Recorder) (mm.Costs, string, error) {
+	gen := src.gen
+	var tee *teeWindow
+	if dumpTo != "" {
+		out, err := os.Create(dumpTo)
+		if err != nil {
+			return mm.Costs{}, "", err
+		}
+		defer out.Close()
+		tw, err := trace.NewWriter(out, uint64(src.measN))
+		if err != nil {
+			return mm.Costs{}, "", err
+		}
+		tee = &teeWindow{Generator: gen, skip: src.warmN, w: tw}
+		gen = tee
+	}
+	s := experiments.Scale{Observer: rec, Ctx: ctx}
+	if err := experiments.RunStream(s, row, gen, src.warmN, src.measN, alg); err != nil {
+		return mm.Costs{}, "", err
+	}
+	if tee == nil {
+		return alg.Costs(), "", nil
+	}
+	if tee.err != nil {
+		return mm.Costs{}, "", tee.err
+	}
+	if err := tee.w.Close(); err != nil {
+		return mm.Costs{}, "", err
+	}
+	return alg.Costs(), tee.acc.Stats().String(), nil
 }
 
-// runWarmChunks is mm.RunWarm over two chunk iterators, through the mm
-// chunk runner: warmup phase, counter reset, measured phase, with
-// per-chunk samples and per-phase wall times fed to rec and a drain at a
-// chunk boundary when ctx is canceled. warmN and measN are the phases'
-// access counts for the phase records.
-func runWarmChunks(ctx context.Context, alg mm.Algorithm, warm mm.ChunkSeq, warmN int, meas mm.ChunkSeq, measN int, rec *obs.Recorder) (mm.Costs, error) {
-	name := alg.Name()
-	start := time.Now()
-	if err := mm.RunPhaseChunksCtx(ctx, alg, warm, rec, mm.PhaseWarmup); err != nil {
-		return alg.Costs(), err
+// teeWindow passes a generator through and re-encodes the requests it
+// yields after the first skip into a trace writer, accumulating their
+// stats: -dump-trace's recording of the measured window, written while
+// the row streams it. The first write error is kept and ends the
+// recording; the run itself is unaffected.
+type teeWindow struct {
+	workload.Generator
+	skip int
+	w    *trace.Writer
+	acc  trace.Accumulator
+	err  error
+}
+
+func (t *teeWindow) Next() uint64 {
+	v := [1]uint64{t.Generator.Next()}
+	t.record(v[:])
+	return v[0]
+}
+
+// NextBatch implements workload.Batcher, the path the row executor's
+// ring producer fills chunks through.
+func (t *teeWindow) NextBatch(dst []uint64) {
+	workload.Fill(t.Generator, dst)
+	t.record(dst)
+}
+
+func (t *teeWindow) record(vs []uint64) {
+	if t.skip >= len(vs) {
+		t.skip -= len(vs)
+		return
 	}
-	rec.RowPhase("", mm.PhaseWarmup, name, warmN, time.Since(start))
-	alg.ResetCosts()
-	start = time.Now()
-	if err := mm.RunPhaseChunksCtx(ctx, alg, meas, rec, mm.PhaseMeasured); err != nil {
-		return alg.Costs(), err
+	vs, t.skip = vs[t.skip:], 0
+	if t.err == nil {
+		t.acc.Add(vs)
+		t.err = t.w.Write(vs)
 	}
-	rec.RowPhase("", mm.PhaseMeasured, name, measN, time.Since(start))
-	return alg.Costs(), nil
 }
 
 // writeExplain renders the recorded attribution snapshot to <base>.tsv
@@ -445,70 +452,29 @@ func replayStats(path string) (trace.Stats, error) {
 	}
 }
 
-// runReplay streams the recording through the algorithm with
-// runWarmChunks: warmN accesses, counter reset, measN accesses — decoding
-// chunk by chunk into one reused buffer. When dumpTo is set, the measured
-// window is simultaneously re-encoded to that file and its stats string
-// returned. rec observes the run at chunk boundaries.
-func runReplay(ctx context.Context, alg mm.Algorithm, path string, warmN, measN int, dumpTo string, rec *obs.Recorder) (mm.Costs, string, error) {
+// openReplay opens a recorded trace as a streaming source: a stats
+// pre-pass sizes the address space and clamps the windows to the
+// recording, then the run decodes it chunk by chunk — replay memory is
+// O(chunk), not O(trace). The caller closes the returned file.
+func openReplay(path string, warmN, measN int) (stream, *os.File, error) {
+	st, err := replayStats(path)
+	if err != nil {
+		return stream{}, nil, err
+	}
+	if uint64(warmN)+uint64(measN) > st.Accesses {
+		warmN = int(st.Accesses / 2)
+		measN = int(st.Accesses) - warmN
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return mm.Costs{}, "", err
+		return stream{}, nil, err
 	}
-	defer f.Close()
 	sr, err := workload.NewStreamReplay(f, 0)
 	if err != nil {
-		return mm.Costs{}, "", err
+		f.Close()
+		return stream{}, nil, err
 	}
-	var (
-		tw      *trace.Writer
-		acc     trace.Accumulator
-		dumpErr error
-	)
-	if dumpTo != "" {
-		out, err := os.Create(dumpTo)
-		if err != nil {
-			return mm.Costs{}, "", err
-		}
-		defer out.Close()
-		if tw, err = trace.NewWriter(out, uint64(measN)); err != nil {
-			return mm.Costs{}, "", err
-		}
-	}
-
-	buf := make([]uint64, workload.DefaultChunk)
-	// chunks yields the recording's next n requests one buffer at a time;
-	// with dump set each chunk is also re-encoded, and a write error ends
-	// the phase early and is returned below.
-	chunks := func(n int, dump bool) mm.ChunkSeq {
-		return func() ([]uint64, bool) {
-			if n == 0 || dumpErr != nil {
-				return nil, false
-			}
-			c := buf[:min(n, len(buf))]
-			sr.NextBatch(c)
-			n -= len(c)
-			if dump {
-				acc.Add(c)
-				dumpErr = tw.Write(c)
-			}
-			return c, dumpErr == nil
-		}
-	}
-	costs, err := runWarmChunks(ctx, alg, chunks(warmN, false), warmN, chunks(measN, tw != nil), measN, rec)
-	if err == nil {
-		err = dumpErr
-	}
-	if err != nil {
-		return mm.Costs{}, "", err
-	}
-	if tw == nil {
-		return costs, "", nil
-	}
-	if err := tw.Close(); err != nil {
-		return mm.Costs{}, "", err
-	}
-	return costs, acc.Stats().String(), nil
+	return stream{gen: sr, warmN: warmN, measN: measN, vSpace: st.MaxPage + 1}, f, nil
 }
 
 func allocName(s string) string {
@@ -541,33 +507,41 @@ func buildGenerator(kind string, vPages, hotPg uint64, hotProb, zipfS, alpha flo
 	}
 }
 
-func buildWorkload(kind string, vPages uint64, warmN, measN int, hotPg uint64, hotProb, zipfS, alpha float64, gscale int, seed uint64) (warm, meas []uint64, vSpace uint64, err error) {
-	var gen workload.Generator
+// stream is one run's request source: the generator and the window
+// lengths drawn from it. vSpace, when nonzero, is the source's own
+// address space, which replaces -vpages.
+type stream struct {
+	gen          workload.Generator
+	warmN, measN int
+	vSpace       uint64
+}
+
+// buildWorkload constructs the -workload stream: a streaming generator,
+// or for graph500 a replay of one BFS excerpt, whose length clamps the
+// windows and whose footprint sizes the address space.
+func buildWorkload(kind string, vPages uint64, warmN, measN int, hotPg uint64, hotProb, zipfS, alpha float64, gscale int, seed uint64) (stream, error) {
 	switch kind {
 	case "bimodal", "graphwalk", "uniform", "zipf", "sequential":
-		gen, err = buildGenerator(kind, vPages, hotPg, hotProb, zipfS, alpha, seed)
+		gen, err := buildGenerator(kind, vPages, hotPg, hotProb, zipfS, alpha, seed)
+		return stream{gen: gen, warmN: warmN, measN: measN}, err
 	case "graph500":
-		g, gerr := graph500.Generate(graph500.Config{Scale: gscale, EdgeFactor: 16, Seed: seed})
-		if gerr != nil {
-			return nil, nil, 0, gerr
+		g, err := graph500.Generate(graph500.Config{Scale: gscale, EdgeFactor: 16, Seed: seed})
+		if err != nil {
+			return stream{}, err
 		}
-		res, gerr := g.BFSTrace(g.HighestDegreeVertex(), graph500.DefaultLayout(), warmN+measN)
-		if gerr != nil {
-			return nil, nil, 0, gerr
+		res, err := g.BFSTrace(g.HighestDegreeVertex(), graph500.DefaultLayout(), warmN+measN)
+		if err != nil {
+			return stream{}, err
 		}
-		tr := res.Trace
-		if len(tr) < warmN+measN {
-			warmN = len(tr) / 2
-			measN = len(tr) - warmN
+		if len(res.Trace) < warmN+measN {
+			warmN = len(res.Trace) / 2
+			measN = len(res.Trace) - warmN
 		}
-		return tr[:warmN], tr[warmN : warmN+measN], res.Footprint.TotalPages, nil
+		gen, err := workload.NewReplay(res.Trace)
+		return stream{gen: gen, warmN: warmN, measN: measN, vSpace: res.Footprint.TotalPages}, err
 	default:
-		return nil, nil, 0, fmt.Errorf("unknown workload %q", kind)
+		return stream{}, fmt.Errorf("unknown workload %q", kind)
 	}
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return workload.Take(gen, warmN), workload.Take(gen, measN), 0, nil
 }
 
 func buildAlgorithm(kind string, alloc core.AllocKind, h, g, vPages, ramPages uint64,
@@ -706,8 +680,8 @@ const (
 // offered load open-loop and print the serve taxonomy and latency
 // quantiles. The full sweep record lands in the manifest.
 func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig) (obs.RunRecord, error) {
-	if cfg.load <= 0 {
-		return obs.RunRecord{}, fmt.Errorf("-serve-load must be positive, got %g", cfg.load)
+	if !(cfg.load > 0) || math.IsInf(cfg.load, 1) {
+		return obs.RunRecord{}, fmt.Errorf("-serve-load must be finite and positive, got %g", cfg.load)
 	}
 	// Explain stays on in serve mode: the retry machinery triggers on the
 	// explain taxonomy's failure-IO counter.

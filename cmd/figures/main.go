@@ -348,7 +348,7 @@ func main() {
 		}
 		runScale := scale
 		rec := obs.NewRecorder(*sample)
-		runScale.Probe = rec
+		runScale.Observer = rec
 		runScale.Explain = *explainF
 		var hits0, misses0 uint64
 		if cache != nil {

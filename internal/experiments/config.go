@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"addrxlat/internal/event"
 	"addrxlat/internal/parallel"
 )
 
@@ -52,19 +53,20 @@ type Scale struct {
 	// seed). Cached cells produce identical tables because the key covers
 	// everything that determines the counters.
 	Cache CostCache
-	// Probe, when non-nil, receives phase-lifecycle events and periodic
-	// per-algorithm cost snapshots from the row drivers (see Probe).
+	// Observer, when non-nil, receives the run's events (event.Event): a
+	// cost snapshot per simulator at every chunk boundary of the row
+	// executor, a wall-time record per phase, the chunk ring's
+	// backpressure counters per row, and each serve sweep's record.
 	// Snapshots are taken between chunks, never inside the access loop,
-	// so a probe cannot change a single counter; nil disables all
+	// so an observer cannot change a single counter; nil disables all
 	// telemetry at the cost of one nil check per chunk.
-	Probe Probe
+	Observer event.Observer
 	// Explain enables cost attribution: every simulator that implements
 	// mm.Explainer gets its explain counters allocated before the run, and
-	// a Probe that also implements ExplainProbe receives attribution
-	// snapshots and structural gauges at the same chunk boundaries as
-	// RowSample. Attribution never mutates algorithm state, so tables are
-	// byte-identical with it on or off (pinned by
-	// TestExplainByteIdentical).
+	// the Observer's chunk-boundary samples carry its attribution snapshot
+	// and structural gauges. Attribution never mutates algorithm state, so
+	// tables are byte-identical with it on or off (pinned by
+	// TestSampledRunsByteIdentical).
 	Explain bool
 	// Blobs, when non-nil, caches opaque serialized results — today the
 	// serve sweep's per-(algorithm, load) points, keyed by the canonical

@@ -8,49 +8,12 @@ import (
 
 // TestExplainByteIdentical is the attribution regression guard: running
 // the sweeps with Explain on (counters allocated in every algorithm,
-// snapshots delivered at chunk boundaries) must produce byte-identical
+// attribution delivered at chunk boundaries) must produce byte-identical
 // tables to running them bare, at several seeds. The explain counters
 // are observation-only — any divergence means an instrumentation site
 // mutated algorithm state or steered a branch.
 func TestExplainByteIdentical(t *testing.T) {
-	base := Scale{SpaceDiv: 4096, AccessDiv: 10000}
-
-	experiments := []struct {
-		name string
-		run  func(Scale, uint64) (*Table, error)
-	}{
-		{"fig1a", func(s Scale, seed uint64) (*Table, error) { return Fig1(F1aBimodal, s, seed) }},
-		{"crossover", Crossover},
-		{"related", Related},
-		{"geometry", TLBGeometryStudy},
-		{"adaptive", Adaptive},
-	}
-
-	for _, seed := range []uint64{1, 7, 42} {
-		for _, e := range experiments {
-			bare, err := e.run(base, seed)
-			if err != nil {
-				t.Fatalf("%s seed %d (no explain): %v", e.name, seed, err)
-			}
-			want := renderTSV(t, bare)
-
-			probed := base
-			probed.Explain = true
-			rec := obs.NewRecorder(50_000)
-			probed.Probe = rec
-			tab, err := e.run(probed, seed)
-			if err != nil {
-				t.Fatalf("%s seed %d (explain): %v", e.name, seed, err)
-			}
-			if got := renderTSV(t, tab); got != want {
-				t.Errorf("%s seed %d: table changed with explain attached\nwith explain:\n%s\nwithout:\n%s",
-					e.name, seed, got, want)
-			}
-			if !rec.HasExplain() {
-				t.Errorf("%s seed %d: no attribution recorded", e.name, seed)
-			}
-		}
-	}
+	checkObservedByteIdentical(t, true)
 }
 
 // TestExplainAccountsForCosts: the attribution must decompose the cost
@@ -62,7 +25,7 @@ func TestExplainAccountsForCosts(t *testing.T) {
 	s := Scale{SpaceDiv: 4096, AccessDiv: 10000}
 	s.Explain = true
 	rec := obs.NewRecorder(1)
-	s.Probe = rec
+	s.Observer = rec
 	tab, err := Fig1(F1aBimodal, s, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -6,21 +6,26 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"addrxlat/internal/event"
 	"addrxlat/internal/faultinject"
 	"addrxlat/internal/mm"
 )
 
-// cancelProbe cancels a sweep context the first time any row reports a
-// sample — the deterministic stand-in for a SIGINT arriving mid-sweep.
-type cancelProbe struct {
+// cancelObserver cancels a sweep context the first time a sample of the
+// given phase arrives (any phase when phase is empty) — the deterministic
+// stand-in for a SIGINT arriving mid-sweep.
+type cancelObserver struct {
+	phase  string
 	once   sync.Once
 	cancel context.CancelFunc
 }
 
-func (p *cancelProbe) RowSample(row, phase, alg string, c mm.Costs)            { p.once.Do(p.cancel) }
-func (p *cancelProbe) RowPhase(row, phase, alg string, n int, d time.Duration) {}
+func (o *cancelObserver) Observe(e event.Event) {
+	if e.Kind == event.KindSample && (o.phase == "" || e.Phase == o.phase) {
+		o.once.Do(o.cancel)
+	}
+}
 
 // TestSweepCancellation cancels the context from inside the first chunk
 // and verifies the row driver drains at a chunk boundary with an error
@@ -28,7 +33,7 @@ func (p *cancelProbe) RowPhase(row, phase, alg string, n int, d time.Duration) {
 func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := Scale{SpaceDiv: 4096, AccessDiv: 10000, Ctx: ctx, Probe: &cancelProbe{cancel: cancel}}
+	s := Scale{SpaceDiv: 4096, AccessDiv: 10000, Ctx: ctx, Observer: &cancelObserver{cancel: cancel}}
 	tab, err := Fig1(F1aBimodal, s, 7)
 	if err == nil {
 		t.Fatal("canceled sweep returned no error")
@@ -124,7 +129,7 @@ func TestCancelThenResumeByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := Scale{SpaceDiv: 4096, AccessDiv: 10000, Cache: cache,
-		Ctx: ctx, Probe: &cancelProbe{cancel: cancel}}
+		Ctx: ctx, Observer: &cancelObserver{cancel: cancel}}
 	if _, err := Fig1(F1aBimodal, s, 7); err == nil {
 		t.Fatal("canceled run returned no error")
 	}

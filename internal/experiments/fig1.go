@@ -19,12 +19,14 @@ const (
 	F1cGraph500  Fig1Workload = "f1c-graph500"
 )
 
-// fig1Machine captures one workload's machine dimensions after scaling,
-// plus a factory for its request stream. The stream is drawn warmup-first,
-// then measured; newGen returns a fresh generator positioned at the start,
-// so every row (and every differential check) replays the same sequence.
+// fig1Machine is one streamed row: a factory for its request stream, the
+// window lengths, the row label (for cache keys, observer events and
+// traces) and, where the row's cells share one machine — Figure 1's, e7's
+// — its dimensions after scaling. The stream is drawn warmup-first, then
+// measured; newGen returns a fresh generator positioned at the start, so
+// every row (and every differential check) replays the same sequence.
 type fig1Machine struct {
-	workload     Fig1Workload
+	row          string
 	ramPages     uint64
 	virtualPages uint64
 	tlbEntries   int
@@ -44,7 +46,7 @@ func buildFig1Machine(w Fig1Workload, s Scale, seed uint64) (*fig1Machine, error
 		// 99.99% in a 1 GiB hot set, rest uniform over 64 GiB VA; 16 GiB
 		// RAM; 100 M warmup + 100 M measured.
 		m := &fig1Machine{
-			workload:     w,
+			row:          string(w),
 			ramPages:     s.pages(16 * paperGiB),
 			virtualPages: s.pages(64 * paperGiB),
 			tlbEntries:   s.entries(paperTLBEntries, 16),
@@ -60,7 +62,7 @@ func buildFig1Machine(w Fig1Workload, s Scale, seed uint64) (*fig1Machine, error
 	case F1bGraphWalk:
 		// Pareto(α=0.01) random walk over a 64 GiB VA; 32 GiB RAM.
 		m := &fig1Machine{
-			workload:     w,
+			row:          string(w),
 			ramPages:     s.pages(32 * paperGiB),
 			virtualPages: s.pages(64 * paperGiB),
 			tlbEntries:   s.entries(paperTLBEntries, 16),
@@ -105,7 +107,7 @@ func buildFig1Machine(w Fig1Workload, s Scale, seed uint64) (*fig1Machine, error
 		// touched page count, not the full CSR footprint.
 		touched := trace.Summarize(tr).DistinctPages
 		m := &fig1Machine{
-			workload:     w,
+			row:          string(w),
 			virtualPages: res.Footprint.TotalPages,
 			ramPages:     touched * 520 / 525,
 			tlbEntries:   s.entries(paperTLBEntries, 16),

@@ -29,20 +29,15 @@ func TLBGeometryStudy(s Scale, seed uint64) (*Table, error) {
 	accesses := s.accesses(20_000_000)
 	ramPages := uint64(entries) * 64 // ample: isolate TLB behavior
 
-	mkReqs := func(pages uint64, wseed uint64) ([]uint64, []uint64, error) {
-		gen, err := workload.NewUniform(pages, wseed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return workload.Take(gen, accesses), workload.Take(gen, accesses), nil
+	// One row per regime: a uniform stream over the regime's working set,
+	// shared by the five organizations as the row's cells.
+	regime := func(row string, pages, wseed uint64) *fig1Machine {
+		return &fig1Machine{row: row, warmupN: accesses, measuredN: accesses,
+			newGen: func() (workload.Generator, error) { return workload.NewUniform(pages, wseed) }}
 	}
-	fitsWarm, fitsMeas, err := mkReqs(uint64(entries)*3/4, seed)
-	if err != nil {
-		return nil, err
-	}
-	thrashWarm, thrashMeas, err := mkReqs(uint64(entries)*4, seed+1)
-	if err != nil {
-		return nil, err
+	regimes := []*fig1Machine{
+		regime("e9-fits", uint64(entries)*3/4, seed),
+		regime("e9-thrash", uint64(entries)*4, seed+1),
 	}
 
 	type variant struct {
@@ -56,24 +51,24 @@ func TLBGeometryStudy(s Scale, seed uint64) (*Table, error) {
 		{"fully-assoc", mm.GeometryConfig{Geometry: mm.GeometryFull, Entries: entries, RAMPages: ramPages, Seed: seed}},
 		{"two-level", mm.GeometryConfig{Geometry: mm.GeometryTwoLevel, Entries: entries, RAMPages: ramPages, Seed: seed}},
 	}
-	type res struct{ fits, thrash mm.Costs }
-	results := make([]res, len(variants))
-	if err := forEach(len(variants), func(i int) error {
-		a, err := mm.NewGeometry(variants[i].cfg)
-		if err != nil {
-			return err
+	// results[r][i] is organization i's measured counters in regime r.
+	results := make([][]mm.Costs, len(regimes))
+	for r, m := range regimes {
+		sims := make([]mm.Algorithm, len(variants))
+		for i, v := range variants {
+			a, err := mm.NewGeometry(v.cfg)
+			if err != nil {
+				return nil, err
+			}
+			sims[i] = a
 		}
-		if results[i].fits, err = s.runWarm("e9-fits", a, fitsWarm, fitsMeas); err != nil {
-			return err
+		if err := joinRow(m.runRow(s, sims)); err != nil {
+			return nil, err
 		}
-		b, err := mm.NewGeometry(variants[i].cfg)
-		if err != nil {
-			return err
+		results[r] = make([]mm.Costs, len(sims))
+		for i, a := range sims {
+			results[r][i] = a.Costs()
 		}
-		results[i].thrash, err = s.runWarm("e9-thrash", b, thrashWarm, thrashMeas)
-		return err
-	}); err != nil {
-		return nil, err
 	}
 	t := &Table{
 		Name: "e9-tlb-geometry",
@@ -83,7 +78,7 @@ func TLBGeometryStudy(s Scale, seed uint64) (*Table, error) {
 		Columns: []string{"organization", "fits_miss_rate", "thrash_miss_rate"},
 	}
 	for i, v := range variants {
-		f, th := results[i].fits, results[i].thrash
+		f, th := results[0][i], results[1][i]
 		t.AddRow(v.name,
 			fmt.Sprintf("%.5f", float64(f.TLBMisses)/float64(f.Accesses)),
 			fmt.Sprintf("%.5f", float64(th.TLBMisses)/float64(th.Accesses)))

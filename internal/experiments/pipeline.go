@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"addrxlat/internal/event"
 	"addrxlat/internal/faultinject"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/parallel"
@@ -65,7 +66,7 @@ func crossOnce(ws *watchState, clock *phaseClock) {
 // the identical chunks (the ring publishes one stream; consumers only
 // differ in when they read it), each worker services its chunks in order,
 // and each worker resets its own counters exactly at the segment 0 → 1
-// edge — so final counters, probe samples, and explain snapshots are
+// edge — so final counters, observer samples, and explain snapshots are
 // byte-identical to running each cell alone over the materialized windows
 // (pinned by TestPipelinedMatchesMaterialized). No allocation happens in
 // the chunk loop.
@@ -73,10 +74,12 @@ func crossOnce(ws *watchState, clock *phaseClock) {
 // Failure shapes match runRow's contract: a panic while serving one
 // simulator poisons only that cell (the worker detaches from the ring and
 // the survivors keep streaming); a canceled context stops every worker at
-// a chunk boundary and is returned as the row-fatal error.
+// a chunk boundary and is returned as the row-fatal error. After a clean
+// row the observer gets the phase wall-time split and the ring's
+// backpressure counters.
 func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm.Algorithm, cellErrs []error, names []string, rowStart int64) error {
 	ctx := s.context()
-	row := string(m.workload)
+	row := m.row
 
 	// The sweep-kill fault point fires from the producer, once per chunk
 	// (crash-resume drills need a kill mid-row, not at a row edge).
@@ -125,132 +128,120 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 
 	clock := &phaseClock{left: len(sims)}
 	start := time.Now()
-	var grpErr error
-	if wd := s.Watchdog; wd > 0 {
-		grpErr = m.runWorkersWatched(s, wd, ring, gate, clock, sims, cellErrs, names, row, rowStart)
-	} else {
-		// No watchdog (the default, and the path the byte-identity tests
-		// pin): plain structured join.
-		grp := parallel.NewGroup(len(sims))
-		for i := range sims {
-			i := i
-			grp.Go(i, func() error {
-				var werr error
-				// The pprof labels make CPU profiles attribute pipeline time
-				// per (row, algorithm) worker.
-				pprof.Do(ctx, pprof.Labels("addrxlat_row", row, "addrxlat_alg", names[i]), func(context.Context) {
-					werr = m.simWorker(s, ring, gate, clock, sims[i], cellErrs, names, row, i, rowStart, nil)
-				})
-				return werr
-			})
-		}
-		grpErr = grp.Wait()
-	}
-
+	werr := m.runWorkers(s, ring, gate, clock, sims, cellErrs, names, rowStart)
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("experiments: row %s canceled at a chunk boundary: %w", row, cerr)
 	}
-	if grpErr != nil {
+	if werr != nil {
 		// Not cancellation and not a per-cell panic (those land in
 		// cellErrs): a harness failure, fatal for the row.
-		return grpErr
+		return werr
 	}
-	if s.Probe != nil {
+	if s.Observer != nil {
 		warmupAt := clock.crossedAt()
 		if warmupAt.IsZero() {
 			warmupAt = time.Now()
 		}
-		s.Probe.RowPhase(row, mm.PhaseWarmup, "", m.warmupN, warmupAt.Sub(start))
-		s.Probe.RowPhase(row, mm.PhaseMeasured, "", m.measuredN, time.Since(warmupAt))
-		if pp, ok := s.Probe.(PipelineProbe); ok {
-			pp.RowPipeline(row, ring.Stats())
-		}
+		s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: row, Phase: mm.PhaseWarmup,
+			Accesses: m.warmupN, Elapsed: warmupAt.Sub(start)})
+		s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: row, Phase: mm.PhaseMeasured,
+			Accesses: m.measuredN, Elapsed: time.Since(warmupAt)})
+		s.Observer.Observe(event.Event{Kind: event.KindRing, Row: row, Ring: ring.Stats()})
 	}
 	return nil
 }
 
-// runWorkersWatched is the watchdog variant of the worker join: every
-// worker heartbeats through a watchState, and a monitor goroutine
-// declares any worker that spends longer than wd inside one chunk
-// stalled — the cell degrades to a footnoted error row, the worker's gate
-// slot and ring references are reclaimed so the rest of the row keeps
-// streaming, and the collector is signaled on the worker's behalf (a
-// structured Group.Wait would wedge on the stuck goroutine, which is the
-// exact failure the watchdog exists to survive). The stuck goroutine
-// itself is not killed — Go cannot — but everything it owned is released
-// and its results are discarded.
-func (m *fig1Machine) runWorkersWatched(s Scale, wd time.Duration, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, sims []mm.Algorithm, cellErrs []error, names []string, row string, rowStart int64) error {
+// runWorkers starts one worker goroutine per simulator and joins them
+// through one collector: each worker sends one token on done when it
+// returns. A worker panic outside serveChunk (which poisons only its own
+// cell) is recovered into the worker's error and stops the ring, so the
+// other workers drain instead of waiting on chunks that will never be
+// released; the joined worker errors are fatal for the row.
+//
+// With Scale.Watchdog armed, every worker also heartbeats through a
+// watchState, and a monitor goroutine declares any worker that spends
+// longer than the timeout inside one chunk stalled: the cell degrades to
+// a footnoted error row, the worker's gate slot and ring references are
+// reclaimed so the rest of the row keeps streaming, and the monitor
+// sends the worker's token itself (waiting for the stuck goroutine would
+// wedge the row, which is the exact failure the watchdog exists to
+// survive). The stuck goroutine itself is not killed — Go cannot — but
+// everything it owned is released and its results are discarded. The
+// serving→{idle,stalled} CAS picks exactly one sender per worker.
+func (m *fig1Machine) runWorkers(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, sims []mm.Algorithm, cellErrs []error, names []string, rowStart int64) error {
 	ctx := s.context()
-	tr := xtrace.Active()
+	row := m.row
+	wd := s.Watchdog
 	wss := make([]*watchState, len(sims))
-	for i := range wss {
-		wss[i] = &watchState{}
+	if wd > 0 {
+		for i := range wss {
+			wss[i] = &watchState{}
+		}
 	}
-	// One token per worker, sent by the worker itself on a clean return or
-	// by the monitor when it declares the worker stalled — never both: the
-	// serving→{idle,stalled} CAS picks exactly one sender.
-	done := make(chan int, len(sims))
+	done := make(chan struct{}, len(sims))
 	werrs := make([]error, len(sims))
 	for i := range sims {
-		i := i
 		go func() {
 			var werr error
+			defer func() {
+				if r := recover(); r != nil {
+					werr = fmt.Errorf("experiments: row %s worker %s panicked: %v", row, names[i], r)
+					ring.Stop()
+				}
+				if ws := wss[i]; ws != nil && ws.state.Load() == wsStalled {
+					return // the monitor reclaimed this cell and signaled for it
+				}
+				werrs[i] = werr
+				done <- struct{}{}
+			}()
+			// The pprof labels make CPU profiles attribute pipeline time
+			// per (row, algorithm) worker.
 			pprof.Do(ctx, pprof.Labels("addrxlat_row", row, "addrxlat_alg", names[i]), func(context.Context) {
 				werr = m.simWorker(s, ring, gate, clock, sims[i], cellErrs, names, row, i, rowStart, wss[i])
 			})
-			if errors.Is(werr, errStalled) {
-				return // the monitor already signaled for this slot
-			}
-			werrs[i] = werr
-			done <- i
 		}()
 	}
-
-	stopMon := make(chan struct{})
-	go func() {
-		tick := wd / 4
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		}
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopMon:
-				return
-			case <-t.C:
-			}
-			now := time.Now().UnixNano()
-			for i, ws := range wss {
-				if ws.state.Load() != wsServing || now-ws.beat.Load() <= int64(wd) {
-					continue
+	if wd > 0 {
+		// The monitor: every wd/4 (at least 1ms) it reclaims each worker
+		// that has been inside one chunk for longer than wd.
+		stop := make(chan struct{})
+		defer close(stop)
+		tick := max(wd/4, time.Millisecond)
+		go func() {
+			t := time.NewTicker(tick)
+			defer t.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-t.C:
 				}
-				if !ws.state.CompareAndSwap(wsServing, wsStalled) {
-					continue // finished the chunk between the load and the CAS
+				now := time.Now().UnixNano()
+				for i, ws := range wss {
+					if ws.state.Load() != wsServing || now-ws.beat.Load() <= int64(wd) {
+						continue
+					}
+					if !ws.state.CompareAndSwap(wsServing, wsStalled) {
+						continue // finished the chunk between the load and the CAS
+					}
+					cur := int(ws.cursor.Load())
+					cellErrs[i] = fmt.Errorf("experiments: cell %s|%s stalled: no progress within %v on chunk %d (watchdog)",
+						row, names[i], wd, cur)
+					xtrace.Active().Instant(xtrace.InstantQuarantine,
+						xtrace.ArgStr("cell", row+"|"+names[i]), xtrace.ArgStr("reason", "stalled"))
+					gate.Leave()
+					ring.Release(cur)
+					ring.DetachFrom(cur + 1)
+					crossOnce(ws, clock)
+					done <- struct{}{}
 				}
-				cur := int(ws.cursor.Load())
-				cellErrs[i] = fmt.Errorf("experiments: cell %s|%s stalled: no progress within %v on chunk %d (watchdog)",
-					row, names[i], wd, cur)
-				tr.Instant(xtrace.InstantQuarantine,
-					xtrace.ArgStr("cell", row+"|"+names[i]), xtrace.ArgStr("reason", "stalled"))
-				gate.Leave()
-				ring.Release(cur)
-				ring.DetachFrom(cur + 1)
-				crossOnce(ws, clock)
-				done <- i
 			}
-		}
-	}()
+		}()
+	}
 	for range sims {
 		<-done
 	}
-	close(stopMon)
-	for _, werr := range werrs {
-		if werr != nil {
-			return werr
-		}
-	}
-	return nil
+	return errors.Join(werrs...)
 }
 
 // simWorker drives one simulator over the whole row: every chunk of both
@@ -260,7 +251,6 @@ func (m *fig1Machine) runWorkersWatched(s Scale, wd time.Duration, ring *workloa
 // other error only for cancellation. ws is nil when no watchdog is armed.
 func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, a mm.Algorithm, cellErrs []error, names []string, row string, i int, rowStart int64, ws *watchState) error {
 	ctx := s.context()
-	ep := s.explainProbe()
 	cur, seg := 0, 0
 	inWarmup := true
 
@@ -341,7 +331,7 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			ws.beat.Store(time.Now().UnixNano())
 			ws.state.Store(wsServing)
 		}
-		cellErr := m.serveChunk(s, ep, a, c.Data, row, pipePhase(seg), names[i], ws)
+		cellErr := m.serveChunk(s, a, c.Data, row, pipePhase(seg), names[i], ws)
 		if ws != nil && !ws.state.CompareAndSwap(wsServing, wsIdle) {
 			// The monitor won the race: it already recorded the stall,
 			// released this worker's ring references and gate slot, and
@@ -375,10 +365,10 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 	return nil
 }
 
-// serveChunk services one chunk on one simulator, with the probe and
+// serveChunk services one chunk on one simulator, with the observer and
 // fault-injection points at the chunk boundary. A panic (algorithm bug or
 // injected cell fault) is recovered into the returned error.
-func (m *fig1Machine) serveChunk(s Scale, ep ExplainProbe, a mm.Algorithm, chunk []uint64, row, phase, name string, ws *watchState) (err error) {
+func (m *fig1Machine) serveChunk(s Scale, a mm.Algorithm, chunk []uint64, row, phase, name string, ws *watchState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiments: cell %s|%s panicked: %v", row, name, r)
@@ -407,11 +397,8 @@ func (m *fig1Machine) serveChunk(s Scale, ep ExplainProbe, a mm.Algorithm, chunk
 		}
 	}
 	a.AccessBatch(chunk)
-	if s.Probe != nil {
-		s.Probe.RowSample(row, phase, name, a.Costs())
-		if ep != nil {
-			deliverExplain(ep, row, phase, name, a)
-		}
+	if s.Observer != nil {
+		s.Observer.Observe(event.Sample(row, phase, name, a, s.Explain))
 	}
 	return nil
 }

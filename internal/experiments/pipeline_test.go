@@ -5,13 +5,13 @@ import (
 	"errors"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"addrxlat/internal/faultinject"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/obs"
+	"addrxlat/internal/workload"
 )
 
 // pipelineArtifacts runs one experiment under the given scale and renders
@@ -51,7 +51,7 @@ func recorderTSVs(t *testing.T, rec *obs.Recorder) (curves, explainTSV string) {
 func cacheAllButOne(t *testing.T, s Scale, seed uint64) *memCache {
 	t.Helper()
 	c := &memCache{m: make(map[string]mm.Costs)}
-	s.Cache, s.Probe, s.Explain = c, nil, false
+	s.Cache, s.Observer, s.Explain = c, nil, false
 	if _, err := Fig1(F1aBimodal, s, seed); err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +69,10 @@ func cacheAllButOne(t *testing.T, s Scale, seed uint64) *memCache {
 
 // TestPipelinedMatchesMaterialized is the row executor's differential
 // guard against an independent reference: every cell run alone through
-// the mm chunk runner (Scale.runWarm) over the row's materialized
-// windows. For each probe mode (bare, -sample, -explain), seeds 1/7/42
-// and Workers 1, 4 and GOMAXPROCS, the tables — and with a probe, the
+// the reference two-phase loop (runWarmAlone) over the row's materialized
+// windows. For Fig1a, Crossover, Related (e7) and TLBGeometryStudy (e9),
+// each observer mode (bare, -sample, -explain), seeds 1/7/42 and Workers
+// 1, 4 and GOMAXPROCS, the tables — and with an observer, the
 // sample-curve and explain TSVs — must be byte-identical. The "cached"
 // case serves every Fig1a cell but one from the result cache, so the
 // executor streams a one-simulator row. The ring only changes when
@@ -88,6 +89,8 @@ func TestPipelinedMatchesMaterialized(t *testing.T) {
 	}{
 		{"fig1a", fig1a, fig1aRef, false},
 		{"crossover", Crossover, crossoverMaterializedTSV, false},
+		{"related", Related, relatedMaterializedTSV, false},
+		{"geometry", TLBGeometryStudy, geometryMaterializedTSV, false},
 		{"fig1a-cached", fig1a, fig1aRef, true},
 	}
 	workerSettings := []int{1, 4}
@@ -103,13 +106,13 @@ func TestPipelinedMatchesMaterialized(t *testing.T) {
 		{"sample", true, false},
 		{"explain", true, true},
 	}
-	// probed attaches a fresh recorder per the mode.
-	probed := func(s Scale, sample, explain bool) (Scale, *obs.Recorder) {
+	// observed attaches a fresh recorder per the mode.
+	observed := func(s Scale, sample, explain bool) (Scale, *obs.Recorder) {
 		if !sample {
 			return s, nil
 		}
 		rec := obs.NewRecorder(50_000)
-		s.Probe, s.Explain = rec, explain
+		s.Observer, s.Explain = rec, explain
 		return s, rec
 	}
 
@@ -120,7 +123,7 @@ func TestPipelinedMatchesMaterialized(t *testing.T) {
 				cache = cacheAllButOne(t, base, seed)
 			}
 			for _, mode := range modes {
-				ref, refRec := probed(base, mode.sample, mode.explain)
+				ref, refRec := observed(base, mode.sample, mode.explain)
 				if cache != nil {
 					ref.Cache = cache.clone()
 				}
@@ -128,7 +131,7 @@ func TestPipelinedMatchesMaterialized(t *testing.T) {
 				wantCurves, wantExplain := recorderTSVs(t, refRec)
 
 				for _, w := range workerSettings {
-					pipe, pipeRec := probed(base, mode.sample, mode.explain)
+					pipe, pipeRec := observed(base, mode.sample, mode.explain)
 					pipe.Workers = w
 					if cache != nil {
 						pipe.Cache = cache.clone()
@@ -158,34 +161,17 @@ func TestPipelinedMatchesMaterialized(t *testing.T) {
 // TestPipelinedRaceSmoke is the `make check` race-detector smoke: one
 // Fig1a row at Workers=4 (8 chunks against a ring depth of 4), with
 // sampling and attribution on, so every concurrent seam (ring
-// publish/release, gate, probe delivery, phase clock) gets exercised
+// publish/release, gate, observer delivery, phase clock) gets exercised
 // under -race.
 func TestPipelinedRaceSmoke(t *testing.T) {
 	s := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Explain: true}
-	s.Probe = obs.NewRecorder(50_000)
+	s.Observer = obs.NewRecorder(50_000)
 	if _, err := Fig1(F1aBimodal, s, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// pipelineCancelProbe cancels the sweep as soon as any simulator reports
-// its first measured-phase sample — mid-row, while every worker is in
-// flight.
-type pipelineCancelProbe struct {
-	cancel context.CancelFunc
-	once   sync.Once
-}
-
-func (p *pipelineCancelProbe) RowSample(row, phase, alg string, c mm.Costs) {
-	if phase == mm.PhaseMeasured {
-		p.once.Do(p.cancel)
-	}
-}
-
-func (p *pipelineCancelProbe) RowPhase(row, phase, alg string, accesses int, elapsed time.Duration) {
-}
-
-// TestPipelinedKillMidRow cancels a pipelined row from inside a probe
+// TestPipelinedKillMidRow cancels a pipelined row from inside an observer
 // callback and asserts the clean-drain contract: the row returns an error
 // wrapping context.Canceled, no table is produced, and every goroutine
 // the executor started (ring producer, watcher, per-sim workers) has
@@ -196,7 +182,9 @@ func TestPipelinedKillMidRow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Ctx: ctx}
-	s.Probe = &pipelineCancelProbe{cancel: cancel}
+	// Cancel as soon as any simulator reports its first measured-phase
+	// sample — mid-row, while every worker is in flight.
+	s.Observer = &cancelObserver{phase: mm.PhaseMeasured, cancel: cancel}
 
 	tab, err := Fig1(F1aBimodal, s, 1)
 	if err == nil {
@@ -270,5 +258,39 @@ func TestPipelinedPoisonedCell(t *testing.T) {
 	}
 	if errRows != 1 {
 		t.Fatalf("expected exactly 1 error row, got %d", errRows)
+	}
+}
+
+// panicOnReset is a simulator whose counter reset panics: a fault inside
+// the worker's own loop (the warmup→measured edge), outside serveChunk.
+type panicOnReset struct{ mm.Algorithm }
+
+func (panicOnReset) ResetCosts() { panic("reset failed") }
+
+// TestWorkerPanicIsRowError: a worker panic outside serveChunk is a
+// harness fault, not a poisoned cell. With and without the watchdog
+// armed, the row must come back with the panic as its error — the other
+// worker draining because the ring is stopped — instead of crashing the
+// process or wedging the join.
+func TestWorkerPanicIsRowError(t *testing.T) {
+	for _, wd := range []time.Duration{0, 30 * time.Second} {
+		var sims []mm.Algorithm
+		for range 2 {
+			a, err := mm.NewHugePage(mm.HugePageConfig{HugePageSize: 1, TLBEntries: 16, RAMPages: 256, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sims = append(sims, a)
+		}
+		sims[1] = panicOnReset{sims[1]}
+		gen, err := workload.NewUniform(1<<12, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := Scale{Workers: 2, Watchdog: wd}
+		err = RunStream(s, "panic-row", gen, 8*streamChunk, 8*streamChunk, sims...)
+		if err == nil || !strings.Contains(err.Error(), "reset failed") {
+			t.Fatalf("watchdog %v: row error = %v, want the worker's panic", wd, err)
+		}
 	}
 }

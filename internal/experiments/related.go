@@ -18,42 +18,8 @@ func Related(s Scale, seed uint64) (*Table, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	vPages := s.pages(8 * paperGiB)
-	ramPages := s.pages(4 * paperGiB)
-	entries := s.entries(paperTLBEntries, 16)
-	n := s.accesses(20_000_000)
-
-	// Workload: the application prefaults its primary region (one quarter
-	// of VA) with a sequential initialization pass — which is what hands
-	// CoLT its physical contiguity — then runs steady-state traffic: 60%
-	// sequential scanning of the primary region, 40% uniform over the
-	// rest of the space.
-	seg, err := workload.NewSequential(vPages / 4)
-	if err != nil {
-		return nil, err
-	}
-	rest, err := workload.NewUniform(vPages-vPages/4, seed)
-	if err != nil {
-		return nil, err
-	}
-	r := &mixRNG{state: seed ^ 0x5eed}
-	warm := make([]uint64, 0, n+int(vPages/4))
-	for v := uint64(0); v < vPages/4; v++ {
-		warm = append(warm, v) // init prefault
-	}
-	mixed := func() uint64 {
-		if r.next()%10 < 6 {
-			return seg.Next()
-		}
-		return vPages/4 + rest.Next()
-	}
-	for i := 0; i < n; i++ {
-		warm = append(warm, mixed())
-	}
-	meas := make([]uint64, n)
-	for i := range meas {
-		meas[i] = mixed()
-	}
+	m := relatedMachine(s, seed)
+	vPages, ramPages, entries := m.virtualPages, m.ramPages, m.tlbEntries
 
 	plain, err := mm.NewHugePage(mm.HugePageConfig{
 		HugePageSize: 1, TLBEntries: entries, RAMPages: ramPages, Seed: seed,
@@ -89,12 +55,7 @@ func Related(s Scale, seed uint64) (*Table, error) {
 	}
 
 	algos := []mm.Algorithm{plain, co, ds, z}
-	costs := make([]mm.Costs, len(algos))
-	if err := forEach(len(algos), func(i int) error {
-		var err error
-		costs[i], err = s.runWarm("e7-mixed", algos[i], warm, meas)
-		return err
-	}); err != nil {
+	if err := joinRow(m.runRow(s, algos)); err != nil {
 		return nil, err
 	}
 
@@ -105,8 +66,8 @@ func Related(s Scale, seed uint64) (*Table, error) {
 			vPages, ramPages, entries),
 		Columns: []string{"algo", "ios", "tlb_misses", "total_cost", "notes"},
 	}
-	for i, a := range algos {
-		c := costs[i]
+	for _, a := range algos {
+		c := a.Costs()
 		notes := "-"
 		switch v := a.(type) {
 		case *mm.Coalesced:
@@ -120,6 +81,60 @@ func Related(s Scale, seed uint64) (*Table, error) {
 	}
 	return t, nil
 }
+
+// relatedMachine builds e7's row. The application prefaults its primary
+// region (one quarter of VA) with a sequential initialization pass —
+// which is what hands CoLT its physical contiguity — then runs
+// steady-state traffic: 60% sequential scanning of the primary region,
+// 40% uniform over the rest of the space. The warmup window is the
+// prefault pass plus n mixed accesses, the measured window n more.
+func relatedMachine(s Scale, seed uint64) *fig1Machine {
+	vPages := s.pages(8 * paperGiB)
+	n := s.accesses(20_000_000)
+	return &fig1Machine{
+		row:          "e7-mixed",
+		virtualPages: vPages,
+		ramPages:     s.pages(4 * paperGiB),
+		tlbEntries:   s.entries(paperTLBEntries, 16),
+		warmupN:      int(vPages/4) + n,
+		measuredN:    n,
+		newGen: func() (workload.Generator, error) {
+			seg, err := workload.NewSequential(vPages / 4)
+			if err != nil {
+				return nil, err
+			}
+			rest, err := workload.NewUniform(vPages-vPages/4, seed)
+			if err != nil {
+				return nil, err
+			}
+			return &relatedMix{primary: vPages / 4, seg: seg, rest: rest, r: mixRNG{state: seed ^ 0x5eed}}, nil
+		},
+	}
+}
+
+// relatedMix is e7's request stream: the prefault pass over the primary
+// region [0, primary), then the 60/40 mix of sequential primary-region
+// scans and uniform accesses over the rest of the space.
+type relatedMix struct {
+	prefaulted uint64 // prefault pages issued so far
+	primary    uint64
+	seg        *workload.Sequential
+	rest       *workload.Uniform
+	r          mixRNG
+}
+
+func (g *relatedMix) Next() uint64 {
+	if g.prefaulted < g.primary {
+		g.prefaulted++
+		return g.prefaulted - 1
+	}
+	if g.r.next()%10 < 6 {
+		return g.seg.Next()
+	}
+	return g.primary + g.rest.Next()
+}
+
+func (g *relatedMix) Name() string { return "e7-mixed" }
 
 // mixRNG is a tiny local splitmix stream for the 60/40 mixing decisions,
 // separate from the tenant generators' own streams.

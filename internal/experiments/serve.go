@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"addrxlat/internal/core"
+	"addrxlat/internal/event"
 	"addrxlat/internal/faultinject"
 	"addrxlat/internal/hashutil"
 	"addrxlat/internal/metrics"
@@ -23,16 +24,6 @@ import (
 type BlobCache interface {
 	GetBlob(key string) ([]byte, bool)
 	PutBlob(key string, blob []byte)
-}
-
-// ServeProbe is the optional Probe extension for the serving sweeps:
-// probes that also implement it receive the finished sweep record —
-// offered-load grid, admission/governor configuration, and every point's
-// serve-counter taxonomy — once per serve experiment. obs.Recorder is the
-// standard implementation, mirroring the aggregate counters to the
-// addrxlat.serve_* expvars and handing the record to the run manifest.
-type ServeProbe interface {
-	ServeSweep(rec serve.SweepRecord)
 }
 
 // serveEpoch versions the serving layer for blob-cache keys: bump it
@@ -309,9 +300,9 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 			return nil
 		}
 		pts[i] = pt
-		if s.Probe != nil {
-			s.Probe.RowPhase(sp.table, "serve", fmt.Sprintf("%s|load=%g", a.name, load),
-				sp.measuredReq, time.Since(start))
+		if s.Observer != nil {
+			s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: sp.table, Phase: "serve",
+				Alg: fmt.Sprintf("%s|load=%g", a.name, load), Accesses: sp.measuredReq, Elapsed: time.Since(start)})
 		}
 		if blobs != nil {
 			if b, jerr := json.Marshal(pt); jerr == nil {
@@ -323,8 +314,9 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 	if err != nil {
 		return nil, nil, err
 	}
-	if sv, ok := s.Probe.(ServeProbe); ok && s.Probe != nil {
-		sv.ServeSweep(sp.record(pts, cellErrs))
+	if s.Observer != nil {
+		rec := sp.record(pts, cellErrs)
+		s.Observer.Observe(event.Event{Kind: event.KindServe, Row: sp.table, Serve: &rec})
 	}
 	return pts, cellErrs, nil
 }

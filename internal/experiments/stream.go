@@ -3,77 +3,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"addrxlat/internal/explain"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/workload"
 	"addrxlat/internal/xtrace"
 )
-
-// Probe observes the row drivers: phase-lifecycle events and periodic
-// cost snapshots taken at chunk boundaries (never inside the access
-// loop). Like CostCache, the interface lives here so the harness stays
-// decoupled from its implementation — internal/obs.Recorder is the
-// standard one, plugged in by cmd/figures. Implementations must be safe
-// for concurrent use: samples arrive from the sweep workers.
-type Probe interface {
-	// RowSample reports alg's cumulative counters at a chunk boundary of
-	// the named phase (mm.PhaseWarmup or mm.PhaseMeasured) of row.
-	// Costs.Accesses counts from the phase start.
-	RowSample(row, phase, alg string, c mm.Costs)
-	// RowPhase reports that a phase of n accesses finished in elapsed
-	// wall time. alg is empty for streaming rows, where every simulator
-	// shares the window; materialized runs report per algorithm.
-	RowPhase(row, phase, alg string, accesses int, elapsed time.Duration)
-}
-
-// ExplainProbe is the optional Probe extension for cost attribution:
-// probes that also implement it receive each simulator's cumulative
-// explain counters and structural gauges at the same chunk boundaries as
-// RowSample, whenever Scale.Explain is set. hasGauges is false for
-// algorithms that expose no structural state (e.g. the TLB-only side
-// problem). obs.Recorder is the standard implementation.
-type ExplainProbe interface {
-	RowExplain(row, phase, alg string, c explain.Counters, g explain.Gauges, hasGauges bool)
-}
-
-// PipelineProbe is the optional Probe extension for pipeline telemetry:
-// probes that also implement it receive, after each pipelined row, the
-// chunk ring's backpressure counters — whether the generator waited on
-// the simulators or vice versa — so `-http` can show which side of the
-// pipeline is the bottleneck. obs.Recorder is the standard
-// implementation, mirroring the counters to the addrxlat.pipeline_*
-// expvars.
-type PipelineProbe interface {
-	RowPipeline(row string, st workload.RingStats)
-}
-
-// explainProbe returns the probe's attribution side, or nil when
-// attribution is off or the probe does not implement it.
-func (s Scale) explainProbe() ExplainProbe {
-	if !s.Explain || s.Probe == nil {
-		return nil
-	}
-	ep, _ := s.Probe.(ExplainProbe)
-	return ep
-}
-
-// deliverExplain snapshots one simulator's attribution state into ep.
-// Algorithms without explain counters (not an Explainer, or never
-// enabled) contribute nothing.
-func deliverExplain(ep ExplainProbe, row, phase, alg string, a mm.Algorithm) {
-	e, ok := a.(mm.Explainer)
-	if !ok || e.Explain() == nil {
-		return
-	}
-	var g explain.Gauges
-	var hasG bool
-	if gg, ok := a.(mm.Gauger); ok {
-		g, hasG = gg.ExplainGauges()
-	}
-	ep.RowExplain(row, phase, alg, e.Explain().Snapshot(), g, hasG)
-}
 
 // streamChunk is the request-chunk granularity of the row drivers. One
 // chunk is generated once and fanned out to every simulator in the row, so
@@ -125,7 +59,7 @@ const simEpoch = 1
 // epoch. The key is hashed by the cache backend; here it stays readable.
 func (m *fig1Machine) cellKey(s Scale, seed uint64, alg string) string {
 	return fmt.Sprintf("cell|epoch=%d|w=%s|alg=%s|V=%d|P=%d|tlb=%d|warm=%d|meas=%d|space=%d|acc=%d|seed=%d",
-		simEpoch, m.workload, alg, m.virtualPages, m.ramPages, m.tlbEntries,
+		simEpoch, m.row, alg, m.virtualPages, m.ramPages, m.tlbEntries,
 		m.warmupN, m.measuredN, s.SpaceDiv, s.AccessDiv, seed)
 }
 
@@ -159,14 +93,14 @@ func (m *fig1Machine) runRow(s Scale, sims []mm.Algorithm) (cellErrs []error, er
 	// Execution tracing: the row's lifecycle span lives on its own
 	// timeline, and the workers' timelines open at the same stamp. The
 	// disarmed cost of the whole row is this one atomic load.
-	row := string(m.workload)
+	row := m.row
 	tr := xtrace.Active()
 	rowStart := tr.Now()
 	if tr != nil {
 		rowTh := tr.RowThread(row)
 		defer func() { rowTh.Span(row, xtrace.CatRow, rowStart) }()
 	}
-	// Simulator names are resolved once per row: the probe hook needs
+	// Simulator names are resolved once per row: the observer needs
 	// them per chunk, the fault-injection matcher per cell, the workers'
 	// pprof labels per worker — and Name() formats.
 	names := make([]string, len(sims))
@@ -187,56 +121,19 @@ func joinRow(cellErrs []error, err error) error {
 	return errors.Join(append([]error{err}, cellErrs...)...)
 }
 
-// probeSampler adapts a Probe to mm.Sampler under a fixed row label, for
-// experiments that run materialized windows through the mm runners. With
-// an ExplainProbe attached it also delivers the algorithm's attribution
-// snapshot at each sample point.
-type probeSampler struct {
-	row string
-	p   Probe
-	ep  ExplainProbe
-	a   mm.Algorithm
-}
-
-func (ps probeSampler) Sample(phase, alg string, c mm.Costs) {
-	ps.p.RowSample(ps.row, phase, alg, c)
-	if ps.ep != nil {
-		deliverExplain(ps.ep, ps.row, phase, alg, ps.a)
-	}
-}
-
-// runWarm is mm.RunWarm with the scale's telemetry and cancellation
-// attached: both windows run through the chunk runner at the stream chunk
-// granularity, and a probe receives per-chunk samples and per-phase wall
-// times under the given row label. The final counters are identical to
-// mm.RunWarm's (chunking an AccessBatch changes no state transitions —
-// pinned by TestSampledRunsByteIdentical). A canceled sweep context stops
-// the run at a chunk boundary and returns the context's error.
-func (s Scale) runWarm(row string, a mm.Algorithm, warmup, measured []uint64) (mm.Costs, error) {
-	ctx := s.context()
-	if s.Explain {
-		mm.EnableExplain(a)
-	}
-	var ps mm.Sampler
-	if s.Probe != nil {
-		ps = probeSampler{row: row, p: s.Probe, ep: s.explainProbe(), a: a}
-	}
-	runPhase := func(phase string, reqs []uint64) error {
-		start := time.Now()
-		if err := mm.RunPhaseChunksCtx(ctx, a, mm.SliceChunks(reqs, streamChunk), ps, phase); err != nil {
-			return err
-		}
-		if s.Probe != nil {
-			s.Probe.RowPhase(row, phase, a.Name(), len(reqs), time.Since(start))
-		}
-		return nil
-	}
-	if err := runPhase(mm.PhaseWarmup, warmup); err != nil {
-		return a.Costs(), err
-	}
-	a.ResetCosts()
-	err := runPhase(mm.PhaseMeasured, measured)
-	return a.Costs(), err
+// RunStream runs sims over the first warmupN + measuredN requests of gen
+// as one row labeled row, through the row executor every experiment
+// uses: warmup window, per-simulator counter reset, measured window. It
+// is the entry point for callers that bring their own request stream —
+// cmd/atsim's generated, graph500 and replayed runs. The observer,
+// attribution, context and watchdog come from s, as for an experiment
+// row. Per-cell failures and the row-fatal error are joined into the
+// returned error; callers read each simulator's measured-window counters
+// back with Costs().
+func RunStream(s Scale, row string, gen workload.Generator, warmupN, measuredN int, sims ...mm.Algorithm) error {
+	m := &fig1Machine{row: row, warmupN: warmupN, measuredN: measuredN,
+		newGen: func() (workload.Generator, error) { return gen, nil }}
+	return joinRow(m.runRow(s, sims))
 }
 
 // materialize builds the row's warmup and measured windows as slices, for

@@ -6,16 +6,17 @@ import (
 	"testing"
 
 	"addrxlat/internal/core"
+	"addrxlat/internal/event"
 	"addrxlat/internal/mm"
 )
 
 // fig1MaterializedTSV reproduces the pre-streaming Fig1 implementation —
-// materialize both windows, run every h-cell alone through the mm chunk
-// runner (Scale.runWarm: mm.RunWarm plus the scale's probe, under the
-// row's label) — and renders the same table. Cells present in s.Cache are
-// read from it instead, as Fig1 does. The streaming row driver must match
-// it byte for byte, and with a probe attached so must its sample curves
-// and attribution.
+// materialize both windows, run every h-cell alone through the reference
+// two-phase loop (runWarmAlone: mm.RunWarm plus the scale's observer,
+// under the row's label) — and renders the same table. Cells present in
+// s.Cache are read from it instead, as Fig1 does. The streaming row
+// driver must match it byte for byte, and with an observer attached so
+// must its sample curves and attribution.
 func fig1MaterializedTSV(t *testing.T, w Fig1Workload, s Scale, seed uint64) string {
 	t.Helper()
 	machine, err := buildFig1Machine(w, s, seed)
@@ -64,19 +65,37 @@ func fig1MaterializedTSV(t *testing.T, w Fig1Workload, s Scale, seed uint64) str
 	return renderTSV(t, tab)
 }
 
-// runWarmAlone runs one cell by itself over materialized windows through
-// Scale.runWarm, failing the test on error.
+// runWarmAlone is the reference two-phase loop the row executor is
+// checked against: one cell by itself over materialized windows —
+// mm.RunWarm cut into streamChunk pieces, with the scale's observer
+// receiving a sample (and, with Explain, attribution) after every chunk
+// under the given row label, as the executor delivers them.
 func runWarmAlone(t *testing.T, s Scale, row string, a mm.Algorithm, warmup, measured []uint64) mm.Costs {
 	t.Helper()
-	c, err := s.runWarm(row, a, warmup, measured)
-	if err != nil {
-		t.Fatal(err)
+	if s.Explain {
+		mm.EnableExplain(a)
 	}
-	return c
+	name := a.Name()
+	for i, reqs := range [][]uint64{warmup, measured} {
+		phase := mm.PhaseWarmup
+		if i == 1 {
+			a.ResetCosts()
+			phase = mm.PhaseMeasured
+		}
+		for len(reqs) > 0 {
+			n := min(streamChunk, len(reqs))
+			a.AccessBatch(reqs[:n])
+			reqs = reqs[n:]
+			if s.Observer != nil {
+				s.Observer.Observe(event.Sample(row, phase, name, a, s.Explain))
+			}
+		}
+	}
+	return a.Costs()
 }
 
 // crossoverMaterializedTSV reproduces the pre-streaming Crossover: every
-// cell runs alone through Scale.runWarm over the materialized windows.
+// cell runs alone through runWarmAlone over the materialized windows.
 func crossoverMaterializedTSV(t *testing.T, s Scale, seed uint64) string {
 	t.Helper()
 	tab := &Table{

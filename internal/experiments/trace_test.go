@@ -11,9 +11,9 @@ import (
 
 // TestTraceByteIdentical is the tracer's regression guard, the analogue of
 // TestSampledRunsByteIdentical for execution tracing: running a sweep with
-// a Tracer installed must produce byte-identical tables — and, with a
-// probe, sample-curve and explain TSVs — to running it bare, across seeds
-// and probe modes, at one and at four admission slots. The tracer only
+// a Tracer installed must produce byte-identical tables — and, with an
+// observer, sample-curve and explain TSVs — to running it bare, across
+// seeds and observer modes, at one and at four admission slots. The tracer only
 // stamps wall-clock spans at chunk boundaries; any divergence means
 // tracing leaked into the simulated state. Each traced run's export must
 // also pass the trace schema/nesting validator.
@@ -43,7 +43,7 @@ func TestTraceByteIdentical(t *testing.T) {
 				var bareRec *obs.Recorder
 				if mode.sample {
 					bareRec = obs.NewRecorder(50_000)
-					bare.Probe = bareRec
+					bare.Observer = bareRec
 					bare.Explain = mode.explain
 				}
 				wantTab, wantCurves, wantExplain := pipelineArtifacts(t, run, bare, seed, bareRec)
@@ -52,7 +52,7 @@ func TestTraceByteIdentical(t *testing.T) {
 				var tracedRec *obs.Recorder
 				if mode.sample {
 					tracedRec = obs.NewRecorder(50_000)
-					traced.Probe = tracedRec
+					traced.Observer = tracedRec
 					traced.Explain = mode.explain
 				}
 				tr := xtrace.New()

@@ -86,7 +86,17 @@ func (g *Graph) BFSTrace(root uint64, layout Layout, maxLen int) (*TraceResult, 
 		return base + index*elemBytes/layout.PageBytes
 	}
 
-	var trace []uint64
+	// A full BFS emits at most 5V + 2E pages: the root's parent write and
+	// enqueue, then per dequeued vertex (at most V) one dequeue and two
+	// offset reads, per scanned edge (at most E) a target read and a
+	// parent check, and per discovered vertex (at most V−1) a parent write
+	// and an enqueue. Sizing the trace at min(maxLen, that bound) up front
+	// spares append's regrowth copies.
+	size := 5*g.NumVertices + 2*g.NumEdges
+	if maxLen > 0 && uint64(maxLen) < size {
+		size = uint64(maxLen)
+	}
+	trace := make([]uint64, 0, size)
 	truncated := false
 	emit := func(page uint64) {
 		if maxLen > 0 && len(trace) >= maxLen {
@@ -103,7 +113,8 @@ func (g *Graph) BFSTrace(root uint64, layout Layout, maxLen int) (*TraceResult, 
 	parent[root] = int64(root)
 	emit(perPage(fp.ParentBase, root, layout.ParentBytes))
 
-	queue := []uint32{uint32(root)}
+	queue := make([]uint32, 1, g.NumVertices) // every vertex is enqueued at most once
+	queue[0] = uint32(root)
 	emit(perPage(fp.QueueBase, 0, layout.QueueBytes))
 	head := uint64(0)
 	tail := uint64(1)

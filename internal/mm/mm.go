@@ -89,6 +89,14 @@ func Run(a Algorithm, requests []uint64) Costs {
 	return a.Costs()
 }
 
+// Phase labels of the two-phase methodology, used by the row executor
+// and the telemetry layer: the warmup phase covers the accesses before
+// the counter reset, the measured phase the accesses after it.
+const (
+	PhaseWarmup   = "warmup"
+	PhaseMeasured = "measured"
+)
+
 // RunWarm services warmup requests, resets counters, then services the
 // measured requests — the paper's two-phase methodology.
 func RunWarm(a Algorithm, warmup, measured []uint64) Costs {

@@ -1,27 +1,10 @@
 package mm
 
 import (
-	"context"
-	"errors"
 	"testing"
 
 	"addrxlat/internal/hashutil"
 )
-
-// collectSampler records every sample it receives.
-type collectSampler struct {
-	phases   []string
-	algs     []string
-	accesses []uint64
-	costs    []Costs
-}
-
-func (s *collectSampler) Sample(phase, alg string, c Costs) {
-	s.phases = append(s.phases, phase)
-	s.algs = append(s.algs, alg)
-	s.accesses = append(s.accesses, c.Accesses)
-	s.costs = append(s.costs, c)
-}
 
 // sampleReqs draws the bimodal-ish request mix the other mm tests use.
 func sampleReqs(n int) []uint64 {
@@ -37,54 +20,99 @@ func sampleReqs(n int) []uint64 {
 	return reqs
 }
 
-// runWarmChunks is the two-phase methodology over the chunk runner, the
-// way the harnesses drive it: warmup in chunks of every, counter reset,
-// measured in chunks of every.
-func runWarmChunks(ctx context.Context, a Algorithm, warm, meas []uint64, every int, s Sampler) (Costs, error) {
-	if err := RunPhaseChunksCtx(ctx, a, SliceChunks(warm, every), s, PhaseWarmup); err != nil {
-		return a.Costs(), err
+// runChunks drives a the way the row executor drives one simulator:
+// each window in AccessBatch chunks of at most every requests (the whole
+// window when every <= 0), a Costs snapshot after every chunk, and a
+// counter reset between consecutive windows. It returns the snapshots of
+// each window.
+func runChunks(a Algorithm, every int, windows ...[]uint64) [][]Costs {
+	snaps := make([][]Costs, len(windows))
+	for w, reqs := range windows {
+		if w > 0 {
+			a.ResetCosts()
+		}
+		n := every
+		if n <= 0 {
+			n = len(reqs)
+		}
+		for len(reqs) > 0 {
+			k := min(n, len(reqs))
+			a.AccessBatch(reqs[:k])
+			reqs = reqs[k:]
+			snaps[w] = append(snaps[w], a.Costs())
+		}
 	}
-	a.ResetCosts()
-	err := RunPhaseChunksCtx(ctx, a, SliceChunks(meas, every), s, PhaseMeasured)
-	return a.Costs(), err
+	return snaps
 }
 
-// TestRunSampledMatchesRun pins the telemetry guarantee at the mm layer:
-// a sampled run — the request slice fed through the chunk runner in
-// sampling intervals — leaves every algorithm's final counters identical
-// to a single-batch Run, with one increasing sample per chunk ending at
-// the final counters.
+// TestRunSampledMatchesRun pins the Batcher contract the chunk-boundary
+// observers rely on: feeding a request slice through AccessBatch in
+// chunks — of one request, of an odd size, or whole — and snapshotting
+// Costs after every chunk leaves every algorithm's final counters
+// identical to a single-batch Run, with one strictly increasing snapshot
+// per chunk ending at the final counters.
 func TestRunSampledMatchesRun(t *testing.T) {
 	reqs := sampleReqs(30000)
-	plain := allAlgorithms(t, 7)
-	sampled := allAlgorithms(t, 7)
-	for i := range plain {
-		want := Run(plain[i], reqs)
-		s := &collectSampler{}
-		if err := RunPhaseChunksCtx(context.Background(), sampled[i], SliceChunks(reqs, 777), s, PhaseMeasured); err != nil {
-			t.Fatal(err)
-		}
-		if got := sampled[i].Costs(); got != want {
-			t.Errorf("%s: sampled run differs: got %v want %v", plain[i].Name(), got, want)
-		}
-		wantSamples := (len(reqs) + 776) / 777
-		if len(s.costs) != wantSamples {
-			t.Errorf("%s: got %d samples, want %d", plain[i].Name(), len(s.costs), wantSamples)
-		}
-		last := s.costs[len(s.costs)-1]
-		if last != want {
-			t.Errorf("%s: final sample %v does not match final counters %v", plain[i].Name(), last, want)
-		}
-		for j := 1; j < len(s.accesses); j++ {
-			if s.accesses[j] <= s.accesses[j-1] {
-				t.Fatalf("%s: sample accesses not increasing: %d then %d", plain[i].Name(), s.accesses[j-1], s.accesses[j])
+	for _, every := range []int{1, 777, 0} {
+		plain := allAlgorithms(t, 7)
+		sampled := allAlgorithms(t, 7)
+		for i := range plain {
+			want := Run(plain[i], reqs)
+			snaps := runChunks(sampled[i], every, reqs)[0]
+			if got := sampled[i].Costs(); got != want {
+				t.Errorf("%s every=%d: chunked run differs: got %v want %v", plain[i].Name(), every, got, want)
+			}
+			wantSnaps := 1
+			if every > 0 {
+				wantSnaps = (len(reqs) + every - 1) / every
+			}
+			if len(snaps) != wantSnaps {
+				t.Errorf("%s every=%d: got %d snapshots, want %d", plain[i].Name(), every, len(snaps), wantSnaps)
+			}
+			if last := snaps[len(snaps)-1]; last != want {
+				t.Errorf("%s every=%d: final snapshot %v does not match final counters %v", plain[i].Name(), every, last, want)
+			}
+			for j := 1; j < len(snaps); j++ {
+				if snaps[j].Accesses <= snaps[j-1].Accesses {
+					t.Fatalf("%s every=%d: snapshot accesses not increasing: %d then %d",
+						plain[i].Name(), every, snaps[j-1].Accesses, snaps[j].Accesses)
+				}
 			}
 		}
 	}
 }
 
+// TestRunSampledNilSamplerIsRun checks the degenerate shapes of a chunked
+// run: chunks fed with no observer reading Costs between them are exactly
+// Run, and every <= 0 feeds the window as a single chunk with a single
+// snapshot.
+func TestRunSampledNilSamplerIsRun(t *testing.T) {
+	reqs := sampleReqs(10000)
+	want := Run(allAlgorithms(t, 1)[0], reqs)
+	a := allAlgorithms(t, 1)[0]
+	for rest := reqs; len(rest) > 0; {
+		k := min(100, len(rest))
+		a.AccessBatch(rest[:k])
+		rest = rest[k:]
+	}
+	if got := a.Costs(); got != want {
+		t.Errorf("no observer: got %v want %v", got, want)
+	}
+	for _, every := range []int{0, -1} {
+		c := allAlgorithms(t, 1)[0]
+		snaps := runChunks(c, every, reqs)[0]
+		if got := c.Costs(); got != want {
+			t.Errorf("every=%d: got %v want %v", every, got, want)
+		}
+		if len(snaps) != 1 {
+			t.Errorf("every=%d produced %d snapshots, want 1", every, len(snaps))
+		}
+	}
+}
+
 // TestRunWarmSampledMatchesRunWarm is the two-phase variant: identical
-// counters to RunWarm, and samples labeled with both phases in order.
+// counters to RunWarm, and the measured window's snapshots count from the
+// counter reset, not from the start of the stream.
 func TestRunWarmSampledMatchesRunWarm(t *testing.T) {
 	reqs := sampleReqs(40000)
 	warm, meas := reqs[:20000], reqs[20000:]
@@ -92,109 +120,53 @@ func TestRunWarmSampledMatchesRunWarm(t *testing.T) {
 	sampled := allAlgorithms(t, 3)
 	for i := range plain {
 		want := RunWarm(plain[i], warm, meas)
-		s := &collectSampler{}
-		got, err := runWarmChunks(context.Background(), sampled[i], warm, meas, 4096, s)
-		if err != nil {
-			t.Fatal(err)
+		snaps := runChunks(sampled[i], 4096, warm, meas)
+		if got := sampled[i].Costs(); got != want {
+			t.Errorf("%s: chunked warm run differs: got %v want %v", plain[i].Name(), got, want)
 		}
-		if got != want {
-			t.Errorf("%s: sampled warm run differs: got %v want %v", plain[i].Name(), got, want)
+		if got := snaps[0][len(snaps[0])-1].Accesses; got != uint64(len(warm)) {
+			t.Errorf("%s: warmup ends at %d accesses, want %d", plain[i].Name(), got, len(warm))
 		}
-		sawWarm, sawMeas := false, false
-		for j, ph := range s.phases {
-			switch ph {
-			case PhaseWarmup:
-				if sawMeas {
-					t.Fatalf("%s: warmup sample after measured sample", plain[i].Name())
-				}
-				sawWarm = true
-			case PhaseMeasured:
-				sawMeas = true
-			default:
-				t.Fatalf("%s: unknown phase %q", plain[i].Name(), ph)
-			}
-			if s.algs[j] != plain[i].Name() {
-				t.Fatalf("%s: sample attributed to %q", plain[i].Name(), s.algs[j])
-			}
-		}
-		if !sawWarm || !sawMeas {
-			t.Errorf("%s: phases warmup=%v measured=%v, want both", plain[i].Name(), sawWarm, sawMeas)
+		if got := snaps[1][0].Accesses; got != 4096 {
+			t.Errorf("%s: first measured snapshot at %d accesses, want 4096 (counted from the reset)", plain[i].Name(), got)
 		}
 	}
 }
 
-// TestRunSampledNilSamplerIsRun checks the degenerate shapes of the chunk
-// runner: no sampler is exactly Run, and every <= 0 feeds the window as a
-// single chunk with a single sample.
-func TestRunSampledNilSamplerIsRun(t *testing.T) {
-	reqs := sampleReqs(10000)
-	want := Run(allAlgorithms(t, 1)[0], reqs)
-	a := allAlgorithms(t, 1)[0]
-	if err := RunPhaseChunksCtx(context.Background(), a, SliceChunks(reqs, 100), nil, PhaseMeasured); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Costs(); got != want {
-		t.Errorf("nil sampler: got %v want %v", got, want)
-	}
-	c := allAlgorithms(t, 1)[0]
-	s := &collectSampler{}
-	if err := RunPhaseChunksCtx(context.Background(), c, SliceChunks(reqs, 0), s, PhaseMeasured); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Costs(); got != want {
-		t.Errorf("every=0: got %v want %v", got, want)
-	}
-	if len(s.costs) != 1 {
-		t.Errorf("every=0 produced %d samples, want 1", len(s.costs))
-	}
-}
-
-// TestRunWarmCtxMatchesRunWarm pins the cancellation guarantee: with a
-// live context the chunked two-phase run is byte-identical to RunWarm
-// for every Algorithm implementation.
+// TestRunWarmCtxMatchesRunWarm checks that the two-phase run does not
+// depend on where the chunk boundaries fall: chunk sizes that divide
+// neither window, and a whole-window chunk, all reproduce RunWarm for
+// every Algorithm implementation.
 func TestRunWarmCtxMatchesRunWarm(t *testing.T) {
 	reqs := sampleReqs(40000)
 	warm, meas := reqs[:20000], reqs[20000:]
-	plain := allAlgorithms(t, 3)
-	chunked := allAlgorithms(t, 3)
-	for i := range plain {
-		want := RunWarm(plain[i], warm, meas)
-		got, err := runWarmChunks(context.Background(), chunked[i], warm, meas, 1<<12, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", plain[i].Name(), err)
-		}
-		if got != want {
-			t.Errorf("%s: ctx run differs: got %v want %v", plain[i].Name(), got, want)
+	for _, every := range []int{333, 1<<12 + 1, 0} {
+		plain := allAlgorithms(t, 3)
+		chunked := allAlgorithms(t, 3)
+		for i := range plain {
+			want := RunWarm(plain[i], warm, meas)
+			runChunks(chunked[i], every, warm, meas)
+			if got := chunked[i].Costs(); got != want {
+				t.Errorf("%s every=%d: chunked warm run differs: got %v want %v", plain[i].Name(), every, got, want)
+			}
 		}
 	}
 }
 
-// TestRunWarmCtxCanceled verifies a canceled context stops the run at a
-// chunk boundary with partial counters and the context's error.
-func TestRunWarmCtxCanceled(t *testing.T) {
-	reqs := sampleReqs(10000)
-	a := allAlgorithms(t, 1)[0]
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c, err := runWarmChunks(ctx, a, reqs, reqs, 1<<12, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if c.Accesses != 0 {
-		t.Fatalf("pre-canceled run serviced %d accesses", c.Accesses)
-	}
-}
-
-// TestRunPhaseSampledCtxSamples verifies sampling fires once per chunk
-// under the context-aware chunk runner.
+// TestRunPhaseSampledCtxSamples pins the x-axis of every cost curve: a
+// snapshot taken after each chunk counts exactly the requests served so
+// far, one chunk length per AccessBatch, for every algorithm.
 func TestRunPhaseSampledCtxSamples(t *testing.T) {
 	reqs := sampleReqs(10000)
-	a := allAlgorithms(t, 1)[0]
-	s := &collectSampler{}
-	if err := RunPhaseChunksCtx(context.Background(), a, SliceChunks(reqs, 1000), s, PhaseMeasured); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.costs) != 10 {
-		t.Fatalf("got %d samples, want 10", len(s.costs))
+	for _, a := range allAlgorithms(t, 1) {
+		snaps := runChunks(a, 1000, reqs)[0]
+		if len(snaps) != 10 {
+			t.Fatalf("%s: got %d snapshots, want 10", a.Name(), len(snaps))
+		}
+		for j, c := range snaps {
+			if want := uint64(1000 * (j + 1)); c.Accesses != want {
+				t.Errorf("%s: snapshot %d at %d accesses, want %d", a.Name(), j, c.Accesses, want)
+			}
+		}
 	}
 }

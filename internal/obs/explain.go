@@ -39,14 +39,10 @@ type ExplainSeries struct {
 	PeakMaxLoad int      `json:"peak_max_load,omitempty"`
 }
 
-// RowExplain implements the experiments harness's ExplainProbe hook: it
-// stores alg's cumulative attribution snapshot (and structural gauges,
-// when the algorithm exposes them) for the named phase of row, and
-// mirrors the aggregate totals into expvar for `figures -http`.
-func (r *Recorder) RowExplain(row, phase, alg string, c Counters, g Gauges, hasGauges bool) {
-	if r == nil {
-		return
-	}
+// explain stores alg's cumulative attribution snapshot (and structural
+// gauges, when the algorithm exposes them) for the named phase of row,
+// and mirrors the aggregate totals into expvar for `figures -http`.
+func (r *Recorder) explain(row, phase, alg string, c Counters, g *Gauges) {
 	r.mu.Lock()
 	key := seriesKey{row, phase, alg}
 	e := r.explains[key]
@@ -55,8 +51,8 @@ func (r *Recorder) RowExplain(row, phase, alg string, c Counters, g Gauges, hasG
 		r.explains[key] = e
 	}
 	e.Counters = c
-	if hasGauges {
-		gg := g
+	if g != nil {
+		gg := *g
 		e.Gauges = &gg
 		if g.MaxLoad > e.PeakMaxLoad {
 			e.PeakMaxLoad = g.MaxLoad

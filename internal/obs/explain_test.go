@@ -3,9 +3,18 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"addrxlat/internal/event"
 )
 
-// TestRecorderExplain: RowExplain stores the latest snapshot per series,
+// explained is an event.KindSample event carrying attribution counters
+// and, when g is non-nil, gauges.
+func explained(row, phase, alg string, c Counters, g *Gauges) event.Event {
+	return event.Event{Kind: event.KindSample, Row: row, Phase: phase, Alg: alg, Explain: &c, Gauges: g}
+}
+
+// TestRecorderExplain: an attributed sample stores the latest snapshot
+// per series,
 // tracks the peak bucket max load across samples, sums totals across
 // series, and renders the TSV with the bound-monitor columns.
 func TestRecorderExplain(t *testing.T) {
@@ -23,13 +32,13 @@ func TestRecorderExplain(t *testing.T) {
 		ResidentPages: 10, RAMPages: 20, Utilization: 0.5,
 		HasLoads: true, Buckets: 4, MaxLoad: 5, AvgLoad: 2.5, Theorem2Bound: 9.0,
 	}
-	r.RowExplain("rowA", "measured", "alg1", c.Snapshot(), g, true)
+	r.Observe(explained("rowA", "measured", "alg1", c.Snapshot(), &g))
 
 	// A later, calmer sample: max load dropped, but the peak must persist.
 	g.MaxLoad = 3
 	c.DemandIO()
-	r.RowExplain("rowA", "measured", "alg1", c.Snapshot(), g, true)
-	r.RowExplain("rowA", "warmup", "alg2", c.Snapshot(), Gauges{}, false)
+	r.Observe(explained("rowA", "measured", "alg1", c.Snapshot(), &g))
+	r.Observe(explained("rowA", "warmup", "alg2", c.Snapshot(), nil))
 
 	if !r.HasExplain() {
 		t.Fatal("explain data not recorded")
@@ -106,7 +115,7 @@ func TestRecorderExplain(t *testing.T) {
 // nil Recorder (the PR-3 nil-sink contract).
 func TestRecorderExplainNil(t *testing.T) {
 	var r *Recorder
-	r.RowExplain("r", "p", "a", Counters{}, Gauges{}, true)
+	r.Observe(explained("r", "p", "a", Counters{}, &Gauges{}))
 	if r.HasExplain() || r.ExplainSnapshot() != nil {
 		t.Fatal("nil recorder recorded something")
 	}

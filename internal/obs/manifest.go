@@ -16,9 +16,10 @@ import (
 	"addrxlat/internal/xtrace"
 )
 
-// PhaseRecord is one warmup or measured window in a run manifest: which
-// row and (for materialized runs) algorithm it belongs to, how many
-// accesses it served, and how long it took.
+// PhaseRecord is one phase in a run manifest — a streamed row's warmup or
+// measured window, or one serve cell — with the row it belongs to, the
+// algorithm (serve cells only; a row's simulators share its windows),
+// how many accesses or requests it served, and how long it took.
 type PhaseRecord struct {
 	Row         string  `json:"row,omitempty"`
 	Phase       string  `json:"phase"`

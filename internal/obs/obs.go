@@ -4,15 +4,17 @@
 //
 // Three pieces, all zero-overhead when disabled:
 //
-//   - Recorder samples cumulative mm.Costs snapshots delivered at the
-//     chunk boundaries of the experiment harness (experiments.Scale.Probe)
-//     or the mm chunk runner (mm.RunPhaseChunksCtx), downsampling to
-//     a configurable access interval and rendering per-algorithm
-//     cost-over-time series as TSV or JSON. The access hot path is never
-//     touched: snapshots arrive between AccessBatch calls, so attaching a
-//     Recorder cannot change a single counter — the differential tests in
-//     internal/experiments pin byte-identical tables with sampling on and
-//     off.
+//   - Recorder is the standard event.Observer. The experiment harness's
+//     row executor (experiments.Scale.Observer) hands it one event.Event
+//     per simulator at every chunk boundary — cumulative mm.Costs, plus
+//     explain counters and gauges when attribution is armed — and one per
+//     phase, row and serve sweep. The Recorder downsamples the cost
+//     snapshots to a configurable access interval and renders
+//     per-algorithm cost-over-time series and attribution as TSV or JSON.
+//     The access hot path is never touched: events arrive between
+//     AccessBatch calls, so attaching a Recorder cannot change a single
+//     counter — TestSampledRunsByteIdentical in internal/experiments pins
+//     byte-identical tables with sampling and attribution on and off.
 //
 //   - Manifest records everything needed to reproduce and audit one CLI
 //     invocation: resolved flag configuration, seeds, go version, git

@@ -3,6 +3,7 @@ package obs
 import (
 	"testing"
 
+	"addrxlat/internal/event"
 	"addrxlat/internal/workload"
 )
 
@@ -12,8 +13,8 @@ import (
 func TestRowPipelineMirrorsExpvars(t *testing.T) {
 	rec := NewRecorder(0)
 	base := expInt("pipeline_chunks").Value()
-	rec.RowPipeline("r1", workload.RingStats{Chunks: 3, ProducerWaits: 2, ConsumerWaits: 1, PeakInFlight: 4})
-	rec.RowPipeline("r2", workload.RingStats{Chunks: 5, ProducerWaits: 1, ConsumerWaits: 0, PeakInFlight: 2})
+	rec.Observe(event.Event{Kind: event.KindRing, Row: "r1", Ring: workload.RingStats{Chunks: 3, ProducerWaits: 2, ConsumerWaits: 1, PeakInFlight: 4}})
+	rec.Observe(event.Event{Kind: event.KindRing, Row: "r2", Ring: workload.RingStats{Chunks: 5, ProducerWaits: 1, ConsumerWaits: 0, PeakInFlight: 2}})
 	if got := expInt("pipeline_chunks").Value() - base; got != 8 {
 		t.Errorf("pipeline_chunks advanced by %d, want 8", got)
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"addrxlat/internal/event"
 )
 
 // TestStartHTTPServesCounters boots the expvar listener on a loopback
@@ -70,7 +72,7 @@ func TestStartHTTPServesCounters(t *testing.T) {
 	// The explain totals mirror shares the registry and prefix.
 	var c Counters
 	c.DemandIO()
-	NewRecorder(0).RowExplain("r", "measured", "a", c, Gauges{}, false)
+	NewRecorder(0).Observe(event.Event{Kind: event.KindSample, Row: "r", Phase: "measured", Alg: "a", Explain: &c})
 	mirrored := fetch()
 	if got := intVar(mirrored, "addrxlat.explain_io_demand"); got != 1 {
 		t.Errorf("addrxlat.explain_io_demand = %d, want 1", got)

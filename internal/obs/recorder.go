@@ -7,8 +7,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
+	"addrxlat/internal/event"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/serve"
 	"addrxlat/internal/xtrace"
@@ -26,7 +26,8 @@ type Point struct {
 
 // Series is one algorithm's cost-over-time curve within one phase of one
 // row (a row is one shared request stream — a Figure 1 workload, a
-// geometry regime, etc.; standalone runs use an empty row).
+// geometry regime, atsim's workload; an event without a row label lands
+// under the empty row).
 type Series struct {
 	Row    string  `json:"row,omitempty"`
 	Phase  string  `json:"phase"`
@@ -41,11 +42,10 @@ type Series struct {
 
 type seriesKey struct{ row, phase, alg string }
 
-// Recorder collects cost-over-time series and phase timing records. It
-// implements both the experiments harness's Probe interface and
-// mm.Sampler, so one Recorder can observe streaming row drivers and
-// materialized runs alike. All methods are safe for concurrent use and
-// no-ops on a nil receiver.
+// Recorder is the standard event.Observer: it collects cost-over-time
+// series, attribution snapshots, phase timing records and serve sweep
+// records, and renders them for the CLIs. All methods are safe for
+// concurrent use and no-ops on a nil receiver.
 type Recorder struct {
 	interval uint64
 
@@ -70,10 +70,42 @@ func NewRecorder(interval uint64) *Recorder {
 	}
 }
 
-// RowSample implements the experiments Probe hook: it records alg's
-// cumulative counters at a chunk boundary of the named phase of row.
-func (r *Recorder) RowSample(row, phase, alg string, c mm.Costs) {
-	if r == nil || r.interval == 0 {
+// Observe implements event.Observer. A sample extends its (row, phase,
+// alg) curve and, when it carries attribution, its explain series; a
+// phase becomes a manifest phase record; a ring event is mirrored into
+// expvar (see mirrorRing); a serve sweep is mirrored into expvar and
+// kept for the manifest (see ServeRecord). A nil Recorder ignores every
+// event.
+func (r *Recorder) Observe(e event.Event) {
+	if r == nil {
+		return
+	}
+	switch e.Kind {
+	case event.KindSample:
+		r.sample(e.Row, e.Phase, e.Alg, e.Costs)
+		if e.Explain != nil {
+			r.explain(e.Row, e.Phase, e.Alg, *e.Explain, e.Gauges)
+		}
+	case event.KindPhase:
+		r.mu.Lock()
+		r.phases = append(r.phases, PhaseRecord{
+			Row: e.Row, Phase: e.Phase, Alg: e.Alg,
+			Accesses: e.Accesses, WallSeconds: e.Elapsed.Seconds(),
+		})
+		r.mu.Unlock()
+	case event.KindRing:
+		mirrorRing(e.Ring)
+	case event.KindServe:
+		if e.Serve != nil {
+			r.serveSweep(*e.Serve)
+		}
+	}
+}
+
+// sample records alg's cumulative counters at a chunk boundary of the
+// named phase of row, downsampled to the recorder's interval.
+func (r *Recorder) sample(row, phase, alg string, c mm.Costs) {
+	if r.interval == 0 {
 		return
 	}
 	pt := Point{Accesses: c.Accesses, IOs: c.IOs, TLBMisses: c.TLBMisses, DecodingMisses: c.DecodingMisses}
@@ -92,27 +124,6 @@ func (r *Recorder) RowSample(row, phase, alg string, c mm.Costs) {
 		sr.tail = pt
 		sr.pending = true
 	}
-}
-
-// Sample implements mm.Sampler for standalone (single-stream) runs; the
-// samples land under an empty row label.
-func (r *Recorder) Sample(phase, alg string, c mm.Costs) {
-	r.RowSample("", phase, alg, c)
-}
-
-// RowPhase implements the experiments Probe hook: it records that a phase
-// of n accesses finished in elapsed wall time. alg is empty for streaming
-// rows, where every simulator shares the window.
-func (r *Recorder) RowPhase(row, phase, alg string, accesses int, elapsed time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.phases = append(r.phases, PhaseRecord{
-		Row: row, Phase: phase, Alg: alg,
-		Accesses: accesses, WallSeconds: elapsed.Seconds(),
-	})
 }
 
 // HasSeries reports whether any curve points were recorded.

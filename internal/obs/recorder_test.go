@@ -6,11 +6,18 @@ import (
 	"testing"
 	"time"
 
+	"addrxlat/internal/event"
 	"addrxlat/internal/mm"
+	"addrxlat/internal/serve"
 )
 
 func pt(acc, ios uint64) mm.Costs {
 	return mm.Costs{Accesses: acc, IOs: ios, TLBMisses: acc / 2, DecodingMisses: acc / 4}
+}
+
+// sample is an event.KindSample event carrying c.
+func sample(row, phase, alg string, c mm.Costs) event.Event {
+	return event.Event{Kind: event.KindSample, Row: row, Phase: phase, Alg: alg, Costs: c}
 }
 
 // TestRecorderDownsampling pins the interval policy: a point is kept when
@@ -19,10 +26,10 @@ func pt(acc, ios uint64) mm.Costs {
 // always end at the final counters.
 func TestRecorderDownsampling(t *testing.T) {
 	r := NewRecorder(100)
-	r.RowSample("row", mm.PhaseMeasured, "alg", pt(10, 1))  // first: kept
-	r.RowSample("row", mm.PhaseMeasured, "alg", pt(50, 2))  // +40: dropped
-	r.RowSample("row", mm.PhaseMeasured, "alg", pt(110, 3)) // +100: kept
-	r.RowSample("row", mm.PhaseMeasured, "alg", pt(150, 4)) // +40: tail
+	r.Observe(sample("row", mm.PhaseMeasured, "alg", pt(10, 1)))  // first: kept
+	r.Observe(sample("row", mm.PhaseMeasured, "alg", pt(50, 2)))  // +40: dropped
+	r.Observe(sample("row", mm.PhaseMeasured, "alg", pt(110, 3))) // +100: kept
+	r.Observe(sample("row", mm.PhaseMeasured, "alg", pt(150, 4))) // +40: tail
 
 	if !r.HasSeries() {
 		t.Fatal("HasSeries = false after samples")
@@ -46,7 +53,7 @@ func TestRecorderDownsampling(t *testing.T) {
 	}
 	// The tail flush is snapshot-local: a later sample past the interval
 	// still lands as a recorded point.
-	r.RowSample("row", mm.PhaseMeasured, "alg", pt(210, 5))
+	r.Observe(sample("row", mm.PhaseMeasured, "alg", pt(210, 5)))
 	snap = r.SeriesSnapshot()
 	last := snap[0].Points[len(snap[0].Points)-1]
 	if last.Accesses != 210 || last.IOs != 5 {
@@ -59,12 +66,12 @@ func TestRecorderDownsampling(t *testing.T) {
 // complete when curve sampling is off.
 func TestRecorderIntervalZero(t *testing.T) {
 	r := NewRecorder(0)
-	r.RowSample("row", mm.PhaseMeasured, "alg", pt(10, 1))
-	r.Sample(mm.PhaseWarmup, "alg", pt(20, 2))
+	r.Observe(sample("row", mm.PhaseMeasured, "alg", pt(10, 1)))
+	r.Observe(sample("", mm.PhaseWarmup, "alg", pt(20, 2)))
 	if r.HasSeries() {
 		t.Fatal("HasSeries = true with interval 0")
 	}
-	r.RowPhase("row", mm.PhaseWarmup, "alg", 1000, 2*time.Second)
+	r.Observe(event.Event{Kind: event.KindPhase, Row: "row", Phase: mm.PhaseWarmup, Alg: "alg", Accesses: 1000, Elapsed: 2 * time.Second})
 	ph := r.Phases()
 	if len(ph) != 1 {
 		t.Fatalf("got %d phase records, want 1", len(ph))
@@ -74,26 +81,33 @@ func TestRecorderIntervalZero(t *testing.T) {
 	}
 }
 
-// TestRecorderNilIsNoOp: a nil Recorder must absorb every call, so
+// TestRecorderNilIsNoOp: a nil Recorder must absorb every event, so
 // callers can thread one unconditionally.
 func TestRecorderNilIsNoOp(t *testing.T) {
 	var r *Recorder
-	r.RowSample("row", "p", "a", pt(1, 1))
-	r.Sample("p", "a", pt(1, 1))
-	r.RowPhase("row", "p", "a", 1, time.Second)
-	if r.HasSeries() || r.Phases() != nil || r.SeriesSnapshot() != nil {
+	r.Observe(sample("row", "p", "a", pt(1, 1)))
+	r.Observe(event.Event{Kind: event.KindPhase, Row: "row", Phase: "p", Alg: "a", Accesses: 1, Elapsed: time.Second})
+	r.Observe(event.Event{Kind: event.KindServe, Row: "t", Serve: &serve.SweepRecord{Table: "t"}})
+	if r.HasSeries() || r.Phases() != nil || r.SeriesSnapshot() != nil || r.ServeRecord("t") != nil {
 		t.Fatal("nil Recorder returned non-zero state")
 	}
 }
 
-// TestSampleUsesEmptyRow: the mm.Sampler adapter lands samples under an
-// empty row label.
+// TestSampleUsesEmptyRow: a sample without a row label lands under the
+// empty row, which the JSON rendering omits.
 func TestSampleUsesEmptyRow(t *testing.T) {
 	r := NewRecorder(1)
-	r.Sample(mm.PhaseMeasured, "alg", pt(5, 1))
+	r.Observe(sample("", mm.PhaseMeasured, "alg", pt(5, 1)))
 	snap := r.SeriesSnapshot()
 	if len(snap) != 1 || snap[0].Row != "" || snap[0].Alg != "alg" {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+	var sb strings.Builder
+	if err := r.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), `"row"`) {
+		t.Fatalf("JSON carries an empty row label:\n%s", sb.String())
 	}
 }
 
@@ -102,9 +116,9 @@ func TestSampleUsesEmptyRow(t *testing.T) {
 // per-interval deltas, ordered row → warmup-before-measured → alg.
 func TestWriteTSV(t *testing.T) {
 	r := NewRecorder(10)
-	r.RowSample("bimodal", mm.PhaseMeasured, "zigzag", mm.Costs{Accesses: 10, IOs: 4, TLBMisses: 6, DecodingMisses: 2})
-	r.RowSample("bimodal", mm.PhaseMeasured, "zigzag", mm.Costs{Accesses: 20, IOs: 5, TLBMisses: 9, DecodingMisses: 2})
-	r.RowSample("bimodal", mm.PhaseWarmup, "zigzag", mm.Costs{Accesses: 10, IOs: 8, TLBMisses: 10, DecodingMisses: 3})
+	r.Observe(sample("bimodal", mm.PhaseMeasured, "zigzag", mm.Costs{Accesses: 10, IOs: 4, TLBMisses: 6, DecodingMisses: 2}))
+	r.Observe(sample("bimodal", mm.PhaseMeasured, "zigzag", mm.Costs{Accesses: 20, IOs: 5, TLBMisses: 9, DecodingMisses: 2}))
+	r.Observe(sample("bimodal", mm.PhaseWarmup, "zigzag", mm.Costs{Accesses: 10, IOs: 8, TLBMisses: 10, DecodingMisses: 3}))
 
 	var sb strings.Builder
 	if err := r.WriteTSV(&sb); err != nil {
@@ -123,7 +137,7 @@ func TestWriteTSV(t *testing.T) {
 // document carrying the same points as the snapshot.
 func TestWriteJSON(t *testing.T) {
 	r := NewRecorder(1)
-	r.RowSample("row", mm.PhaseMeasured, "alg", pt(7, 3))
+	r.Observe(sample("row", mm.PhaseMeasured, "alg", pt(7, 3)))
 	var sb strings.Builder
 	if err := r.WriteJSON(&sb); err != nil {
 		t.Fatal(err)

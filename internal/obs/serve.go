@@ -2,14 +2,14 @@ package obs
 
 import "addrxlat/internal/serve"
 
-// ServeSweep implements the experiment harness's ServeProbe hook: each
-// finished serving sweep hands over its record — offered-load grid,
-// admission/governor configuration, and the per-(algorithm, load) point
-// taxonomy. The record is kept for the run manifest (RunRecord.Serve) and
-// its counters are folded into the "addrxlat.serve_*" expvars StartHTTP
-// serves, so a long sweep watched over -http shows the serving layer's
-// aggregate admission picture — offered vs completed vs shed — live.
-func (r *Recorder) ServeSweep(rec serve.SweepRecord) {
+// serveSweep handles an event.KindServe event: a finished serving sweep's
+// record — offered-load grid, admission/governor configuration, and the
+// per-(algorithm, load) point taxonomy. The record is kept for the run
+// manifest (RunRecord.Serve) and its counters are folded into the
+// "addrxlat.serve_*" expvars StartHTTP serves, so a long sweep watched
+// over -http shows the serving layer's aggregate admission picture —
+// offered vs completed vs shed — live.
+func (r *Recorder) serveSweep(rec serve.SweepRecord) {
 	var sum serve.Counters
 	for _, pt := range rec.Points {
 		c := pt.Counters

@@ -3,6 +3,7 @@ package obs
 import (
 	"testing"
 
+	"addrxlat/internal/event"
 	"addrxlat/internal/serve"
 )
 
@@ -12,13 +13,13 @@ import (
 func TestServeSweepMirrorsExpvars(t *testing.T) {
 	rec := NewRecorder(0)
 	base := expInt("serve_offered").Value()
-	rec.ServeSweep(serve.SweepRecord{
+	rec.Observe(event.Event{Kind: event.KindServe, Row: "sv-goodput", Serve: &serve.SweepRecord{
 		Table: "sv-goodput",
 		Points: []serve.Point{
 			{Alg: "a", Load: 2, Counters: serve.Counters{Offered: 100, Admitted: 90, Completed: 70, Shed: 15, TimedOutQueued: 5, Retries: 3, Degraded: 8, GovernorTrips: 1}},
 			{Alg: "b", Load: 2, Counters: serve.Counters{Offered: 50, Admitted: 50, Completed: 50}},
 		},
-	})
+	}})
 	if got := expInt("serve_offered").Value() - base; got != 150 {
 		t.Fatalf("serve_offered delta %d, want 150", got)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -209,48 +210,15 @@ func BenchmarkForEachOverhead(b *testing.B) {
 	}
 }
 
-func TestGroupAggregatesErrorsAndPanics(t *testing.T) {
-	g := NewGroup(4)
-	g.Go(0, func() error { return nil })
-	g.Go(1, func() error { return errors.New("worker 1 failed") })
-	g.Go(2, func() error { panic("worker 2 blew up") })
-	g.Go(3, func() error { return nil })
-	err := g.Wait()
-	if err == nil {
-		t.Fatal("expected aggregated error")
-	}
-	if !strings.Contains(err.Error(), "worker 1 failed") {
-		t.Fatalf("worker 1's error missing from %q", err)
-	}
-	if !strings.Contains(err.Error(), "worker 2 blew up") {
-		t.Fatalf("worker 2's panic missing from %q", err)
-	}
-}
-
-func TestGroupAllClean(t *testing.T) {
-	g := NewGroup(8)
-	var ran int64
-	for i := 0; i < 8; i++ {
-		g.Go(i, func() error {
-			atomic.AddInt64(&ran, 1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 8 {
-		t.Fatalf("ran %d workers, want 8", ran)
-	}
-}
-
 func TestGateBoundsConcurrency(t *testing.T) {
 	const width, workers = 2, 8
 	gate := NewGate(width)
 	var cur, peak int64
-	g := NewGroup(workers)
+	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		g.Go(i, func() error {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				gate.Enter()
 				n := atomic.AddInt64(&cur, 1)
@@ -263,12 +231,9 @@ func TestGateBoundsConcurrency(t *testing.T) {
 				atomic.AddInt64(&cur, -1)
 				gate.Leave()
 			}
-			return nil
-		})
+		}()
 	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	if peak > width {
 		t.Fatalf("observed %d concurrent holders, gate width %d", peak, width)
 	}

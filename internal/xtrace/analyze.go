@@ -42,15 +42,14 @@ type RowReport struct {
 	Experiment string `json:"experiment,omitempty"`
 	Row        string `json:"row,omitempty"`
 	// WallSeconds is the row span's duration; rows traced only through
-	// worker threads (materialized runners) fall back to the longest
-	// worker wall.
+	// worker threads (serve cells) fall back to the longest worker wall.
 	WallSeconds float64 `json:"wall_seconds"`
 	// Straggler names the bottleneck simulator: the worker whose
 	// lifetime span ends last, ties going to the busier one. With more
 	// simulators than admission slots the busiest worker need not be the
 	// last to finish, and it is the last one that bounds the row's wall
-	// time. Workers without a lifetime span (the materialized runners)
-	// all tie, so the busiest is named.
+	// time. Workers without a lifetime span (serve cells) all tie, so the
+	// busiest is named.
 	Straggler string `json:"straggler,omitempty"`
 	// Bottleneck classifies the straggler's dominant component:
 	// "simulation", "generation", or "admission".
@@ -61,9 +60,9 @@ type RowReport struct {
 	Workers                []WorkerReport `json:"workers"`
 }
 
-// workerAgg accumulates one (row, alg) group across threads (the
-// materialized runners create one thread per phase; a row worker has
-// one). end is the latest end of the group's lifetime spans.
+// workerAgg accumulates one (row, alg) group across the threads that
+// carry it (a row worker or a serve cell has one). end is the latest end
+// of the group's lifetime spans.
 type workerAgg struct {
 	alg                          string
 	chunks                       int
@@ -182,7 +181,7 @@ func (t *Tracer) Analyze() []RowReport {
 			}
 		}
 		if rep.WallSeconds == 0 {
-			// No row span (materialized runners): the longest worker stands
+			// No row span (serve cells): the longest worker stands
 			// in for the row wall — and a worker without a lifetime span
 			// falls back to its attributed time.
 			for _, w := range rep.Workers {

@@ -208,8 +208,8 @@ func TestAnalyze(t *testing.T) {
 // TestAnalyzeStragglerEndsLast: the straggler is the worker whose
 // lifetime span ends last even when another worker was busier — with an
 // admission gate the busiest worker can finish first, and the row's wall
-// time ends with the last one. Workers without lifetime spans (the
-// materialized runners) tie, and the busier one is named.
+// time ends with the last one. Workers without lifetime spans (serve
+// cells) tie, and the busier one is named.
 func TestAnalyzeStragglerEndsLast(t *testing.T) {
 	tr := New()
 	start := tr.Now()
