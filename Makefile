@@ -47,10 +47,13 @@ bench:
 # bench-diff reruns the hot-path benchmarks and compares them against a
 # named committed BENCH_*.json baseline, failing on a >10% ns/op
 # regression in any hot-path benchmark (Access*, Fig1aBimodal, Replay*,
-# TraceDecode). It also measures, report-only, Figure 1's input
-# generation: the Fig1bGraphWalk and Fig1cGraph500 panels, whose serial
-# cost is their generators, and Graph500TraceGeneration, the f1c graph
-# build plus its BFS excerpt. The baseline is pinned to a named anchor
+# TraceDecode). Its regex matches by prefix, so it also runs the
+# attribution-armed kernels BenchmarkAccessBatchHugePageExplain and
+# BenchmarkAccessBatchDecoupledExplain, which report "no baseline" until
+# a baseline that records them is committed. It also measures,
+# report-only, Figure 1's input generation: the Fig1bGraphWalk and
+# Fig1cGraph500 panels, whose serial cost is their generators, and
+# Graph500TraceGeneration, the f1c graph build plus its BFS excerpt. The baseline is pinned to a named anchor
 # rather than whatever file is newest. BENCH_PR18.json was recorded on
 # the current 2-vCPU host: its "before" is the tree before the sort-free
 # graph500 build and the hoisted GraphWalk/Zipf constants and its
@@ -144,13 +147,14 @@ serve-metrics-smoke:
 
 # check is the pre-commit gate: vet, full tests, race-detector pass over the
 # concurrent packages, a 1-iteration benchmark smoke covering the scalar
-# Access and batch AccessBatch kernels and Figure 1's input generation
-# (the f1b and f1c panels and the graph500 build) so the benchmark
+# Access and batch AccessBatch kernels (the regex matches by prefix, so
+# the attribution-armed *Explain variants run too) and Figure 1's input
+# generation (the f1b and f1c panels and the graph500 build) so the benchmark
 # harness itself can't rot, 1-iteration race-mode runs of the row
 # executor on a full Figure 1a panel (ring producer goroutine +
-# per-simulator workers) and of one staged AccessBatch kernel (its own
-# miss buffer reused across chunks), a race-mode smoke of the row
-# executor (Workers=4, 8 chunks against a ring depth of 4: ring
+# per-simulator workers) and of the decoupled AccessBatch kernel, bare
+# and armed (its own miss buffer reused across chunks), a race-mode
+# smoke of the row executor (Workers=4, 8 chunks against a ring depth of 4: ring
 # publish/release, gate, observer event delivery, phase clock), the
 # serving-layer overload + serve-burst drill (serve-smoke), the
 # serving-telemetry drill (serve-metrics-smoke), a run of every example

@@ -445,6 +445,39 @@ func BenchmarkAccessBatchDecoupled(b *testing.B) {
 	benchAccessBatch(b, z)
 }
 
+// BenchmarkAccessBatchHugePageExplain measures the same kernel with cost
+// attribution armed, as every serve cell runs it: the column totals feed
+// the attribution, so it should cost about what the bare kernel does.
+func BenchmarkAccessBatchHugePageExplain(b *testing.B) {
+	alg, err := mm.NewHugePage(mm.HugePageConfig{
+		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mm.EnableExplain(alg)
+	benchAccessBatch(b, alg)
+}
+
+// BenchmarkAccessBatchDecoupledExplain measures the two-pass column split
+// with cost attribution armed: each packed TLB miss is classified through
+// the flat classifier table.
+func BenchmarkAccessBatchDecoupledExplain(b *testing.B) {
+	z, err := mm.NewDecoupled(mm.DecoupledConfig{
+		Alloc:        core.IcebergAlloc,
+		RAMPages:     1 << 16,
+		VirtualPages: 1 << 18,
+		TLBEntries:   1536,
+		ValueBits:    64,
+		Seed:         1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mm.EnableExplain(z)
+	benchAccessBatch(b, z)
+}
+
 // BenchmarkAccessBatchTHP measures the fused in-order THP kernel.
 func BenchmarkAccessBatchTHP(b *testing.B) {
 	alg, err := mm.NewTHP(mm.THPConfig{

@@ -4,9 +4,10 @@
 // mechanisms that caused them, plus structural gauges sampled at chunk
 // boundaries.
 //
-// The package is a leaf: the mm algorithms increment Counters directly on
-// their hot paths, and internal/obs re-exports the types (obs.Counters is
-// an alias), so the taxonomy is shared without an mm → obs import cycle.
+// The package imports only internal/dense: the mm algorithms increment
+// Counters directly on their hot paths, and internal/obs re-exports the
+// types (obs.Counters is an alias), so the taxonomy is shared without an
+// mm → obs import cycle.
 //
 // The nil contract mirrors the rest of the telemetry stack: every method
 // is a no-op on a nil *Counters, so algorithms hold a nil pointer until
@@ -14,7 +15,15 @@
 // one predictable branch. Attribution only ever *observes* — no method
 // mutates algorithm state — so tables stay byte-identical with the sink
 // enabled or disabled.
+//
+// The TLB-miss classifier is a flat table indexed by key (dense.Table),
+// one byte per key up to the highest key classified, so its memory grows
+// with the highest key a simulator misses on, not with a hash-map entry
+// per distinct key. Tagged keys at or above dense.SparseBound (the nested
+// model's page-table region) fall back to the table's map.
 package explain
+
+import "addrxlat/internal/dense"
 
 // TLB-miss classes. A miss is compulsory when the key was never TLB-
 // resident before, coverage-loss when the key's entry was explicitly
@@ -62,10 +71,11 @@ type Counters struct {
 	SingleFills      uint64 `json:"single_fills,omitempty"`
 
 	// tlbState is the miss classifier: per key, whether it has ever been
-	// TLB-resident and whether it was invalidated since. Allocated lazily
-	// on the first classified miss; kept across Reset (it is cache-like
-	// history, analogous to the TLB contents surviving ResetCosts).
-	tlbState map[uint64]uint8
+	// TLB-resident and whether it was invalidated since (0, the zero
+	// value, is "never seen"). It grows on demand from the first
+	// classified miss; kept across Reset (it is cache-like history,
+	// analogous to the TLB contents surviving ResetCosts).
+	tlbState dense.Table[uint8]
 }
 
 // DemandIO counts one demand fault-in.
@@ -160,10 +170,7 @@ func (c *Counters) TLBMiss(key uint64) {
 	if c == nil {
 		return
 	}
-	if c.tlbState == nil {
-		c.tlbState = make(map[uint64]uint8)
-	}
-	switch st := c.tlbState[key]; {
+	switch st := c.tlbState.At(key); {
 	case st == 0:
 		c.TLBCompulsory++
 	case st&tlbInvalidated != 0:
@@ -171,7 +178,7 @@ func (c *Counters) TLBMiss(key uint64) {
 	default:
 		c.TLBCapacity++
 	}
-	c.tlbState[key] = tlbSeen
+	c.tlbState.Set(key, tlbSeen)
 }
 
 // TLBInvalidated records that key's entry was explicitly invalidated
@@ -182,10 +189,7 @@ func (c *Counters) TLBInvalidated(key uint64) {
 		return
 	}
 	c.TLBInvalidations++
-	if c.tlbState == nil {
-		c.tlbState = make(map[uint64]uint8)
-	}
-	c.tlbState[key] = tlbSeen | tlbInvalidated
+	c.tlbState.Set(key, tlbSeen|tlbInvalidated)
 }
 
 // Reset zeroes the event counts, keeping the miss-classifier history —
@@ -206,7 +210,7 @@ func (c *Counters) Snapshot() Counters {
 		return Counters{}
 	}
 	s := *c
-	s.tlbState = nil
+	s.tlbState = dense.Table[uint8]{}
 	return s
 }
 

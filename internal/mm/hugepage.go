@@ -110,23 +110,17 @@ func (m *HugePage) Access(v uint64) {
 	m.costs.Accesses++
 	u := v >> m.shift
 
-	if m.stack != nil {
-		var wasFull bool
+	if st := m.stack; st != nil {
 		if m.ex != nil {
-			wasFull = uint64(m.stack.Zone2Len()) == m.cfg.RAMPages/m.cfg.HugePageSize
+			m.accessStackArmed(u)
+			return
 		}
-		tlbHit, ramHit := m.stack.Access(u)
-		if !ramHit {
-			m.costs.IOs += m.cfg.HugePageSize
-			m.ex.DemandIO()
-			m.ex.AmplifiedIO(m.cfg.HugePageSize - 1)
-			if wasFull {
-				m.ex.Evict()
-			}
-		}
+		tlbHit, ramHit := st.Access(u)
 		if !tlbHit {
 			m.costs.TLBMisses++
-			m.ex.TLBMiss(u)
+		}
+		if !ramHit {
+			m.costs.IOs += m.cfg.HugePageSize
 		}
 		return
 	}
@@ -151,25 +145,69 @@ func (m *HugePage) Access(v uint64) {
 	}
 }
 
+// accessStackArmed is Access on the merged path with attribution armed.
+// The access is attributed as a column of one, the way AccessBatch
+// attributes a whole column, so the two interleave on one simulator. It
+// is kept out of Access so that the disarmed path holds nothing live
+// across the stack call.
+func (m *HugePage) accessStackArmed(u uint64) {
+	st := m.stack
+	zone2, distinct := st.Zone2Len(), st.Distinct()
+	hit1, hit2 := st.Access(u)
+	var miss1, miss2 uint64
+	if !hit1 {
+		miss1 = 1
+	}
+	if !hit2 {
+		miss2 = 1
+	}
+	m.costs.TLBMisses += miss1
+	m.costs.IOs += miss2 * m.cfg.HugePageSize
+	m.attributeStack(miss1, miss2, zone2, distinct)
+}
+
 // AccessBatch implements Batcher. On the merged-LRU path the whole chunk
 // is handed to the recency stack's columnar kernel: huge-page derivation,
 // run-length collapse of consecutive same-page requests, and the two-zone
 // LRU transitions all happen in one fused pass, and only the column's
 // total zone misses come back — multiplied into the cost counters here,
 // since every zone2 miss moves h pages and every zone1 miss is one TLB
-// insertion. With explain armed the per-access attribution (the eviction
-// gauge reads zone occupancy before each access) needs the scalar loop.
+// insertion. Armed runs take the same kernel: attributeStack derives the
+// attribution from the same totals plus the stack's zone-2 occupancy and
+// distinct-key count, read before and after the column.
 func (m *HugePage) AccessBatch(vs []uint64) {
-	if st := m.stack; st != nil && m.ex == nil {
+	if st := m.stack; st != nil {
+		zone2, distinct := st.Zone2Len(), st.Distinct()
 		miss1, miss2 := st.AccessShifted(vs, m.shift)
 		m.costs.Accesses += uint64(len(vs))
 		m.costs.IOs += miss2 * m.cfg.HugePageSize
 		m.costs.TLBMisses += miss1
+		if m.ex != nil {
+			m.attributeStack(miss1, miss2, zone2, distinct)
+		}
 		return
 	}
 	for _, v := range vs {
 		m.Access(v)
 	}
+}
+
+// attributeStack attributes the zone misses the merged stack reported
+// since zone2 = Zone2Len() and distinct = Distinct() were read. Every
+// zone2 miss is one demand IO plus h−1 amplified ones, and it evicts
+// unless it grew zone 2, which only grows until it is full. A zone1 miss
+// is compulsory exactly when it is a key's first request (a first request
+// misses both zones, and HugePage never invalidates a TLB entry), and
+// capacity otherwise. So the column totals give the same counts as
+// classifying each access.
+func (m *HugePage) attributeStack(miss1, miss2 uint64, zone2, distinct int) {
+	ex, h := m.ex, m.cfg.HugePageSize
+	first := uint64(m.stack.Distinct() - distinct)
+	ex.IODemand += miss2
+	ex.IOAmplified += miss2 * (h - 1)
+	ex.Evictions += miss2 - uint64(m.stack.Zone2Len()-zone2)
+	ex.TLBCompulsory += first
+	ex.TLBCapacity += miss1 - first
 }
 
 // Costs implements Algorithm.

@@ -1,16 +1,21 @@
 package mm
 
 import (
+	"reflect"
 	"testing"
 
 	"addrxlat/internal/workload"
 )
 
 // TestHugePageMergedLRUMatchesComposed pins the merged recency-stack fast
-// path against the original TLB+RAM composition: identical cost counters
-// and occupancy across huge-page sizes, TLB/RAM shapes (including TLB
-// larger than the frame count, where the caches genuinely diverge), and
-// workloads from cache-friendly to thrashing.
+// path against the original TLB+RAM composition: identical cost counters,
+// explain attribution and occupancy across huge-page sizes, TLB/RAM
+// shapes (including TLB larger than the frame count, where the caches
+// genuinely diverge), and workloads from cache-friendly to thrashing.
+// Attribution is armed on both sides, and the composed path classifies
+// each TLB miss through explain.TLBMiss and counts evictions from the RAM
+// policy's victims, so it checks the merged path's first-insert count and
+// eviction arithmetic independently.
 func TestHugePageMergedLRUMatchesComposed(t *testing.T) {
 	shapes := []struct {
 		h        uint64
@@ -49,6 +54,8 @@ func TestHugePageMergedLRUMatchesComposed(t *testing.T) {
 				t.Fatalf("shape %+v: fast-path selection wrong (merged=%v composed=%v)",
 					sh, merged.stack != nil, composed.stack != nil)
 			}
+			merged.EnableExplain()
+			composed.EnableExplain()
 
 			// Interleave batch and single-access servicing to cover both
 			// entry points, with a warmup reset in the middle as RunWarm does.
@@ -65,6 +72,9 @@ func TestHugePageMergedLRUMatchesComposed(t *testing.T) {
 			if merged.Costs() != composed.Costs() {
 				t.Fatalf("shape %+v seed %d: merged costs %v != composed costs %v",
 					sh, seed, merged.Costs(), composed.Costs())
+			}
+			if me, ce := merged.Explain().Snapshot(), composed.Explain().Snapshot(); !reflect.DeepEqual(me, ce) {
+				t.Fatalf("shape %+v seed %d: merged attribution %+v != composed %+v", sh, seed, me, ce)
 			}
 			if merged.TLBLen() != composed.TLBLen() {
 				t.Fatalf("shape %+v seed %d: TLBLen %d != %d", sh, seed, merged.TLBLen(), composed.TLBLen())

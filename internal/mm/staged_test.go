@@ -93,18 +93,26 @@ func explainOf(t *testing.T, a Algorithm) explain.Counters {
 
 // TestStagedBatchScratchReuse pins the steady-state allocation contract:
 // after the first chunk sizes an algorithm's own column buffers (the
-// decoupled kernel's packed miss list), staged batch execution stays
-// allocation-free for the algorithms with staged kernels.
+// decoupled kernel's packed miss list, the recency stack's key table and,
+// with attribution armed, the TLB-miss classifier's table), staged batch
+// execution stays allocation-free for the algorithms with staged kernels,
+// armed or not.
 func TestStagedBatchScratchReuse(t *testing.T) {
 	reqs := stagedTrace(9, 1<<14)
-	for _, idx := range []int{0, 1, 2, 4, 5} { // HugePage h=1/h=64, Decoupled, THP, Superpage
-		a := allAlgorithms(t, 3)[idx]
-		a.AccessBatch(reqs) // warm caches and size the buffers
-		allocs := testing.AllocsPerRun(5, func() {
-			a.AccessBatch(reqs)
-		})
-		if allocs > 0 {
-			t.Errorf("%s: staged batch allocates %.1f per chunk in steady state", a.Name(), allocs)
+	for _, withExplain := range []bool{false, true} {
+		for _, idx := range []int{0, 1, 2, 4, 5} { // HugePage h=1/h=64, Decoupled, THP, Superpage
+			a := allAlgorithms(t, 3)[idx]
+			if withExplain {
+				EnableExplain(a)
+			}
+			a.AccessBatch(reqs) // warm caches and size the buffers
+			allocs := testing.AllocsPerRun(5, func() {
+				a.AccessBatch(reqs)
+			})
+			if allocs > 0 {
+				t.Errorf("%s explain=%v: staged batch allocates %.1f per chunk in steady state",
+					a.Name(), withExplain, allocs)
+			}
 		}
 	}
 }

@@ -31,8 +31,9 @@ func columnTrace(seed uint64, n int, keyRange uint64, shift uint) []uint64 {
 // scalar path: AccessShifted over a chunk must report exactly the miss
 // totals of per-element Access(v>>shift) calls, and must leave the stack in
 // an equivalent state (verified by continuing both stacks scalar-for-scalar
-// after each chunk). Capacity shapes include the cap1==1 and cap2==1
-// boundary relinks the kernel special-cases.
+// after each chunk). Both must count the distinct keys requested so far.
+// Capacity shapes include the cap1==1 and cap2==1 boundary relinks the
+// kernel special-cases.
 func TestRecencyStackColumnMatchesScalar(t *testing.T) {
 	shapes := []struct{ cap1, cap2 int }{
 		{16, 512},
@@ -51,12 +52,14 @@ func TestRecencyStackColumnMatchesScalar(t *testing.T) {
 			seed := uint64(shape.cap1)*2000003 + keyRange
 			vs := columnTrace(seed, 30000, keyRange, shift)
 			rng := hashutil.NewRNG(seed + 1)
+			seen := make(map[uint64]bool)
 			for lo := 0; lo < len(vs); {
 				hi := min(lo+int(rng.Uint64n(900))+1, len(vs)) // uneven chunks
 				chunk := vs[lo:hi]
 				gotM1, gotM2 := col.AccessShifted(chunk, shift)
 				var wantM1, wantM2 uint64
 				for _, v := range chunk {
+					seen[v>>shift] = true
 					h1, h2 := ref.Access(v >> shift)
 					if !h1 {
 						wantM1++
@@ -69,11 +72,16 @@ func TestRecencyStackColumnMatchesScalar(t *testing.T) {
 					t.Fatalf("caps=(%d,%d) range=%d chunk=[%d,%d): column misses (%d,%d), scalar (%d,%d)",
 						shape.cap1, shape.cap2, keyRange, lo, hi, gotM1, gotM2, wantM1, wantM2)
 				}
+				if col.Distinct() != ref.Distinct() || col.Distinct() != len(seen) {
+					t.Fatalf("caps=(%d,%d) range=%d chunk=[%d,%d): Distinct column %d, scalar %d, stream %d",
+						shape.cap1, shape.cap2, keyRange, lo, hi, col.Distinct(), ref.Distinct(), len(seen))
+				}
 				// Interleave scalar probes on both stacks: any internal
 				// divergence (order, zone boundaries) surfaces as a hit
 				// mismatch here or a miss mismatch in a later chunk.
 				for i := 0; i < 32; i++ {
 					k := rng.Uint64n(keyRange)
+					seen[k] = true
 					c1, c2 := col.Access(k)
 					r1, r2 := ref.Access(k)
 					if c1 != r1 || c2 != r2 {

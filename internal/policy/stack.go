@@ -33,18 +33,32 @@ type rsNode struct {
 // Hit/miss answers are bit-identical to running two independent LRU caches;
 // TestRecencyStackMatchesTwoLRUs pins this. Keys must be densely numbered,
 // as in DenseLRU.
+//
+// An evicted key keeps a tombstone (rsEvicted) in the slot table instead of
+// being deleted, so the table's entry count is the number of distinct keys
+// ever inserted (Distinct). A key's first request misses both zones, so
+// the count is what the huge-page simulator's attribution needs to split
+// zone1 misses into compulsory and capacity ones, and it costs nothing on
+// the hit path: the insert path's Set already counts a key it has not
+// seen. Flat-region keys cost no extra memory (the table grows to the
+// highest key either way); keys at or above dense.SparseBound keep a map
+// entry each.
 type RecencyStack struct {
 	cap1, cap2 int // zone capacities
 	capMax     int // list capacity = max(cap1, cap2)
 
 	keys  []uint64
-	nodes []rsNode // intrusive recency list over slots; index capMax is the sentinel
-	slot  *dense.Table[int32]
+	nodes []rsNode            // intrusive recency list over slots; index capMax is the sentinel
+	slot  *dense.Table[int32] // key → slot, rsEvicted once evicted, -1 never inserted
 
 	size     int
 	freeHead int32
 	b1, b2   int32 // boundary slots: each zone's least recent member (-1 while empty)
 }
+
+// rsEvicted is the slot-table tombstone of a key that was inserted and
+// later evicted.
+const rsEvicted int32 = -2
 
 // NewRecencyStack builds a stack tracking two zone capacities (both > 0).
 // keyHint, if positive, pre-sizes the key index for keys [0, keyHint).
@@ -145,7 +159,7 @@ func (r *RecencyStack) Access(key uint64) (hit1, hit2 bool) {
 		p, n := nodes[t].prev, nodes[t].next
 		nodes[p].next = n
 		nodes[n].prev = p
-		r.slot.Delete(r.keys[t])
+		r.slot.Set(r.keys[t], rsEvicted)
 		r.size--
 		s = t
 	} else {
@@ -283,7 +297,7 @@ func (r *RecencyStack) AccessShifted(vs []uint64, shift uint) (miss1, miss2 uint
 			p, n := nodes[t].prev, nodes[t].next
 			nodes[p].next = n
 			nodes[n].prev = p
-			r.slot.Delete(keys[t])
+			r.slot.Set(keys[t], rsEvicted)
 			r.size--
 			s = t
 		} else {
@@ -332,6 +346,10 @@ func (r *RecencyStack) AccessShifted(vs []uint64, shift uint) (miss1, miss2 uint
 	r.b1, r.b2 = b1, b2
 	return miss1, miss2
 }
+
+// Distinct reports how many distinct keys have ever been inserted, i.e.
+// the number of requests so far that were a key's first.
+func (r *RecencyStack) Distinct() int { return r.slot.Len() }
 
 // Zone1Len reports how many keys a standalone LRU of cap1 would hold.
 func (r *RecencyStack) Zone1Len() int { return min(r.size, r.cap1) }

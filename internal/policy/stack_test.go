@@ -46,6 +46,43 @@ func TestRecencyStackMatchesTwoLRUs(t *testing.T) {
 	}
 }
 
+// TestLRUInclusion checks, as a randomized property, the LRU inclusion
+// the merged recency stack rests on: two LRU caches of capacities c < c′
+// fed one stream, every access that hits the smaller also hits the larger
+// (so misses never grow with capacity). Both LRU implementations are
+// checked, over seeds, key ranges and random capacity pairs.
+func TestLRUInclusion(t *testing.T) {
+	impls := []struct {
+		name string
+		mk   func(capacity int) Policy
+	}{
+		{"DenseLRU", func(c int) Policy { return NewDenseLRU(c, 0) }},
+		{"LRU", func(c int) Policy { return NewLRU(c) }},
+	}
+	for _, impl := range impls {
+		for seed := uint64(1); seed <= 6; seed++ {
+			for _, keyRange := range []uint64{6, 100, 3000} {
+				rng := hashutil.NewRNG(seed*7919 + keyRange)
+				c := 1 + int(rng.Uint64n(48))
+				cBig := c + 1 + int(rng.Uint64n(96))
+				small, big := impl.mk(c), impl.mk(cBig)
+				for i := 0; i < 10000; i++ {
+					k := rng.Uint64n(keyRange)
+					if rng.Uint64n(2) == 0 { // a hot eighth of the range
+						k = rng.Uint64n(keyRange/8 + 1)
+					}
+					hitSmall, _ := small.Access(k)
+					hitBig, _ := big.Access(k)
+					if hitSmall && !hitBig {
+						t.Fatalf("%s seed %d range %d: step %d key %d hits capacity %d but misses capacity %d",
+							impl.name, seed, keyRange, i, k, c, cBig)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRecencyStackSequentialScan exercises the classic LRU worst case,
 // where every access past the warm phase misses both zones.
 func TestRecencyStackSequentialScan(t *testing.T) {
