@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check examples bench bench-diff race vet fuzz-smoke trace-smoke serve-smoke serve-metrics-smoke
+.PHONY: all build test check examples bench bench-diff race vet fuzz-smoke trace-smoke serve-smoke serve-metrics-smoke results-check
 
 all: build
 
@@ -145,6 +145,30 @@ serve-metrics-smoke:
 	@grep -q '"metrics_window_mul"' results/serve-metrics-smoke/manifest-*.json || \
 		{ echo "serve-metrics-smoke: manifest lacks the metrics policy" >&2; exit 1; }
 
+# results-check regenerates every registry table at the default scale,
+# seed 1, with the result cache off, into a temporary directory, and
+# fails when a table differs from its committed snapshot under results/
+# or has no snapshot there. The per-window telemetry dump sv3 writes
+# beside its table (*.serve.metrics.tsv) is not a table and is skipped.
+# After a deliberate change to a table, regenerate its snapshot with
+# `go run ./cmd/figures -fig <id> -no-cache -out results -manifest ""`.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/figures -fig all -seed 1 -no-cache -out "$$tmp" -manifest "" -progress=false > /dev/null && \
+	status=0 && \
+	for f in "$$tmp"/*.tsv; do \
+		name=$$(basename "$$f"); \
+		case "$$name" in *.serve.metrics.tsv) continue;; esac; \
+		if [ ! -f "results/$$name" ]; then \
+			echo "results-check: no snapshot results/$$name" >&2; status=1; \
+		elif ! cmp -s "$$f" "results/$$name"; then \
+			echo "results-check: results/$$name differs from a fresh run:" >&2; \
+			diff "results/$$name" "$$f" >&2; status=1; \
+		fi; \
+	done; \
+	[ $$status -eq 0 ] && echo "results-check: $$(ls "$$tmp"/*.tsv | grep -vc '\.serve\.metrics\.tsv$$') tables match results/"; \
+	exit $$status
+
 # check is the pre-commit gate: vet, full tests, race-detector pass over the
 # concurrent packages, a 1-iteration benchmark smoke covering the scalar
 # Access and batch AccessBatch kernels (the regex matches by prefix, so
@@ -158,10 +182,11 @@ serve-metrics-smoke:
 # publish/release, gate, observer event delivery, phase clock), the
 # serving-layer overload + serve-burst drill (serve-smoke), the
 # serving-telemetry drill (serve-metrics-smoke), a run of every example
-# program (examples), and vet + tests of the benchmark harness in
+# program (examples), the committed-snapshot comparison of every table
+# (results-check), and vet + tests of the benchmark harness in
 # perfbench/ (its own module), so a change to an API the harness
 # compiles against fails here rather than only in the benchmark run.
-check: vet test race serve-smoke serve-metrics-smoke examples
+check: vet test race serve-smoke serve-metrics-smoke examples results-check
 	$(GO) test -bench='BenchmarkAccess(Batch)?(HugePage|Decoupled|THP|Superpage)|BenchmarkFig1bGraphWalk|BenchmarkFig1cGraph500|BenchmarkGraph500TraceGeneration' -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkFig1aBimodal -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkAccessBatchDecoupled -benchtime=1x -run=^$$ .

@@ -115,7 +115,7 @@ func BenchmarkFig1cGraph500(b *testing.B) {
 // BenchmarkTheorem1SingleChoice regenerates the Theorem 1 failure sweep.
 func BenchmarkTheorem1SingleChoice(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Theorem1(1<<15, 1)
+		tab, err := experiments.Theorem1(benchScale(), 1<<15, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func BenchmarkTheorem1SingleChoice(b *testing.B) {
 // BenchmarkTheorem2Iceberg regenerates the Theorem 2 max-load comparison.
 func BenchmarkTheorem2Iceberg(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Theorem2(32, []int{1 << 10, 1 << 12}, 10000, uint64(i)+1)
+		tab, err := experiments.Theorem2(benchScale(), 32, []int{1 << 10, 1 << 12}, 10000, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func BenchmarkTheorem2Iceberg(b *testing.B) {
 // BenchmarkTheorem3Decoupling regenerates the Theorem 3 failure sweep.
 func BenchmarkTheorem3Decoupling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Theorem3(1<<15, 1)
+		tab, err := experiments.Theorem3(benchScale(), 1<<15, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func BenchmarkHybrid(b *testing.B) {
 // BenchmarkPoliciesVsOpt regenerates the classical-paging policy table.
 func BenchmarkPoliciesVsOpt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Policies(256, 100000, uint64(i)+1); err != nil {
+		if _, err := experiments.Policies(benchScale(), 256, 100000, uint64(i)+1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,7 +216,7 @@ func BenchmarkNestedTranslation(b *testing.B) {
 // BenchmarkTenants regenerates the shared-TLB contention table.
 func BenchmarkTenants(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Tenants(256, 512, 200000, uint64(i)+1); err != nil {
+		if _, err := experiments.Tenants(benchScale(), 256, 512, 200000, uint64(i)+1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func BenchmarkTLBGeometry(b *testing.B) {
 // BenchmarkMultiCore regenerates the per-core-TLB table.
 func BenchmarkMultiCore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MultiCoreStudy(256, 1<<11, 200000, uint64(i)+1); err != nil {
+		if _, err := experiments.MultiCoreStudy(benchScale(), 256, 1<<11, 200000, uint64(i)+1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -280,7 +280,7 @@ func BenchmarkCoverageVsW(b *testing.B) {
 // (fewer seeds than the CLI run, for bench-friendly latency).
 func BenchmarkFailureProbability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FailureProbability([]uint{12, 14}, 3); err != nil {
+		if _, err := experiments.FailureProbability(benchScale(), []uint{12, 14}, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

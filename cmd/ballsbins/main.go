@@ -31,7 +31,7 @@ func main() {
 	flag.Parse()
 
 	if *sweep {
-		tab, err := experiments.Theorem2(*lambda, []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}, *churn, *seed)
+		tab, err := experiments.Theorem2(experiments.Scale{}, *lambda, []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16}, *churn, *seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ballsbins: %v\n", err)
 			os.Exit(1)

@@ -47,6 +47,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -104,7 +105,7 @@ func flushTrace() {
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "experiment ids, comma-separated: f1a|f1b|f1c|t1|t2|t3|t4|e2|e3|e4|e5|h1|sv1|sv2|sv3|...|all")
+		fig      = flag.String("fig", "all", "experiment ids, comma-separated: "+strings.Join(experimentIDs(), "|")+"|all")
 		full     = flag.Bool("full", false, "run at the paper's full dimensions (slow)")
 		seed     = flag.Uint64("seed", 1, "root random seed")
 		format   = flag.String("format", "tsv", "output format: tsv|csv")
@@ -189,54 +190,8 @@ func main() {
 		scale.Blobs = cache
 	}
 
-	type runner func(experiments.Scale) (*experiments.Table, error)
-	all := []struct {
-		id  string
-		run runner
-	}{
-		{"f1a", func(s experiments.Scale) (*experiments.Table, error) {
-			return experiments.Fig1(experiments.F1aBimodal, s, *seed)
-		}},
-		{"f1b", func(s experiments.Scale) (*experiments.Table, error) {
-			return experiments.Fig1(experiments.F1bGraphWalk, s, *seed)
-		}},
-		{"f1c", func(s experiments.Scale) (*experiments.Table, error) {
-			return experiments.Fig1(experiments.F1cGraph500, s, *seed)
-		}},
-		{"t1", func(experiments.Scale) (*experiments.Table, error) { return experiments.Theorem1(1<<18, 3) }},
-		{"t2", func(experiments.Scale) (*experiments.Table, error) {
-			return experiments.Theorem2(32, []int{1 << 8, 1 << 10, 1 << 12, 1 << 14}, 20000, *seed)
-		}},
-		{"t3", func(experiments.Scale) (*experiments.Table, error) { return experiments.Theorem3(1<<18, 3) }},
-		{"t4", func(s experiments.Scale) (*experiments.Table, error) { return experiments.Theorem4(s, *seed) }},
-		{"e2", func(experiments.Scale) (*experiments.Table, error) { return experiments.Equation2(64) }},
-		{"e2w", func(experiments.Scale) (*experiments.Table, error) { return experiments.CoverageVsW(1 << 32) }},
-		{"e3", func(experiments.Scale) (*experiments.Table, error) { return experiments.Policies(1024, 500000, *seed) }},
-		{"e4", func(s experiments.Scale) (*experiments.Table, error) { return experiments.Adaptive(s, *seed) }},
-		{"e5", func(s experiments.Scale) (*experiments.Table, error) { return experiments.Nested(s, *seed) }},
-		{"h1", func(s experiments.Scale) (*experiments.Table, error) { return experiments.Hybrid(s, *seed) }},
-		{"whp", func(experiments.Scale) (*experiments.Table, error) {
-			return experiments.FailureProbability([]uint{12, 14, 16, 18}, 20)
-		}},
-		{"e6", func(experiments.Scale) (*experiments.Table, error) {
-			return experiments.Tenants(1536, 4096, 2_000_000, *seed)
-		}},
-		{"e7", func(s experiments.Scale) (*experiments.Table, error) { return experiments.Related(s, *seed) }},
-		{"e8", func(s experiments.Scale) (*experiments.Table, error) { return experiments.TimeShare(s, *seed) }},
-		{"e9", func(s experiments.Scale) (*experiments.Table, error) { return experiments.TLBGeometryStudy(s, *seed) }},
-		{"e10", func(experiments.Scale) (*experiments.Table, error) {
-			return experiments.MultiCoreStudy(1536, 1<<14, 2_000_000, *seed)
-		}},
-		{"x1", func(s experiments.Scale) (*experiments.Table, error) { return experiments.Crossover(s, *seed) }},
-		{"sv1", func(s experiments.Scale) (*experiments.Table, error) { return experiments.ServeGoodput(s, *seed) }},
-		{"sv2", func(s experiments.Scale) (*experiments.Table, error) { return experiments.ServeLatency(s, *seed) }},
-		{"sv3", func(s experiments.Scale) (*experiments.Table, error) { return experiments.ServeSLO(s, *seed) }},
-	}
-
-	var selected []struct {
-		id  string
-		run runner
-	}
+	registry := experiments.Registry()
+	var selected []experiments.Experiment
 	seen := make(map[string]bool)
 	for _, id := range strings.Split(*fig, ",") {
 		id = strings.TrimSpace(id)
@@ -245,20 +200,14 @@ func main() {
 		}
 		seen[id] = true
 		if id == "all" {
-			selected = all
+			selected = registry
 			break
 		}
-		found := false
-		for _, e := range all {
-			if e.id == id {
-				selected = append(selected, e)
-				found = true
-				break
-			}
+		i := slices.IndexFunc(registry, func(e experiments.Experiment) bool { return e.ID == id })
+		if i < 0 {
+			die(2, "figures: unknown experiment %q (want one of %s all)\n", id, strings.Join(experimentIDs(), " "))
 		}
-		if !found {
-			die(2, "figures: unknown experiment %q (want one of f1a f1b f1c t1 t2 t3 t4 e2 e3 e4 e5 h1 ... all)\n", id)
-		}
+		selected = append(selected, registry[i])
 	}
 	if len(selected) == 0 {
 		die(2, "figures: no experiments selected by -fig %q\n", *fig)
@@ -341,9 +290,9 @@ func main() {
 	}
 
 	for _, e := range selected {
-		if jstate != nil && jstate.Experiments[e.id] {
-			fmt.Fprintf(os.Stderr, "figures: %s: complete in journal, skipped (resume)\n", e.id)
-			man.Experiments = append(man.Experiments, obs.RunRecord{ID: e.id, Skipped: true})
+		if jstate != nil && jstate.Experiments[e.ID] {
+			fmt.Fprintf(os.Stderr, "figures: %s: complete in journal, skipped (resume)\n", e.ID)
+			man.Experiments = append(man.Experiments, obs.RunRecord{ID: e.ID, Skipped: true})
 			continue
 		}
 		runScale := scale
@@ -354,52 +303,52 @@ func main() {
 		if cache != nil {
 			hits0, misses0, _ = cache.Stats()
 		}
-		prog.Start(e.id)
-		tracer.SetScope(e.id)
+		prog.Start(e.ID)
+		tracer.SetScope(e.ID)
 		expStart := tracer.Now()
 		start := time.Now()
-		tab, err := e.run(runScale)
-		sweepThread.Span(e.id, xtrace.CatExperiment, expStart)
+		tab, err := e.Run(runScale, *seed)
+		sweepThread.Span(e.ID, xtrace.CatExperiment, expStart)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				// Cooperative drain: the workers stopped at a chunk
 				// boundary; flush what we have and exit like an
 				// interrupted process should.
 				if rec.HasSeries() && curveDir != "" {
-					_ = writeCurves(rec, curveDir, e.id+".partial")
+					_ = writeCurves(rec, curveDir, e.ID+".partial")
 				}
 				if rec.HasExplain() && curveDir != "" {
-					_ = writeExplain(rec, curveDir, e.id+".partial")
+					_ = writeExplain(rec, curveDir, e.ID+".partial")
 				}
 				flushProfile()
 				flushTrace()
-				flushManifest("canceled", fmt.Sprintf("%s: %v", e.id, err))
-				fmt.Fprintf(os.Stderr, "figures: %s: %v\n", e.id, err)
+				flushManifest("canceled", fmt.Sprintf("%s: %v", e.ID, err))
+				fmt.Fprintf(os.Stderr, "figures: %s: %v\n", e.ID, err)
 				os.Exit(130)
 			}
-			die(1, "figures: %s: %v\n", e.id, err)
+			die(1, "figures: %s: %v\n", e.ID, err)
 		}
 		elapsed := time.Since(start)
 		if err := emit(tab, *format, *outDir); err != nil {
-			die(1, "figures: %s: %v\n", e.id, err)
+			die(1, "figures: %s: %v\n", e.ID, err)
 		}
 		if rec.HasSeries() && curveDir != "" {
 			if err := writeCurves(rec, curveDir, tab.Name); err != nil {
-				die(1, "figures: %s: %v\n", e.id, err)
+				die(1, "figures: %s: %v\n", e.ID, err)
 			}
 		}
 		if rec.HasExplain() && curveDir != "" {
 			if err := writeExplain(rec, curveDir, tab.Name); err != nil {
-				die(1, "figures: %s: %v\n", e.id, err)
+				die(1, "figures: %s: %v\n", e.ID, err)
 			}
 		}
 		if jw != nil {
-			if err := jw.Experiment(e.id); err != nil {
+			if err := jw.Experiment(e.ID); err != nil {
 				fmt.Fprintf(os.Stderr, "figures: journal: %v\n", err)
 			}
 		}
 		rr := obs.RunRecord{
-			ID: e.id, Table: tab.Name, Rows: len(tab.Rows),
+			ID: e.ID, Table: tab.Name, Rows: len(tab.Rows),
 			WallSeconds: elapsed.Seconds(), Phases: rec.Phases(),
 		}
 		if rec.HasExplain() {
@@ -412,7 +361,7 @@ func main() {
 		rr.Serve = rec.ServeRecord(tab.Name)
 		if rr.Serve != nil && rr.Serve.HasMetrics() && curveDir != "" {
 			if err := writeServeMetrics(rr.Serve, curveDir, tab.Name); err != nil {
-				die(1, "figures: %s: %v\n", e.id, err)
+				die(1, "figures: %s: %v\n", e.ID, err)
 			}
 		}
 		if tracer != nil {
@@ -421,7 +370,7 @@ func main() {
 			// progress stream, and <table>.timeline.tsv.
 			var reps []xtrace.RowReport
 			for _, rep := range tracer.Analyze() {
-				if rep.Experiment != e.id {
+				if rep.Experiment != e.ID {
 					continue
 				}
 				reps = append(reps, rep)
@@ -431,7 +380,7 @@ func main() {
 			rr.Timeline = reps
 			if len(reps) > 0 && curveDir != "" {
 				if err := writeTimeline(reps, curveDir, tab.Name); err != nil {
-					die(1, "figures: %s: %v\n", e.id, err)
+					die(1, "figures: %s: %v\n", e.ID, err)
 				}
 			}
 		}
@@ -441,7 +390,7 @@ func main() {
 			rr.CacheHits, rr.CacheMisses = hits-hits0, misses-misses0
 		}
 		man.Experiments = append(man.Experiments, rr)
-		prog.Finish(e.id, elapsed, hits, misses)
+		prog.Finish(e.ID, elapsed, hits, misses)
 	}
 
 	if cache != nil {
@@ -460,6 +409,15 @@ func main() {
 	}
 	flushTrace()
 	flushManifest("ok", "")
+}
+
+// experimentIDs lists the registry's ids in run order.
+func experimentIDs() []string {
+	var ids []string
+	for _, e := range experiments.Registry() {
+		ids = append(ids, e.ID)
+	}
+	return ids
 }
 
 // journalingCache witnesses every finished cell in the sweep journal as

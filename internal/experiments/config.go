@@ -41,10 +41,10 @@ type Scale struct {
 	AccessDiv uint64
 	// Workers bounds the goroutines a sweep may fan out across: the
 	// concurrent (row, algorithm) simulations of the row executor, and
-	// the per-parameter-point tasks of the materialized sweeps. 0 means
-	// GOMAXPROCS. 1 admits one simulation at a time — results are
-	// identical at any setting, since every simulator is independently
-	// seeded and lands in an order-stable slot (pinned by
+	// the tasks of forEach — one per parameter point, trial or one-cell
+	// row. 0 means GOMAXPROCS. 1 admits one simulation at a time —
+	// results are identical at any setting, since every simulator is
+	// independently seeded and lands in an order-stable slot (pinned by
 	// TestFig1Deterministic and TestPipelinedMatchesMaterialized).
 	Workers int
 	// Cache, when non-nil, is consulted before simulating each cell of
@@ -98,8 +98,8 @@ type Scale struct {
 	// no stall fires.
 	Watchdog time.Duration
 	// Ctx, when non-nil, cancels the sweep cooperatively: row drivers
-	// check it at every chunk boundary and sweep workers stop dispatching
-	// new cells once it is done, so a SIGINT drains within one chunk of
+	// check it at every chunk boundary and forEach starts no new task once
+	// it is done, so a SIGINT drains within one chunk or one task of
 	// simulation instead of finishing the run. The returned error wraps
 	// the context's error (test with errors.Is). Nil means run to
 	// completion. Cancellation never corrupts the result cache: a cell is
@@ -168,18 +168,12 @@ func HugePageSweep() []uint64 {
 	return hs
 }
 
-// forEach runs fn(i) for i in [0, n) on a bounded worker pool and returns
-// the lowest-indexed error. Each simulation point is independent, so
-// sweeps parallelize across huge-page sizes / parameter values.
-func forEach(n int, fn func(i int) error) error {
-	return parallel.ForEach(n, 0, fn)
-}
-
-// forEach is the Scale-aware variant: the sweep fans out across at most
-// s.Workers goroutines (GOMAXPROCS when 0) and stops dispatching new
-// tasks once s.Ctx is canceled.
+// forEach is the sweep fan-out of every experiment: fn(i) for i in
+// [0, n), one task per parameter point, trial or one-cell row, across at
+// most s.Workers goroutines (GOMAXPROCS when 0). Once s.Ctx is canceled
+// no new task starts, and the returned error wraps the context's error.
 func (s Scale) forEach(n int, fn func(i int) error) error {
-	return parallel.ForEachCtx(s.context(), n, s.Workers, fn)
+	return parallel.ForEach(s.context(), n, s.Workers, fn)
 }
 
 // rowWorkers resolves the Workers default for the row executor: how many

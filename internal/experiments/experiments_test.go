@@ -85,7 +85,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestForEach(t *testing.T) {
 	results := make([]int, 100)
-	err := forEach(100, func(i int) error {
+	err := Scale{}.forEach(100, func(i int) error {
 		results[i] = i * i
 		return nil
 	})
@@ -98,7 +98,7 @@ func TestForEach(t *testing.T) {
 		}
 	}
 	// Errors propagate.
-	err = forEach(10, func(i int) error {
+	err = Scale{}.forEach(10, func(i int) error {
 		if i == 5 {
 			return errTest
 		}
@@ -108,7 +108,7 @@ func TestForEach(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// n=0 must not hang.
-	if err := forEach(0, func(int) error { return errTest }); err != nil {
+	if err := (Scale{}).forEach(0, func(int) error { return errTest }); err != nil {
 		t.Fatal("n=0 should be a no-op")
 	}
 }
@@ -202,11 +202,11 @@ func TestFig1UnknownWorkload(t *testing.T) {
 
 func TestTheorem1And3(t *testing.T) {
 	t.Parallel()
-	tab1, err := Theorem1(1<<15, 2)
+	tab1, err := Theorem1(Scale{}, 1<<15, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab3, err := Theorem3(1<<15, 2)
+	tab3, err := Theorem3(Scale{}, 1<<15, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestTheorem1And3(t *testing.T) {
 
 func TestTheorem2(t *testing.T) {
 	t.Parallel()
-	tab, err := Theorem2(16, []int{1 << 8, 1 << 10}, 5000, 1)
+	tab, err := Theorem2(Scale{}, 16, []int{1 << 8, 1 << 10}, 5000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestTheorem2(t *testing.T) {
 			t.Errorf("iceberg peak %v not below one-choice %v", ice, one)
 		}
 	}
-	if _, err := Theorem2(0, nil, 10, 1); err == nil {
+	if _, err := Theorem2(Scale{}, 0, nil, 10, 1); err == nil {
 		t.Error("lambda=0 should error")
 	}
 }

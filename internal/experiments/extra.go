@@ -13,7 +13,7 @@ import (
 // every online policy against offline OPT across three canonical
 // workloads — the substrate Lemma 1 reduces both halves of the
 // address-translation problem to. Cache size is `capacity`.
-func Policies(capacity int, nAccesses int, seed uint64) (*Table, error) {
+func Policies(s Scale, capacity int, nAccesses int, seed uint64) (*Table, error) {
 	if capacity <= 0 || nAccesses <= 0 {
 		return nil, fmt.Errorf("experiments: capacity and accesses must be positive")
 	}
@@ -44,34 +44,36 @@ func Policies(capacity int, nAccesses int, seed uint64) (*Table, error) {
 			capacity, nAccesses),
 		Columns: []string{"workload", "policy", "misses", "vs_opt"},
 	}
-	for _, load := range loads {
-		opt := policy.OptMisses(load.reqs, capacity)
-		t.AddRow(load.name, "opt(offline)", opt, 1.0)
-		kinds := policy.Kinds()
-		misses := make([]uint64, len(kinds))
-		if err := forEach(len(kinds), func(i int) error {
-			p, err := policy.New(kinds[i], capacity, seed+uint64(i))
-			if err != nil {
-				return err
-			}
-			misses[i] = policy.Misses(p, load.reqs)
+	// One task per (workload, policy) cell, offline OPT first in each
+	// workload's group.
+	kinds := policy.Kinds()
+	per := 1 + len(kinds)
+	misses := make([]uint64, len(loads)*per)
+	err = s.forEach(len(misses), func(k int) error {
+		reqs, j := loads[k/per].reqs, k%per
+		if j == 0 {
+			misses[k] = policy.OptMisses(reqs, capacity)
 			return nil
-		}); err != nil {
-			return nil, err
 		}
+		p, err := policy.New(kinds[j-1], capacity, seed+uint64(j-1))
+		if err != nil {
+			return err
+		}
+		misses[k] = policy.Misses(p, reqs)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for li, load := range loads {
+		group := misses[li*per : (li+1)*per]
+		opt := group[0]
+		t.AddRow(load.name, "opt(offline)", opt, 1.0)
 		for i, k := range kinds {
-			ratio := float64(misses[i]) / float64(max64(opt, 1))
-			t.AddRow(load.name, string(k), misses[i], ratio)
+			t.AddRow(load.name, string(k), group[1+i], float64(group[1+i])/float64(max(opt, 1)))
 		}
 	}
 	return t, nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Adaptive compares the OS-style adaptive baselines of Section 7 — THP

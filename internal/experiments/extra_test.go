@@ -7,7 +7,7 @@ import (
 
 func TestPoliciesTable(t *testing.T) {
 	t.Parallel()
-	tab, err := Policies(256, 100000, 1)
+	tab, err := Policies(Scale{}, 256, 100000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,10 +31,10 @@ func TestPoliciesTable(t *testing.T) {
 			t.Errorf("LRU/zipf ratio %v implausibly high", parse(t, row[3]))
 		}
 	}
-	if _, err := Policies(0, 10, 1); err == nil {
+	if _, err := Policies(Scale{}, 0, 10, 1); err == nil {
 		t.Error("capacity=0 should error")
 	}
-	if _, err := Policies(10, 0, 1); err == nil {
+	if _, err := Policies(Scale{}, 10, 0, 1); err == nil {
 		t.Error("accesses=0 should error")
 	}
 }

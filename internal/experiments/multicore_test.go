@@ -4,7 +4,7 @@ import "testing"
 
 func TestMultiCoreStudy(t *testing.T) {
 	t.Parallel()
-	tab, err := MultiCoreStudy(256, 1<<11, 200000, 1)
+	tab, err := MultiCoreStudy(Scale{}, 256, 1<<11, 200000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestMultiCoreStudy(t *testing.T) {
 	if last <= first {
 		t.Errorf("splitting entries did not raise miss rate: %v -> %v", first, last)
 	}
-	if _, err := MultiCoreStudy(0, 1, 1, 1); err == nil {
+	if _, err := MultiCoreStudy(Scale{}, 0, 1, 1, 1); err == nil {
 		t.Error("bad config should error")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"maps"
 	"testing"
 
 	"addrxlat/internal/obs"
@@ -16,10 +17,12 @@ func TestSampledRunsByteIdentical(t *testing.T) {
 	checkObservedByteIdentical(t, false)
 }
 
-// checkObservedByteIdentical runs five experiment families at seeds
+// checkObservedByteIdentical runs seven experiment families at seeds
 // 1/7/42, bare and with a Recorder attached (Explain set to explain), and
-// fails on any table difference or on a recorder that saw no series, no
-// phase records, or attribution that does not match explain.
+// fails on any table difference, on a recorder that saw no series or no
+// phase records, on a row with one but not the other, or on attribution
+// that does not match explain. e6 and e10 run with small parameters; each
+// of their five one-cell rows must be recorded.
 func checkObservedByteIdentical(t *testing.T, explain bool) {
 	t.Helper()
 	base := Scale{SpaceDiv: 4096, AccessDiv: 10000}
@@ -27,12 +30,15 @@ func checkObservedByteIdentical(t *testing.T, explain bool) {
 	experiments := []struct {
 		name string
 		run  func(Scale, uint64) (*Table, error)
+		rows int // distinct rows the recorder must see; 0 skips the count
 	}{
-		{"fig1a", func(s Scale, seed uint64) (*Table, error) { return Fig1(F1aBimodal, s, seed) }},
-		{"crossover", Crossover},
-		{"related", Related},
-		{"geometry", TLBGeometryStudy},
-		{"adaptive", Adaptive},
+		{"fig1a", func(s Scale, seed uint64) (*Table, error) { return Fig1(F1aBimodal, s, seed) }, 1},
+		{"crossover", Crossover, 0},
+		{"related", Related, 1},
+		{"geometry", TLBGeometryStudy, 2},
+		{"adaptive", Adaptive, 1},
+		{"tenants", func(s Scale, seed uint64) (*Table, error) { return Tenants(s, 64, 128, 20000, seed) }, 5},
+		{"multicore", func(s Scale, seed uint64) (*Table, error) { return MultiCoreStudy(s, 64, 1<<9, 20000, seed) }, 5},
 	}
 
 	for _, seed := range []uint64{1, 7, 42} {
@@ -59,6 +65,17 @@ func checkObservedByteIdentical(t *testing.T, explain bool) {
 			}
 			if len(rec.Phases()) == 0 {
 				t.Errorf("%s seed %d explain=%v: no phase records", e.name, seed, explain)
+			}
+			seriesRows, phaseRows := map[string]bool{}, map[string]bool{}
+			for _, sr := range rec.SeriesSnapshot() {
+				seriesRows[sr.Row] = true
+			}
+			for _, p := range rec.Phases() {
+				phaseRows[p.Row] = true
+			}
+			if !maps.Equal(seriesRows, phaseRows) || (e.rows > 0 && len(seriesRows) != e.rows) {
+				t.Errorf("%s seed %d explain=%v: rows with series %v, rows with phase records %v, want %d of each",
+					e.name, seed, explain, seriesRows, phaseRows, e.rows)
 			}
 			if rec.HasExplain() != explain {
 				t.Errorf("%s seed %d explain=%v: attribution recorded = %v", e.name, seed, explain, rec.HasExplain())

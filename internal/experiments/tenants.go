@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"addrxlat/internal/mm"
 	"addrxlat/internal/policy"
-	"addrxlat/internal/tlb"
 	"addrxlat/internal/workload"
 )
 
@@ -12,8 +12,10 @@ import (
 // threads/VMs share one TLB, the effective per-tenant capacity shrinks
 // and the aggregate miss rate climbs. Each tenant runs an identical
 // bimodal workload in its own address space; the merged stream hits one
-// shared TLB of fixed size.
-func Tenants(entries int, hotPages uint64, nAccesses int, seed uint64) (*Table, error) {
+// shared TLB of fixed size. Each tenant count is a one-cell row: a
+// TLB-only simulator (one page per entry) over its own merged stream,
+// warmed for nAccesses/2 requests and measured for nAccesses.
+func Tenants(s Scale, entries int, hotPages uint64, nAccesses int, seed uint64) (*Table, error) {
 	if entries <= 0 || hotPages == 0 || nAccesses <= 0 {
 		return nil, fmt.Errorf("experiments: invalid tenants config")
 	}
@@ -25,56 +27,41 @@ func Tenants(entries int, hotPages uint64, nAccesses int, seed uint64) (*Table, 
 			entries, hotPages, nAccesses),
 		Columns: []string{"tenants", "tlb_misses", "miss_rate", "effective_entries_per_tenant"},
 	}
-	type res struct {
-		misses uint64
+	var spaceBits uint = 1
+	for hotPages*16>>spaceBits != 0 {
+		spaceBits++
 	}
-	results := make([]res, len(counts))
-	err := forEach(len(counts), func(ci int) error {
+	shared := make([]*mm.TLBOnly, len(counts))
+	err := s.forEach(len(counts), func(ci int) error {
 		k := counts[ci]
-		gens := make([]workload.Generator, k)
-		for i := range gens {
-			g, err := workload.NewBimodal(hotPages, hotPages*16, 0.999, seed+uint64(i)*97)
-			if err != nil {
-				return err
-			}
-			gens[i] = g
+		m := &fig1Machine{
+			row:     fmt.Sprintf("e6-tenants=%d", k),
+			warmupN: nAccesses / 2, measuredN: nAccesses,
+			newGen: func() (workload.Generator, error) {
+				gens := make([]workload.Generator, k)
+				for i := range gens {
+					g, err := workload.NewBimodal(hotPages, hotPages*16, 0.999, seed+uint64(i)*97)
+					if err != nil {
+						return nil, err
+					}
+					gens[i] = g
+				}
+				return workload.NewInterleave(gens, spaceBits, seed^0x7e7a)
+			},
 		}
-		var spaceBits uint = 1
-		for hotPages*16>>spaceBits != 0 {
-			spaceBits++
-		}
-		merged, err := workload.NewInterleave(gens, spaceBits, seed^0x7e7a)
+		x, err := mm.NewTLBOnly(1, entries, policy.LRUKind, seed)
 		if err != nil {
 			return err
 		}
-		shared, err := tlb.New(entries, policy.LRUKind, seed)
-		if err != nil {
-			return err
-		}
-		// Warm then measure.
-		for i := 0; i < nAccesses/2; i++ {
-			touch(shared, merged.Next())
-		}
-		shared.ResetCounters()
-		for i := 0; i < nAccesses; i++ {
-			touch(shared, merged.Next())
-		}
-		results[ci].misses = shared.Misses()
-		return nil
+		shared[ci] = x
+		return joinRow(m.runRow(s, []mm.Algorithm{x}))
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, k := range counts {
-		misses := results[i].misses
+		misses := shared[i].Costs().TLBMisses
 		t.AddRow(k, misses, float64(misses)/float64(nAccesses), entries/k)
 	}
 	return t, nil
-}
-
-// touch performs one TLB reference, inserting on miss.
-func touch(t *tlb.TLB, page uint64) {
-	if !t.Lookup(page) {
-		t.Insert(page)
-	}
 }

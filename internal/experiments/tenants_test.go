@@ -4,7 +4,7 @@ import "testing"
 
 func TestTenantsContention(t *testing.T) {
 	t.Parallel()
-	tab, err := Tenants(256, 512, 200000, 1)
+	tab, err := Tenants(Scale{}, 256, 512, 200000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestTenantsContention(t *testing.T) {
 	if last < first*1.3 {
 		t.Errorf("contention too weak: %v -> %v", first, last)
 	}
-	if _, err := Tenants(0, 1, 1, 1); err == nil {
+	if _, err := Tenants(Scale{}, 0, 1, 1, 1); err == nil {
 		t.Error("bad config should error")
 	}
 }

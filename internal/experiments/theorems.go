@@ -11,16 +11,19 @@ import (
 	"addrxlat/internal/policy"
 )
 
+// bucketFractions are the bucket sizes t1 and t3 sweep, as fractions of
+// the derived B.
+var bucketFractions = []float64{0.5, 0.7, 0.85, 1.0, 1.2}
+
 // Theorem1 validates the warm-up construction: with k=1 and buckets of
 // size B = Θ(log P · log log P), filling to m = (1−δ)P pages and churning
 // produces no paging failures; smaller buckets (at the same average load)
 // fail. The table sweeps the bucket size as a fraction of the derived B.
-func Theorem1(P uint64, seeds int) (*Table, error) {
+func Theorem1(s Scale, P uint64, seeds int) (*Table, error) {
 	base, err := core.DeriveParams(core.SingleChoice, P, P*16, 64)
 	if err != nil {
 		return nil, err
 	}
-	fractions := []float64{0.5, 0.7, 0.85, 1.0, 1.2}
 	t := &Table{
 		Name: "t1-singlechoice",
 		Caption: fmt.Sprintf(
@@ -28,50 +31,19 @@ func Theorem1(P uint64, seeds int) (*Table, error) {
 			P, base.B, base.MaxResident, base.Delta, seeds),
 		Columns: []string{"bucket_frac", "bucket_size", "fill_failures", "churn_failures", "failure_rate"},
 	}
-	type row struct {
-		B                   int
-		fillFail, churnFail uint64
-		ops                 uint64
-	}
-	rows := make([]row, len(fractions))
-	err = forEach(len(fractions), func(i int) error {
-		// Shrink only the physical bucket capacity: the bucket count and
-		// resident-page target m stay at the derived values, so the
-		// average load λ is unchanged and under-sized buckets must
-		// overflow into paging failures.
-		p := base
-		p.B = int(math.Ceil(float64(base.B) * fractions[i]))
-		if p.B < 1 {
-			p.B = 1
-		}
-		rows[i].B = p.B
-		for seed := 0; seed < seeds; seed++ {
-			fill, churn, ops := runFailureTrial(p, uint64(seed))
-			rows[i].fillFail += fill
-			rows[i].churnFail += churn
-			rows[i].ops += ops
-		}
-		return nil
-	})
-	if err != nil {
+	if err := bucketSweep(s, t, base, seeds); err != nil {
 		return nil, err
-	}
-	for i, f := range fractions {
-		r := rows[i]
-		t.AddRow(f, r.B, r.fillFail, r.churnFail,
-			float64(r.fillFail+r.churnFail)/float64(r.ops))
 	}
 	return t, nil
 }
 
 // Theorem3 is the analogous sweep for the Iceberg (k=3) construction,
 // whose derived buckets are exponentially smaller.
-func Theorem3(P uint64, seeds int) (*Table, error) {
+func Theorem3(s Scale, P uint64, seeds int) (*Table, error) {
 	base, err := core.DeriveParams(core.IcebergAlloc, P, P*16, 64)
 	if err != nil {
 		return nil, err
 	}
-	fractions := []float64{0.5, 0.7, 0.85, 1.0, 1.2}
 	t := &Table{
 		Name: "t3-iceberg",
 		Caption: fmt.Sprintf(
@@ -79,41 +51,49 @@ func Theorem3(P uint64, seeds int) (*Table, error) {
 			P, base.B, theorem1B(P), base.MaxResident, base.Delta, seeds),
 		Columns: []string{"bucket_frac", "bucket_size", "fill_failures", "churn_failures", "failure_rate"},
 	}
-	type row struct {
-		B                   int
-		fillFail, churnFail uint64
-		ops                 uint64
+	if err := bucketSweep(s, t, base, seeds); err != nil {
+		return nil, err
 	}
-	rows := make([]row, len(fractions))
-	err = forEach(len(fractions), func(i int) error {
-		// As in Theorem1: shrink only the bucket capacity, keeping the
-		// bucket count, threshold geometry and resident target fixed.
+	return t, nil
+}
+
+// bucketSweep adds t1's and t3's rows: one per bucket fraction, each
+// shrinking only the physical bucket capacity. The bucket count,
+// threshold geometry and resident-page target m stay at the derived
+// values (the threshold is clamped to the shrunken bucket; it is 0 for
+// k=1), so the average load λ is unchanged and under-sized buckets must
+// overflow into paging failures. Every (fraction, seed) trial is its own
+// task, and each row sums its trials in seed order.
+func bucketSweep(s Scale, t *Table, base core.Params, seeds int) error {
+	params := make([]core.Params, len(bucketFractions))
+	for i, f := range bucketFractions {
 		p := base
-		p.B = int(math.Ceil(float64(base.B) * fractions[i]))
-		if p.B < 1 {
-			p.B = 1
-		}
-		if p.Threshold > p.B {
-			p.Threshold = p.B
-		}
-		rows[i].B = p.B
-		for seed := 0; seed < seeds; seed++ {
-			fill, churn, ops := runFailureTrial(p, uint64(seed))
-			rows[i].fillFail += fill
-			rows[i].churnFail += churn
-			rows[i].ops += ops
-		}
+		p.B = max(int(math.Ceil(float64(base.B)*f)), 1)
+		p.Threshold = min(p.Threshold, p.B)
+		params[i] = p
+	}
+	type trial struct{ fill, churn, ops uint64 }
+	trials := make([]trial, len(params)*seeds)
+	err := s.forEach(len(trials), func(k int) error {
+		i, seed := k/seeds, k%seeds
+		tr := &trials[k]
+		tr.fill, tr.churn, tr.ops = runFailureTrial(params[i], uint64(seed))
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for i, f := range fractions {
-		r := rows[i]
-		t.AddRow(f, r.B, r.fillFail, r.churnFail,
-			float64(r.fillFail+r.churnFail)/float64(r.ops))
+	for i, f := range bucketFractions {
+		var sum trial
+		for _, tr := range trials[i*seeds : (i+1)*seeds] {
+			sum.fill += tr.fill
+			sum.churn += tr.churn
+			sum.ops += tr.ops
+		}
+		t.AddRow(f, params[i].B, sum.fill, sum.churn,
+			float64(sum.fill+sum.churn)/float64(sum.ops))
 	}
-	return t, nil
+	return nil
 }
 
 func theorem1B(P uint64) int {
@@ -172,7 +152,7 @@ func runFailureTrial(p core.Params, seed uint64) (fill, churn, ops uint64) {
 // Theorem2 compares the max load of OneChoice, Greedy[2] and Iceberg[2]
 // under dynamic churn across bin counts — the shape of Theorem 2. Reports
 // peak max load and its gap above the average load λ.
-func Theorem2(lambda int, binCounts []int, churnSteps int, seed uint64) (*Table, error) {
+func Theorem2(s Scale, lambda int, binCounts []int, churnSteps int, seed uint64) (*Table, error) {
 	if lambda <= 0 {
 		return nil, fmt.Errorf("experiments: lambda must be positive")
 	}
@@ -191,7 +171,7 @@ func Theorem2(lambda int, binCounts []int, churnSteps int, seed uint64) (*Table,
 	}
 	type res struct{ one, greedy, ice int }
 	results := make([]res, len(binCounts))
-	err := forEach(len(binCounts), func(i int) error {
+	err := s.forEach(len(binCounts), func(i int) error {
 		n := binCounts[i]
 		m := n * lambda
 		runGame := func(r ballsbins.Rule) int {

@@ -12,7 +12,7 @@ import (
 // fraction of seeds that ever see a paging failure. The theorems say this
 // fraction vanishes as P grows; the table reports it for several P at the
 // derived geometry.
-func FailureProbability(logPs []uint, seeds int) (*Table, error) {
+func FailureProbability(s Scale, logPs []uint, seeds int) (*Table, error) {
 	if seeds <= 0 {
 		return nil, fmt.Errorf("experiments: seeds must be positive")
 	}
@@ -26,12 +26,7 @@ func FailureProbability(logPs []uint, seeds int) (*Table, error) {
 			seeds),
 		Columns: []string{"P", "kind", "B", "m", "delta", "seeds_with_failures", "failure_ops_total"},
 	}
-	type cell struct {
-		p          core.Params
-		seedsWith  int
-		failureOps uint64
-	}
-	var cells []cell
+	var cells []core.Params
 	for _, logP := range logPs {
 		P := uint64(1) << logP
 		for _, kind := range []core.AllocKind{core.SingleChoice, core.IcebergAlloc} {
@@ -39,25 +34,31 @@ func FailureProbability(logPs []uint, seeds int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, cell{p: p})
+			cells = append(cells, p)
 		}
 	}
-	err := forEach(len(cells), func(i int) error {
-		for seed := 0; seed < seeds; seed++ {
-			fill, churn, _ := runFailureTrial(cells[i].p, uint64(seed)*2654435761)
-			if fill+churn > 0 {
-				cells[i].seedsWith++
-				cells[i].failureOps += fill + churn
-			}
-		}
+	// One task per (cell, seed) trial; each row folds its cell's trials in
+	// seed order.
+	failures := make([]uint64, len(cells)*seeds)
+	err := s.forEach(len(failures), func(k int) error {
+		i, seed := k/seeds, k%seeds
+		fill, churn, _ := runFailureTrial(cells[i], uint64(seed)*2654435761)
+		failures[k] = fill + churn
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		t.AddRow(c.p.P, string(c.p.Kind), c.p.B, c.p.MaxResident,
-			fmt.Sprintf("%.4f", c.p.Delta), c.seedsWith, c.failureOps)
+	for i, p := range cells {
+		seedsWith, failureOps := 0, uint64(0)
+		for _, f := range failures[i*seeds : (i+1)*seeds] {
+			if f > 0 {
+				seedsWith++
+				failureOps += f
+			}
+		}
+		t.AddRow(p.P, string(p.Kind), p.B, p.MaxResident,
+			fmt.Sprintf("%.4f", p.Delta), seedsWith, failureOps)
 	}
 	return t, nil
 }

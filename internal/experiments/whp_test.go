@@ -4,7 +4,7 @@ import "testing"
 
 func TestFailureProbability(t *testing.T) {
 	t.Parallel()
-	tab, err := FailureProbability([]uint{12, 14}, 5)
+	tab, err := FailureProbability(Scale{}, []uint{12, 14}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,11 +19,11 @@ func TestFailureProbability(t *testing.T) {
 				row[0], row[1], got)
 		}
 	}
-	if _, err := FailureProbability(nil, 0); err == nil {
+	if _, err := FailureProbability(Scale{}, nil, 0); err == nil {
 		t.Error("seeds=0 should error")
 	}
 	// Default logPs path.
-	tab, err = FailureProbability(nil, 1)
+	tab, err = FailureProbability(Scale{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,7 @@ func allAlgorithms(t testing.TB, seed uint64) []Algorithm {
 	add(NewGeometry(GeometryConfig{Geometry: GeometrySetAssoc, Entries: entries, Ways: 4, RAMPages: ram, Seed: seed}))
 	add(NewTLBOnly(8, entries, "lru", seed))
 	add(NewRAMOnly(ram, "lru", seed))
+	add(NewMultiCore(MultiCoreConfig{Cores: 4, TLBEntriesEach: entries / 4, HugePageSize: 4, RAMPages: ram, Seed: seed}))
 	return algos
 }
 

@@ -38,18 +38,22 @@ func (c *MultiCoreConfig) validate() error {
 	return nil
 }
 
-// MultiCore models per-core TLBs over shared RAM. It is not an Algorithm
-// (requests carry a core id); AccessOn is the entry point.
+// MultiCore models per-core TLBs over shared RAM. As an Algorithm it
+// deals requests to the cores round-robin; AccessOn issues a request on a
+// chosen core.
 type MultiCore struct {
 	cfg  MultiCoreConfig
 	tlbs []*tlb.TLB
 	ram  policy.Policy // shared, huge-page-granular
+	next int           // the core Access issues on; survives ResetCosts
 
 	costs      Costs
 	ex         *explain.Counters
 	shootdowns uint64
 	perCore    []Costs
 }
+
+var _ Algorithm = (*MultiCore)(nil)
 
 // multiCoreKey tags the classifier keyspace per (huge page, core): each
 // core's TLB caches its own copy of the translation.
@@ -115,6 +119,22 @@ func (m *MultiCore) AccessOn(core int, v uint64) {
 	}
 }
 
+// Access implements Algorithm: the request is issued on the next core in
+// round-robin order.
+func (m *MultiCore) Access(v uint64) {
+	m.AccessOn(m.next, v)
+	if m.next++; m.next == m.cfg.Cores {
+		m.next = 0
+	}
+}
+
+// AccessBatch implements Batcher.
+func (m *MultiCore) AccessBatch(vs []uint64) {
+	for _, v := range vs {
+		m.Access(v)
+	}
+}
+
 // Costs returns aggregate counters.
 func (m *MultiCore) Costs() Costs { return m.costs }
 
@@ -147,7 +167,8 @@ func (m *MultiCore) ExplainGauges() (explain.Gauges, bool) {
 	return g, true
 }
 
-// ResetCosts zeroes all counters.
+// ResetCosts zeroes all counters, keeping cache state and the
+// round-robin position.
 func (m *MultiCore) ResetCosts() {
 	m.costs = Costs{}
 	m.ex.Reset()

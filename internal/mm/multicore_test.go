@@ -136,3 +136,38 @@ func TestMultiCoreScalingPressure(t *testing.T) {
 		t.Fatalf("16-way split %d not clearly above single-TLB %d", m16, m1)
 	}
 }
+
+// TestMultiCoreAccessRoundRobin: Access deals requests to the cores in
+// turn, exactly as AccessOn(n%cores) would, so when n is a multiple of the
+// core count every core services the same number of requests. The cursor
+// keeps its place across ResetCosts.
+func TestMultiCoreAccessRoundRobin(t *testing.T) {
+	const cores, n = 4, 4000
+	cfg := MultiCoreConfig{Cores: cores, TLBEntriesEach: 8, HugePageSize: 1, RAMPages: 64, Seed: 1}
+	m, err := NewMultiCore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := NewMultiCore(cfg)
+	r := hashutil.NewRNG(2)
+	for i := 0; i < n; i++ {
+		v := r.Uint64n(256)
+		m.Access(v)
+		ref.AccessOn(i%cores, v)
+	}
+	for c := 0; c < cores; c++ {
+		if got := m.CoreCosts(c); got.Accesses != n/cores || got != ref.CoreCosts(c) {
+			t.Errorf("core %d: %+v, want %d accesses and %+v", c, got, n/cores, ref.CoreCosts(c))
+		}
+	}
+	if m.Costs() != ref.Costs() || m.Shootdowns() != ref.Shootdowns() {
+		t.Fatalf("round-robin Access diverged from AccessOn: %+v vs %+v", m.Costs(), ref.Costs())
+	}
+	m.Access(0)
+	m.Access(1)
+	m.ResetCosts()
+	m.Access(2)
+	if m.CoreCosts(2).Accesses != 1 {
+		t.Fatalf("after a reset two requests into a cycle, the next request went elsewhere: core 2 has %+v", m.CoreCosts(2))
+	}
+}

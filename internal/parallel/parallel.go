@@ -1,11 +1,14 @@
-// Package parallel provides the small deterministic fan-out primitives the
-// experiment harness is built on: bounded worker pools whose results land
-// in order-stable slots, so concurrent parameter sweeps produce identical
-// tables run after run.
+// Package parallel provides the two concurrency primitives the experiment
+// harness is built on: ForEach, the one context-aware fan-out every
+// parameter-point sweep and every set of one-cell rows runs through, whose
+// tasks write order-stable slots so concurrent sweeps produce identical
+// tables run after run; and Gate, which bounds how many of a row's
+// simulators run at once inside the row executor.
 //
 // Simulations themselves are single-goroutine and seeded; parallelism
-// lives strictly at the sweep level (one task per parameter point), which
-// keeps every number reproducible while using all cores.
+// lives at the sweep level (one task per parameter point, trial or row)
+// and across a row's simulators, which keeps every number reproducible
+// while using all cores.
 package parallel
 
 import (
@@ -17,48 +20,23 @@ import (
 )
 
 // ForEach runs fn(i) for every i in [0, n) on at most `workers` goroutines
-// (workers ≤ 0 means GOMAXPROCS). Every task runs to completion and the
-// returned error aggregates every failing task's error (errors.Join, in
-// index order) — partial sweeps are never silently reported as complete,
-// and no failure is shadowed by a lower-indexed one.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done,
-// workers finish the task they are on but pull no new ones, so a SIGINT
-// drains the sweep at task boundaries instead of abandoning running
-// simulations mid-state. The context error (if any) is joined with the
-// task errors, so errors.Is(err, context.Canceled) identifies a drained
-// sweep.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
+// (workers ≤ 0 means GOMAXPROCS), with cooperative cancellation: once ctx
+// is done no worker starts another task, and the tasks already running
+// finish, so a SIGINT drains the sweep at task boundaries instead of
+// abandoning running simulations mid-state. A task's error does not stop
+// the others. The returned error joins the context error (if any) with
+// every failing task's error in index order — partial sweeps are never
+// silently reported as complete, errors.Is(err, context.Canceled)
+// identifies a drained sweep, and no failure is shadowed by a
+// lower-indexed one.
+func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		// Inline fast path: one worker means the pool degenerates to a
-		// sequential loop, so skip the goroutine + channel machinery (it
-		// costs real time on per-chunk dispatch with GOMAXPROCS=1).
-		// Semantics match the pooled path: per-item panic isolation via
-		// safeCall, cancellation checked between items, ctx.Err joined in.
-		errs := make([]error, n)
-		done := ctx.Done()
-		for i := 0; i < n; i++ {
-			select {
-			case <-done:
-				return errors.Join(append([]error{ctx.Err()}, errs...)...)
-			default:
-			}
-			errs[i] = safeCall(fn, i)
-		}
-		return errors.Join(append([]error{ctx.Err()}, errs...)...)
-	}
+	workers = min(workers, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	jobs := make(chan int)
@@ -67,6 +45,12 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
+				// The dispatcher's select picks at random when a send and
+				// Done are both ready, so a canceled sweep can still hand
+				// out a task; the worker refuses it here.
+				if ctx.Err() != nil {
+					continue
+				}
 				errs[i] = safeCall(fn, i)
 			}
 		}()
@@ -126,36 +110,4 @@ func safeCall(fn func(int) error, i int) (err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// Map runs fn over [0, n) and collects the results in index order.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(n, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Reduce runs fn over [0, n) and folds the results with combine, applied
-// in strictly ascending index order (deterministic regardless of
-// completion order).
-func Reduce[T, A any](n, workers int, zero A, fn func(i int) (T, error), combine func(A, T) A) (A, error) {
-	vals, err := Map(n, workers, fn)
-	if err != nil {
-		return zero, err
-	}
-	acc := zero
-	for _, v := range vals {
-		acc = combine(acc, v)
-	}
-	return acc, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,7 @@ import (
 func TestForEachRunsAll(t *testing.T) {
 	var count int64
 	hit := make([]int32, 1000)
-	err := ForEach(1000, 8, func(i int) error {
+	err := ForEach(context.Background(), 1000, 8, func(i int) error {
 		atomic.AddInt64(&count, 1)
 		atomic.AddInt32(&hit[i], 1)
 		return nil
@@ -32,17 +33,17 @@ func TestForEachRunsAll(t *testing.T) {
 }
 
 func TestForEachZeroAndNegative(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("no") }); err != nil {
+	if err := ForEach(context.Background(), 0, 4, func(int) error { return errors.New("no") }); err != nil {
 		t.Fatal("n=0 should be a no-op")
 	}
-	if err := ForEach(-5, 4, func(int) error { return errors.New("no") }); err != nil {
+	if err := ForEach(context.Background(), -5, 4, func(int) error { return errors.New("no") }); err != nil {
 		t.Fatal("negative n should be a no-op")
 	}
 }
 
 func TestForEachDefaultWorkers(t *testing.T) {
 	var count int64
-	if err := ForEach(100, 0, func(int) error {
+	if err := ForEach(context.Background(), 100, 0, func(int) error {
 		atomic.AddInt64(&count, 1)
 		return nil
 	}); err != nil {
@@ -56,7 +57,7 @@ func TestForEachDefaultWorkers(t *testing.T) {
 func TestForEachAggregatesAllErrors(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	err := ForEach(100, 8, func(i int) error {
+	err := ForEach(context.Background(), 100, 8, func(i int) error {
 		switch i {
 		case 70:
 			return errB
@@ -77,7 +78,7 @@ func TestForEachAggregatesAllErrors(t *testing.T) {
 func TestForEachMultiPanic(t *testing.T) {
 	// Several tasks panic; every panic must survive into the aggregate,
 	// not just the lowest-indexed one.
-	err := ForEach(20, 4, func(i int) error {
+	err := ForEach(context.Background(), 20, 4, func(i int) error {
 		if i == 3 || i == 11 || i == 17 {
 			panic(fmt.Sprintf("boom-%d", i))
 		}
@@ -96,7 +97,7 @@ func TestForEachMultiPanic(t *testing.T) {
 func TestForEachCtxCancelDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started, finished int64
-	err := ForEachCtx(ctx, 1000, 2, func(i int) error {
+	err := ForEach(ctx, 1000, 2, func(i int) error {
 		atomic.AddInt64(&started, 1)
 		if i == 0 {
 			cancel()
@@ -117,7 +118,7 @@ func TestForEachCtxCancelDrains(t *testing.T) {
 
 func TestForEachCtxNilSafeBackground(t *testing.T) {
 	var count int64
-	if err := ForEachCtx(context.Background(), 50, 4, func(int) error {
+	if err := ForEach(context.Background(), 50, 4, func(int) error {
 		atomic.AddInt64(&count, 1)
 		return nil
 	}); err != nil {
@@ -128,9 +129,59 @@ func TestForEachCtxNilSafeBackground(t *testing.T) {
 	}
 }
 
+// TestForEachPreCanceledRunsNothing: a sweep whose context is already
+// done starts no task at any worker count. The dispatcher's select may
+// still hand a task to a worker (it picks at random between a ready send
+// and a ready Done), so this pins the worker-side check.
+func TestForEachPreCanceledRunsNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2, 4} {
+		var ran atomic.Int64
+		for trial := 0; trial < 1000; trial++ {
+			err := ForEach(ctx, 8, workers, func(int) error {
+				ran.Add(1)
+				return nil
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			}
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("workers=%d: %d tasks ran over 1000 pre-canceled sweeps", workers, n)
+		}
+	}
+}
+
+// TestForEachBoundsInFlight: at most `workers` calls of fn overlap, and
+// at workers=1 none do.
+func TestForEachBoundsInFlight(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		var cur, peak atomic.Int64
+		err := ForEach(context.Background(), 200, workers, func(int) error {
+			n := cur.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			runtime.Gosched()
+			cur.Add(-1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p > int64(workers) {
+			t.Errorf("workers=%d: %d calls in flight at once", workers, p)
+		}
+	}
+}
+
 func TestForEachAllTasksRunDespiteError(t *testing.T) {
 	var count int64
-	ForEach(50, 4, func(i int) error {
+	ForEach(context.Background(), 50, 4, func(i int) error {
 		atomic.AddInt64(&count, 1)
 		if i == 0 {
 			return errors.New("early")
@@ -143,7 +194,7 @@ func TestForEachAllTasksRunDespiteError(t *testing.T) {
 }
 
 func TestForEachPanicBecomesError(t *testing.T) {
-	err := ForEach(10, 4, func(i int) error {
+	err := ForEach(context.Background(), 10, 4, func(i int) error {
 		if i == 3 {
 			panic("boom")
 		}
@@ -154,59 +205,9 @@ func TestForEachPanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestMapOrder(t *testing.T) {
-	got, err := Map(100, 7, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("got[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestMapError(t *testing.T) {
-	boom := errors.New("boom")
-	if _, err := Map(10, 2, func(i int) (int, error) {
-		if i == 5 {
-			return 0, boom
-		}
-		return i, nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReduceDeterministic(t *testing.T) {
-	// String concatenation is order-sensitive; Reduce must fold in index
-	// order no matter how tasks interleave.
-	for trial := 0; trial < 20; trial++ {
-		got, err := Reduce(26, 9, "",
-			func(i int) (string, error) { return string(rune('a' + i)), nil },
-			func(acc, s string) string { return acc + s })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != "abcdefghijklmnopqrstuvwxyz" {
-			t.Fatalf("trial %d: %q", trial, got)
-		}
-	}
-}
-
-func TestReduceError(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := Reduce(5, 2, 0,
-		func(i int) (int, error) { return 0, boom },
-		func(a, b int) int { return a + b })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func BenchmarkForEachOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ForEach(64, 0, func(int) error { return nil })
+		ForEach(context.Background(), 64, 0, func(int) error { return nil })
 	}
 }
 
