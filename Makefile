@@ -25,17 +25,23 @@ examples:
 # share goroutines: the sweep worker pool, the experiment drivers that use
 # it, the chunk ring the row executor streams through (its DetachFrom,
 # Stop and refcount unit tests), the tracer's shared timelines, the shared
-# on-disk result cache, and the concurrent sweep journal.
+# on-disk result cache, and the fault plan the sweep workers fire.
 race:
-	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/workload/ ./internal/xtrace/ ./internal/resultcache/ ./internal/journal/ ./internal/faultinject/
+	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/workload/ ./internal/xtrace/ ./internal/resultcache/ ./internal/faultinject/
 
 # fuzz-smoke runs short fuzzing passes over the trace codec (seeded from
-# testdata/fuzz) and over the TLB encoder (random kind, P, w and
-# page-in/page-out scripts, every touched huge page decoded after each
-# step), catching decoder regressions without a dedicated fuzz farm.
+# testdata/fuzz), the TLB encoder (random kind, P, w and page-in/page-out
+# scripts, every touched huge page decoded after each step), figures'
+# -resume input (manifest bytes and the flags restored from them) and the
+# ADDRXLAT_FAULTS plan parser, catching decoder and parser regressions
+# without a dedicated fuzz farm. The resume fuzzer touches the file system
+# per input, so it caps minimizing each new input at 2s, which would
+# otherwise take most of its budget.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzEncoderDecode -fuzztime=15s ./internal/core/
+	$(GO) test -run=^$$ -fuzz=FuzzResumeManifest -fuzztime=15s -fuzzminimizetime=2s ./cmd/figures/
+	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/faultinject/
 
 # bench runs the hot-path benchmarks with allocation reporting, teeing the
 # output into a timestamped file under results/ so runs can be compared
@@ -99,7 +105,7 @@ trace-smoke:
 # overload, so admission control and the degradation governor both
 # engage), then the same sweep with a serve-burst fault fired on the
 # first serve cell (a burst of decoupling-failure IOs, exercising the
-# retry/backoff path; the blob cache is bypassed by design while the
+# retry/backoff path; the result cache is bypassed by design while the
 # fault is planned, so a clean run can never see a burst-perturbed
 # point), and finally sanity checks: every grid point rendered a data
 # row, no cell footnoted an error, and the manifest carries the serve

@@ -216,8 +216,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *explainF && mm.EnableExplain(alg) == nil {
-		fmt.Fprintf(os.Stderr, "atsim: -explain: algorithm %q records no attribution\n", *algo)
+	if *explainF {
+		mm.EnableExplain(alg)
 	}
 
 	rec := obs.NewRecorder(*sample)

@@ -31,12 +31,15 @@
 //
 // Fault tolerance: SIGINT/SIGTERM drains the sweep at a chunk boundary,
 // flushes the manifest with "status": "canceled" and "partial": true, and
-// exits 130. Alongside the manifest a sweep journal records each finished
-// cell and experiment; `figures -resume <manifest>` restores the recorded
-// flags (explicit flags on the resume command line win), skips journaled
-// experiments, answers journaled cells from the result cache, and
-// reproduces byte-identical tables. ADDRXLAT_FAULTS arms fault injection
-// for testing these paths (see internal/faultinject).
+// exits 130. The manifest is also the run's one progress record: it is
+// rewritten atomically after each experiment's last output file, so a
+// killed run leaves a manifest listing exactly the experiments it
+// finished. `figures -resume <manifest>` restores the recorded flags
+// (explicit flags on the resume command line win), skips every
+// experiment the manifest lists and carries their records forward,
+// answers the interrupted experiment's finished cells from the result
+// cache, and reproduces byte-identical tables. ADDRXLAT_FAULTS arms fault
+// injection for testing these paths (see internal/faultinject).
 package main
 
 import (
@@ -54,8 +57,6 @@ import (
 
 	"addrxlat/internal/experiments"
 	"addrxlat/internal/faultinject"
-	"addrxlat/internal/journal"
-	"addrxlat/internal/mm"
 	"addrxlat/internal/obs"
 	"addrxlat/internal/prof"
 	"addrxlat/internal/resultcache"
@@ -103,26 +104,67 @@ func flushTrace() {
 	}
 }
 
+// options are figures' command-line flags.
+type options struct {
+	fig, format, out, cache, manifest, http, resume, trace string
+	full, noCache, explain, progress, serveMetrics         bool
+	seed, sample                                           uint64
+	workers                                                int
+	profile                                                *prof.Flags
+}
+
+// define registers figures' flags on fs.
+func (o *options) define(fs *flag.FlagSet) {
+	fs.StringVar(&o.fig, "fig", "all", "experiment ids, comma-separated: "+strings.Join(experimentIDs(), "|")+"|all")
+	fs.BoolVar(&o.full, "full", false, "run at the paper's full dimensions (slow)")
+	fs.Uint64Var(&o.seed, "seed", 1, "root random seed")
+	fs.StringVar(&o.format, "format", "tsv", "output format: tsv|csv")
+	fs.StringVar(&o.out, "out", "", "write one file per experiment into this directory (default stdout)")
+	fs.StringVar(&o.cache, "cache", "results/cache", "content-addressed result cache directory (see EXPERIMENTS.md)")
+	fs.BoolVar(&o.noCache, "no-cache", false, "disable the result cache: simulate every cell")
+	fs.Uint64Var(&o.sample, "sample", 0, "record cost-over-time curves every N accesses per algorithm (0 disables); written as <experiment>.curves.tsv next to the outputs")
+	fs.BoolVar(&o.explain, "explain", false, "record per-algorithm cost attribution and structural gauges; written as <experiment>.explain.tsv/.json next to the outputs and summarized in the manifest")
+	fs.StringVar(&o.manifest, "manifest", "results", "write the run manifest JSON into this directory, rewritten after each finished experiment; it is the -resume handle (empty disables)")
+	fs.StringVar(&o.http, "http", "", "serve live sweep counters (expvar) on this address, e.g. :8321")
+	fs.BoolVar(&o.progress, "progress", true, "print live per-experiment progress with ETA to stderr")
+	fs.StringVar(&o.resume, "resume", "", "resume an interrupted run from its manifest: restores the recorded flags (explicit flags here win) and skips every experiment the manifest lists")
+	fs.IntVar(&o.workers, "workers", 0, "max concurrent simulations per streaming row / tasks per sweep (0 = GOMAXPROCS, 1 = one at a time); results are identical at any setting")
+	fs.StringVar(&o.trace, "trace", "", "export a Perfetto-loadable execution trace (Chrome trace-event JSON) of the sweep to this file; also derives <experiment>.timeline.tsv straggler reports next to the outputs. Results stay byte-identical")
+	fs.BoolVar(&o.serveMetrics, "serve-metrics", false, "arm the virtual-time window collector on serve sweeps (sv1/sv2; sv3 always arms it): per-window counters/gauges/quantiles, SLO verdicts, and slowest-request exemplars, written as <table>.serve.metrics.tsv next to the outputs and recorded in the manifest. Tables stay byte-identical")
+	o.profile = prof.Register(fs)
+}
+
+// resumeFrom restores a prior run's manifest onto fs for -resume: every
+// flag the manifest's config records is set, except -resume itself, the
+// flags in explicit (given on this command line) and flags fs no longer
+// defines (retired ones). It returns the prior run's experiment records
+// by id — every experiment it finished or itself carried forward — which
+// the resumed run skips.
+func resumeFrom(prior *obs.Manifest, fs *flag.FlagSet, explicit map[string]bool) (map[string]obs.RunRecord, error) {
+	if prior.Command != "figures" {
+		return nil, fmt.Errorf("manifest records a %q run, not figures", prior.Command)
+	}
+	for name, val := range prior.Config {
+		if name == "resume" || explicit[name] {
+			continue
+		}
+		if f := fs.Lookup(name); f != nil {
+			if err := f.Value.Set(val); err != nil {
+				return nil, fmt.Errorf("restoring -%s=%q: %v", name, val, err)
+			}
+		}
+	}
+	done := make(map[string]obs.RunRecord, len(prior.Experiments))
+	for _, r := range prior.Experiments {
+		done[r.ID] = r
+	}
+	return done, nil
+}
+
 func main() {
-	var (
-		fig      = flag.String("fig", "all", "experiment ids, comma-separated: "+strings.Join(experimentIDs(), "|")+"|all")
-		full     = flag.Bool("full", false, "run at the paper's full dimensions (slow)")
-		seed     = flag.Uint64("seed", 1, "root random seed")
-		format   = flag.String("format", "tsv", "output format: tsv|csv")
-		outDir   = flag.String("out", "", "write one file per experiment into this directory (default stdout)")
-		cacheDir = flag.String("cache", "results/cache", "content-addressed result cache directory (see EXPERIMENTS.md)")
-		noCache  = flag.Bool("no-cache", false, "disable the result cache: simulate every cell")
-		sample   = flag.Uint64("sample", 0, "record cost-over-time curves every N accesses per algorithm (0 disables); written as <experiment>.curves.tsv next to the outputs")
-		explainF = flag.Bool("explain", false, "record per-algorithm cost attribution and structural gauges; written as <experiment>.explain.tsv/.json next to the outputs and summarized in the manifest")
-		maniDir  = flag.String("manifest", "results", "write a run-manifest JSON and sweep journal into this directory (empty disables)")
-		httpAddr = flag.String("http", "", "serve live sweep counters (expvar) on this address, e.g. :8321")
-		progress = flag.Bool("progress", true, "print live per-experiment progress with ETA to stderr")
-		resume   = flag.String("resume", "", "resume an interrupted run from its manifest: restores the recorded flags (explicit flags here win) and skips journaled experiments")
-		workers  = flag.Int("workers", 0, "max concurrent simulations per streaming row / tasks per sweep (0 = GOMAXPROCS, 1 = one at a time); results are identical at any setting")
-		traceF   = flag.String("trace", "", "export a Perfetto-loadable execution trace (Chrome trace-event JSON) of the sweep to this file; also derives <experiment>.timeline.tsv straggler reports next to the outputs. Results stay byte-identical")
-		serveMet = flag.Bool("serve-metrics", false, "arm the virtual-time window collector on serve sweeps (sv1/sv2; sv3 always arms it): per-window counters/gauges/quantiles, SLO verdicts, and slowest-request exemplars, written as <table>.serve.metrics.tsv next to the outputs and recorded in the manifest. Tables stay byte-identical")
-	)
-	profile = prof.Register(nil)
+	var o options
+	o.define(flag.CommandLine)
+	profile = o.profile
 	flag.Parse()
 	if err := faultinject.ArmFromEnv(); err != nil {
 		die(2, "figures: %v\n", err)
@@ -131,27 +173,16 @@ func main() {
 	// -resume restores the interrupted run's flag configuration so the
 	// resumed sweep reproduces the same tables; flags given explicitly on
 	// this command line keep their values.
-	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	var prior *obs.Manifest
-	if *resume != "" {
-		var err error
-		prior, err = obs.LoadManifest(*resume)
+	var done map[string]obs.RunRecord
+	if o.resume != "" {
+		explicit := make(map[string]bool)
+		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+		prior, err := obs.LoadManifest(o.resume)
 		if err != nil {
 			die(1, "figures: -resume: %v\n", err)
 		}
-		if prior.Command != "figures" {
-			die(2, "figures: -resume: manifest %s records a %q run, not figures\n", *resume, prior.Command)
-		}
-		for name, val := range prior.Config {
-			if name == "resume" || explicit[name] {
-				continue
-			}
-			if f := flag.Lookup(name); f != nil {
-				if err := f.Value.Set(val); err != nil {
-					die(2, "figures: -resume: restoring -%s=%q: %v\n", name, val, err)
-				}
-			}
+		if done, err = resumeFrom(prior, flag.CommandLine, explicit); err != nil {
+			die(2, "figures: -resume: %s: %v\n", o.resume, err)
 		}
 	}
 
@@ -170,30 +201,29 @@ func main() {
 	defer stop()
 
 	scale := experiments.DownScale()
-	if *full {
+	if o.full {
 		scale = experiments.PaperScale()
 	}
 	scale.Ctx = ctx
-	scale.Workers = *workers
+	scale.Workers = o.workers
 	// The stalled-worker watchdog arms from the environment, never a
 	// default: ADDRXLAT_WATCHDOG=30s style (see DESIGN.md).
 	scale.Watchdog = experiments.WatchdogFromEnv()
-	scale.ServeMetrics = *serveMet
+	scale.ServeMetrics = o.serveMetrics
 	var cache *resultcache.Cache
-	if !*noCache && *cacheDir != "" {
+	if !o.noCache && o.cache != "" {
 		var err error
-		cache, err = resultcache.Open(*cacheDir)
+		cache, err = resultcache.Open(o.cache)
 		if err != nil {
 			die(1, "figures: %v\n", err)
 		}
 		scale.Cache = cache
-		scale.Blobs = cache
 	}
 
 	registry := experiments.Registry()
 	var selected []experiments.Experiment
 	seen := make(map[string]bool)
-	for _, id := range strings.Split(*fig, ",") {
+	for _, id := range strings.Split(o.fig, ",") {
 		id = strings.TrimSpace(id)
 		if id == "" || seen[id] {
 			continue
@@ -210,61 +240,34 @@ func main() {
 		selected = append(selected, registry[i])
 	}
 	if len(selected) == 0 {
-		die(2, "figures: no experiments selected by -fig %q\n", *fig)
+		die(2, "figures: no experiments selected by -fig %q\n", o.fig)
 	}
 
 	man := obs.NewManifest("figures", os.Args[1:])
 	man.Config = obs.FlagConfig(nil)
-	man.Seeds = []uint64{*seed}
+	man.Seeds = []uint64{o.seed}
 	man.FaultPlan = faultinject.Plan()
-	exitMan, exitManDir = man, *maniDir
-
-	// The sweep journal witnesses finished cells and experiments; a
-	// resumed run appends to the interrupted run's journal so completed
-	// experiments stay skipped across any number of crashes.
-	var (
-		jw     *journal.Writer
-		jstate *journal.State
-	)
-	if *maniDir != "" {
-		jpath := filepath.Join(*maniDir, man.JournalFilename())
-		if prior != nil && prior.Journal != "" {
-			jpath = prior.Journal
-			st, err := journal.Load(jpath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figures: -resume: journal %s unreadable (%v); resuming from the cache alone\n", jpath, err)
-			} else {
-				jstate = st
-				if st.Skipped > 0 {
-					fmt.Fprintf(os.Stderr, "figures: -resume: journal %s: skipped %d torn line(s)\n", jpath, st.Skipped)
-				}
-			}
-		}
-		man.Journal = jpath
-		var err error
-		jw, err = journal.Create(jpath)
-		if err != nil {
-			die(1, "figures: %v\n", err)
-		}
-		defer jw.Close()
-		if cache != nil {
-			scale.Cache = journalingCache{inner: cache, jw: jw}
-		}
-		// An early manifest marks the run in flight; a SIGKILL leaves this
-		// "running" manifest behind as the -resume handle.
-		man.Status = "running"
-		man.Partial = true
-		if _, err := man.Write(*maniDir); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: manifest: %v\n", err)
+	exitMan, exitManDir = man, o.manifest
+	// A resumed run carries the finished experiments' records forward, so
+	// its manifest lists all finished work however many crashes came
+	// before.
+	for _, e := range selected {
+		if r, ok := done[e.ID]; ok {
+			r.Skipped = true
+			man.Experiments = append(man.Experiments, r)
 		}
 	}
+	// An early manifest marks the run in flight; a SIGKILL leaves this
+	// "running" manifest behind as the -resume handle.
+	man.Status, man.Partial = "running", true
+	writeManifest()
 
 	var prog *obs.Progress
-	if *progress {
+	if o.progress {
 		prog = obs.NewProgress(os.Stderr, "figures", len(selected))
 	}
-	if *httpAddr != "" {
-		addr, err := obs.StartHTTP(*httpAddr)
+	if o.http != "" {
+		addr, err := obs.StartHTTP(o.http)
 		if err != nil {
 			die(1, "figures: %v\n", err)
 		}
@@ -274,31 +277,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures: serving live counters on http://%s/debug/vars\n", addr)
 	}
 	var tracer *xtrace.Tracer
-	if *traceF != "" {
+	if o.trace != "" {
 		tracer = xtrace.New()
 		xtrace.Install(tracer)
 		sweepThread = tracer.Thread("sweep")
 		sweepStart = tracer.Now()
-		exitTrace, exitTracePath = tracer, *traceF
-		man.Trace = *traceF
+		exitTrace, exitTracePath = tracer, o.trace
+		man.Trace = o.trace
 	}
 	// Curves land next to the figure outputs; with stdout output they go
 	// to the manifest directory instead.
-	curveDir := *outDir
+	curveDir := o.out
 	if curveDir == "" {
-		curveDir = *maniDir
+		curveDir = o.manifest
 	}
 
 	for _, e := range selected {
-		if jstate != nil && jstate.Experiments[e.ID] {
-			fmt.Fprintf(os.Stderr, "figures: %s: complete in journal, skipped (resume)\n", e.ID)
-			man.Experiments = append(man.Experiments, obs.RunRecord{ID: e.ID, Skipped: true})
+		if _, ok := done[e.ID]; ok {
+			fmt.Fprintf(os.Stderr, "figures: %s: complete in manifest, skipped (resume)\n", e.ID)
 			continue
 		}
 		runScale := scale
-		rec := obs.NewRecorder(*sample)
+		rec := obs.NewRecorder(o.sample)
 		runScale.Observer = rec
-		runScale.Explain = *explainF
+		runScale.Explain = o.explain
 		var hits0, misses0 uint64
 		if cache != nil {
 			hits0, misses0, _ = cache.Stats()
@@ -307,7 +309,7 @@ func main() {
 		tracer.SetScope(e.ID)
 		expStart := tracer.Now()
 		start := time.Now()
-		tab, err := e.Run(runScale, *seed)
+		tab, err := e.Run(runScale, o.seed)
 		sweepThread.Span(e.ID, xtrace.CatExperiment, expStart)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -329,7 +331,7 @@ func main() {
 			die(1, "figures: %s: %v\n", e.ID, err)
 		}
 		elapsed := time.Since(start)
-		if err := emit(tab, *format, *outDir); err != nil {
+		if err := emit(tab, o.format, o.out); err != nil {
 			die(1, "figures: %s: %v\n", e.ID, err)
 		}
 		if rec.HasSeries() && curveDir != "" {
@@ -340,11 +342,6 @@ func main() {
 		if rec.HasExplain() && curveDir != "" {
 			if err := writeExplain(rec, curveDir, tab.Name); err != nil {
 				die(1, "figures: %s: %v\n", e.ID, err)
-			}
-		}
-		if jw != nil {
-			if err := jw.Experiment(e.ID); err != nil {
-				fmt.Fprintf(os.Stderr, "figures: journal: %v\n", err)
 			}
 		}
 		rr := obs.RunRecord{
@@ -389,7 +386,10 @@ func main() {
 			hits, misses, _ = cache.Stats()
 			rr.CacheHits, rr.CacheMisses = hits-hits0, misses-misses0
 		}
+		// The rewrite after the experiment's last output file is what
+		// marks it complete for -resume.
 		man.Experiments = append(man.Experiments, rr)
+		writeManifest()
 		prog.Finish(e.ID, elapsed, hits, misses)
 	}
 
@@ -418,23 +418,6 @@ func experimentIDs() []string {
 		ids = append(ids, e.ID)
 	}
 	return ids
-}
-
-// journalingCache witnesses every finished cell in the sweep journal as
-// it enters the result cache, so a resumed run knows which cells the
-// cache can answer without trusting anything else.
-type journalingCache struct {
-	inner experiments.CostCache
-	jw    *journal.Writer
-}
-
-func (c journalingCache) Get(key string) (mm.Costs, bool) { return c.inner.Get(key) }
-
-func (c journalingCache) Put(key string, v mm.Costs) {
-	c.inner.Put(key, v)
-	if err := c.jw.Cell(key); err != nil {
-		fmt.Fprintf(os.Stderr, "figures: journal: %v\n", err)
-	}
 }
 
 func plural(n uint64, one, many string) string {
@@ -549,11 +532,22 @@ func flushManifest(status, errMsg string) {
 	exitMan.Partial = status != "ok"
 	exitMan.Error = errMsg
 	exitMan.Finish()
-	if path, err := exitMan.Write(exitManDir); err != nil {
-		fmt.Fprintf(os.Stderr, "figures: manifest: %v\n", err)
-	} else {
+	if path := writeManifest(); path != "" {
 		fmt.Fprintf(os.Stderr, "figures: wrote run manifest %s\n", path)
 	}
+}
+
+// writeManifest (re)writes the run manifest, if there is one, returning
+// its path. Best effort: a failure is reported, never fatal.
+func writeManifest() string {
+	if exitMan == nil || exitManDir == "" {
+		return ""
+	}
+	path, err := exitMan.Write(exitManDir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: manifest: %v\n", err)
+	}
+	return path
 }
 
 // die flushes profiles, the trace, and the manifest before exiting,

@@ -5,8 +5,8 @@ package main
 // no flushing — a stand-in for SIGKILL/OOM), resume from the manifest it
 // left behind, and require the resulting tables to be byte-identical to
 // an uninterrupted run. The -fig list puts the instant e2 experiment
-// before f1a so the resume also exercises journal-based experiment
-// skipping.
+// before f1a so the resume also exercises skipping the experiments the
+// manifest records as finished.
 
 import (
 	"bytes"
@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 
 			// Crash: the sweep-kill fault point os.Exit(137)s at the second
 			// chunk boundary of the f1a row — after e2 was emitted and
-			// journaled, before f1a could finish.
+			// recorded in the manifest, before f1a could finish.
 			partOut := filepath.Join(root, "part-out")
 			partMani := filepath.Join(root, "part-mani")
 			env := []string{faultinject.EnvVar + "=" + faultinject.SweepKill + "=f1a-bimodal@2"}
@@ -119,13 +120,13 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			}
 
 			// Resume from the crashed manifest: flags are restored from its
-			// config, e2 is skipped via the journal, f1a is recomputed.
+			// config, e2 is skipped via its record, f1a is recomputed.
 			code, errOut = runFigures(t, bin, nil, "-resume="+manifests[0])
 			if code != 0 {
 				t.Fatalf("resume exited %d:\n%s", code, errOut)
 			}
-			if !strings.Contains(errOut, "e2: complete in journal, skipped (resume)") {
-				t.Errorf("resume did not journal-skip e2:\n%s", errOut)
+			if !strings.Contains(errOut, "e2: complete in manifest, skipped (resume)") {
+				t.Errorf("resume did not skip e2:\n%s", errOut)
 			}
 
 			// Acceptance: byte-identical tables.
@@ -202,4 +203,170 @@ func TestPoisonedCellFooter(t *testing.T) {
 	if n := strings.Count(tsv, "\terror"); n != 3 { // one row of three error cells
 		t.Errorf("%d error cells, want exactly 3 (one degraded row):\n%s", n, tsv)
 	}
+}
+
+// newestManifest returns the lexically last manifest in dir: names carry
+// the run's start time, so it is the newest run's.
+func newestManifest(t *testing.T, dir string) string {
+	t.Helper()
+	manifests, err := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
+	if err != nil || len(manifests) == 0 {
+		t.Fatalf("manifests in %s = %v (err %v), want at least 1", dir, manifests, err)
+	}
+	return manifests[len(manifests)-1]
+}
+
+// recordedIDs returns the ids of the experiment records in the manifest
+// at path.
+func recordedIDs(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Experiments []struct {
+			ID string `json:"id"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("manifest %s: %v", path, err)
+	}
+	var ids []string
+	for _, r := range m.Experiments {
+		ids = append(ids, r.ID)
+	}
+	return ids
+}
+
+// requireSameTables fails unless every named table in got matches want.
+func requireSameTables(t *testing.T, wantDir, gotDir string, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		want, err := os.ReadFile(filepath.Join(wantDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(gotDir, name))
+		if err != nil {
+			t.Fatalf("resumed run did not produce %s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs after kill+resume:\n--- uninterrupted\n%s--- resumed\n%s", name, want, got)
+		}
+	}
+}
+
+// TestResumeChainSkipsFinishedWork kills a sweep twice — in f1a, then,
+// resuming, in f1b — and resumes again from the newest manifest. Each
+// manifest carries the records of the runs before it, so the last resume
+// skips both e2 and f1a, and the tables match an uninterrupted run.
+func TestResumeChainSkipsFinishedWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the figures binary")
+	}
+	bin := buildFigures(t)
+	root := t.TempDir()
+	args := func(name string) []string {
+		return []string{"-fig=e2,f1a,f1b", "-seed=1",
+			"-out=" + filepath.Join(root, name+"-out"),
+			"-manifest=" + filepath.Join(root, name+"-mani"),
+			"-cache=" + filepath.Join(root, name+"-cache"),
+			"-progress=false"}
+	}
+	if code, errOut := runFigures(t, bin, nil, args("full")...); code != 0 {
+		t.Fatalf("full run exited %d:\n%s", code, errOut)
+	}
+	kill := func(row string) []string {
+		return []string{faultinject.EnvVar + "=" + faultinject.SweepKill + "=" + row + "@2"}
+	}
+	partMani := filepath.Join(root, "part-mani")
+
+	// First crash, in f1a: the manifest records e2 and nothing after it.
+	if code, errOut := runFigures(t, bin, kill("f1a-bimodal"), args("part")...); code != faultinject.KillExitCode {
+		t.Fatalf("first killed run exited %d, want %d:\n%s", code, faultinject.KillExitCode, errOut)
+	}
+	first := newestManifest(t, partMani)
+	if ids := recordedIDs(t, first); !slices.Equal(ids, []string{"e2"}) {
+		t.Fatalf("manifest after the first crash records %v, want [e2]", ids)
+	}
+
+	// Second crash, in f1b, resuming the first: e2 is skipped and carried
+	// forward, f1a finishes.
+	code, errOut := runFigures(t, bin, kill("f1b-graphwalk"), "-resume="+first)
+	if code != faultinject.KillExitCode {
+		t.Fatalf("resumed run killed in f1b exited %d, want %d:\n%s", code, faultinject.KillExitCode, errOut)
+	}
+	if !strings.Contains(errOut, "e2: complete in manifest, skipped (resume)") {
+		t.Errorf("first resume did not skip e2:\n%s", errOut)
+	}
+	second := newestManifest(t, partMani)
+	if ids := recordedIDs(t, second); !slices.Equal(ids, []string{"e2", "f1a"}) {
+		t.Fatalf("manifest after the second crash records %v, want [e2 f1a]", ids)
+	}
+
+	// Resume from the newest manifest: both finished experiments are
+	// skipped, only f1b runs.
+	code, errOut = runFigures(t, bin, nil, "-resume="+second)
+	if code != 0 {
+		t.Fatalf("second resume exited %d:\n%s", code, errOut)
+	}
+	for _, id := range []string{"e2", "f1a"} {
+		if !strings.Contains(errOut, id+": complete in manifest, skipped (resume)") {
+			t.Errorf("second resume did not skip %s:\n%s", id, errOut)
+		}
+	}
+	if ids := recordedIDs(t, newestManifest(t, partMani)); !slices.Equal(ids, []string{"e2", "f1a", "f1b"}) {
+		t.Errorf("final manifest records %v, want [e2 f1a f1b]", ids)
+	}
+	requireSameTables(t, filepath.Join(root, "full-out"), filepath.Join(root, "part-out"),
+		"e2-hmax-scaling.tsv", "f1a-bimodal.tsv", "f1b-graphwalk.tsv")
+}
+
+// TestResumeJournalFormatManifest resumes from a manifest in the format
+// written before the manifest became the progress record: a "journal"
+// key naming a sidecar file and no experiment records while running. It
+// must resume with nothing skipped.
+func TestResumeJournalFormatManifest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the figures binary")
+	}
+	bin := buildFigures(t)
+	root := t.TempDir()
+	fullOut, partOut, partMani := filepath.Join(root, "full-out"), filepath.Join(root, "part-out"), filepath.Join(root, "part-mani")
+	if code, errOut := runFigures(t, bin, nil, "-fig=e2,f1a", "-seed=7", "-out="+fullOut,
+		"-manifest="+filepath.Join(root, "full-mani"), "-no-cache", "-progress=false"); code != 0 {
+		t.Fatalf("full run exited %d:\n%s", code, errOut)
+	}
+	env := []string{faultinject.EnvVar + "=" + faultinject.SweepKill + "=f1a-bimodal@2"}
+	if code, errOut := runFigures(t, bin, env, "-fig=e2,f1a", "-seed=7", "-out="+partOut,
+		"-manifest="+partMani, "-no-cache", "-progress=false"); code != faultinject.KillExitCode {
+		t.Fatalf("killed run exited %d, want %d:\n%s", code, faultinject.KillExitCode, errOut)
+	}
+	path := newestManifest(t, partMani)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	delete(m, "experiments")
+	m["journal"] = filepath.Join(partMani, "journal-figures-20260101T000000Z.jsonl")
+	if data, err = json.MarshalIndent(m, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	code, errOut := runFigures(t, bin, nil, "-resume="+path)
+	if code != 0 {
+		t.Fatalf("resume exited %d:\n%s", code, errOut)
+	}
+	if strings.Contains(errOut, "skipped (resume)") {
+		t.Errorf("resume from a manifest without records skipped work:\n%s", errOut)
+	}
+	requireSameTables(t, fullOut, partOut, "e2-hmax-scaling.tsv", "f1a-bimodal.tsv")
 }

@@ -75,16 +75,14 @@ func Sample(row, phase, alg string, a mm.Algorithm, attribution bool) Event {
 	if !attribution {
 		return e
 	}
-	ex, ok := a.(mm.Explainer)
-	if !ok || ex.Explain() == nil {
+	ex := a.Explain()
+	if ex == nil {
 		return e
 	}
-	c := ex.Explain().Snapshot()
+	c := ex.Snapshot()
 	e.Explain = &c
-	if gg, ok := a.(mm.Gauger); ok {
-		if g, has := gg.ExplainGauges(); has {
-			e.Gauges = &g
-		}
+	if g, has := a.ExplainGauges(); has {
+		e.Gauges = &g
 	}
 	return e
 }

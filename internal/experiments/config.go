@@ -47,12 +47,15 @@ type Scale struct {
 	// independently seeded and lands in an order-stable slot (pinned by
 	// TestFig1Deterministic and TestPipelinedMatchesMaterialized).
 	Workers int
-	// Cache, when non-nil, is consulted before simulating each cell of
-	// the streaming row drivers and updated afterwards, keyed by the
-	// canonical cell key (workload, algorithm, geometry, windows, scale,
-	// seed). Cached cells produce identical tables because the key covers
-	// everything that determines the counters.
-	Cache CostCache
+	// Cache, when non-nil, is consulted before computing each cell of the
+	// streaming row drivers (Fig1, Crossover) and each serve sweep point,
+	// and updated afterwards. Keys are canonical: workload, algorithm,
+	// geometry, windows, scale and seed, plus the serve grid's knobs for a
+	// point, so a hit reproduces the same table. Values are JSON: a
+	// cell's mm.Costs, a point's serve.Point. The serve sweep bypasses
+	// the cache while a serve-burst fault rule is planned (that fault
+	// changes results by design).
+	Cache Cache
 	// Observer, when non-nil, receives the run's events (event.Event): a
 	// cost snapshot per simulator at every chunk boundary of the row
 	// executor, a wall-time record per phase, the chunk ring's
@@ -61,21 +64,13 @@ type Scale struct {
 	// so an observer cannot change a single counter; nil disables all
 	// telemetry at the cost of one nil check per chunk.
 	Observer event.Observer
-	// Explain enables cost attribution: every simulator that implements
-	// mm.Explainer gets its explain counters allocated before the run, and
-	// the Observer's chunk-boundary samples carry its attribution snapshot
-	// and structural gauges. Attribution never mutates algorithm state, so
+	// Explain enables cost attribution: every simulator gets its explain
+	// counters allocated before the run, and the Observer's
+	// chunk-boundary samples carry its attribution snapshot and
+	// structural gauges. Attribution never mutates algorithm state, so
 	// tables are byte-identical with it on or off (pinned by
 	// TestSampledRunsByteIdentical).
 	Explain bool
-	// Blobs, when non-nil, caches opaque serialized results — today the
-	// serve sweep's per-(algorithm, load) points, keyed by the canonical
-	// serve cell key. Like Cache, a hit reproduces the same table because
-	// the key covers everything that determines the point; unlike Cache
-	// the payload is a JSON blob, not an mm.Costs. The serve sweep
-	// bypasses it entirely while a serve-burst fault rule is planned
-	// (that fault changes results by design).
-	Blobs BlobCache
 	// ServeMetrics arms the virtual-time window collector
 	// (internal/metrics) on every serve-sweep cell: per-window counters,
 	// gauges, latency quantiles, SLO verdicts, and slowest-request

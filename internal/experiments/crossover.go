@@ -56,7 +56,7 @@ func Crossover(s Scale, seed uint64) (*Table, error) {
 			}
 			valid[i] = true
 			key := machine.cellKey(s, seed, fmt.Sprintf("hugepage(h=%d,lru/lru)", h))
-			if c, ok := s.cacheGet(key); ok {
+			if c, ok := cacheGet[mm.Costs](s, key); ok {
 				costs[i] = c
 				continue
 			}
@@ -74,7 +74,7 @@ func Crossover(s Scale, seed uint64) (*Table, error) {
 		var zc mm.Costs
 		zKey := machine.cellKey(s, seed, z.Name())
 		zCached := false
-		if c, ok := s.cacheGet(zKey); ok {
+		if c, ok := cacheGet[mm.Costs](s, zKey); ok {
 			zc, zCached = c, true
 		} else {
 			sims = append(sims, z)
@@ -131,7 +131,7 @@ func Crossover(s Scale, seed uint64) (*Table, error) {
 			}
 			hyName = hy.Name()
 			hyKey := machine.cellKey(s, seed, hyName)
-			if c, ok := s.cacheGet(hyKey); ok {
+			if c, ok := cacheGet[mm.Costs](s, hyKey); ok {
 				hyc = c
 			} else {
 				if err := joinRow(machine.runRow(s, []mm.Algorithm{hy})); err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"addrxlat/internal/event"
 	"addrxlat/internal/faultinject"
-	"addrxlat/internal/mm"
 )
 
 // cancelObserver cancels a sweep context the first time a sample of the
@@ -73,7 +72,7 @@ func TestPoisonedCellFootnote(t *testing.T) {
 	if err := faultinject.Arm("cell-panic=(h=4"); err != nil {
 		t.Fatal(err)
 	}
-	cache := &memCache{m: make(map[string]mm.Costs)}
+	cache := newMemCache()
 	s.Cache = cache
 	tab, err := Fig1(F1aBimodal, s, 7)
 	faultinject.Disarm()
@@ -125,7 +124,7 @@ func TestCancelThenResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := &memCache{m: make(map[string]mm.Costs)}
+	cache := newMemCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := Scale{SpaceDiv: 4096, AccessDiv: 10000, Cache: cache,

@@ -157,7 +157,7 @@ func Fig1(w Fig1Workload, s Scale, seed uint64) (*Table, error) {
 			continue
 		}
 		key := machine.cellKey(s, seed, fmt.Sprintf("hugepage(h=%d,lru/lru)", h))
-		if c, ok := s.cacheGet(key); ok {
+		if c, ok := cacheGet[mm.Costs](s, key); ok {
 			costs[i] = c
 			continue
 		}

@@ -50,7 +50,7 @@ func recorderTSVs(t *testing.T, rec *obs.Recorder) (curves, explainTSV string) {
 // simulator.
 func cacheAllButOne(t *testing.T, s Scale, seed uint64) *memCache {
 	t.Helper()
-	c := &memCache{m: make(map[string]mm.Costs)}
+	c := newMemCache()
 	s.Cache, s.Observer, s.Explain = c, nil, false
 	if _, err := Fig1(F1aBimodal, s, seed); err != nil {
 		t.Fatal(err)

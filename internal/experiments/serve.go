@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -16,19 +15,9 @@ import (
 	"addrxlat/internal/xtrace"
 )
 
-// BlobCache stores opaque serialized experiment results keyed by a
-// canonical content key — the serve sweep's per-(algorithm, load) points.
-// Like CostCache it lives here so the harness stays decoupled from its
-// implementation (internal/resultcache is the standard one, plugged in
-// by cmd/figures); implementations must be safe for concurrent use.
-type BlobCache interface {
-	GetBlob(key string) ([]byte, bool)
-	PutBlob(key string, blob []byte)
-}
-
-// serveEpoch versions the serving layer for blob-cache keys: bump it
-// whenever the event loop, cost model, or governor semantics change for
-// the same configuration.
+// serveEpoch versions the serving layer for cache keys: bump it whenever
+// the event loop, cost model, or governor semantics change for the same
+// configuration.
 const serveEpoch = 1
 
 // The serve experiment table ids, shared by cmd/figures and the tests.
@@ -149,8 +138,8 @@ func buildServeSpec(table string, s Scale, seed uint64) (*serveSpec, error) {
 	return sp, nil
 }
 
-// cellKey is the canonical blob-cache key for one (algorithm, load)
-// point. Everything that determines the point is in the key — geometry,
+// cellKey is the canonical cache key for one (algorithm, load) point.
+// Everything that determines the point is in the key — geometry,
 // windows, block shape, admission/governor multipliers, scale divisors,
 // seed — but NOT the table id: sv-goodput and sv-latency project the same
 // sweep, so they share cells.
@@ -162,10 +151,11 @@ func (sp *serveSpec) cellKey(s Scale, alg string, load float64) string {
 		serveRetryMul, serveRefillDiv, serveQueueHigh, serveRecoverDepth, serveDegradedDiv,
 		serveMissNum, serveMissDen, s.SpaceDiv, s.AccessDiv, sp.seed)
 	if sp.metrics {
-		// Armed cells carry the window stream in their blob, so they form
-		// a separate cache family from bare cells; the base Point fields
-		// are identical either way (the collector only observes), which is
-		// exactly what TestServeMetricsByteIdentical pins.
+		// Armed cells carry the window stream in their cached point, so
+		// they form a separate cache family from bare cells; the base
+		// Point fields are identical either way (the collector only
+		// observes), which is exactly what TestServeMetricsByteIdentical
+		// pins.
 		key += fmt.Sprintf("|met=win%d,slo%d,k%d", serveMetricsWindowMul, serveSLOBudgetMul, serveExemplarK)
 	}
 	return key
@@ -244,9 +234,9 @@ func (sp *serveSpec) runCell(s Scale, ai, li int) (pt serve.Point, err error) {
 	return serve.PointFrom(a.name, load, res), nil
 }
 
-// serveSweep computes every (algorithm, load) point of the grid, blob
-// cache first, fanning the misses across the scale's workers. Points land
-// in grid order regardless of execution order. cellErrs holds per-cell
+// serveSweep computes every (algorithm, load) point of the grid, cache
+// first, fanning the misses across the scale's workers. Points land in
+// grid order regardless of execution order. cellErrs holds per-cell
 // failures (footnote rows); the error return is sweep-fatal
 // (cancellation).
 func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, err error) {
@@ -254,11 +244,10 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 	pts = make([]serve.Point, n)
 	cellErrs = make([]error, n)
 	// A planned serve-burst fault changes results by design, so neither
-	// read nor write the blob cache while one is armed — a clean run must
+	// read nor write the cache while one is armed — a clean run must
 	// never see a burst-perturbed point.
-	blobs := s.Blobs
 	if faultinject.Planned(faultinject.ServeBurst) {
-		blobs = nil
+		s.Cache = nil
 	}
 	tr := xtrace.Active()
 	err = s.forEach(n, func(i int) error {
@@ -272,16 +261,9 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 			faultinject.Kill(fmt.Sprintf("serve table %s, cell %s|load=%g", sp.table, a.name, load))
 		}
 		key := sp.cellKey(s, a.name, load)
-		if blobs != nil {
-			if b, ok := blobs.GetBlob(key); ok {
-				var pt serve.Point
-				if jerr := json.Unmarshal(b, &pt); jerr == nil {
-					xtrace.Active().Instant(xtrace.InstantCacheHit, xtrace.ArgStr("key", key))
-					pts[i] = pt
-					return nil
-				}
-				// An undecodable blob (schema drift) degrades to a miss.
-			}
+		if pt, ok := cacheGet[serve.Point](s, key); ok {
+			pts[i] = pt
+			return nil
 		}
 		var th *xtrace.Thread
 		var cellStart int64
@@ -304,11 +286,7 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 			s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: sp.table, Phase: "serve",
 				Alg: fmt.Sprintf("%s|load=%g", a.name, load), Accesses: sp.measuredReq, Elapsed: time.Since(start)})
 		}
-		if blobs != nil {
-			if b, jerr := json.Marshal(pt); jerr == nil {
-				blobs.PutBlob(key, b)
-			}
-		}
+		s.cachePut(key, pt)
 		return nil
 	})
 	if err != nil {
@@ -437,8 +415,7 @@ func ServeLatency(s Scale, seed uint64) (*Table, error) {
 // translation scheme sustain under a tail budget" question; the window
 // stream behind every row rides in the manifest and the
 // <table>.serve.metrics.tsv dump. The sweep always runs with collectors
-// armed; cells are blob-cached like sv1/sv2 (a separate armed-key
-// family).
+// armed; cells are cached like sv1/sv2 (a separate armed-key family).
 func ServeSLO(s Scale, seed uint64) (*Table, error) {
 	sp, err := buildServeSpec(ServeSLOID, s, seed)
 	if err != nil {

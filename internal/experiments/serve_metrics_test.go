@@ -123,12 +123,12 @@ func TestServeSLOTable(t *testing.T) {
 
 // TestServeSLOBlobCache pins sv3's cache behavior: a warm rerun is
 // byte-identical and stores nothing new, and armed cells form their own
-// key family — bare-cell blobs must never satisfy an armed sweep (their
+// key family — bare-cell entries must never satisfy an armed sweep (their
 // points carry no window stream).
 func TestServeSLOBlobCache(t *testing.T) {
-	cache := newMemBlobCache()
+	cache := newMemCache()
 	s := serveTestScale(2)
-	s.Blobs = cache
+	s.Cache = cache
 
 	// Seed the cache with bare sv1 cells first: same geometry, same
 	// seeds, no metrics.
@@ -137,7 +137,7 @@ func TestServeSLOBlobCache(t *testing.T) {
 
 	cold := renderServe(t, ServeSLO, s, 7)
 	if cache.puts == barePuts {
-		t.Fatal("armed sv3 sweep was served from bare-cell blobs")
+		t.Fatal("armed sv3 sweep was served from bare-cell entries")
 	}
 	putsAfterCold := cache.puts
 	warm := renderServe(t, ServeSLO, s, 7)
@@ -145,6 +145,6 @@ func TestServeSLOBlobCache(t *testing.T) {
 		t.Fatalf("cached sv3 rerun differs:\n%s\n---\n%s", cold, warm)
 	}
 	if cache.puts != putsAfterCold {
-		t.Fatalf("warm sv3 run stored %d new blobs, want 0", cache.puts-putsAfterCold)
+		t.Fatalf("warm sv3 run stored %d new entries, want 0", cache.puts-putsAfterCold)
 	}
 }

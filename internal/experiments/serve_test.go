@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"addrxlat/internal/faultinject"
@@ -98,46 +97,18 @@ func TestServeOverloadBoundedSweep(t *testing.T) {
 	}
 }
 
-// memBlobCache is an in-memory BlobCache that counts traffic.
-type memBlobCache struct {
-	mu           sync.Mutex
-	m            map[string][]byte
-	hits, misses int
-	puts         int
-}
-
-func newMemBlobCache() *memBlobCache { return &memBlobCache{m: map[string][]byte{}} }
-
-func (c *memBlobCache) GetBlob(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.m[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return b, ok
-}
-
-func (c *memBlobCache) PutBlob(key string, blob []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = append([]byte(nil), blob...)
-	c.puts++
-}
-
 // TestServeBlobCache checks the cache contract: a second run is served
-// entirely from blobs and reproduces the table byte-for-byte, the latency
-// table shares the goodput table's cells (the key excludes the table id),
-// and a planned serve-burst fault bypasses the cache in both directions.
+// entirely from the cache and reproduces the table byte-for-byte, the
+// latency table shares the goodput table's cells (the key excludes the
+// table id), and a planned serve-burst fault bypasses the cache in both
+// directions.
 func TestServeBlobCache(t *testing.T) {
-	cache := newMemBlobCache()
+	cache := newMemCache()
 	s := serveTestScale(2)
-	s.Blobs = cache
+	s.Cache = cache
 	cold := renderServe(t, ServeGoodput, s, 7)
 	if cache.puts == 0 {
-		t.Fatal("cold run stored no blobs")
+		t.Fatal("cold run stored no entries")
 	}
 	putsAfterCold := cache.puts
 	warm := renderServe(t, ServeGoodput, s, 7)
@@ -145,7 +116,7 @@ func TestServeBlobCache(t *testing.T) {
 		t.Fatalf("cached rerun differs:\n%s\n---\n%s", cold, warm)
 	}
 	if cache.puts != putsAfterCold {
-		t.Fatalf("warm run stored %d new blobs, want 0", cache.puts-putsAfterCold)
+		t.Fatalf("warm run stored %d new entries, want 0", cache.puts-putsAfterCold)
 	}
 	// The latency projection reuses the same cells.
 	hitsBefore := cache.hits
@@ -168,7 +139,7 @@ func TestServeBlobCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cache.hits != hits || cache.puts != puts {
-		t.Fatalf("serve-burst run touched the blob cache: hits %d->%d puts %d->%d",
+		t.Fatalf("serve-burst run touched the cache: hits %d->%d puts %d->%d",
 			hits, cache.hits, puts, cache.puts)
 	}
 	var buf bytes.Buffer

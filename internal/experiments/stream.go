@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -15,35 +16,44 @@ import (
 // stays O(chunk) regardless of the access count.
 const streamChunk = workload.DefaultChunk
 
-// CostCache stores finished per-cell simulation results keyed by the
-// canonical cell-key string (see fig1Machine.cellKey). Implementations
-// must be safe for concurrent use; cmd/figures plugs in the file-backed
-// resultcache. A nil cache (the zero Scale) disables caching entirely.
-type CostCache interface {
-	// Get returns the cached counters for key, if present.
-	Get(key string) (mm.Costs, bool)
-	// Put records the counters for key. Errors are the implementation's
-	// problem (a cache failure must never fail an experiment).
-	Put(key string, c mm.Costs)
+// Cache stores finished results as opaque bytes keyed by a canonical
+// content key: a Fig1 or Crossover cell's mm.Costs (fig1Machine.cellKey)
+// and a serve sweep's point (serveSpec.cellKey), each as JSON.
+// Implementations must be safe for concurrent use; cmd/figures plugs in
+// the file-backed resultcache. A nil cache (the zero Scale) disables
+// caching entirely.
+type Cache interface {
+	// Get returns the value stored under key, if present.
+	Get(key string) ([]byte, bool)
+	// Put stores val under key. Errors are the implementation's problem
+	// (a cache failure must never fail an experiment).
+	Put(key string, val []byte)
 }
 
-// cacheGet consults the scale's cache, tolerating a nil cache. A hit
-// lands on the execution trace (it explains a row finishing "instantly").
-func (s Scale) cacheGet(key string) (mm.Costs, bool) {
+// cacheGet decodes the value cached under key, tolerating a nil cache. A
+// value that does not decode (schema drift) is a miss. A hit lands on
+// the execution trace (it explains a row finishing "instantly").
+func cacheGet[T any](s Scale, key string) (T, bool) {
+	var v T
 	if s.Cache == nil {
-		return mm.Costs{}, false
+		return v, false
 	}
-	c, ok := s.Cache.Get(key)
-	if ok {
-		xtrace.Active().Instant(xtrace.InstantCacheHit, xtrace.ArgStr("key", key))
+	b, ok := s.Cache.Get(key)
+	if !ok || json.Unmarshal(b, &v) != nil {
+		var zero T
+		return zero, false
 	}
-	return c, ok
+	xtrace.Active().Instant(xtrace.InstantCacheHit, xtrace.ArgStr("key", key))
+	return v, true
 }
 
-// cachePut records a finished cell, tolerating a nil cache.
-func (s Scale) cachePut(key string, c mm.Costs) {
-	if s.Cache != nil {
-		s.Cache.Put(key, c)
+// cachePut stores v as JSON under key, tolerating a nil cache.
+func (s Scale) cachePut(key string, v any) {
+	if s.Cache == nil {
+		return
+	}
+	if b, err := json.Marshal(v); err == nil {
+		s.Cache.Put(key, b)
 	}
 }
 

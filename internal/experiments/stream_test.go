@@ -34,7 +34,7 @@ func fig1MaterializedTSV(t *testing.T, w Fig1Workload, s Scale, seed uint64) str
 			costs[i] = mm.Costs{IOs: ^uint64(0)}
 			continue
 		}
-		if c, ok := s.cacheGet(machine.cellKey(s, seed, fmt.Sprintf("hugepage(h=%d,lru/lru)", h))); ok {
+		if c, ok := cacheGet[mm.Costs](s, machine.cellKey(s, seed, fmt.Sprintf("hugepage(h=%d,lru/lru)", h))); ok {
 			costs[i] = c
 			continue
 		}
@@ -207,14 +207,16 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// memCache is a test CostCache recording its traffic.
+// memCache is a test Cache recording its traffic.
 type memCache struct {
-	mu           sync.Mutex
-	m            map[string]mm.Costs
-	hits, misses int
+	mu                 sync.Mutex
+	m                  map[string][]byte
+	hits, misses, puts int
 }
 
-func (c *memCache) Get(key string) (mm.Costs, bool) {
+func newMemCache() *memCache { return &memCache{m: map[string][]byte{}} }
+
+func (c *memCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.m[key]
@@ -226,10 +228,11 @@ func (c *memCache) Get(key string) (mm.Costs, bool) {
 	return v, ok
 }
 
-func (c *memCache) Put(key string, costs mm.Costs) {
+func (c *memCache) Put(key string, val []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[key] = costs
+	c.m[key] = append([]byte(nil), val...)
+	c.puts++
 }
 
 // clone returns an independent cache with the same entries and fresh
@@ -237,7 +240,7 @@ func (c *memCache) Put(key string, costs mm.Costs) {
 func (c *memCache) clone() *memCache {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := &memCache{m: make(map[string]mm.Costs, len(c.m))}
+	out := newMemCache()
 	for k, v := range c.m {
 		out.m[k] = v
 	}
@@ -249,7 +252,7 @@ func (c *memCache) clone() *memCache {
 // and a different seed shares nothing with it.
 func TestFig1CostCache(t *testing.T) {
 	s := Scale{SpaceDiv: 4096, AccessDiv: 10000}
-	cache := &memCache{m: make(map[string]mm.Costs)}
+	cache := newMemCache()
 	s.Cache = cache
 
 	cold, err := Fig1(F1aBimodal, s, 7)

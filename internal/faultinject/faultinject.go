@@ -95,8 +95,9 @@ var (
 // run.
 func Armed() bool { return armed.Load() }
 
-// Arm installs a fault plan, replacing any previous one. An empty spec
-// disarms.
+// Arm installs a fault plan, replacing any previous one. A blank spec
+// disarms; a rejected one (an unknown point, a bad @n, only commas)
+// leaves the previous plan in place.
 func Arm(spec string) error {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -131,8 +132,7 @@ func Arm(spec string) error {
 		rs = append(rs, r)
 	}
 	if len(rs) == 0 {
-		Disarm()
-		return nil
+		return fmt.Errorf("faultinject: plan %q has no rules", spec)
 	}
 	mu.Lock()
 	rules = rs

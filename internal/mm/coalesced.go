@@ -164,17 +164,17 @@ func (m *Coalesced) ResetCosts() {
 	m.tlb.ResetCounters()
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (m *Coalesced) EnableExplain() {
 	if m.ex == nil {
 		m.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (m *Coalesced) Explain() *explain.Counters { return m.ex }
 
-// ExplainGauges implements Gauger. TLB reach is reported at one page per
+// ExplainGauges implements Algorithm. TLB reach is reported at one page per
 // entry — a lower bound, since the mix of group vs single entries
 // currently live in the TLB is not tracked.
 func (m *Coalesced) ExplainGauges() (explain.Gauges, bool) {

@@ -273,17 +273,17 @@ func (z *Decoupled) ResetCosts() {
 	z.tlb.ResetCounters()
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (z *Decoupled) EnableExplain() {
 	if z.ex == nil {
 		z.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (z *Decoupled) Explain() *explain.Counters { return z.ex }
 
-// ExplainGauges implements Gauger: RAM headroom against the derived δ,
+// ExplainGauges implements Algorithm: RAM headroom against the derived δ,
 // TLB reach at hmax granularity, and — when the allocator exposes bucket
 // loads — the load histogram with the Theorem 2 bound evaluated at the
 // target load λ = m/n, the bound-monitor comparison line for MaxLoad.

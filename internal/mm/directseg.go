@@ -130,17 +130,17 @@ func (d *DirectSegment) ResetCosts() {
 	d.tlb.ResetCounters()
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (d *DirectSegment) EnableExplain() {
 	if d.ex == nil {
 		d.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (d *DirectSegment) Explain() *explain.Counters { return d.ex }
 
-// ExplainGauges implements Gauger: the pinned segment plus the paged
+// ExplainGauges implements Algorithm: the pinned segment plus the paged
 // remainder; TLB reach counts only the paged side (the segment needs no
 // entries — its reach is architectural, not cached).
 func (d *DirectSegment) ExplainGauges() (explain.Gauges, bool) {

@@ -2,35 +2,10 @@ package mm
 
 import "addrxlat/internal/explain"
 
-// Explainer is implemented by algorithms that can attribute their costs to
-// the explain event taxonomy. Attribution is off by default — the explain
-// pointer is nil and every instrumented call site is a no-op — and is
-// switched on once per simulator with EnableExplain. Explain counters are
-// reset alongside ResetCosts (classifier history survives, like cache
-// state), so after RunWarm they describe the measured phase.
-type Explainer interface {
-	// EnableExplain turns on cost attribution for this simulator.
-	EnableExplain()
-	// Explain returns the live counters (nil until EnableExplain).
-	Explain() *explain.Counters
-}
-
-// Gauger is implemented by algorithms that can report structural gauges
-// (RAM utilization, fragmentation, TLB reach, bucket loads) at a chunk
-// boundary. The bool mirrors the comma-ok idiom: false when the algorithm
-// has no meaningful gauge surface in its current configuration.
-type Gauger interface {
-	ExplainGauges() (explain.Gauges, bool)
-}
-
-// EnableExplain enables attribution on a when it supports it, returning
-// the counters (nil otherwise).
+// EnableExplain enables attribution on a and returns its counters.
 func EnableExplain(a Algorithm) *explain.Counters {
-	if e, ok := a.(Explainer); ok {
-		e.EnableExplain()
-		return e.Explain()
-	}
-	return nil
+	a.EnableExplain()
+	return a.Explain()
 }
 
 // occupancyGauges fills the shared RAM-occupancy part of Gauges.

@@ -133,17 +133,17 @@ func (g *Geometry) ResetCosts() {
 	g.ex.Reset()
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (g *Geometry) EnableExplain() {
 	if g.ex == nil {
 		g.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (g *Geometry) Explain() *explain.Counters { return g.ex }
 
-// ExplainGauges implements Gauger. Each entry covers one page, so the
+// ExplainGauges implements Algorithm. Each entry covers one page, so the
 // TLB reach is the number of distinct pages cached (for two-level, in
 // either level).
 func (g *Geometry) ExplainGauges() (explain.Gauges, bool) {

@@ -272,17 +272,17 @@ func (m *HawkEye) ResetCosts() {
 	m.tlb.ResetCounters()
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (m *HawkEye) EnableExplain() {
 	if m.ex == nil {
 		m.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (m *HawkEye) Explain() *explain.Counters { return m.ex }
 
-// ExplainGauges implements Gauger.
+// ExplainGauges implements Algorithm.
 func (m *HawkEye) ExplainGauges() (explain.Gauges, bool) {
 	g := occupancyGauges(m.used, m.cfg.RAMPages)
 	g.CoveragePages = m.cfg.HugePageSize

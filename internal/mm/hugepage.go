@@ -222,17 +222,17 @@ func (m *HugePage) ResetCosts() {
 	}
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (m *HugePage) EnableExplain() {
 	if m.ex == nil {
 		m.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (m *HugePage) Explain() *explain.Counters { return m.ex }
 
-// ExplainGauges implements Gauger: RAM occupancy at huge-page granularity
+// ExplainGauges implements Algorithm: RAM occupancy at huge-page granularity
 // and the TLB's current reach (h pages per entry).
 func (m *HugePage) ExplainGauges() (explain.Gauges, bool) {
 	h := m.cfg.HugePageSize

@@ -98,7 +98,7 @@ func (h *Hybrid) ResetCosts() {
 	h.inner.ResetCosts()
 }
 
-// EnableExplain implements Explainer: attribution is computed per access
+// EnableExplain implements Algorithm: attribution is computed per access
 // by diffing the inner algorithm's counters, so both layers enable.
 func (h *Hybrid) EnableExplain() {
 	if h.ex == nil {
@@ -107,10 +107,10 @@ func (h *Hybrid) EnableExplain() {
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (h *Hybrid) Explain() *explain.Counters { return h.ex }
 
-// ExplainGauges implements Gauger: the inner gauges rescaled from group
+// ExplainGauges implements Algorithm: the inner gauges rescaled from group
 // units to base pages (ratios are scale-invariant; bucket loads describe
 // the group-granular allocator and pass through).
 func (h *Hybrid) ExplainGauges() (explain.Gauges, bool) {

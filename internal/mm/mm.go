@@ -21,7 +21,11 @@
 //     contiguous groups of g pages.
 package mm
 
-import "fmt"
+import (
+	"fmt"
+
+	"addrxlat/internal/explain"
+)
 
 // Costs aggregates the cost counters of the address-translation model.
 type Costs struct {
@@ -71,6 +75,21 @@ type Algorithm interface {
 
 	// Name identifies the algorithm configuration.
 	Name() string
+
+	// EnableExplain turns on cost attribution to the explain event
+	// taxonomy. Attribution is off by default — the explain pointer is
+	// nil and every instrumented call site is a no-op. Explain counters
+	// are reset alongside ResetCosts (classifier history survives, like
+	// cache state), so after RunWarm they describe the measured phase.
+	EnableExplain()
+	// Explain returns the live attribution counters (nil until
+	// EnableExplain).
+	Explain() *explain.Counters
+	// ExplainGauges reports structural gauges (RAM utilization,
+	// fragmentation, TLB reach, bucket loads) at a chunk boundary; false
+	// when the algorithm has no gauge surface in its current
+	// configuration.
+	ExplainGauges() (explain.Gauges, bool)
 }
 
 // Batcher is the batch half of Algorithm: the batch loop runs over the

@@ -145,17 +145,17 @@ func (m *MultiCore) CoreCosts(core int) Costs { return m.perCore[core] }
 // shared-RAM evictions.
 func (m *MultiCore) Shootdowns() uint64 { return m.shootdowns }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (m *MultiCore) EnableExplain() {
 	if m.ex == nil {
 		m.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (m *MultiCore) Explain() *explain.Counters { return m.ex }
 
-// ExplainGauges implements Gauger: shared RAM occupancy and the summed
+// ExplainGauges implements Algorithm: shared RAM occupancy and the summed
 // reach of the per-core TLBs.
 func (m *MultiCore) ExplainGauges() (explain.Gauges, bool) {
 	h := m.cfg.HugePageSize

@@ -151,17 +151,17 @@ func (n *Nested) ResetCosts() {
 	n.nestedWalkRefs = 0
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (n *Nested) EnableExplain() {
 	if n.ex == nil {
 		n.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (n *Nested) Explain() *explain.Counters { return n.ex }
 
-// ExplainGauges implements Gauger: host RAM occupancy and the combined
+// ExplainGauges implements Algorithm: host RAM occupancy and the combined
 // reach of the two TLB levels.
 func (n *Nested) ExplainGauges() (explain.Gauges, bool) {
 	h := n.cfg.HostHugePageSize

@@ -62,15 +62,19 @@ func (x *TLBOnly) ResetCosts() {
 	x.ex.Reset()
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (x *TLBOnly) EnableExplain() {
 	if x.ex == nil {
 		x.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (x *TLBOnly) Explain() *explain.Counters { return x.ex }
+
+// ExplainGauges implements Algorithm: X holds no RAM, so it has no
+// gauges.
+func (x *TLBOnly) ExplainGauges() (explain.Gauges, bool) { return explain.Gauges{}, false }
 
 // Name implements Algorithm.
 func (x *TLBOnly) Name() string {
@@ -127,17 +131,17 @@ func (y *RAMOnly) ResetCosts() {
 	y.ex.Reset()
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (y *RAMOnly) EnableExplain() {
 	if y.ex == nil {
 		y.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (y *RAMOnly) Explain() *explain.Counters { return y.ex }
 
-// ExplainGauges implements Gauger: Y's occupancy over its own capacity.
+// ExplainGauges implements Algorithm: Y's occupancy over its own capacity.
 func (y *RAMOnly) ExplainGauges() (explain.Gauges, bool) {
 	return occupancyGauges(uint64(y.cache.Len()), uint64(y.cache.Cap())), true
 }

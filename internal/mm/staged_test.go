@@ -81,14 +81,10 @@ func TestStagedBatchMatchesScalar(t *testing.T) {
 // attribution was supposed to be armed but is not.
 func explainOf(t *testing.T, a Algorithm) explain.Counters {
 	t.Helper()
-	e, ok := a.(Explainer)
-	if !ok {
-		return explain.Counters{}
-	}
-	if e.Explain() == nil {
+	if a.Explain() == nil {
 		t.Fatalf("%s: explain not armed", a.Name())
 	}
-	return e.Explain().Snapshot()
+	return a.Explain().Snapshot()
 }
 
 // TestStagedBatchScratchReuse pins the steady-state allocation contract:

@@ -371,17 +371,17 @@ func (m *Superpage) ResetCosts() {
 	m.tlb.ResetCounters()
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (m *Superpage) EnableExplain() {
 	if m.ex == nil {
 		m.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (m *Superpage) Explain() *explain.Counters { return m.ex }
 
-// ExplainGauges implements Gauger. Fragmentation is the reservation
+// ExplainGauges implements Algorithm. Fragmentation is the reservation
 // over-allocation: pages charged to RAM that back no data (h − populated
 // over reserved, unpromoted regions), the quantity preemption reclaims.
 func (m *Superpage) ExplainGauges() (explain.Gauges, bool) {

@@ -295,17 +295,17 @@ func (m *THP) ResetCosts() {
 	m.tlb.ResetCounters()
 }
 
-// EnableExplain implements Explainer.
+// EnableExplain implements Algorithm.
 func (m *THP) EnableExplain() {
 	if m.ex == nil {
 		m.ex = &explain.Counters{}
 	}
 }
 
-// Explain implements Explainer.
+// Explain implements Algorithm.
 func (m *THP) Explain() *explain.Counters { return m.ex }
 
-// ExplainGauges implements Gauger: RAM occupancy in base pages, the mix of
+// ExplainGauges implements Algorithm: RAM occupancy in base pages, the mix of
 // promoted regions, and current TLB reach (huge entries cover h pages,
 // base entries one).
 func (m *THP) ExplainGauges() (explain.Gauges, bool) {

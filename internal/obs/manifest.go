@@ -39,8 +39,9 @@ type CacheStats struct {
 }
 
 // RunRecord is one experiment (or standalone simulation) in a manifest.
-// Skipped marks an experiment a resumed run did not re-execute because
-// the sweep journal recorded it complete.
+// Skipped marks a record a resumed run carried forward from the manifest
+// it resumed: the experiment finished in an earlier run, whose numbers
+// the record keeps, and was not re-executed.
 type RunRecord struct {
 	ID          string        `json:"id"`
 	Table       string        `json:"table,omitempty"`
@@ -92,9 +93,6 @@ type Manifest struct {
 	Status  string `json:"status,omitempty"`
 	Partial bool   `json:"partial,omitempty"`
 	Error   string `json:"error,omitempty"`
-	// Journal is the path of the sweep journal witnessing per-cell and
-	// per-experiment completion for this run (see internal/journal).
-	Journal string `json:"journal,omitempty"`
 	// Trace is the path of the Perfetto-loadable execution trace the run
 	// exported (-trace), and HTTPAddr the bound address of the expvar
 	// endpoint (-http) — recorded so a tooling run over the manifest can
@@ -149,12 +147,6 @@ func (m *Manifest) Filename() string {
 	return fmt.Sprintf("manifest-%s-%s.json", m.Command, m.Start.UTC().Format("20060102T150405Z"))
 }
 
-// JournalFilename returns the canonical name of the run's sweep journal,
-// derived the same way as Filename so the pair sorts together.
-func (m *Manifest) JournalFilename() string {
-	return fmt.Sprintf("journal-%s-%s.jsonl", m.Command, m.Start.UTC().Format("20060102T150405Z"))
-}
-
 // LoadManifest reads a manifest written by Write, for `-resume`.
 func LoadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
@@ -169,7 +161,9 @@ func LoadManifest(path string) (*Manifest, error) {
 }
 
 // Write renders the manifest as indented JSON into dir (created if
-// needed) under its canonical Filename, returning the written path.
+// needed) under its canonical Filename, returning the written path. The
+// write is atomic (temp file + rename), so a run killed mid-write leaves
+// the previous version of the manifest, never a torn one.
 func (m *Manifest) Write(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("obs: %w", err)
@@ -179,7 +173,22 @@ func (m *Manifest) Write(dir string) (string, error) {
 		return "", fmt.Errorf("obs: %w", err)
 	}
 	path := filepath.Join(dir, m.Filename())
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	tmp, err := os.CreateTemp(dir, ".manifest-*.tmp")
+	if err != nil {
+		return "", fmt.Errorf("obs: %w", err)
+	}
+	_, err = tmp.Write(append(data, '\n'))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return "", fmt.Errorf("obs: %w", err)
 	}
 	return path, nil

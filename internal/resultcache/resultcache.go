@@ -1,18 +1,24 @@
 // Package resultcache is a content-addressed on-disk cache for finished
-// simulation cells. The experiments' streaming row drivers look each
-// (workload, algorithm, geometry, windows, scale, seed) cell up before
-// simulating it; a hit skips the whole simulation and is guaranteed to
-// reproduce the same table because the canonical key covers everything
-// that determines the counters (see experiments.CostCache).
+// experiment results. The experiments look each result up by its
+// canonical key before computing it — a Figure 1 or Crossover cell, a
+// serve sweep point — and a hit is guaranteed to reproduce the same table
+// because the key covers everything that determines the result (see
+// experiments.Cache). Values are opaque bytes; the experiments store
+// JSON.
 //
-// Entries are one JSON file per cell under the cache directory, named by
-// the SHA-256 of the canonical key. The full key is stored inside the
-// entry along with a CRC-32C over the counters and is verified on load,
+// Entries are one JSON file per key under the cache directory, named by
+// the SHA-256 of "blob|" + key. The full key is stored inside the entry
+// along with a CRC-32C over the key and value and is verified on load,
 // so a hash collision, a hand-edited file, or a torn/bit-rotted entry
 // degrades to a miss, never to wrong numbers. Entries that fail
 // verification are moved into <dir>/quarantine/ (preserving the evidence
 // for a post-mortem) and recomputed; the corrupt count is surfaced
 // through Stats and the run manifests.
+//
+// Older versions also stored mm.Costs cells in a second format, under
+// the SHA-256 of the bare key. This version never opens those files, so
+// a directory they wrote reads as misses for those cells and as hits for
+// its "blob|" entries — never as corruption.
 package resultcache
 
 import (
@@ -26,16 +32,15 @@ import (
 	"sync/atomic"
 
 	"addrxlat/internal/faultinject"
-	"addrxlat/internal/mm"
 )
 
 // QuarantineDir is the subdirectory of the cache that verification
 // failures are moved into.
 const QuarantineDir = "quarantine"
 
-// Cache is a directory of cached cells. The zero value is unusable; Open
-// it. Get/Put are safe for concurrent use (writes go through an atomic
-// rename), matching the experiments.CostCache contract.
+// Cache is a directory of cached results. The zero value is unusable;
+// Open it. Get/Put are safe for concurrent use (writes go through an
+// atomic rename), matching the experiments.Cache contract.
 type Cache struct {
 	dir string
 
@@ -58,64 +63,52 @@ func (c *Cache) Dir() string { return c.dir }
 // Stats returns how many Get lookups hit, missed, and quarantined a
 // corrupt entry since Open. Safe for concurrent use; sweeps snapshot it
 // per experiment to attribute traffic. Corrupt lookups are also counted
-// as misses (the cell is recomputed either way).
+// as misses (the result is recomputed either way).
 func (c *Cache) Stats() (hits, misses, corrupt uint64) {
 	return c.hits.Load(), c.misses.Load(), c.corrupt.Load()
 }
 
-// entry is the on-disk cell format. Key keeps the entry self-describing
-// (and guards against collisions); the counters mirror mm.Costs; CRC is
-// a CRC-32C over the canonical key+counter string, so corruption of any
-// field — including a truncated or bit-flipped file that still parses as
-// JSON — is detected on load.
+// entry is the on-disk format. Key keeps the entry self-describing (and
+// guards against collisions); CRC is a CRC-32C over key|value, so
+// corruption of any field — including a truncated or bit-flipped file
+// that still parses as JSON — is detected on load.
 type entry struct {
-	Key            string `json:"key"`
-	IOs            uint64 `json:"ios"`
-	TLBMisses      uint64 `json:"tlb_misses"`
-	DecodingMisses uint64 `json:"decoding_misses"`
-	Accesses       uint64 `json:"accesses"`
-	CRC            uint32 `json:"crc"`
+	Key  string `json:"key"`
+	Blob []byte `json:"blob"` // the value (base64 in the JSON encoding)
+	CRC  uint32 `json:"crc"`
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// sum is the entry checksum: CRC-32C over the canonical rendering of the
-// key and counters.
 func (e entry) sum() uint32 {
-	s := fmt.Sprintf("%s|%d|%d|%d|%d", e.Key, e.IOs, e.TLBMisses, e.DecodingMisses, e.Accesses)
-	return crc32.Checksum([]byte(s), crcTable)
+	return crc32.Checksum(append(append([]byte(e.Key), '|'), e.Blob...), crcTable)
 }
 
 // path maps a canonical key to its content-addressed file.
 func (c *Cache) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
+	sum := sha256.Sum256([]byte("blob|" + key))
 	return filepath.Join(c.dir, hex.EncodeToString(sum[:])+".json")
 }
 
-// Get implements experiments.CostCache. Unreadable files are misses;
+// Get implements experiments.Cache. Unreadable files are misses;
 // unparsable, mismatched, or checksum-failing entries are quarantined
 // misses.
-func (c *Cache) Get(key string) (mm.Costs, bool) {
+func (c *Cache) Get(key string) ([]byte, bool) {
 	path := c.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		c.misses.Add(1)
-		return mm.Costs{}, false
+		return nil, false
 	}
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil || e.Key != key || e.CRC != e.sum() {
 		c.quarantine(path)
 		c.corrupt.Add(1)
 		c.misses.Add(1)
-		return mm.Costs{}, false
+		return nil, false
 	}
 	c.hits.Add(1)
-	return mm.Costs{
-		IOs:            e.IOs,
-		TLBMisses:      e.TLBMisses,
-		DecodingMisses: e.DecodingMisses,
-		Accesses:       e.Accesses,
-	}, true
+	return e.Blob, true
 }
 
 // quarantine moves a failed entry into the quarantine subdirectory so it
@@ -132,36 +125,22 @@ func (c *Cache) quarantine(path string) {
 	os.Remove(path)
 }
 
-// Put implements experiments.CostCache. The write is atomic (temp file +
+// Put implements experiments.Cache. The write is atomic (temp file +
 // rename) so concurrent sweeps and interrupted runs never leave a torn
 // entry; failures are silently dropped — a broken cache must not fail an
-// experiment.
-func (c *Cache) Put(key string, costs mm.Costs) {
-	e := entry{
-		Key:            key,
-		IOs:            costs.IOs,
-		TLBMisses:      costs.TLBMisses,
-		DecodingMisses: costs.DecodingMisses,
-		Accesses:       costs.Accesses,
-	}
+// experiment. A fired cache-truncate fault (matched against key)
+// simulates a torn write (crash mid-write, full disk): the entry lands
+// truncated and must be quarantined on the next read.
+func (c *Cache) Put(key string, val []byte) {
+	e := entry{Key: key, Blob: val}
 	e.CRC = e.sum()
 	data, err := json.Marshal(e)
 	if err != nil {
 		return
 	}
-	c.writeEntry(key, key, data)
-}
-
-// writeEntry lands an encoded entry atomically under the content address
-// of pathKey. faultKey is the key the cache-truncate fault point matches
-// against — a fired fault simulates a torn write (crash mid-write, full
-// disk): the entry lands truncated and must be quarantined on the next
-// read.
-func (c *Cache) writeEntry(pathKey, faultKey string, data []byte) {
-	if faultinject.Armed() && faultinject.Fire(faultinject.CacheTruncate, faultKey) {
+	if faultinject.Armed() && faultinject.Fire(faultinject.CacheTruncate, key) {
 		data = data[:len(data)/2]
 	}
-	dst := c.path(pathKey)
 	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
 	if err != nil {
 		return
@@ -172,7 +151,7 @@ func (c *Cache) writeEntry(pathKey, faultKey string, data []byte) {
 		os.Remove(tmp.Name())
 		return
 	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
+	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
 		os.Remove(tmp.Name())
 	}
 }
