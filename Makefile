@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check examples bench bench-diff race vet fuzz-smoke trace-smoke serve-smoke serve-metrics-smoke results-check
+.PHONY: all build test check examples bench bench-diff race vet fmt-check fuzz-smoke trace-smoke serve-smoke serve-metrics-smoke results-check
 
 all: build
 
@@ -12,6 +12,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when a Go file anywhere in the tree (perfbench/
+# included) is not gofmt-formatted, listing the files that are not.
+fmt-check:
+	@out=$$(gofmt -l .) && [ -z "$$out" ] || \
+		{ echo "fmt-check: gofmt -l lists unformatted files:" >&2; echo "$$out" >&2; exit 1; }
 
 # examples runs every program under examples/ and fails on the first
 # nonzero exit: `go build ./...` only compiles them.
@@ -175,8 +181,9 @@ results-check:
 	[ $$status -eq 0 ] && echo "results-check: $$(ls "$$tmp"/*.tsv | grep -vc '\.serve\.metrics\.tsv$$') tables match results/"; \
 	exit $$status
 
-# check is the pre-commit gate: vet, full tests, race-detector pass over the
-# concurrent packages, a 1-iteration benchmark smoke covering the scalar
+# check is the pre-commit gate: gofmt (fmt-check), vet, full tests,
+# race-detector pass over the concurrent packages, a 1-iteration
+# benchmark smoke covering the scalar
 # Access and batch AccessBatch kernels (the regex matches by prefix, so
 # the attribution-armed *Explain variants run too) and Figure 1's input
 # generation (the f1b and f1c panels and the graph500 build) so the benchmark
@@ -192,7 +199,7 @@ results-check:
 # (results-check), and vet + tests of the benchmark harness in
 # perfbench/ (its own module), so a change to an API the harness
 # compiles against fails here rather than only in the benchmark run.
-check: vet test race serve-smoke serve-metrics-smoke examples results-check
+check: fmt-check vet test race serve-smoke serve-metrics-smoke examples results-check
 	$(GO) test -bench='BenchmarkAccess(Batch)?(HugePage|Decoupled|THP|Superpage)|BenchmarkFig1bGraphWalk|BenchmarkFig1cGraph500|BenchmarkGraph500TraceGeneration' -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkFig1aBimodal -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkAccessBatchDecoupled -benchtime=1x -run=^$$ .

@@ -64,7 +64,8 @@ import (
 	"addrxlat/internal/xtrace"
 )
 
-// profile is flushed on every exit path, including die().
+// profile is flushed on every exit path once the run has started,
+// including die().
 var profile *prof.Flags
 
 // exitMan/exitManDir let every exit path (die, cancellation, normal
@@ -167,7 +168,7 @@ func main() {
 	profile = o.profile
 	flag.Parse()
 	if err := faultinject.ArmFromEnv(); err != nil {
-		die(2, "figures: %v\n", err)
+		reject(2, "figures: %v\n", err)
 	}
 
 	// -resume restores the interrupted run's flag configuration so the
@@ -179,11 +180,41 @@ func main() {
 		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 		prior, err := obs.LoadManifest(o.resume)
 		if err != nil {
-			die(1, "figures: -resume: %v\n", err)
+			reject(1, "figures: -resume: %v\n", err)
 		}
 		if done, err = resumeFrom(prior, flag.CommandLine, explicit); err != nil {
-			die(2, "figures: -resume: %s: %v\n", o.resume, err)
+			reject(2, "figures: -resume: %s: %v\n", o.resume, err)
 		}
+	}
+
+	// Every check of the invocation (the fault plan and -resume above,
+	// -fig and -format here) comes before anything is written: a
+	// rejected run leaves no profile, result cache, manifest or output
+	// file behind.
+	registry := experiments.Registry()
+	var selected []experiments.Experiment
+	seen := make(map[string]bool)
+	for _, id := range strings.Split(o.fig, ",") {
+		id = strings.TrimSpace(id)
+		if id == "" || seen[id] {
+			continue
+		}
+		seen[id] = true
+		if id == "all" {
+			selected = registry
+			break
+		}
+		i := slices.IndexFunc(registry, func(e experiments.Experiment) bool { return e.ID == id })
+		if i < 0 {
+			reject(2, "figures: unknown experiment %q (want one of %s all)\n", id, strings.Join(experimentIDs(), " "))
+		}
+		selected = append(selected, registry[i])
+	}
+	if len(selected) == 0 {
+		reject(2, "figures: no experiments selected by -fig %q\n", o.fig)
+	}
+	if f := strings.ToLower(o.format); f != "tsv" && f != "csv" {
+		reject(2, "figures: unknown -format %q (want tsv or csv)\n", o.format)
 	}
 
 	if err := profile.Start(); err != nil {
@@ -218,29 +249,6 @@ func main() {
 			die(1, "figures: %v\n", err)
 		}
 		scale.Cache = cache
-	}
-
-	registry := experiments.Registry()
-	var selected []experiments.Experiment
-	seen := make(map[string]bool)
-	for _, id := range strings.Split(o.fig, ",") {
-		id = strings.TrimSpace(id)
-		if id == "" || seen[id] {
-			continue
-		}
-		seen[id] = true
-		if id == "all" {
-			selected = registry
-			break
-		}
-		i := slices.IndexFunc(registry, func(e experiments.Experiment) bool { return e.ID == id })
-		if i < 0 {
-			die(2, "figures: unknown experiment %q (want one of %s all)\n", id, strings.Join(experimentIDs(), " "))
-		}
-		selected = append(selected, registry[i])
-	}
-	if len(selected) == 0 {
-		die(2, "figures: no experiments selected by -fig %q\n", o.fig)
 	}
 
 	man := obs.NewManifest("figures", os.Args[1:])
@@ -550,6 +558,14 @@ func writeManifest() string {
 	return path
 }
 
+// reject reports a rejected invocation — a bad flag, -resume manifest
+// or fault plan — and exits with code. It runs before the run has
+// started anything, so there is nothing to flush.
+func reject(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format, args...)
+	os.Exit(code)
+}
+
 // die flushes profiles, the trace, and the manifest before exiting,
 // since os.Exit skips defers.
 func die(code int, format string, args ...interface{}) {
@@ -573,17 +589,12 @@ func emit(tab *experiments.Table, format, outDir string) error {
 		defer f.Close()
 		out = f
 	}
-	switch strings.ToLower(format) {
-	case "tsv":
-		if err := tab.WriteTSV(out); err != nil {
-			return err
-		}
-	case "csv":
-		if err := tab.WriteCSV(out); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown format %q", format)
+	write := tab.WriteTSV // main accepts only tsv and csv
+	if strings.EqualFold(format, "csv") {
+		write = tab.WriteCSV
+	}
+	if err := write(out); err != nil {
+		return err
 	}
 	if outDir == "" {
 		fmt.Fprintln(out)

@@ -46,13 +46,12 @@ func (c *CoalescedConfig) validate() error {
 // contiguous, one entry covers the whole group; otherwise the entry
 // covers just v.
 type Coalesced struct {
+	meter
 	cfg   CoalescedConfig
 	tlb   *tlb.TLB
 	ram   policy.Policy
 	alloc *core.FullAllocator
 
-	costs     Costs
-	ex        *explain.Counters
 	coalesced uint64 // fills that covered a whole group
 	singles   uint64 // fills that covered one page
 }
@@ -106,11 +105,11 @@ func (m *Coalesced) Access(v uint64) {
 	m.costs.Accesses++
 
 	// RAM side: classical h=1 paging through the allocator so physical
-	// placement (and hence contiguity) is tracked.
-	hit, victim := m.ram.Access(v)
+	// placement (and hence contiguity) is tracked. LRU evicts only on a
+	// miss, which pageIn attributes.
+	hit, victim := m.pageIn(m.ram, v, 1)
 	if victim != policy.NoEviction {
 		m.alloc.Release(victim)
-		m.ex.Evict()
 		// A page leaving RAM invalidates any coalesced entry covering it.
 		groupDropped := m.tlb.Invalidate(coalKeyGroup(victim / m.cfg.CoalesceLimit))
 		singleDropped := m.tlb.Invalidate(coalKeySingle(victim))
@@ -119,8 +118,6 @@ func (m *Coalesced) Access(v uint64) {
 		}
 	}
 	if !hit {
-		m.costs.IOs++
-		m.ex.DemandIO()
 		if _, ok := m.alloc.Assign(v); !ok {
 			panic("mm: coalesced allocator out of frames despite eviction")
 		}
@@ -128,14 +125,10 @@ func (m *Coalesced) Access(v uint64) {
 
 	// TLB side: a group entry covering v counts as a hit.
 	group := v / m.cfg.CoalesceLimit
-	if m.tlb.Lookup(coalKeyGroup(group)) {
+	if m.tlb.Lookup(coalKeyGroup(group)) || m.tlb.Lookup(coalKeySingle(v)) {
 		return
 	}
-	if m.tlb.Lookup(coalKeySingle(v)) {
-		return
-	}
-	m.costs.TLBMisses++
-	m.ex.TLBMiss(v)
+	m.tlbMiss(v)
 	if m.groupContiguous(v) {
 		m.tlb.Insert(coalKeyGroup(group))
 		m.coalesced++
@@ -154,25 +147,8 @@ func (m *Coalesced) AccessBatch(vs []uint64) {
 	}
 }
 
-// Costs implements Algorithm.
-func (m *Coalesced) Costs() Costs { return m.costs }
-
 // ResetCosts implements Algorithm.
-func (m *Coalesced) ResetCosts() {
-	m.costs = Costs{}
-	m.ex.Reset()
-	m.tlb.ResetCounters()
-}
-
-// EnableExplain implements Algorithm.
-func (m *Coalesced) EnableExplain() {
-	if m.ex == nil {
-		m.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (m *Coalesced) Explain() *explain.Counters { return m.ex }
+func (m *Coalesced) ResetCosts() { m.resetMeter() }
 
 // ExplainGauges implements Algorithm. TLB reach is reported at one page per
 // entry — a lower bound, since the mix of group vs single entries

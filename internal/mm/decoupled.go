@@ -68,14 +68,13 @@ func (c *DecoupledConfig) validate() error {
 //     temporary IO plus one decoding miss (cost 1+ε), exactly the
 //     Theorem 4 recipe; the page remains failed until Y evicts it.
 type Decoupled struct {
+	meter
 	cfg    DecoupledConfig
 	params core.Params
 	scheme *core.Scheme
 	tlb    *tlb.TLB      // X: fully associative, over huge pages of size hmax
 	ramY   policy.Policy // Y: base-page cache of capacity m
 
-	costs       Costs
-	ex          *explain.Counters
 	failureHits uint64 // requests serviced while the page was in F
 
 	// Staged-path specializations, resolved once at construction: the
@@ -137,26 +136,16 @@ func (z *Decoupled) Access(v uint64) {
 		z.ex.Evict()
 	}
 	if !hit {
-		z.costs.IOs++ // fetching v is one IO
-		z.ex.DemandIO()
+		z.fault(1)         // fetching v is one IO
 		z.scheme.PageIn(v) // may fail; failure tracked by D
 	}
 
 	// --- TLB side (policy X) ---
-	if !z.tlb.Lookup(u) {
-		z.costs.TLBMisses++
-		z.ex.TLBMiss(u)
-		z.tlb.Insert(u)
-	}
+	z.translate(z.tlb, u)
 
 	// --- Service the request via the decoding function f ---
 	if z.scheme.IsFailed(v) {
-		// Theorem 4 failure handling: one temporary IO + a decoding miss.
-		z.costs.IOs++
-		z.costs.DecodingMisses++
-		z.ex.FailureIO(1)
-		z.ex.DecodeMiss()
-		z.failureHits++
+		z.serviceFailed()
 		return
 	}
 	if phys := z.scheme.Lookup(v); phys == core.NullAddress {
@@ -164,6 +153,16 @@ func (z *Decoupled) Access(v uint64) {
 		// here indicates a broken encoding, which must never happen.
 		panic(fmt.Sprintf("mm: resident page %d failed to decode", v))
 	}
+}
+
+// serviceFailed services a request to a page in F by Theorem 4's failure
+// handling: one temporary IO plus a decoding miss (cost 1+ε).
+func (z *Decoupled) serviceFailed() {
+	z.costs.IOs++
+	z.costs.DecodingMisses++
+	z.ex.FailureIO(1)
+	z.ex.DecodeMiss()
+	z.failureHits++
 }
 
 // AccessBatch implements Batcher: the chunk is processed as two
@@ -201,17 +200,13 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 	// Pass 1: RAM column (policy Y driving scheme D), plus failure/decode
 	// servicing, which reads only scheme state of the accesses before it.
 	scheme := z.scheme
-	var ios, decodes, fhits uint64
+	var ios uint64
 	var prevV uint64
 	prevFailed, havePrev := false, false
 	for _, v := range vs {
 		if havePrev && v == prevV {
 			if prevFailed {
-				ios++
-				decodes++
-				fhits++
-				z.ex.FailureIO(1)
-				z.ex.DecodeMiss()
+				z.serviceFailed()
 			}
 			continue
 		}
@@ -230,11 +225,7 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 			prevFailed = scheme.IsFailed(v)
 		}
 		if prevFailed {
-			ios++
-			decodes++
-			fhits++
-			z.ex.FailureIO(1)
-			z.ex.DecodeMiss()
+			z.serviceFailed()
 			continue
 		}
 		if phys := scheme.Lookup(v); phys == core.NullAddress {
@@ -258,30 +249,13 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 	z.costs.Accesses += uint64(len(vs))
 	z.costs.IOs += ios
 	z.costs.TLBMisses += uint64(len(miss))
-	z.costs.DecodingMisses += decodes
-	z.failureHits += fhits
 }
-
-// Costs implements Algorithm.
-func (z *Decoupled) Costs() Costs { return z.costs }
 
 // ResetCosts implements Algorithm.
 func (z *Decoupled) ResetCosts() {
-	z.costs = Costs{}
-	z.ex.Reset()
+	z.resetMeter()
 	z.failureHits = 0
-	z.tlb.ResetCounters()
 }
-
-// EnableExplain implements Algorithm.
-func (z *Decoupled) EnableExplain() {
-	if z.ex == nil {
-		z.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (z *Decoupled) Explain() *explain.Counters { return z.ex }
 
 // ExplainGauges implements Algorithm: RAM headroom against the derived δ,
 // TLB reach at hmax granularity, and — when the allocator exposes bucket

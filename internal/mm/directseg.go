@@ -46,13 +46,12 @@ func (c *DirectSegmentConfig) validate() error {
 // loaded once and then pinned). Accesses outside run classical h=1 paging
 // with a TLB, over the RAM that remains after pinning.
 type DirectSegment struct {
+	meter
 	cfg       DirectSegmentConfig
 	tlb       *tlb.TLB
 	ram       policy.Policy // conventional pages, capacity RAMPages−SegmentPages
 	populated *dense.Bitset // segment pages demand-loaded so far
 
-	costs       Costs
-	ex          *explain.Counters
 	segmentHits uint64
 	pagingHits  uint64
 }
@@ -92,25 +91,14 @@ func (d *DirectSegment) Access(v uint64) {
 		// Translated by the segment register: never a TLB miss. First
 		// touch demand-loads the page into the pinned region.
 		if d.populated.Add(v) {
-			d.costs.IOs++
-			d.ex.DemandIO()
+			d.fault(1)
 		}
 		d.segmentHits++
 		return
 	}
 	d.pagingHits++
-	if hit, victim := d.ram.Access(v); !hit {
-		d.costs.IOs++
-		d.ex.DemandIO()
-		if victim != policy.NoEviction {
-			d.ex.Evict()
-		}
-	}
-	if !d.tlb.Lookup(v) {
-		d.costs.TLBMisses++
-		d.ex.TLBMiss(v)
-		d.tlb.Insert(v)
-	}
+	d.pageIn(d.ram, v, 1)
+	d.translate(d.tlb, v)
 }
 
 // AccessBatch implements Batcher.
@@ -120,25 +108,8 @@ func (d *DirectSegment) AccessBatch(vs []uint64) {
 	}
 }
 
-// Costs implements Algorithm.
-func (d *DirectSegment) Costs() Costs { return d.costs }
-
 // ResetCosts implements Algorithm.
-func (d *DirectSegment) ResetCosts() {
-	d.costs = Costs{}
-	d.ex.Reset()
-	d.tlb.ResetCounters()
-}
-
-// EnableExplain implements Algorithm.
-func (d *DirectSegment) EnableExplain() {
-	if d.ex == nil {
-		d.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (d *DirectSegment) Explain() *explain.Counters { return d.ex }
+func (d *DirectSegment) ResetCosts() { d.resetMeter() }
 
 // ExplainGauges implements Algorithm: the pinned segment plus the paged
 // remainder; TLB reach counts only the paged side (the segment needs no

@@ -62,11 +62,10 @@ type translationCache interface {
 
 // Geometry is the TLB-organization study algorithm.
 type Geometry struct {
+	meter
 	cfg   GeometryConfig
 	cache translationCache
 	ram   policy.Policy
-	costs Costs
-	ex    *explain.Counters
 }
 
 var _ Algorithm = (*Geometry)(nil)
@@ -103,16 +102,9 @@ func NewGeometry(cfg GeometryConfig) (*Geometry, error) {
 // Access implements Algorithm.
 func (g *Geometry) Access(v uint64) {
 	g.costs.Accesses++
-	if hit, victim := g.ram.Access(v); !hit {
-		g.costs.IOs++
-		g.ex.DemandIO()
-		if victim != policy.NoEviction {
-			g.ex.Evict()
-		}
-	}
+	g.pageIn(g.ram, v, 1)
 	if !g.cache.Lookup(v) {
-		g.costs.TLBMisses++
-		g.ex.TLBMiss(v)
+		g.tlbMiss(v)
 		g.cache.Insert(v)
 	}
 }
@@ -124,24 +116,8 @@ func (g *Geometry) AccessBatch(vs []uint64) {
 	}
 }
 
-// Costs implements Algorithm.
-func (g *Geometry) Costs() Costs { return g.costs }
-
 // ResetCosts implements Algorithm.
-func (g *Geometry) ResetCosts() {
-	g.costs = Costs{}
-	g.ex.Reset()
-}
-
-// EnableExplain implements Algorithm.
-func (g *Geometry) EnableExplain() {
-	if g.ex == nil {
-		g.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (g *Geometry) Explain() *explain.Counters { return g.ex }
+func (g *Geometry) ResetCosts() { g.resetMeter() }
 
 // ExplainGauges implements Algorithm. Each entry covers one page, so the
 // TLB reach is the number of distinct pages cached (for two-level, in

@@ -5,9 +5,6 @@ import (
 	"sort"
 
 	"addrxlat/internal/dense"
-	"addrxlat/internal/explain"
-	"addrxlat/internal/policy"
-	"addrxlat/internal/tlb"
 )
 
 // HawkEyeConfig configures the HawkEye-style baseline (Panwar, Bansal,
@@ -63,30 +60,21 @@ func (c *HawkEyeConfig) validate() error {
 	return nil
 }
 
-// HawkEye is the access-coverage-ranked promotion baseline. RAM tracking
-// mirrors THP (units are base pages or promoted regions in one LRU);
-// promotion decisions differ: per-epoch, budgeted, hotness-ranked.
+// HawkEye is the access-coverage-ranked promotion baseline on THP's
+// unitRAM (promoteAt 0: a fault never promotes); only the promotion
+// trigger differs: per-epoch, budgeted, hotness-ranked.
 type HawkEye struct {
+	unitRAM
 	cfg HawkEyeConfig
-	tlb *tlb.TLB
-	ram *policy.DenseLRU
 
-	// Flat per-region state (sentinel 0 works for both counters: present
-	// regions always have ≥ 1 resident page / ≥ 1 epoch access). touched
-	// lists the regions with nonzero hotness, in first-touch order, so the
-	// epoch scan and reset walk only what the epoch used — deterministically,
-	// where the map version relied on a sort to undo range-order randomness.
-	resident *dense.Table[uint32] // region -> resident base pages (unpromoted)
-	promoted *dense.Bitset
-	hotness  *dense.Table[uint64] // region -> accesses this epoch
-	touched  []uint64             // regions with hotness > 0, first-touch order
-	used     uint64
-	tick     int
-
-	costs      Costs
-	ex         *explain.Counters
-	promotions uint64
-	demotions  uint64
+	// Flat per-region hotness (sentinel 0: a present region has ≥ 1 epoch
+	// access). touched lists the regions with nonzero hotness, in
+	// first-touch order, so the epoch scan and reset walk only what the
+	// epoch used — deterministically, where the map version relied on a
+	// sort to undo range-order randomness.
+	hotness *dense.Table[uint64] // region -> accesses this epoch
+	touched []uint64             // regions with hotness > 0, first-touch order
+	tick    int
 }
 
 var _ Algorithm = (*HawkEye)(nil)
@@ -96,96 +84,24 @@ func NewHawkEye(cfg HawkEyeConfig) (*HawkEye, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t, err := tlb.New(cfg.TLBEntries, policy.LRUKind, cfg.Seed)
+	ram, err := newUnitRAM(cfg.HugePageSize, cfg.TLBEntries, cfg.RAMPages, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return &HawkEye{
-		cfg:      cfg,
-		tlb:      t,
-		ram:      policy.NewDenseLRU(int(cfg.RAMPages), 0),
-		resident: dense.NewTable[uint32](0, 0),
-		promoted: dense.NewBitset(0),
-		hotness:  dense.NewTable[uint64](0, 0),
-	}, nil
-}
-
-func (m *HawkEye) pagesOf(id uint64) uint64 {
-	if isHugeUnit(id) {
-		return m.cfg.HugePageSize
-	}
-	return 1
-}
-
-func (m *HawkEye) evictUntilFits(need uint64) {
-	for m.used+need > m.cfg.RAMPages {
-		id, ok := m.ram.EvictLRU()
-		if !ok {
-			panic("mm: hawkeye cannot free enough RAM")
-		}
-		m.dropUnit(id)
-	}
-}
-
-func (m *HawkEye) dropUnit(id uint64) {
-	m.used -= m.pagesOf(id)
-	m.ex.Evict()
-	if isHugeUnit(id) {
-		r := unitRegion(id)
-		m.promoted.Remove(r)
-		m.demotions++
-		m.ex.Demote()
-		if m.tlb.Invalidate(tlbHuge(r)) {
-			m.ex.TLBInvalidated(tlbHuge(r))
-		}
-	} else {
-		v := unitRegion(id)
-		r := v / m.cfg.HugePageSize
-		if c := m.resident.At(r); c <= 1 {
-			m.resident.Delete(r)
-		} else {
-			m.resident.Set(r, c-1)
-		}
-		if m.tlb.Invalidate(tlbBase(v)) {
-			m.ex.TLBInvalidated(tlbBase(v))
-		}
-	}
+	return &HawkEye{unitRAM: ram, cfg: cfg, hotness: dense.NewTable[uint64](0, 0)}, nil
 }
 
 // Access implements Algorithm.
 func (m *HawkEye) Access(v uint64) {
 	m.costs.Accesses++
-	r := v / m.cfg.HugePageSize
+	r := v >> m.shift
 	hot := m.hotness.At(r)
 	if hot == 0 {
 		m.touched = append(m.touched, r)
 	}
 	m.hotness.Set(r, hot+1)
 
-	var tlbKey uint64
-	if m.promoted.Contains(r) {
-		m.ram.Access(unitHuge(r))
-		tlbKey = tlbHuge(r)
-	} else {
-		id := unitBase(v)
-		if !m.ram.Contains(id) {
-			m.costs.IOs++
-			m.ex.DemandIO()
-			m.evictUntilFits(1)
-			m.ram.Access(id)
-			m.used++
-			m.resident.Set(r, m.resident.At(r)+1)
-		} else {
-			m.ram.Access(id)
-		}
-		tlbKey = tlbBase(v)
-	}
-
-	if !m.tlb.Lookup(tlbKey) {
-		m.costs.TLBMisses++
-		m.ex.TLBMiss(tlbKey)
-		m.tlb.Insert(tlbKey)
-	}
+	m.translate(m.tlb, m.touch(v))
 
 	m.tick++
 	if m.tick >= m.cfg.EpochLength {
@@ -232,29 +148,6 @@ func (m *HawkEye) epochPromote() {
 	m.touched = m.touched[:0]
 }
 
-// promote copy-promotes region r (as THP does: missing pages are fetched).
-func (m *HawkEye) promote(r uint64) {
-	have := uint64(m.resident.At(r))
-	m.costs.IOs += m.cfg.HugePageSize - have
-	m.ex.AmplifiedIO(m.cfg.HugePageSize - have)
-	start := r * m.cfg.HugePageSize
-	for v := start; v < start+m.cfg.HugePageSize; v++ {
-		if m.ram.Remove(unitBase(v)) {
-			m.used--
-			if m.tlb.Invalidate(tlbBase(v)) {
-				m.ex.TLBInvalidated(tlbBase(v))
-			}
-		}
-	}
-	m.resident.Delete(r)
-	m.evictUntilFits(m.cfg.HugePageSize)
-	m.ram.Access(unitHuge(r))
-	m.used += m.cfg.HugePageSize
-	m.promoted.Add(r)
-	m.promotions++
-	m.ex.Promote()
-}
-
 // AccessBatch implements Batcher.
 func (m *HawkEye) AccessBatch(vs []uint64) {
 	for _, v := range vs {
@@ -262,43 +155,10 @@ func (m *HawkEye) AccessBatch(vs []uint64) {
 	}
 }
 
-// Costs implements Algorithm.
-func (m *HawkEye) Costs() Costs { return m.costs }
-
 // ResetCosts implements Algorithm.
-func (m *HawkEye) ResetCosts() {
-	m.costs = Costs{}
-	m.ex.Reset()
-	m.tlb.ResetCounters()
-}
-
-// EnableExplain implements Algorithm.
-func (m *HawkEye) EnableExplain() {
-	if m.ex == nil {
-		m.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (m *HawkEye) Explain() *explain.Counters { return m.ex }
-
-// ExplainGauges implements Algorithm.
-func (m *HawkEye) ExplainGauges() (explain.Gauges, bool) {
-	g := occupancyGauges(m.used, m.cfg.RAMPages)
-	g.CoveragePages = m.cfg.HugePageSize
-	promoted := uint64(m.promoted.Len())
-	g.PromotedRegions = promoted
-	g.TLBReachPages = uint64(m.tlb.Len()) + promoted*(m.cfg.HugePageSize-1)
-	return g, true
-}
+func (m *HawkEye) ResetCosts() { m.resetMeter() }
 
 // Name implements Algorithm.
 func (m *HawkEye) Name() string {
 	return fmt.Sprintf("hawkeye(h=%d,budget=%d/epoch)", m.cfg.HugePageSize, m.cfg.PromoteBudget)
 }
-
-// Promotions and Demotions report adaptive activity.
-func (m *HawkEye) Promotions() uint64 { return m.promotions }
-
-// Demotions reports wholesale evictions of promoted regions.
-func (m *HawkEye) Demotions() uint64 { return m.demotions }

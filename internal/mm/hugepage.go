@@ -65,6 +65,7 @@ func (c *HugePageConfig) validate() error {
 // two-structure composition (which remains as the path for other
 // replacement policies).
 type HugePage struct {
+	meter
 	cfg   HugePageConfig
 	shift uint // log2(h): huge-page number u = v >> shift
 
@@ -74,9 +75,6 @@ type HugePage struct {
 	// Generic path (any other policy combination).
 	tlb *tlb.TLB
 	ram policy.Policy // cache of huge-page ids, capacity P/h
-
-	costs Costs
-	ex    *explain.Counters
 }
 
 var _ Algorithm = (*HugePage)(nil)
@@ -128,21 +126,9 @@ func (m *HugePage) Access(v uint64) {
 	// RAM first: ensure the huge page containing v is resident. A fault
 	// moves all h constituent pages (cost h), possibly evicting another
 	// huge page (evictions free).
-	if hit, victim := m.ram.Access(u); !hit {
-		m.costs.IOs += m.cfg.HugePageSize
-		m.ex.DemandIO()
-		m.ex.AmplifiedIO(m.cfg.HugePageSize - 1)
-		if victim != policy.NoEviction {
-			m.ex.Evict()
-		}
-	}
-
+	m.pageIn(m.ram, u, m.cfg.HugePageSize)
 	// TLB: one entry covers the whole huge page.
-	if !m.tlb.Lookup(u) {
-		m.costs.TLBMisses++
-		m.ex.TLBMiss(u)
-		m.tlb.Insert(u)
-	}
+	m.translate(m.tlb, u)
 }
 
 // accessStackArmed is Access on the merged path with attribution armed.
@@ -210,27 +196,8 @@ func (m *HugePage) attributeStack(miss1, miss2 uint64, zone2, distinct int) {
 	ex.TLBCapacity += miss1 - first
 }
 
-// Costs implements Algorithm.
-func (m *HugePage) Costs() Costs { return m.costs }
-
 // ResetCosts implements Algorithm.
-func (m *HugePage) ResetCosts() {
-	m.costs = Costs{}
-	m.ex.Reset()
-	if m.tlb != nil {
-		m.tlb.ResetCounters()
-	}
-}
-
-// EnableExplain implements Algorithm.
-func (m *HugePage) EnableExplain() {
-	if m.ex == nil {
-		m.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (m *HugePage) Explain() *explain.Counters { return m.ex }
+func (m *HugePage) ResetCosts() { m.resetMeter() }
 
 // ExplainGauges implements Algorithm: RAM occupancy at huge-page granularity
 // and the TLB's current reach (h pages per entry).

@@ -26,10 +26,9 @@ type HybridConfig struct {
 // group v/g; each group fault moves g base pages (cost g IOs); the TLB
 // covers hmax groups = hmax·g base pages per entry.
 type Hybrid struct {
+	meter
 	inner *Decoupled
 	g     uint64
-	costs Costs
-	ex    *explain.Counters
 }
 
 var _ Algorithm = (*Hybrid)(nil)
@@ -88,27 +87,18 @@ func (h *Hybrid) AccessBatch(vs []uint64) {
 	}
 }
 
-// Costs implements Algorithm.
-func (h *Hybrid) Costs() Costs { return h.costs }
-
 // ResetCosts implements Algorithm.
 func (h *Hybrid) ResetCosts() {
-	h.costs = Costs{}
-	h.ex.Reset()
+	h.resetMeter()
 	h.inner.ResetCosts()
 }
 
 // EnableExplain implements Algorithm: attribution is computed per access
 // by diffing the inner algorithm's counters, so both layers enable.
 func (h *Hybrid) EnableExplain() {
-	if h.ex == nil {
-		h.ex = &explain.Counters{}
-		h.inner.EnableExplain()
-	}
+	h.meter.EnableExplain()
+	h.inner.EnableExplain()
 }
-
-// Explain implements Algorithm.
-func (h *Hybrid) Explain() *explain.Counters { return h.ex }
 
 // ExplainGauges implements Algorithm: the inner gauges rescaled from group
 // units to base pages (ratios are scale-invariant; bucket loads describe

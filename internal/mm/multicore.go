@@ -42,13 +42,12 @@ func (c *MultiCoreConfig) validate() error {
 // deals requests to the cores round-robin; AccessOn issues a request on a
 // chosen core.
 type MultiCore struct {
+	meter
 	cfg  MultiCoreConfig
 	tlbs []*tlb.TLB
 	ram  policy.Policy // shared, huge-page-granular
 	next int           // the core Access issues on; survives ResetCosts
 
-	costs      Costs
-	ex         *explain.Counters
 	shootdowns uint64
 	perCore    []Costs
 }
@@ -91,14 +90,9 @@ func (m *MultiCore) AccessOn(core int, v uint64) {
 	m.perCore[core].Accesses++
 	u := v / m.cfg.HugePageSize
 
-	hit, victim := m.ram.Access(u)
-	if !hit {
-		m.costs.IOs += m.cfg.HugePageSize
+	if hit, victim := m.pageIn(m.ram, u, m.cfg.HugePageSize); !hit {
 		m.perCore[core].IOs += m.cfg.HugePageSize
-		m.ex.DemandIO()
-		m.ex.AmplifiedIO(m.cfg.HugePageSize - 1)
 		if victim != policy.NoEviction {
-			m.ex.Evict()
 			// Shootdown: the evicted huge page's translation leaves every
 			// core's TLB.
 			for c, t := range m.tlbs {
@@ -112,9 +106,8 @@ func (m *MultiCore) AccessOn(core int, v uint64) {
 	}
 
 	if !m.tlbs[core].Lookup(u) {
-		m.costs.TLBMisses++
+		m.tlbMiss(m.multiCoreKey(u, core))
 		m.perCore[core].TLBMisses++
-		m.ex.TLBMiss(m.multiCoreKey(u, core))
 		m.tlbs[core].Insert(u)
 	}
 }
@@ -135,25 +128,12 @@ func (m *MultiCore) AccessBatch(vs []uint64) {
 	}
 }
 
-// Costs returns aggregate counters.
-func (m *MultiCore) Costs() Costs { return m.costs }
-
 // CoreCosts returns one core's counters.
 func (m *MultiCore) CoreCosts(core int) Costs { return m.perCore[core] }
 
 // Shootdowns returns the number of per-core TLB invalidations caused by
 // shared-RAM evictions.
 func (m *MultiCore) Shootdowns() uint64 { return m.shootdowns }
-
-// EnableExplain implements Algorithm.
-func (m *MultiCore) EnableExplain() {
-	if m.ex == nil {
-		m.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (m *MultiCore) Explain() *explain.Counters { return m.ex }
 
 // ExplainGauges implements Algorithm: shared RAM occupancy and the summed
 // reach of the per-core TLBs.
@@ -170,14 +150,10 @@ func (m *MultiCore) ExplainGauges() (explain.Gauges, bool) {
 // ResetCosts zeroes all counters, keeping cache state and the
 // round-robin position.
 func (m *MultiCore) ResetCosts() {
-	m.costs = Costs{}
-	m.ex.Reset()
+	m.resetMeter()
 	m.shootdowns = 0
 	for i := range m.perCore {
 		m.perCore[i] = Costs{}
-	}
-	for _, t := range m.tlbs {
-		t.ResetCounters()
 	}
 }
 

@@ -55,13 +55,12 @@ func (c *NestedConfig) validate() error {
 //   - host TLB miss: cost ε.
 //   - host page fault: h_host IOs.
 type Nested struct {
+	meter
 	cfg      NestedConfig
 	guestTLB *tlb.TLB
 	hostTLB  *tlb.TLB
 	hostRAM  policy.Policy
 
-	costs          Costs
-	ex             *explain.Counters
 	nestedWalkRefs uint64 // extra host references caused by guest misses
 }
 
@@ -97,17 +96,9 @@ func NewNested(cfg NestedConfig) (*Nested, error) {
 // and host RAM, accruing costs.
 func (n *Nested) hostReference(gpa uint64) {
 	hu := gpa / n.cfg.HostHugePageSize
-	if hit, victim := n.hostRAM.Access(hu); !hit {
-		n.costs.IOs += n.cfg.HostHugePageSize
-		n.ex.DemandIO()
-		n.ex.AmplifiedIO(n.cfg.HostHugePageSize - 1)
-		if victim != policy.NoEviction {
-			n.ex.Evict()
-		}
-	}
+	n.pageIn(n.hostRAM, hu, n.cfg.HostHugePageSize)
 	if !n.hostTLB.Lookup(hu) {
-		n.costs.TLBMisses++
-		n.ex.TLBMiss(nestedHostKey(hu))
+		n.tlbMiss(nestedHostKey(hu))
 		n.hostTLB.Insert(hu)
 	}
 }
@@ -118,8 +109,7 @@ func (n *Nested) Access(v uint64) {
 	n.costs.Accesses++
 	gu := v / n.cfg.GuestHugePageSize
 	if !n.guestTLB.Lookup(gu) {
-		n.costs.TLBMisses++
-		n.ex.TLBMiss(nestedGuestKey(gu))
+		n.tlbMiss(nestedGuestKey(gu))
 		n.guestTLB.Insert(gu)
 		// The guest page-table walk reads guest-physical memory: one
 		// extra host reference (to the guest's page-table page, which we
@@ -139,27 +129,11 @@ func (n *Nested) AccessBatch(vs []uint64) {
 	}
 }
 
-// Costs implements Algorithm.
-func (n *Nested) Costs() Costs { return n.costs }
-
 // ResetCosts implements Algorithm.
 func (n *Nested) ResetCosts() {
-	n.costs = Costs{}
-	n.ex.Reset()
-	n.guestTLB.ResetCounters()
-	n.hostTLB.ResetCounters()
+	n.resetMeter()
 	n.nestedWalkRefs = 0
 }
-
-// EnableExplain implements Algorithm.
-func (n *Nested) EnableExplain() {
-	if n.ex == nil {
-		n.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (n *Nested) Explain() *explain.Counters { return n.ex }
 
 // ExplainGauges implements Algorithm: host RAM occupancy and the combined
 // reach of the two TLB levels.

@@ -16,10 +16,9 @@ import (
 // TLBOnly is algorithm X: paging over huge-page requests r(p₁),r(p₂),…
 // with a cache of ℓ entries. It accrues only TLB-miss costs.
 type TLBOnly struct {
+	meter
 	hmax  uint64
 	cache policy.Policy
-	costs Costs
-	ex    *explain.Counters
 }
 
 var _ Algorithm = (*TLBOnly)(nil)
@@ -41,8 +40,7 @@ func NewTLBOnly(hmax uint64, entries int, kind policy.Kind, seed uint64) (*TLBOn
 func (x *TLBOnly) Access(v uint64) {
 	x.costs.Accesses++
 	if hit, _ := x.cache.Access(v / x.hmax); !hit {
-		x.costs.TLBMisses++
-		x.ex.TLBMiss(v / x.hmax)
+		x.tlbMiss(v / x.hmax)
 	}
 }
 
@@ -53,24 +51,8 @@ func (x *TLBOnly) AccessBatch(vs []uint64) {
 	}
 }
 
-// Costs implements Algorithm.
-func (x *TLBOnly) Costs() Costs { return x.costs }
-
 // ResetCosts implements Algorithm.
-func (x *TLBOnly) ResetCosts() {
-	x.costs = Costs{}
-	x.ex.Reset()
-}
-
-// EnableExplain implements Algorithm.
-func (x *TLBOnly) EnableExplain() {
-	if x.ex == nil {
-		x.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (x *TLBOnly) Explain() *explain.Counters { return x.ex }
+func (x *TLBOnly) ResetCosts() { x.resetMeter() }
 
 // ExplainGauges implements Algorithm: X holds no RAM, so it has no
 // gauges.
@@ -84,9 +66,8 @@ func (x *TLBOnly) Name() string {
 // RAMOnly is algorithm Y: paging over base-page requests with a cache of
 // (1−δ)P pages. It accrues only IO costs.
 type RAMOnly struct {
+	meter
 	cache policy.Policy
-	costs Costs
-	ex    *explain.Counters
 }
 
 var _ Algorithm = (*RAMOnly)(nil)
@@ -106,13 +87,7 @@ func NewRAMOnly(capacity uint64, kind policy.Kind, seed uint64) (*RAMOnly, error
 // Access implements Algorithm.
 func (y *RAMOnly) Access(v uint64) {
 	y.costs.Accesses++
-	if hit, victim := y.cache.Access(v); !hit {
-		y.costs.IOs++
-		y.ex.DemandIO()
-		if victim != policy.NoEviction {
-			y.ex.Evict()
-		}
-	}
+	y.pageIn(y.cache, v, 1)
 }
 
 // AccessBatch implements Batcher.
@@ -122,24 +97,8 @@ func (y *RAMOnly) AccessBatch(vs []uint64) {
 	}
 }
 
-// Costs implements Algorithm.
-func (y *RAMOnly) Costs() Costs { return y.costs }
-
 // ResetCosts implements Algorithm.
-func (y *RAMOnly) ResetCosts() {
-	y.costs = Costs{}
-	y.ex.Reset()
-}
-
-// EnableExplain implements Algorithm.
-func (y *RAMOnly) EnableExplain() {
-	if y.ex == nil {
-		y.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (y *RAMOnly) Explain() *explain.Counters { return y.ex }
+func (y *RAMOnly) ResetCosts() { y.resetMeter() }
 
 // ExplainGauges implements Algorithm: Y's occupancy over its own capacity.
 func (y *RAMOnly) ExplainGauges() (explain.Gauges, bool) {

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -37,7 +38,10 @@ func stagedTrace(seed uint64, n int) []uint64 {
 // counters — and, with attribution armed, explain counters — identical to
 // repeated scalar Access calls. Two uneven chunkings run so runs and
 // repeat-key state cross chunk boundaries, where the kernels' memory of
-// the previous request resets.
+// the previous request resets. With attribution armed, the attribution
+// must also add up to the costs on either path: after the trace as
+// warm-up and ResetCosts, a second pass attributes every IO, TLB miss and
+// decoding miss it charges.
 func TestStagedBatchMatchesScalar(t *testing.T) {
 	chunks := []int{777, 1023}
 	for _, seed := range []uint64{1, 7, 42} {
@@ -71,6 +75,31 @@ func TestStagedBatchMatchesScalar(t *testing.T) {
 								seed, chunk, name, se, be)
 						}
 					}
+				}
+				if !withExplain {
+					continue
+				}
+				addsUp := func(path string, a Algorithm, serve func()) {
+					a.ResetCosts()
+					serve()
+					c, e := a.Costs(), explainOf(t, a)
+					if e.IOs() != c.IOs || e.TLBMisses() != c.TLBMisses || e.DecodeMisses != c.DecodingMisses {
+						t.Errorf("seed %d %s %s: attribution does not add up to the costs after ResetCosts:\n costs   %+v\n explain %+v",
+							seed, name, path, c, e)
+					}
+				}
+				addsUp("Access", scalar[i], func() {
+					for _, v := range reqs {
+						scalar[i].Access(v)
+					}
+				})
+				for k, chunk := range chunks {
+					b := batched[k][i]
+					addsUp(fmt.Sprintf("AccessBatch(chunk=%d)", chunk), b, func() {
+						for lo := 0; lo < len(reqs); lo += chunk {
+							b.AccessBatch(reqs[lo:min(lo+chunk, len(reqs))])
+						}
+					})
 				}
 			}
 		}

@@ -52,9 +52,11 @@ func (c *SuperpageConfig) validate() error {
 // The TLB covers a reserved/downgraded region with one entry once
 // promoted (fully populated); otherwise base entries are used.
 type Superpage struct {
-	cfg SuperpageConfig
-	tlb *tlb.TLB
-	lru *policy.DenseLRU // region ids, recency for preemption/eviction
+	meter
+	cfg   SuperpageConfig
+	shift uint // log2(h): region r = v >> shift
+	tlb   *tlb.TLB
+	lru   *policy.DenseLRU // region ids, recency for preemption/eviction
 
 	regions   []spRegion    // flat by region number; present marks live entries
 	populated *dense.Bitset // absolute page numbers populated
@@ -65,8 +67,6 @@ type Superpage struct {
 	// incrementally makes fits() O(1) instead of a scan of every region.
 	reservedFree uint64
 
-	costs       Costs
-	ex          *explain.Counters
 	promotions  uint64
 	preemptions uint64
 }
@@ -90,8 +90,9 @@ func NewSuperpage(cfg SuperpageConfig) (*Superpage, error) {
 		return nil, err
 	}
 	return &Superpage{
-		cfg: cfg,
-		tlb: t,
+		cfg:   cfg,
+		shift: uint(bits.TrailingZeros64(cfg.HugePageSize)),
+		tlb:   t,
 		// Recency tracking only: every region holds ≥ 1 page, so the
 		// region count never exceeds RAMPages and this LRU never
 		// self-evicts; page-granular capacity is enforced by makeRoom.
@@ -182,11 +183,10 @@ func (m *Superpage) dropRegion(r uint64) {
 	*reg = spRegion{}
 }
 
-// Access implements Algorithm.
-func (m *Superpage) Access(v uint64) {
-	m.costs.Accesses++
-	r := v / m.cfg.HugePageSize
-
+// step services v's RAM side — reserving, populating and promoting its
+// region — and returns v's TLB key.
+func (m *Superpage) step(v uint64) uint64 {
+	r := v >> m.shift
 	reg := m.regionFor(r)
 	if !reg.present {
 		// First touch: try to reserve a full frame; if RAM is too tight
@@ -209,8 +209,7 @@ func (m *Superpage) Access(v uint64) {
 		if reg.reserved {
 			m.reservedFree--
 		}
-		m.costs.IOs++
-		m.ex.DemandIO()
+		m.fault(1)
 		m.lru.Access(r)
 	} else {
 		m.lru.Access(r)
@@ -232,8 +231,7 @@ func (m *Superpage) Access(v uint64) {
 			if reg.reserved {
 				m.reservedFree--
 			}
-			m.costs.IOs++
-			m.ex.DemandIO()
+			m.fault(1)
 		}
 	}
 
@@ -250,17 +248,16 @@ func (m *Superpage) Access(v uint64) {
 		}
 	}
 
-	var key uint64
 	if reg.promoted {
-		key = tlbHuge(r)
-	} else {
-		key = tlbBase(v)
+		return tlbHuge(r)
 	}
-	if !m.tlb.Lookup(key) {
-		m.costs.TLBMisses++
-		m.ex.TLBMiss(key)
-		m.tlb.Insert(key)
-	}
+	return tlbBase(v)
+}
+
+// Access implements Algorithm.
+func (m *Superpage) Access(v uint64) {
+	m.costs.Accesses++
+	m.translate(m.tlb, m.step(v))
 }
 
 // fits reports whether `pages` more pages could fit after preempting every
@@ -272,114 +269,31 @@ func (m *Superpage) fits(pages uint64) bool {
 
 // AccessBatch implements Batcher. Like THP, the superpage system's RAM
 // side invalidates TLB entries mid-stream (promotion shootdowns, evicted
-// regions), so the kernel stays in-order and fused, with the same exact
-// shortcuts (TestStagedBatchMatchesScalar): repeats
-// of the previous request collapse to one TLB hit count (the region and
-// entry are both MRU, the page already populated); a request sharing the
-// previous TLB key — same promoted region — skips the probe, since its
-// RAM path is a pure recency refresh of a fully populated region; all
-// other requests run the scalar body with the probe-and-reserve TLB op.
+// regions), so the kernel runs Access's RAM step in order with the same
+// exact TLB shortcuts (TestStagedBatchMatchesScalar): a repeat of the
+// previous request is skipped (the region and entry are both MRU, the
+// page already populated); a request sharing the previous TLB key —
+// same promoted region — skips the probe, since its RAM step is a pure
+// recency refresh of a fully populated region; every other request
+// probes and reserves in one TLB op.
 func (m *Superpage) AccessBatch(vs []uint64) {
-	t := m.tlb
-	rshift := uint(bits.TrailingZeros64(m.cfg.HugePageSize))
 	var prevV, prevKey uint64
 	havePrev := false
 	for _, v := range vs {
 		if havePrev && v == prevV {
-			t.NoteRepeatHit()
 			continue
 		}
-		r := v >> rshift
-
-		reg := m.regionFor(r)
-		if !reg.present {
-			reg.present = true
-			if m.fits(m.cfg.HugePageSize) {
-				m.makeRoom(m.cfg.HugePageSize)
-				reg.reserved = true
-				m.used += m.cfg.HugePageSize
-				m.reservedFree += m.cfg.HugePageSize
-			} else {
-				m.makeRoom(1)
-				m.used++
-			}
-			m.populated.Add(v)
-			reg.pop++
-			if reg.reserved {
-				m.reservedFree--
-			}
-			m.costs.IOs++
-			m.ex.DemandIO()
-			m.lru.Access(r)
-		} else {
-			m.lru.Access(r)
-			if !m.populated.Contains(v) {
-				if !reg.reserved {
-					m.makeRoom(1)
-					if !reg.present {
-						reg.present = true
-						m.lru.Access(r)
-					}
-					m.used++
-				}
-				m.populated.Add(v)
-				reg.pop++
-				if reg.reserved {
-					m.reservedFree--
-				}
-				m.costs.IOs++
-				m.ex.DemandIO()
-			}
-		}
-
-		if reg.reserved && !reg.promoted && uint64(reg.pop) == m.cfg.HugePageSize {
-			reg.promoted = true
-			m.promotions++
-			m.ex.Promote()
-			start := r * m.cfg.HugePageSize
-			for o := uint64(0); o < m.cfg.HugePageSize; o++ {
-				if m.tlb.Invalidate(tlbBase(start + o)) {
-					m.ex.TLBInvalidated(tlbBase(start + o))
-				}
-			}
-		}
-
-		var key uint64
-		if reg.promoted {
-			key = tlbHuge(r)
-		} else {
-			key = tlbBase(v)
-		}
-		if havePrev && key == prevKey {
-			t.NoteRepeatHit()
-		} else if !t.LookupOrReserve(key) {
-			m.costs.TLBMisses++
-			m.ex.TLBMiss(key)
+		key := m.step(v)
+		if (!havePrev || key != prevKey) && !m.tlb.LookupOrReserve(key) {
+			m.tlbMiss(key)
 		}
 		havePrev, prevV, prevKey = true, v, key
 	}
 	m.costs.Accesses += uint64(len(vs))
 }
 
-// Costs implements Algorithm.
-func (m *Superpage) Costs() Costs { return m.costs }
-
 // ResetCosts implements Algorithm.
-func (m *Superpage) ResetCosts() {
-	m.costs = Costs{}
-	m.ex.Reset()
-	m.tlb.ResetCounters()
-}
-
-// EnableExplain implements Algorithm.
-func (m *Superpage) EnableExplain() {
-	if m.ex == nil {
-		m.ex = &explain.Counters{}
-	}
-}
-
-// Explain implements Algorithm.
-func (m *Superpage) Explain() *explain.Counters { return m.ex }
+func (m *Superpage) ResetCosts() { m.resetMeter() }
 
 // ExplainGauges implements Algorithm. Fragmentation is the reservation
 // over-allocation: pages charged to RAM that back no data (h − populated

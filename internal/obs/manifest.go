@@ -2,8 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -102,6 +104,10 @@ type Manifest struct {
 	HTTPAddr    string      `json:"http_addr,omitempty"`
 	Experiments []RunRecord `json:"experiments,omitempty"`
 	Cache       *CacheStats `json:"cache,omitempty"`
+
+	// path is the file this manifest's first Write claimed; later writes
+	// into the same directory replace it.
+	path string
 }
 
 // NewManifest starts a manifest for the named command, stamping the
@@ -140,9 +146,11 @@ func (m *Manifest) Finish() {
 
 // Filename returns the manifest's canonical file name,
 // manifest-<command>-<startUTC>.json — one file per invocation, so a
-// results directory accumulates a run log. The name is stable across a
-// run's lifetime: the start-of-run "running" write and the final write
-// land in the same file.
+// results directory accumulates a run log. Write keeps the name stable
+// across a run's lifetime: the start-of-run "running" write and the
+// final write land in the same file. A run started in the same second as
+// one whose manifest already holds the name gets a numbered name instead
+// (see Write).
 func (m *Manifest) Filename() string {
 	return fmt.Sprintf("manifest-%s-%s.json", m.Command, m.Start.UTC().Format("20060102T150405Z"))
 }
@@ -161,9 +169,14 @@ func LoadManifest(path string) (*Manifest, error) {
 }
 
 // Write renders the manifest as indented JSON into dir (created if
-// needed) under its canonical Filename, returning the written path. The
-// write is atomic (temp file + rename), so a run killed mid-write leaves
-// the previous version of the manifest, never a torn one.
+// needed), returning the written path. The first write claims a file of
+// its own: Filename, or Filename with _2, _3, … before ".json" when
+// another manifest holds that name (runs started in the same second);
+// '_' sorts after '.', so a directory's names still sort in start order.
+// Every later write into dir replaces that file. Writes are atomic (temp
+// file, then a hard link for the claim or a rename after it), so a run
+// killed mid-write leaves the previous version of the manifest, never a
+// torn one.
 func (m *Manifest) Write(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("obs: %w", err)
@@ -172,7 +185,6 @@ func (m *Manifest) Write(dir string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("obs: %w", err)
 	}
-	path := filepath.Join(dir, m.Filename())
 	tmp, err := os.CreateTemp(dir, ".manifest-*.tmp")
 	if err != nil {
 		return "", fmt.Errorf("obs: %w", err)
@@ -185,13 +197,38 @@ func (m *Manifest) Write(dir string) (string, error) {
 		err = os.Chmod(tmp.Name(), 0o644)
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), path)
+		err = m.place(tmp.Name(), dir)
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
 		return "", fmt.Errorf("obs: %w", err)
 	}
-	return path, nil
+	return m.path, nil
+}
+
+// place moves the written temp file into the manifest's own file in dir,
+// claiming one on the first write there. The claim hard-links the temp
+// file, which fails rather than replace a file another manifest holds.
+func (m *Manifest) place(tmp, dir string) error {
+	if m.path != "" && filepath.Dir(m.path) == filepath.Clean(dir) {
+		return os.Rename(tmp, m.path)
+	}
+	base := strings.TrimSuffix(m.Filename(), ".json")
+	for n := 1; ; n++ {
+		path := filepath.Join(dir, base+".json")
+		if n > 1 {
+			path = filepath.Join(dir, fmt.Sprintf("%s_%d.json", base, n))
+		}
+		err := os.Link(tmp, path)
+		if errors.Is(err, fs.ErrExist) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		m.path = path
+		return os.Remove(tmp)
+	}
 }
 
 // gitVersion resolves the source revision: the VCS stamp the go tool

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -115,5 +117,52 @@ func TestNewManifestStampsEnvironment(t *testing.T) {
 	m.Finish()
 	if m.WallSeconds < 0 {
 		t.Fatalf("WallSeconds = %v", m.WallSeconds)
+	}
+}
+
+// TestManifestWritesOwnFile: two runs that start in the same second and
+// write alternately into one directory keep one file each, named so the
+// later run sorts last, and each file loads back whole as its run's
+// latest write.
+func TestManifestWritesOwnFile(t *testing.T) {
+	dir := t.TempDir()
+	start := time.Date(2026, 8, 5, 12, 30, 45, 0, time.UTC)
+	runs := []*Manifest{
+		{Command: "figures", Args: []string{"-fig", "e2"}, Start: start},
+		{Command: "figures", Args: []string{"-fig", "f1a"}, Start: start},
+	}
+	paths := make([]string, len(runs))
+	for round := 0; round < 3; round++ {
+		for i, m := range runs {
+			m.Experiments = append(m.Experiments, RunRecord{ID: m.Args[1], Rows: round})
+			path, err := m.Write(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round > 0 && path != paths[i] {
+				t.Fatalf("run %d rewrote into %s, first wrote %s", i, path, paths[i])
+			}
+			paths[i] = path
+		}
+	}
+	if paths[0] >= paths[1] {
+		t.Fatalf("the later run's %s does not sort after the earlier run's %s", paths[1], paths[0])
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("directory holds %v, want the two manifests alone", files)
+	}
+	for i, m := range runs {
+		back, err := LoadManifest(paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Args, m.Args) || !reflect.DeepEqual(back.Experiments, m.Experiments) {
+			t.Errorf("%s loads back args %v, experiments %+v; run %d wrote %v, %+v",
+				paths[i], back.Args, back.Experiments, i, m.Args, m.Experiments)
+		}
 	}
 }

@@ -22,9 +22,6 @@ type SetAssociative struct {
 	ways    int
 	indexer *hashutil.Family
 	subs    []*TLB
-
-	hits   uint64
-	misses uint64
 }
 
 // NewSetAssociative builds a TLB of sets×ways entries. entries must be
@@ -59,15 +56,9 @@ func (s *SetAssociative) setOf(key uint64) int {
 	return int(s.indexer.At(0, key))
 }
 
-// Lookup reports whether key is cached, updating recency and counters.
+// Lookup reports whether key is cached, refreshing its recency on a hit.
 func (s *SetAssociative) Lookup(key uint64) bool {
-	ok := s.subs[s.setOf(key)].Lookup(key)
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	return ok
+	return s.subs[s.setOf(key)].Lookup(key)
 }
 
 // Insert caches key in its set, evicting within the set per the policy.
@@ -85,12 +76,6 @@ func (s *SetAssociative) Contains(key uint64) bool {
 	return s.subs[s.setOf(key)].Contains(key)
 }
 
-// Hits and Misses are aggregate counters.
-func (s *SetAssociative) Hits() uint64 { return s.hits }
-
-// Misses returns the aggregate miss count.
-func (s *SetAssociative) Misses() uint64 { return s.misses }
-
 // Sets and Ways expose the geometry.
 func (s *SetAssociative) Sets() int { return s.sets }
 
@@ -104,12 +89,4 @@ func (s *SetAssociative) Len() int {
 		n += sub.Len()
 	}
 	return n
-}
-
-// ResetCounters zeroes aggregate and per-set counters.
-func (s *SetAssociative) ResetCounters() {
-	s.hits, s.misses = 0, 0
-	for _, sub := range s.subs {
-		sub.ResetCounters()
-	}
 }

@@ -27,9 +27,6 @@ type TLB struct {
 
 	flat   *policy.DenseLRU // LRU kind only
 	policy policy.Policy    // every other policy kind
-
-	hits   uint64
-	misses uint64
 }
 
 // New creates a TLB with the given entry count and replacement policy
@@ -48,25 +45,21 @@ func New(entries int, kind policy.Kind, seed uint64) (*TLB, error) {
 	return &TLB{entries: entries, policy: pol}, nil
 }
 
-// Lookup reports whether huge page u is cached, updating recency state
-// and hit/miss counters.
+// Lookup reports whether huge page u is cached, refreshing its recency
+// on a hit.
 func (t *TLB) Lookup(u uint64) bool {
 	if t.flat != nil {
 		s := t.flat.SlotOf(u)
 		if s < 0 {
-			t.misses++
 			return false
 		}
-		t.flat.Touch(s) // refresh recency
-		t.hits++
+		t.flat.Touch(s)
 		return true
 	}
 	if !t.policy.Contains(u) {
-		t.misses++
 		return false
 	}
-	t.policy.Access(u) // refresh recency
-	t.hits++
+	t.policy.Access(u)
 	return true
 }
 
@@ -103,12 +96,6 @@ func (t *TLB) Invalidate(u uint64) bool {
 	return t.policy.Remove(u)
 }
 
-// Hits and Misses return the lookup counters.
-func (t *TLB) Hits() uint64 { return t.hits }
-
-// Misses returns the number of lookups that missed.
-func (t *TLB) Misses() uint64 { return t.misses }
-
 // Len returns the number of cached entries.
 func (t *TLB) Len() int {
 	if t.flat != nil {
@@ -125,10 +112,4 @@ func (t *TLB) Cap() int { return t.entries }
 // schemes) — the quantity TLB-coverage gauges report.
 func (t *TLB) Reach(pagesPerEntry uint64) uint64 {
 	return uint64(t.Len()) * pagesPerEntry
-}
-
-// ResetCounters zeroes the hit/miss counters (used after cache warmup, as
-// in the paper's measurement methodology).
-func (t *TLB) ResetCounters() {
-	t.hits, t.misses = 0, 0
 }

@@ -38,8 +38,8 @@ func TestLookupInsert(t *testing.T) {
 	if tl.Contains(1) || !tl.Contains(2) || !tl.Contains(3) {
 		t.Fatalf("membership after eviction: 1=%v 2=%v 3=%v", tl.Contains(1), tl.Contains(2), tl.Contains(3))
 	}
-	if tl.Hits() != 1 || tl.Misses() != 1 {
-		t.Fatalf("counters: hits=%d misses=%d", tl.Hits(), tl.Misses())
+	if tl.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", tl.Len())
 	}
 }
 
@@ -48,11 +48,8 @@ func TestContainsNoSideEffects(t *testing.T) {
 	tl.Insert(1)
 	tl.Insert(2)
 	// Peeking at 1 must NOT refresh it; inserting 3 must still evict 1.
-	if !tl.Contains(1) {
-		t.Fatal("Contains(1) should find entry")
-	}
-	if tl.Hits() != 0 || tl.Misses() != 0 {
-		t.Fatal("Contains must not touch counters")
+	if !tl.Contains(1) || tl.Contains(3) {
+		t.Fatal("Contains disagrees with the inserted keys")
 	}
 	victim, _ := tl.Insert(3)
 	if victim != 1 {
@@ -71,17 +68,6 @@ func TestInvalidate(t *testing.T) {
 	}
 	if tl.Len() != 0 {
 		t.Fatalf("Len = %d after invalidate", tl.Len())
-	}
-}
-
-func TestResetCounters(t *testing.T) {
-	tl, _ := New(4, policy.LRUKind, 1)
-	tl.Lookup(1)
-	tl.Insert(1)
-	tl.Lookup(1)
-	tl.ResetCounters()
-	if tl.Hits() != 0 || tl.Misses() != 0 {
-		t.Fatal("counters not reset")
 	}
 }
 
@@ -107,6 +93,7 @@ func TestCapacityEnforced(t *testing.T) {
 			}
 		}
 		r := hashutil.NewRNG(2)
+		var hits, misses int
 		for i := 0; i < 10000; i++ {
 			u := r.Uint64n(keys)
 			want := ref.Contains(u)
@@ -117,8 +104,10 @@ func TestCapacityEnforced(t *testing.T) {
 				t.Fatalf("%s step %d: Lookup(%d) = %v, reference %v", kind, i, u, got, want)
 			}
 			if want {
+				hits++
 				continue
 			}
+			misses++
 			_, rv := ref.Access(u)
 			v, evicted := tl.Insert(u)
 			if evicted != (rv != policy.NoEviction) || (evicted && v != rv) {
@@ -133,8 +122,8 @@ func TestCapacityEnforced(t *testing.T) {
 				t.Fatalf("%s: membership of key %d diverged", kind, u)
 			}
 		}
-		if tl.Hits() == 0 || tl.Misses() == 0 {
-			t.Fatalf("%s: counters never moved (h=%d m=%d)", kind, tl.Hits(), tl.Misses())
+		if hits == 0 || misses == 0 {
+			t.Fatalf("%s: the stream never both hit and missed (h=%d m=%d)", kind, hits, misses)
 		}
 	}
 }
@@ -149,15 +138,16 @@ func TestHitRateConvergesForSmallWorkingSet(t *testing.T) {
 			tl.Insert(u)
 		}
 	}
-	tl.ResetCounters()
+	misses := 0
 	for i := 0; i < 10000; i++ {
 		u := r.Uint64n(64)
 		if !tl.Lookup(u) {
+			misses++
 			tl.Insert(u)
 		}
 	}
-	if tl.Misses() != 0 {
-		t.Fatalf("misses = %d for fully-resident working set", tl.Misses())
+	if misses != 0 {
+		t.Fatalf("misses = %d for fully-resident working set", misses)
 	}
 }
 

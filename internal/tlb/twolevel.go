@@ -14,10 +14,6 @@ import (
 type TwoLevel struct {
 	l1, l2 *TLB
 	l1Only int // keys cached in L1 but no longer in L2
-
-	l1Hits uint64
-	l2Hits uint64
-	misses uint64
 }
 
 // NewTwoLevel builds a hierarchy with the given entry counts.
@@ -40,18 +36,15 @@ func NewTwoLevel(l1Entries, l2Entries int, kind policy.Kind, seed uint64) (*TwoL
 }
 
 // Lookup probes the hierarchy, reporting whether either level held key.
-// L1Hits and L2Hits record which level served it.
+// An L2 hit refills L1.
 func (t *TwoLevel) Lookup(key uint64) bool {
 	if t.l1.Lookup(key) {
-		t.l1Hits++
 		return true
 	}
 	if t.l2.Lookup(key) {
-		t.l2Hits++
 		t.fillL1(key)
 		return true
 	}
-	t.misses++
 	return false
 }
 
@@ -86,22 +79,6 @@ func (t *TwoLevel) Invalidate(key uint64) bool {
 
 // Len returns the number of distinct keys cached in either level.
 func (t *TwoLevel) Len() int { return t.l2.Len() + t.l1Only }
-
-// L1Hits, L2Hits and Misses report the traffic split.
-func (t *TwoLevel) L1Hits() uint64 { return t.l1Hits }
-
-// L2Hits returns hits served by L2 (after an L1 miss).
-func (t *TwoLevel) L2Hits() uint64 { return t.l2Hits }
-
-// Misses returns full (both-level) misses.
-func (t *TwoLevel) Misses() uint64 { return t.misses }
-
-// ResetCounters zeroes the hierarchy's counters.
-func (t *TwoLevel) ResetCounters() {
-	t.l1Hits, t.l2Hits, t.misses = 0, 0, 0
-	t.l1.ResetCounters()
-	t.l2.ResetCounters()
-}
 
 // L1 and L2 expose the levels for inspection.
 func (t *TwoLevel) L1() *TLB { return t.l1 }
