@@ -37,15 +37,19 @@ race:
 
 # fuzz-smoke runs short fuzzing passes over the trace codec (seeded from
 # testdata/fuzz), the TLB encoder (random kind, P, w and page-in/page-out
-# scripts, every touched huge page decoded after each step), figures'
-# -resume input (manifest bytes and the flags restored from them) and the
-# ADDRXLAT_FAULTS plan parser, catching decoder and parser regressions
-# without a dedicated fuzz farm. The resume fuzzer touches the file system
-# per input, so it caps minimizing each new input at 2s, which would
-# otherwise take most of its budget.
+# scripts, every touched huge page decoded after each step), DenseLRU's
+# column kernel (misses, victims, Len and Keys against a per-element
+# AccessSlot twin, over fuzzed streams, chunkings, capacities and
+# shifts), figures' -resume input (manifest bytes and the flags restored
+# from them) and the ADDRXLAT_FAULTS plan parser, catching decoder,
+# kernel and parser regressions without a dedicated fuzz farm. The
+# resume fuzzer touches the file system per input, and the column
+# fuzzer finds new inputs faster than the default minimizing budget
+# (60s each) lets it test them, so both cap minimizing at 2s.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzEncoderDecode -fuzztime=15s ./internal/core/
+	$(GO) test -run=^$$ -fuzz=FuzzDenseLRUColumn -fuzztime=15s -fuzzminimizetime=2s ./internal/policy/
 	$(GO) test -run=^$$ -fuzz=FuzzResumeManifest -fuzztime=15s -fuzzminimizetime=2s ./cmd/figures/
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/faultinject/
 

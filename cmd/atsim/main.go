@@ -155,6 +155,10 @@ func main() {
 		man.Trace = *traceF
 	}
 
+	if err := checkModelFlags(*eps, *wBits); err != nil {
+		fail(err)
+	}
+
 	if *serveF {
 		if *replay != "" {
 			fail(fmt.Errorf("-serve drives a live generator; it cannot replay a trace"))
@@ -633,6 +637,20 @@ func flushManifest(status, errMsg string) {
 	} else {
 		fmt.Fprintf(os.Stderr, "atsim: wrote run manifest %s\n", path)
 	}
+}
+
+// checkModelFlags rejects cost-model flags outside the model's range
+// (DESIGN.md §1): ε must lie in (0, 1), and w must be non-negative, where
+// 0 selects the default of 64 bits. flag.Float64 parses "NaN", which
+// fails every comparison, so the ε test is written to reject it.
+func checkModelFlags(eps float64, wBits int) error {
+	if !(eps > 0 && eps < 1) {
+		return fmt.Errorf("-eps must be in (0, 1), got %g", eps)
+	}
+	if wBits < 0 {
+		return fmt.Errorf("-w must be non-negative (0 means 64 bits), got %d", wBits)
+	}
+	return nil
 }
 
 // fail flushes profiles and the manifest before exiting, since os.Exit

@@ -136,6 +136,52 @@ func TestServeModeRejectsBadLoad(t *testing.T) {
 	}
 }
 
+// TestModelFlagBounds: -eps must lie in (0, 1), the model's range, and
+// -w must be non-negative, 0 meaning the default 64 bits. flag.Float64
+// parses "NaN" and "Inf", and NaN passes any ≤ or ≥ test. Every
+// rejection names its flag; a -w that gets through must reach the
+// decoupled scheme as given, not as 64.
+func TestModelFlagBounds(t *testing.T) {
+	for _, c := range []struct {
+		eps   float64
+		wBits int
+		flag  string // "" when the pair is accepted
+	}{
+		{0.01, 64, ""},
+		{0.5, 0, ""},
+		{0.01, 32, ""},
+		{math.NaN(), 64, "-eps"},
+		{math.Inf(1), 64, "-eps"},
+		{-1, 64, "-eps"},
+		{0, 64, "-eps"},
+		{1, 64, "-eps"},
+		{2, 64, "-eps"},
+		{0.01, -3, "-w"},
+		{0.01, -1, "-w"},
+	} {
+		err := checkModelFlags(c.eps, c.wBits)
+		if c.flag == "" {
+			if err != nil {
+				t.Errorf("-eps %g -w %d: rejected: %v", c.eps, c.wBits, err)
+			}
+			continue
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("-eps %g -w %d: err = %v, want a %s rejection", c.eps, c.wBits, err, c.flag)
+		}
+	}
+	for _, c := range []struct{ wBits, want int }{{0, 64}, {32, 32}} {
+		alg, err := buildAlgorithm("decoupled", core.IcebergAlloc, 1, 2, testVPages, testRAMPages,
+			64, c.wBits, policy.LRUKind, policy.LRUKind, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := alg.(*mm.Decoupled).Params().W; got != c.want {
+			t.Errorf("-w %d: decoupled runs at w=%d, want %d", c.wBits, got, c.want)
+		}
+	}
+}
+
 // TestRunStreamMatchesRunWarm is atsim's end-to-end check of the one run
 // path: a generated, a graph500 and a replayed stream each run through
 // the experiments' row executor must give mm.RunWarm's costs over the

@@ -149,6 +149,16 @@ func (t *Table[V]) Absent() V { return t.absent }
 // exposed for tests and memory accounting.
 func (t *Table[V]) Cap() int { return len(t.vals) }
 
+// Flat returns the flat region's backing array: the value of a key k
+// below len(Flat()) is Flat()[k]. A column kernel reads and writes it
+// directly instead of calling At and Set per element (Set is not inlined
+// at generic call sites). A direct write must keep the count Len
+// reports: overwrite a present value with another present value, or
+// clear one present key and fill one absent key in the same step.
+// Growing the region and keys at or above SparseBound need Set and
+// Delete; after a Set, call Flat again, because it may have grown.
+func (t *Table[V]) Flat() []V { return t.vals }
+
 // Bitset is a flat bit-vector over dense uint64 keys, for boolean page
 // state (touched, promoted, populated) that was previously map[uint64]bool.
 type Bitset struct {

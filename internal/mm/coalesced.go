@@ -105,8 +105,8 @@ func (m *Coalesced) Access(v uint64) {
 	m.costs.Accesses++
 
 	// RAM side: classical h=1 paging through the allocator so physical
-	// placement (and hence contiguity) is tracked. LRU evicts only on a
-	// miss, which pageIn attributes.
+	// placement (and hence contiguity) is tracked; pageIn attributes the
+	// eviction.
 	hit, victim := m.pageIn(m.ram, v, 1)
 	if victim != policy.NoEviction {
 		m.alloc.Release(victim)

@@ -19,7 +19,8 @@ type DecoupledConfig struct {
 	// RAMPages P and VirtualPages V size the machine in base pages.
 	RAMPages     uint64
 	VirtualPages uint64
-	// TLBEntries ℓ and ValueBits w define the TLB hardware.
+	// TLBEntries ℓ and ValueBits w define the TLB hardware; w = 0 means
+	// 64 bits.
 	TLBEntries int
 	ValueBits  int
 	// TLBPolicy is X's replacement policy (over size-hmax huge pages);
@@ -38,7 +39,10 @@ func (c *DecoupledConfig) validate() error {
 	if c.TLBEntries <= 0 {
 		return fmt.Errorf("mm: TLB entries must be positive, got %d", c.TLBEntries)
 	}
-	if c.ValueBits <= 0 {
+	if c.ValueBits < 0 {
+		return fmt.Errorf("mm: value bits w must be non-negative (0 means 64), got %d", c.ValueBits)
+	}
+	if c.ValueBits == 0 {
 		c.ValueBits = 64
 	}
 	if c.TLBPolicy == "" {
@@ -80,11 +84,13 @@ type Decoupled struct {
 	// Staged-path specializations, resolved once at construction: the
 	// huge-page shift (HMax is a power of two) and the concrete flat-LRU
 	// Y cache. A nil ramFlat or a non-flat TLB routes AccessBatch to the
-	// scalar loop. miss is the TLB probe's packed miss list, grown to the
-	// high-water chunk size once and reused by every later chunk.
+	// scalar loop. miss is the TLB probe's packed miss list and ymiss the
+	// Y column's misses; both are grown to the high-water chunk size once
+	// and reused by every later chunk.
 	hshift  uint
 	ramFlat *policy.DenseLRU
 	miss    []uint64
+	ymiss   []policy.ColumnMiss
 }
 
 var _ Algorithm = (*Decoupled)(nil)
@@ -165,22 +171,27 @@ func (z *Decoupled) serviceFailed() {
 	z.failureHits++
 }
 
-// AccessBatch implements Batcher: the chunk is processed as two
-// independent column passes instead of one interleaved per-access loop.
-// The decoupling makes this exact: the TLB column lives in the
-// huge-page keyspace and the RAM/decode column in the base-page keyspace,
-// the scheme never invalidates or revalues TLB entries mid-stream, and
-// every cost counter is a sum — so reordering work *between* columns
-// (while preserving order *within* each) reproduces the scalar counters
-// bit for bit (TestStagedBatchMatchesScalar).
+// AccessBatch implements Batcher: the chunk is processed as three column
+// passes instead of one interleaved per-access loop. The decoupling makes
+// this exact: the TLB column lives in the huge-page keyspace and the
+// RAM/decode column in the base-page keyspace, the scheme never
+// invalidates or revalues TLB entries mid-stream, Y's answers depend on
+// the request stream alone, and every cost counter is a sum — so
+// reordering work *between* columns (while preserving order *within*
+// each) reproduces the scalar counters bit for bit
+// (TestStagedBatchMatchesScalar).
 //
-//   - Pass 1 walks the request column through the flat Y cache, resolving
-//     each miss through the allocator (victim out, v in) in stream order
-//     — bucket loads depend on that order — and servicing failed pages.
-//     Consecutive repeats of one page collapse: a repeat is a Y hit of
-//     the MRU entry with no scheme traffic, and its decode check is a
-//     pure re-read; only failed pages re-charge 1+ε per repeat.
-//   - Pass 2 probes the huge-page column through the flat TLB, packing
+//   - Pass 1 runs the request column through the flat Y cache's column
+//     kernel, which records each miss's index and victim. Y never reads
+//     the scheme's state, so running it ahead of the scheme is exact.
+//   - Pass 2 walks the column in stream order: each recorded miss is
+//     resolved through the allocator (victim out, v in) — bucket loads
+//     depend on that order — every other request tests for paging
+//     failure and decodes, and failed pages are serviced. Consecutive
+//     repeats of one page collapse: a repeat is a Y hit of the MRU entry
+//     with no scheme traffic, and its decode check is a pure re-read;
+//     only failed pages re-charge 1+ε per repeat.
+//   - Pass 3 probes the huge-page column through the flat TLB, packing
 //     the missed keys into the reused miss list; the list's length is
 //     the column's ε-cost and (with attribution armed) its keys replay
 //     into the TLB-miss classifier, whose state is per-key, so column
@@ -196,14 +207,25 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 		}
 		return
 	}
+	if cap(z.miss) < len(vs) {
+		z.miss = make([]uint64, 0, len(vs))
+		z.ymiss = make([]policy.ColumnMiss, 0, len(vs))
+	}
 
-	// Pass 1: RAM column (policy Y driving scheme D), plus failure/decode
-	// servicing, which reads only scheme state of the accesses before it.
+	// Pass 1: the Y column.
+	ymiss := ry.AccessColumn(vs, 0, z.ymiss[:0])
+	z.ymiss = ymiss
+
+	// Pass 2: scheme D in stream order, plus failure/decode servicing,
+	// which reads only scheme state of the accesses before it.
 	scheme := z.scheme
-	var ios uint64
+	k, next := 0, len(vs) // the next Y miss and its request index
+	if len(ymiss) > 0 {
+		next = ymiss[0].At
+	}
 	var prevV uint64
 	prevFailed, havePrev := false, false
-	for _, v := range vs {
+	for i, v := range vs {
 		if havePrev && v == prevV {
 			if prevFailed {
 				z.serviceFailed()
@@ -211,9 +233,12 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 			continue
 		}
 		havePrev, prevV = true, v
-		_, hit, victim := ry.AccessSlot(v)
-		if !hit {
-			ios++
+		if i == next {
+			victim := ymiss[k].Victim
+			k, next = k+1, len(vs)
+			if k < len(ymiss) {
+				next = ymiss[k].At
+			}
 			z.ex.DemandIO()
 			if victim != policy.NoEviction {
 				z.ex.Evict()
@@ -233,11 +258,8 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 		}
 	}
 
-	// Pass 2: TLB column probe over huge-page keys, misses packed into
-	// the reused miss list.
-	if cap(z.miss) < len(vs) {
-		z.miss = make([]uint64, 0, len(vs))
-	}
+	// Pass 3: the TLB column over huge-page keys, misses packed into the
+	// reused miss list.
 	miss, _ := t.ProbeFill(vs, z.hshift, z.miss[:0])
 	z.miss = miss
 	if z.ex != nil {
@@ -247,7 +269,7 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 	}
 
 	z.costs.Accesses += uint64(len(vs))
-	z.costs.IOs += ios
+	z.costs.IOs += uint64(len(ymiss))
 	z.costs.TLBMisses += uint64(len(miss))
 }
 

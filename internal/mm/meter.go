@@ -46,16 +46,16 @@ func (m *meter) fault(n uint64) {
 }
 
 // pageIn requests key from a RAM policy whose entries hold n pages each:
-// a miss charges a fault of n pages and attributes the eviction it made
-// (an eviction on a hit, which 2Q's promotion makes, is not attributed).
-// It returns the policy's answer.
+// a miss charges a fault of n pages, and every eviction the policy makes
+// is attributed, as Decoupled attributes Y's — 2Q also evicts on a hit,
+// when a promotion fills its main queue. It returns the policy's answer.
 func (m *meter) pageIn(ram policy.Policy, key, n uint64) (hit bool, victim uint64) {
 	hit, victim = ram.Access(key)
 	if !hit {
 		m.fault(n)
-		if victim != policy.NoEviction {
-			m.ex.Evict()
-		}
+	}
+	if victim != policy.NoEviction {
+		m.ex.Evict()
 	}
 	return hit, victim
 }

@@ -68,6 +68,42 @@ func TestHugePageH1IsClassicalPaging(t *testing.T) {
 	}
 }
 
+// TestPageInAttributesHitEvictions pins that every eviction a RAM policy
+// makes is attributed, including 2Q's on a hit, when a promotion from its
+// probation queue fills the main queue: HugePage at h = 1 over 2Q must
+// attribute exactly the evictions a shadow 2Q makes on the same stream,
+// some of them on hits.
+func TestPageInAttributesHitEvictions(t *testing.T) {
+	const ramPages, pages, n = 256, 1024, 100_000
+	m, err := NewHugePage(HugePageConfig{HugePageSize: 1, TLBEntries: 16, RAMPages: ramPages, RAMPolicy: policy.TwoQKind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := EnableExplain(m)
+	shadow, err := policy.New(policy.TwoQKind, ramPages, 1) // HugePage seeds its RAM policy with Seed+1
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := hashutil.NewRNG(1)
+	var evictions, onHit uint64
+	for i := 0; i < n; i++ {
+		v := r.Uint64n(pages)
+		m.Access(v)
+		if hit, victim := shadow.Access(v); victim != policy.NoEviction {
+			evictions++
+			if hit {
+				onHit++
+			}
+		}
+	}
+	if onHit == 0 {
+		t.Fatal("the shadow 2Q evicted nothing on a hit: the stream misses the case")
+	}
+	if ex.Evictions != evictions {
+		t.Fatalf("attributed %d evictions, the shadow 2Q made %d (%d of them on hits)", ex.Evictions, evictions, onHit)
+	}
+}
+
 func TestHugePageFaultAmplification(t *testing.T) {
 	// Every fault moves h pages: IOs must be a multiple of h, and a
 	// single cold access costs exactly h.
@@ -303,6 +339,16 @@ func TestDecoupledConfigErrors(t *testing.T) {
 	}
 	if _, err := NewDecoupled(DecoupledConfig{RAMPages: 64, VirtualPages: 64, TLBEntries: 0}); err == nil {
 		t.Error("TLBEntries=0 should error")
+	}
+	if _, err := NewDecoupled(DecoupledConfig{RAMPages: 1 << 12, VirtualPages: 1 << 14, TLBEntries: 4, ValueBits: -3}); err == nil {
+		t.Error("ValueBits=-3 should error")
+	}
+	z, err := NewDecoupled(DecoupledConfig{RAMPages: 1 << 12, VirtualPages: 1 << 14, TLBEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := z.Params().W; w != 64 {
+		t.Errorf("ValueBits=0 runs at w=%d, want the default 64", w)
 	}
 }
 

@@ -1,8 +1,10 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
+	"addrxlat/internal/dense"
 	"addrxlat/internal/hashutil"
 )
 
@@ -127,4 +129,102 @@ func TestDenseLRUTouch(t *testing.T) {
 			t.Fatalf("step %d: occupancy diverged %d vs %d", i, split.Len(), ref.Len())
 		}
 	}
+}
+
+// columnTwin drives DenseLRU's column kernel and a twin making one
+// AccessSlot(v>>shift) call per request over the same stream, cut into
+// chunks of the given lengths (empty ones included) and then one chunk
+// for the rest. After every chunk both must agree on the misses (request
+// index and victim, appended after a prefix the kernel must keep), Len
+// and Keys, and the key index must count exactly the cached keys — the
+// count the kernel's direct writes to the table's flat region must keep.
+func columnTwin(t *testing.T, capacity int, shift uint, vs []uint64, cuts []int) {
+	t.Helper()
+	col := NewDenseLRU(capacity, 0)
+	ref := NewDenseLRU(capacity, 0)
+	prefix := []ColumnMiss{{At: -1, Victim: 7}}
+	var got []ColumnMiss
+	lo := 0
+	for c := 0; c <= len(cuts); c++ {
+		hi := len(vs)
+		if c < len(cuts) {
+			hi = min(lo+cuts[c], len(vs))
+		}
+		chunk := vs[lo:hi]
+		got = col.AccessColumn(chunk, shift, append(got[:0], prefix...))
+		want := slices.Clone(prefix)
+		for i, v := range chunk {
+			if _, hit, victim := ref.AccessSlot(v >> shift); !hit {
+				want = append(want, ColumnMiss{At: i, Victim: victim})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("cap %d shift %d chunk [%d,%d): column misses %v, scalar %v", capacity, shift, lo, hi, got, want)
+		}
+		if col.Len() != ref.Len() || col.slot.Len() != col.Len() {
+			t.Fatalf("cap %d shift %d chunk [%d,%d): Len column %d (index %d), scalar %d",
+				capacity, shift, lo, hi, col.Len(), col.slot.Len(), ref.Len())
+		}
+		if ck, rk := col.Keys(), ref.Keys(); !slices.Equal(ck, rk) {
+			t.Fatalf("cap %d shift %d chunk [%d,%d): Keys column %v, scalar %v", capacity, shift, lo, hi, ck, rk)
+		}
+		lo = hi
+	}
+}
+
+// TestDenseLRUColumnMatchesScalar pins AccessColumn against per-element
+// AccessSlot over dup-heavy streams in uneven chunks, at capacity 1 (every
+// miss evicts the MRU), small and large capacities, shifts 0 and 4, with
+// every 97th request a key at or above dense.SparseBound (the key index's
+// map path).
+func TestDenseLRUColumnMatchesScalar(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 64, 512} {
+		for _, shift := range []uint{0, 4} {
+			seed := uint64(capacity)*31 + uint64(shift)
+			vs := columnTrace(seed, 20000, 1000, shift)
+			for i := 96; i < len(vs); i += 97 {
+				vs[i] = (dense.SparseBound + vs[i]>>shift%8) << shift
+			}
+			rng := hashutil.NewRNG(seed + 1)
+			cuts := make([]int, 60)
+			for i := range cuts {
+				cuts[i] = int(rng.Uint64n(700))
+			}
+			columnTwin(t, capacity, shift, vs, cuts)
+		}
+	}
+}
+
+// FuzzDenseLRUColumn fuzzes the column kernel against its AccessSlot
+// twin (columnTwin) over streams and chunkings. Each stream byte is one
+// request: below 0xc0 one of 24 hot keys (hits, repeats, evictions), up
+// to 0xe0 a key up to 31<<10 that grows the key index mid-chunk, above
+// that a key at or above dense.SparseBound. The low shift bits vary from
+// request to request, so runs of one key are not runs of one request.
+// Each chunking byte is one chunk's length, 0 to 16.
+func FuzzDenseLRUColumn(f *testing.F) {
+	f.Add(uint8(0), uint8(0), []byte{1, 1, 2, 1, 3, 3, 3, 0xc1, 0xe2, 1, 0xe2, 0xe2, 0xc1, 2}, []byte{3, 0, 5})
+	f.Add(uint8(3), uint8(4), []byte{5, 5, 6, 7, 8, 0xdf, 5, 9, 0xe0, 0xff, 6, 6, 0xc4, 10, 11, 5}, []byte{1, 2, 16, 0, 4})
+	f.Add(uint8(7), uint8(7), []byte{0, 0xc0, 0xc0, 0xe5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0xe5, 0}, []byte{})
+	f.Fuzz(func(t *testing.T, capacity, shift uint8, stream, chunking []byte) {
+		sh := uint(shift % 8)
+		vs := make([]uint64, len(stream))
+		for i, b := range stream {
+			var key uint64
+			switch {
+			case b < 0xc0:
+				key = uint64(b % 24)
+			case b < 0xe0:
+				key = uint64(b&0x1f) << 10
+			default:
+				key = dense.SparseBound + uint64(b&0x1f)
+			}
+			vs[i] = key<<sh | uint64(i)&(1<<sh-1)
+		}
+		cuts := make([]int, len(chunking))
+		for i, b := range chunking {
+			cuts[i] = int(b % 17)
+		}
+		columnTwin(t, int(capacity%8)+1, sh, vs, cuts)
+	})
 }

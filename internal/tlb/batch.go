@@ -1,5 +1,7 @@
 package tlb
 
+import "addrxlat/internal/policy"
+
 // This file holds the TLB's columnar batch kernels: fused variants of the
 // Lookup/Insert pairs the scalar simulators issue per access, specialized
 // to the flat (fully associative LRU) slot array. Each kernel performs
@@ -28,9 +30,11 @@ func (t *TLB) LookupOrReserve(u uint64) bool {
 // ProbeFill scans one request column over the flat slot array: each
 // request v probes key v>>shift and, on a miss, immediately caches it;
 // the missed keys are appended to miss (the caller's packed miss list,
-// e.g. mm.Decoupled's reused buffer) in access order. Consecutive requests
-// with equal keys collapse to one probe — the repeats are guaranteed MRU
-// hits. State transitions and the miss list are identical to calling
+// e.g. mm.Decoupled's reused buffer) in access order. It runs the LRU's
+// column kernel (policy.DenseLRU.AccessColumn) over the column a block at
+// a time, so a request whose key is the most recent one collapses to a
+// register compare. State transitions and the miss list are identical to
+// calling
 //
 //	if !t.Lookup(v >> shift) { t.Insert(v >> shift) }
 //
@@ -40,18 +44,21 @@ func (t *TLB) ProbeFill(vs []uint64, shift uint, miss []uint64) (_ []uint64, ok 
 	if t.flat == nil {
 		return miss, false
 	}
-	fl := t.flat
-	var prevU uint64
-	havePrev := false
-	for _, v := range vs {
-		u := v >> shift
-		if havePrev && u == prevU {
-			continue // repeat of the MRU entry: hit, recency unchanged
-		}
-		havePrev, prevU = true, u
-		if _, hit, _ := fl.AccessSlot(u); !hit {
-			miss = append(miss, u)
+	if t.col == nil {
+		t.col = make([]policy.ColumnMiss, 0, probeBlock)
+	}
+	for lo := 0; lo < len(vs); lo += probeBlock {
+		blk := vs[lo:min(lo+probeBlock, len(vs))]
+		t.col = t.flat.AccessColumn(blk, shift, t.col[:0])
+		for _, m := range t.col {
+			miss = append(miss, blk[m.At]>>shift)
 		}
 	}
 	return miss, true
 }
+
+// probeBlock is how many requests ProbeFill hands the column kernel at a
+// time. A column of misses costs 16 bytes a request, and nearly every
+// request can miss a TLB, so blocking keeps that record cache-resident
+// instead of as long as the column.
+const probeBlock = 1024

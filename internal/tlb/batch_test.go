@@ -28,10 +28,11 @@ func batchTrace(seed uint64, n int, shift uint) []uint64 {
 }
 
 // TestProbeFillMatchesScalar pins the columnar probe against its scalar
-// decomposition: over uneven chunks of a shared trace, ProbeFill must leave
-// occupancy and cached keys identical to a per-element Lookup/Insert
-// loop, and the packed miss list must be exactly the scalar loop's miss
-// sequence appended to the caller's slice.
+// decomposition: over uneven chunks of a shared trace, some longer than
+// the kernel's block, ProbeFill must leave occupancy and cached keys
+// identical to a per-element Lookup/Insert loop, and the packed miss list
+// must be exactly the scalar loop's miss sequence appended to the
+// caller's slice.
 func TestProbeFillMatchesScalar(t *testing.T) {
 	const shift, entries = 6, 64
 	for _, seed := range []uint64{1, 7, 42} {
@@ -50,7 +51,7 @@ func TestProbeFillMatchesScalar(t *testing.T) {
 		rng := hashutil.NewRNG(seed * 31)
 		miss := make([]uint64, 0, 1024)
 		for lo := 0; lo < len(vs); {
-			hi := min(lo+int(rng.Uint64n(700))+1, len(vs))
+			hi := min(lo+int(rng.Uint64n(2*probeBlock+200))+1, len(vs))
 			chunk := vs[lo:hi]
 			const sentinel = ^uint64(0)
 			miss = append(miss[:0], sentinel) // prefix must survive the append contract

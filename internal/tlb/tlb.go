@@ -27,6 +27,8 @@ type TLB struct {
 
 	flat   *policy.DenseLRU // LRU kind only
 	policy policy.Policy    // every other policy kind
+
+	col []policy.ColumnMiss // ProbeFill's block of column misses, reused across calls
 }
 
 // New creates a TLB with the given entry count and replacement policy
