@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check examples bench bench-diff race vet fmt-check fuzz-smoke trace-smoke serve-smoke serve-metrics-smoke results-check
+.PHONY: all build test check examples bench bench-diff race vet fmt-check deps-check fuzz-smoke trace-smoke serve-smoke serve-metrics-smoke results-check
 
 all: build
 
@@ -19,6 +19,19 @@ fmt-check:
 	@out=$$(gofmt -l .) && [ -z "$$out" ] || \
 		{ echo "fmt-check: gofmt -l lists unformatted files:" >&2; echo "$$out" >&2; exit 1; }
 
+# deps-check keeps tracing and the HTTP side out of the simulation
+# packages: `go list -deps` of internal/mm, internal/workload,
+# internal/serve, internal/event and internal/experiments must not list
+# internal/xtrace, internal/obs or net/http. The simulation reports
+# through event.Event; internal/obs draws the trace from those events
+# and serves the expvars, so every binary that runs an experiment links
+# neither unless it asks for them.
+deps-check:
+	@bad=$$($(GO) list -deps ./internal/mm ./internal/workload ./internal/serve ./internal/event ./internal/experiments | \
+		grep -x -e addrxlat/internal/xtrace -e addrxlat/internal/obs -e net/http); \
+	if [ -n "$$bad" ]; then echo "deps-check: simulation packages depend on:" $$bad >&2; exit 1; fi; \
+	echo "deps-check: no simulation package depends on internal/xtrace, internal/obs or net/http"
+
 # examples runs every program under examples/ and fails on the first
 # nonzero exit: `go build ./...` only compiles them.
 examples:
@@ -30,10 +43,13 @@ examples:
 # race runs the race detector over the packages that actually spawn or
 # share goroutines: the sweep worker pool, the experiment drivers that use
 # it, the chunk ring the row executor streams through (its DetachFrom,
-# Stop and refcount unit tests), the tracer's shared timelines, the shared
-# on-disk result cache, and the fault plan the sweep workers fire.
+# Stop, refcount and publish-hook unit tests), the observers that take
+# events from the row executor's workers and the ring's producer at once
+# (internal/obs: the recorder and the trace renderer), the span buffer's
+# locked thread registry, the shared on-disk result cache, and the fault
+# plan the sweep workers fire.
 race:
-	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/workload/ ./internal/xtrace/ ./internal/resultcache/ ./internal/faultinject/
+	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/workload/ ./internal/obs/ ./internal/xtrace/ ./internal/resultcache/ ./internal/faultinject/
 
 # fuzz-smoke runs short fuzzing passes over the trace codec (seeded from
 # testdata/fuzz), the TLB encoder (random kind, P, w and page-in/page-out
@@ -93,14 +109,15 @@ bench-diff:
 	$(GO) test -run=^$$ -bench='TraceDecode' -benchtime=1s -count=$(BENCH_COUNT) ./internal/trace/ >> results/bench-raw.txt
 	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -out results/bench-diff.txt < results/bench-raw.txt
 
-# trace-smoke runs one instrumented fig1a sweep with the execution tracer
-# armed on the row executor (4 workers, sampling on), then validates
-# the exported Chrome trace-event JSON — schema, required keys, and
-# per-timeline span nesting — with cmd/tracelint. The sweep's tables stay
-# byte-identical with tracing on (pinned by TestTraceByteIdentical); this
-# target guards the other side: that the export itself stays loadable in
-# Perfetto. Artifacts (trace + timeline TSV + manifest) land in
-# results/trace-smoke/ and are uploaded by CI.
+# trace-smoke runs one instrumented fig1a sweep with -trace (4 workers,
+# sampling on): the row executor's events carry their wall-clock stage
+# times, and obs draws the Perfetto trace and the straggler timeline from
+# them. It then validates the exported Chrome trace-event JSON — schema,
+# required keys, and per-timeline span nesting — with cmd/tracelint. The
+# sweep's tables stay byte-identical with the trace armed (pinned by
+# TestTraceByteIdentical); this target guards the other side: that the
+# export itself stays loadable in Perfetto. Artifacts (trace + timeline
+# TSV + manifest) land in results/trace-smoke/ and are uploaded by CI.
 trace-smoke:
 	@mkdir -p results/trace-smoke
 	$(GO) run ./cmd/figures -fig f1a -workers 4 -sample 100000 \
@@ -137,8 +154,9 @@ serve-smoke:
 		{ echo "serve-smoke: manifest is missing the serve record" >&2; exit 1; }
 
 # serve-metrics-smoke runs the serving-telemetry drill: the sv3
-# SLO-curve sweep (per-cell window collectors always armed) with the
-# execution tracer on, then validates the exported trace — including the
+# SLO-curve sweep (per-cell window collectors always armed) with -trace,
+# so obs draws each cell's virtual-time threads from the sweep record,
+# then validates the exported trace — including the
 # serve request-lifecycle schema (queued/attempt/backoff spans nested in
 # their request span, governor trip/clear instants alternating) — with
 # cmd/tracelint, and sanity-checks every telemetry surface: all 20 grid
@@ -185,7 +203,8 @@ results-check:
 	[ $$status -eq 0 ] && echo "results-check: $$(ls "$$tmp"/*.tsv | grep -vc '\.serve\.metrics\.tsv$$') tables match results/"; \
 	exit $$status
 
-# check is the pre-commit gate: gofmt (fmt-check), vet, full tests,
+# check is the pre-commit gate: gofmt (fmt-check), vet, the import
+# boundary of the simulation packages (deps-check), full tests,
 # race-detector pass over the concurrent packages, a 1-iteration
 # benchmark smoke covering the scalar
 # Access and batch AccessBatch kernels (the regex matches by prefix, so
@@ -203,7 +222,7 @@ results-check:
 # (results-check), and vet + tests of the benchmark harness in
 # perfbench/ (its own module), so a change to an API the harness
 # compiles against fails here rather than only in the benchmark run.
-check: fmt-check vet test race serve-smoke serve-metrics-smoke examples results-check
+check: fmt-check vet deps-check test race serve-smoke serve-metrics-smoke examples results-check
 	$(GO) test -bench='BenchmarkAccess(Batch)?(HugePage|Decoupled|THP|Superpage)|BenchmarkFig1bGraphWalk|BenchmarkFig1cGraph500|BenchmarkGraph500TraceGeneration' -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkFig1aBimodal -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkAccessBatchDecoupled -benchtime=1x -run=^$$ .

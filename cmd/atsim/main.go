@@ -52,7 +52,8 @@ var (
 
 // exitTrace is the armed execution tracer (-trace), flushed on every exit
 // path — a canceled simulation still exports a well-formed trace, since
-// the runners drain at a chunk boundary before fail() runs.
+// the row executor drains at a chunk boundary before fail() runs. obs's
+// Trace draws into it from the run's events.
 var (
 	exitTrace     *xtrace.Tracer
 	exitTracePath string
@@ -146,11 +147,10 @@ func main() {
 	man.FaultPlan = faultinject.Plan()
 	exitMan, exitManDir = man, *maniDir
 
-	var tracer *xtrace.Tracer
+	var timeline *obs.Trace
 	if *traceF != "" {
-		tracer = xtrace.New()
-		tracer.SetScope("atsim")
-		xtrace.Install(tracer)
+		tracer := xtrace.New()
+		timeline = obs.NewTrace(tracer)
 		exitTrace, exitTracePath = tracer, *traceF
 		man.Trace = *traceF
 	}
@@ -178,13 +178,14 @@ func main() {
 			blockPages: *serveBlock, deadlineMul: *serveDeadline,
 			arrivals: *serveArrivals, queueCap: *serveQueue, attempts: *serveAttempts,
 			metrics: *serveMetrics,
-		})
+		}, timeline)
 		if err != nil {
 			fail(err)
 		}
 		if rr.Serve != nil && rr.Serve.HasMetrics() && *maniDir != "" {
 			path := filepath.Join(*maniDir, "atsim-serve.serve.metrics.tsv")
-			if err := writeServeMetricsTSV(path, rr.Serve); err != nil {
+			err := obs.WriteFile(path, func(w io.Writer) error { return serve.WriteMetricsTSV(w, rr.Serve) })
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "atsim: serve metrics: %v\n", err)
 			} else {
 				fmt.Fprintf(os.Stderr, "atsim: wrote serve metrics windows to %s\n", path)
@@ -225,6 +226,7 @@ func main() {
 	}
 
 	rec := obs.NewRecorder(*sample)
+	rec.SetTrace(timeline)
 	runStart := time.Now()
 	costs, dumpStats, err := runStream(ctx, alg, *wl, src, *dumpTo, rec)
 	if err != nil {
@@ -233,8 +235,7 @@ func main() {
 	runElapsed := time.Since(runStart)
 	fmt.Printf("algorithm: %s\n", alg.Name())
 	fmt.Printf("workload:  %s (%d warmup + %d measured accesses)\n", *wl, *warmN, *measN)
-	fmt.Printf("machine:   V=%d pages, P=%d pages, TLB=%d entries, w=%d bits\n",
-		*vPages, *ramPg, *tlbEnt, *wBits)
+	fmt.Println(machineLine(*vPages, *ramPg, *tlbEnt, *wBits))
 	fmt.Printf("costs:     %s\n", costs)
 	fmt.Printf("total:     C = %.2f  (ε=%.3g)\n", costs.Total(*eps), *eps)
 	if z, ok := alg.(*mm.Decoupled); ok {
@@ -270,7 +271,7 @@ func main() {
 			path = filepath.Join(*maniDir, "atsim.curves.tsv")
 		}
 		if path != "" {
-			if err := writeCurves(rec, path); err != nil {
+			if err := obs.WriteFile(path, rec.WriteTSV); err != nil {
 				fail(err)
 			}
 			fmt.Printf("curves:    wrote cost-over-time series to %s\n", path)
@@ -278,7 +279,10 @@ func main() {
 	}
 	if rec.HasExplain() && *maniDir != "" {
 		base := filepath.Join(*maniDir, "atsim.explain")
-		if err := writeExplain(rec, base); err != nil {
+		if err := obs.WriteFile(base+".tsv", rec.WriteExplainTSV); err != nil {
+			fail(err)
+		}
+		if err := obs.WriteFile(base+".json", rec.WriteExplainJSON); err != nil {
 			fail(err)
 		}
 		fmt.Printf("explain:   wrote attribution to %s.tsv and %s.json\n", base, base)
@@ -291,12 +295,12 @@ func main() {
 		tot := rec.ExplainTotals()
 		rr.Explain = &tot
 	}
-	if tracer != nil {
-		for _, rep := range tracer.Analyze() {
-			rec.RowTimeline(rep)
-			fmt.Printf("timeline:  %s\n", rep.Summary())
-		}
+	if timeline != nil {
 		rr.Timeline = rec.Timelines()
+		for i := range rr.Timeline {
+			rr.Timeline[i].Experiment = "atsim"
+			fmt.Printf("timeline:  %s\n", rr.Timeline[i].Summary())
+		}
 	}
 	man.Experiments = []obs.RunRecord{rr}
 	flushTrace()
@@ -377,54 +381,6 @@ func (t *teeWindow) record(vs []uint64) {
 		t.acc.Add(vs)
 		t.err = t.w.Write(vs)
 	}
-}
-
-// writeExplain renders the recorded attribution snapshot to <base>.tsv
-// and <base>.json.
-func writeExplain(rec *obs.Recorder, base string) error {
-	if dir := filepath.Dir(base); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	tf, err := os.Create(base + ".tsv")
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteExplainTSV(tf); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	jf, err := os.Create(base + ".json")
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteExplainJSON(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	return jf.Close()
-}
-
-// writeCurves renders the recorded cost-over-time series to path.
-func writeCurves(rec *obs.Recorder, path string) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteTSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // replayStats summarizes a recorded trace in one streaming pass (O(chunk)
@@ -653,6 +609,16 @@ func checkModelFlags(eps float64, wBits int) error {
 	return nil
 }
 
+// machineLine is the `machine:` line of a run's report, with the value
+// width w the run uses: -w 0 selects the default of 64 bits.
+func machineLine(vPages, ramPages uint64, tlbEntries, wBits int) string {
+	if wBits == 0 {
+		wBits = 64
+	}
+	return fmt.Sprintf("machine:   V=%d pages, P=%d pages, TLB=%d entries, w=%d bits",
+		vPages, ramPages, tlbEntries, wBits)
+}
+
 // fail flushes profiles and the manifest before exiting, since os.Exit
 // skips defers. A canceled run (SIGINT/SIGTERM) exits 130 with a
 // "canceled" manifest; everything else exits 1 with "failed".
@@ -697,7 +663,7 @@ const (
 // latency-sensitive knobs to the measured mean service time, then run the
 // offered load open-loop and print the serve taxonomy and latency
 // quantiles. The full sweep record lands in the manifest.
-func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig) (obs.RunRecord, error) {
+func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig, timeline *obs.Trace) (obs.RunRecord, error) {
 	if !(cfg.load > 0) || math.IsInf(cfg.load, 1) {
 		return obs.RunRecord{}, fmt.Errorf("-serve-load must be finite and positive, got %g", cfg.load)
 	}
@@ -749,11 +715,11 @@ func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig)
 		})
 	}
 	res := sim.Run()
-	elapsed := time.Since(start)
+	end := time.Now()
+	elapsed := end.Sub(start)
 	if err := res.Counters.CheckIdentity(); err != nil {
 		return obs.RunRecord{}, err
 	}
-	sim.TraceInto(xtrace.Active(), fmt.Sprintf("atsim %s|load=%g", alg.Name(), cfg.load))
 
 	c := res.Counters
 	fmt.Printf("algorithm: %s\n", alg.Name())
@@ -804,6 +770,11 @@ func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig)
 		rec.SLOBudgetMul = serveSLOBudgetMul
 		rec.ExemplarK = serveExemplarK
 	}
+	// With -trace the run is one serve cell of an "atsim" table: its wall
+	// span and, with -serve-metrics, its virtual-time threads.
+	timeline.Observe(event.Event{Kind: event.KindPhase, Row: "atsim", Phase: event.PhaseServe,
+		Alg: fmt.Sprintf("%s|load=%g", pt.Alg, pt.Load), At: end, Accesses: cfg.requests, Elapsed: elapsed})
+	timeline.Observe(event.Event{Kind: event.KindServe, Row: "atsim", At: end, Serve: &rec})
 	return obs.RunRecord{
 		ID: "serve", Table: "atsim-serve", Rows: 1,
 		WallSeconds: elapsed.Seconds(), Serve: &rec,
@@ -839,17 +810,4 @@ func printServeMetrics(m *metrics.Record) {
 				ex.Attempts, ex.FailureIOs, ex.Degraded)
 		}
 	}
-}
-
-// writeServeMetricsTSV writes the sweep record's window dump to path.
-func writeServeMetricsTSV(path string, rec *serve.SweepRecord) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := serve.WriteMetricsTSV(f, rec); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -126,7 +127,7 @@ func TestServeModeRejectsBadLoad(t *testing.T) {
 		_, err = runServeMode(alg, gen, serveModeConfig{
 			workload: "bimodal", seed: 1, load: load, requests: 50, warmup: 10,
 			blockPages: 4, deadlineMul: 80, arrivals: "poisson", queueCap: 16, attempts: 3,
-		})
+		}, nil)
 		if err == nil || !strings.Contains(err.Error(), "-serve-load") {
 			t.Errorf("-serve-load %g: err = %v, want a -serve-load rejection", load, err)
 		}
@@ -178,6 +179,10 @@ func TestModelFlagBounds(t *testing.T) {
 		}
 		if got := alg.(*mm.Decoupled).Params().W; got != c.want {
 			t.Errorf("-w %d: decoupled runs at w=%d, want %d", c.wBits, got, c.want)
+		}
+		// The report's machine line prints the w the run uses.
+		if line, want := machineLine(testVPages, testRAMPages, 64, c.wBits), fmt.Sprintf("w=%d bits", c.want); !strings.HasSuffix(line, want) {
+			t.Errorf("-w %d: machine line %q, want it to end in %q", c.wBits, line, want)
 		}
 	}
 }

@@ -47,6 +47,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -78,8 +79,8 @@ var (
 // exitTrace is the armed execution tracer, flushed to exitTracePath on
 // every exit path. The sweep span lives on sweepThread, closed by
 // flushTrace so even an aborted run exports a well-formed trace (the row
-// executors join their workers before returning, so the tracer is always
-// quiescent by the time any exit path runs).
+// executor joins every goroutine that reports events before a row ends,
+// so the tracer is always quiescent by the time any exit path runs).
 var (
 	exitTrace     *xtrace.Tracer
 	exitTracePath string
@@ -284,10 +285,14 @@ func main() {
 		man.HTTPAddr = addr
 		fmt.Fprintf(os.Stderr, "figures: serving live counters on http://%s/debug/vars\n", addr)
 	}
+	// -trace: obs.Trace draws the timelines from the events every
+	// experiment's recorder forwards to it; the sweep and experiment
+	// spans are figures' own.
 	var tracer *xtrace.Tracer
+	var timeline *obs.Trace
 	if o.trace != "" {
 		tracer = xtrace.New()
-		xtrace.Install(tracer)
+		timeline = obs.NewTrace(tracer)
 		sweepThread = tracer.Thread("sweep")
 		sweepStart = tracer.Now()
 		exitTrace, exitTracePath = tracer, o.trace
@@ -307,6 +312,7 @@ func main() {
 		}
 		runScale := scale
 		rec := obs.NewRecorder(o.sample)
+		rec.SetTrace(timeline)
 		runScale.Observer = rec
 		runScale.Explain = o.explain
 		var hits0, misses0 uint64
@@ -314,7 +320,6 @@ func main() {
 			hits0, misses0, _ = cache.Stats()
 		}
 		prog.Start(e.ID)
-		tracer.SetScope(e.ID)
 		expStart := tracer.Now()
 		start := time.Now()
 		tab, err := e.Run(runScale, o.seed)
@@ -324,11 +329,8 @@ func main() {
 				// Cooperative drain: the workers stopped at a chunk
 				// boundary; flush what we have and exit like an
 				// interrupted process should.
-				if rec.HasSeries() && curveDir != "" {
-					_ = writeCurves(rec, curveDir, e.ID+".partial")
-				}
-				if rec.HasExplain() && curveDir != "" {
-					_ = writeExplain(rec, curveDir, e.ID+".partial")
+				if curveDir != "" {
+					_ = writeRecorded(rec, curveDir, e.ID+".partial")
 				}
 				flushProfile()
 				flushTrace()
@@ -342,13 +344,8 @@ func main() {
 		if err := emit(tab, o.format, o.out); err != nil {
 			die(1, "figures: %s: %v\n", e.ID, err)
 		}
-		if rec.HasSeries() && curveDir != "" {
-			if err := writeCurves(rec, curveDir, tab.Name); err != nil {
-				die(1, "figures: %s: %v\n", e.ID, err)
-			}
-		}
-		if rec.HasExplain() && curveDir != "" {
-			if err := writeExplain(rec, curveDir, tab.Name); err != nil {
+		if curveDir != "" {
+			if err := writeRecorded(rec, curveDir, tab.Name); err != nil {
 				die(1, "figures: %s: %v\n", e.ID, err)
 			}
 		}
@@ -365,26 +362,26 @@ func main() {
 		// from its manifest alone.
 		rr.Serve = rec.ServeRecord(tab.Name)
 		if rr.Serve != nil && rr.Serve.HasMetrics() && curveDir != "" {
-			if err := writeServeMetrics(rr.Serve, curveDir, tab.Name); err != nil {
+			err := obs.WriteFile(filepath.Join(curveDir, tab.Name+".serve.metrics.tsv"),
+				func(w io.Writer) error { return serve.WriteMetricsTSV(w, rr.Serve) })
+			if err != nil {
 				die(1, "figures: %s: %v\n", e.ID, err)
 			}
 		}
 		if tracer != nil {
-			// Slice this experiment's rows out of the whole-sweep trace:
-			// straggler reports go to the manifest, the expvars, the
-			// progress stream, and <table>.timeline.tsv.
-			var reps []xtrace.RowReport
-			for _, rep := range tracer.Analyze() {
-				if rep.Experiment != e.ID {
-					continue
-				}
-				reps = append(reps, rep)
-				rec.RowTimeline(rep)
-				prog.Timeline(rep)
+			// The straggler reports of this experiment's rows (the
+			// recorder collected one per row that ended) go to the
+			// manifest, the progress stream and <table>.timeline.tsv.
+			reps := rec.Timelines()
+			for i := range reps {
+				reps[i].Experiment = e.ID
+				prog.Timeline(reps[i])
 			}
 			rr.Timeline = reps
 			if len(reps) > 0 && curveDir != "" {
-				if err := writeTimeline(reps, curveDir, tab.Name); err != nil {
+				err := obs.WriteFile(filepath.Join(curveDir, tab.Name+".timeline.tsv"),
+					func(w io.Writer) error { return obs.WriteTimelineTSV(w, reps) })
+				if err != nil {
 					die(1, "figures: %s: %v\n", e.ID, err)
 				}
 			}
@@ -435,85 +432,24 @@ func plural(n uint64, one, many string) string {
 	return many
 }
 
-// writeTimeline renders one experiment's straggler / chunk-latency
-// reports into <dir>/<name>.timeline.tsv. Unlike the tables and curves
-// these numbers are wall-clock measurements and not byte-stable.
-func writeTimeline(reps []xtrace.RowReport, dir, name string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// writeRecorded writes what rec recorded next to the outputs, under
+// <dir>/<name>: the cost-over-time curves (.curves.tsv, with -sample)
+// and the cost attribution (.explain.tsv and .explain.json, with
+// -explain).
+func writeRecorded(rec *obs.Recorder, dir, name string) error {
+	base := filepath.Join(dir, name)
+	if rec.HasSeries() {
+		if err := obs.WriteFile(base+".curves.tsv", rec.WriteTSV); err != nil {
+			return err
+		}
+	}
+	if !rec.HasExplain() {
+		return nil
+	}
+	if err := obs.WriteFile(base+".explain.tsv", rec.WriteExplainTSV); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, name+".timeline.tsv"))
-	if err != nil {
-		return err
-	}
-	if err := xtrace.WriteTimelineTSV(f, reps); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeServeMetrics dumps a serve sweep's per-window telemetry stream
-// into <dir>/<name>.serve.metrics.tsv (one row per (alg, load, window),
-// SLO summaries and exemplars as comment lines).
-func writeServeMetrics(sv *serve.SweepRecord, dir, name string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name+".serve.metrics.tsv"))
-	if err != nil {
-		return err
-	}
-	if err := serve.WriteMetricsTSV(f, sv); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeCurves renders one experiment's cost-over-time series into
-// <dir>/<name>.curves.tsv.
-func writeCurves(rec *obs.Recorder, dir, name string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name+".curves.tsv"))
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteTSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeExplain renders one experiment's cost-attribution snapshot into
-// <dir>/<name>.explain.tsv and .explain.json.
-func writeExplain(rec *obs.Recorder, dir, name string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tf, err := os.Create(filepath.Join(dir, name+".explain.tsv"))
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteExplainTSV(tf); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	jf, err := os.Create(filepath.Join(dir, name+".explain.json"))
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteExplainJSON(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	return jf.Close()
+	return obs.WriteFile(base+".explain.json", rec.WriteExplainJSON)
 }
 
 // flushProfile stops the CPU profile and writes the heap profile, if

@@ -58,11 +58,13 @@ type Scale struct {
 	Cache Cache
 	// Observer, when non-nil, receives the run's events (event.Event): a
 	// cost snapshot per simulator at every chunk boundary of the row
-	// executor, a wall-time record per phase, the chunk ring's
-	// backpressure counters per row, and each serve sweep's record.
+	// executor with the chunk's stage times, every chunk-ring publish,
+	// a wall-time record per phase, each row's end, the marks (cancel,
+	// fault, quarantine, cache hit), and each serve sweep's record.
 	// Snapshots are taken between chunks, never inside the access loop,
 	// so an observer cannot change a single counter; nil disables all
-	// telemetry at the cost of one nil check per chunk.
+	// telemetry at the cost of one nil check per chunk, and the executor
+	// reads the clock only for an observer.
 	Observer event.Observer
 	// Explain enables cost attribution: every simulator gets its explain
 	// counters allocated before the run, and the Observer's

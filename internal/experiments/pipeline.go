@@ -14,7 +14,6 @@ import (
 	"addrxlat/internal/mm"
 	"addrxlat/internal/parallel"
 	"addrxlat/internal/workload"
-	"addrxlat/internal/xtrace"
 )
 
 // Watchdog states of one pipelined worker, in watchState.state.
@@ -75,47 +74,69 @@ func crossOnce(ws *watchState, clock *phaseClock) {
 // simulator poisons only that cell (the worker detaches from the ring and
 // the survivors keep streaming); a canceled context stops every worker at
 // a chunk boundary and is returned as the row-fatal error. After a clean
-// row the observer gets the phase wall-time split and the ring's
-// backpressure counters.
-func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm.Algorithm, cellErrs []error, names []string, rowStart int64) error {
+// row the observer gets the phase wall-time split; on every exit path it
+// gets the row's end (event.KindRing), after the ring's producer and
+// every worker have stopped reporting. rowStart is zero without an
+// observer: the executor reads the clock only for one.
+func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm.Algorithm, cellErrs []error, names []string, rowStart time.Time) error {
 	ctx := s.context()
 	row := m.row
 
-	// The sweep-kill fault point fires from the producer, once per chunk
-	// (crash-resume drills need a kill mid-row, not at a row edge).
-	var hook func(seq, segment, index int)
-	if faultinject.Armed() {
-		hook = func(seq, segment, index int) {
-			if faultinject.Fire(faultinject.SweepKill, row) {
-				faultinject.Kill(fmt.Sprintf("row %s, %s chunk %d", row, pipePhase(segment), index))
+	// The fill hook is the sweep-kill fault point, once per chunk
+	// (crash-resume drills need a kill mid-row, not at a row edge), and
+	// reports every publish to the observer. Without either the ring
+	// runs unhooked and reads no clock.
+	var blocked time.Duration // the producer's; read after Stop joins it
+	var hook func(workload.Publish)
+	if faultinject.Armed() || s.Observer != nil {
+		hook = func(p workload.Publish) {
+			if faultinject.Armed() && faultinject.Fire(faultinject.SweepKill, row) {
+				faultinject.Kill(fmt.Sprintf("row %s, %s chunk %d", row, pipePhase(p.Segment), p.Index))
+			}
+			if s.Observer != nil {
+				blocked += p.Wait
+				s.Observer.Observe(event.Event{Kind: event.KindPublish, Row: row, At: p.At, Seq: p.Seq,
+					RingWait: p.Wait, Batch: p.Fill, Ring: p.Stats})
 			}
 		}
 	}
-	// Tracing (when armed) gives the ring producer its own timeline:
-	// wait-for-consumers spans plus the in-flight / backpressure counter
-	// tracks. RingThread and WithTrace are nil-safe, so the disarmed cost
-	// is the one Active() load above this call.
-	tr := xtrace.Active()
-	ring, err := workload.NewRing(gen, streamChunk, []int{m.warmupN, m.measuredN},
-		workload.DefaultLookahead, len(sims), workload.WithFillHook(hook),
-		workload.WithTrace(tr.RingThread(row)))
+	var ring *workload.Ring
+	defer func() {
+		var st workload.RingStats
+		if ring != nil {
+			ring.Stop()
+			st = ring.Stats()
+		}
+		if s.Observer != nil {
+			now := time.Now()
+			s.Observer.Observe(event.Event{Kind: event.KindRing, Row: row, At: now,
+				Elapsed: now.Sub(rowStart), RingWait: blocked, Ring: st})
+		}
+	}()
+	var err error
+	ring, err = workload.NewRing(gen, streamChunk, []int{m.warmupN, m.measuredN},
+		workload.DefaultLookahead, len(sims), workload.WithFillHook(hook))
 	if err != nil {
 		return err
 	}
-	defer ring.Stop()
 
 	// The ring blocks in condition variables, not channels, so a watcher
 	// translates context cancellation into Stop — waking the producer and
-	// any worker blocked on an unpublished chunk.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
+	// any worker blocked on an unpublished chunk. The watcher is joined
+	// before the row ends, so its mark lands before the row's end.
+	watchDone, watchExit := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(watchExit)
 		select {
 		case <-ctx.Done():
-			tr.Instant(xtrace.InstantCancel, xtrace.ArgStr("row", row))
+			s.mark(event.MarkCancel, row, "", "")
 			ring.Stop()
 		case <-watchDone:
 		}
+	}()
+	defer func() {
+		close(watchDone)
+		<-watchExit
 	}()
 
 	// More simulators than workers: a gate bounds how many simulate at
@@ -126,8 +147,7 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 		gate = parallel.NewGate(workers)
 	}
 
-	clock := &phaseClock{left: len(sims)}
-	start := time.Now()
+	clock := &phaseClock{left: len(sims), timed: s.Observer != nil}
 	werr := m.runWorkers(s, ring, gate, clock, sims, cellErrs, names, rowStart)
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("experiments: row %s canceled at a chunk boundary: %w", row, cerr)
@@ -138,17 +158,25 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 		return werr
 	}
 	if s.Observer != nil {
+		now := time.Now()
 		warmupAt := clock.crossedAt()
 		if warmupAt.IsZero() {
-			warmupAt = time.Now()
+			warmupAt = now
 		}
-		s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: row, Phase: mm.PhaseWarmup,
-			Accesses: m.warmupN, Elapsed: warmupAt.Sub(start)})
-		s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: row, Phase: mm.PhaseMeasured,
-			Accesses: m.measuredN, Elapsed: time.Since(warmupAt)})
-		s.Observer.Observe(event.Event{Kind: event.KindRing, Row: row, Ring: ring.Stats()})
+		s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: row, Phase: mm.PhaseWarmup, At: warmupAt,
+			Accesses: m.warmupN, Elapsed: warmupAt.Sub(rowStart)})
+		s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: row, Phase: mm.PhaseMeasured, At: now,
+			Accesses: m.measuredN, Elapsed: now.Sub(warmupAt)})
 	}
 	return nil
+}
+
+// mark reports a KindMark event stamped now, when an observer is
+// attached.
+func (s Scale) mark(name, row, alg, note string) {
+	if s.Observer != nil {
+		s.Observer.Observe(event.Event{Kind: event.KindMark, Name: name, Row: row, Alg: alg, Note: note, At: time.Now()})
+	}
 }
 
 // runWorkers starts one worker goroutine per simulator and joins them
@@ -168,7 +196,7 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 // survive). The stuck goroutine itself is not killed — Go cannot — but
 // everything it owned is released and its results are discarded. The
 // serving→{idle,stalled} CAS picks exactly one sender per worker.
-func (m *fig1Machine) runWorkers(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, sims []mm.Algorithm, cellErrs []error, names []string, rowStart int64) error {
+func (m *fig1Machine) runWorkers(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, sims []mm.Algorithm, cellErrs []error, names []string, rowStart time.Time) error {
 	ctx := s.context()
 	row := m.row
 	wd := s.Watchdog
@@ -227,8 +255,7 @@ func (m *fig1Machine) runWorkers(s Scale, ring *workload.Ring, gate *parallel.Ga
 					cur := int(ws.cursor.Load())
 					cellErrs[i] = fmt.Errorf("experiments: cell %s|%s stalled: no progress within %v on chunk %d (watchdog)",
 						row, names[i], wd, cur)
-					xtrace.Active().Instant(xtrace.InstantQuarantine,
-						xtrace.ArgStr("cell", row+"|"+names[i]), xtrace.ArgStr("reason", "stalled"))
+					s.mark(event.MarkQuarantine, row, names[i], "stalled")
 					gate.Leave()
 					ring.Release(cur)
 					ring.DetachFrom(cur + 1)
@@ -249,34 +276,21 @@ func (m *fig1Machine) runWorkers(s Scale, ring *workload.Ring, gate *parallel.Ga
 // edge. It returns nil for a poisoned cell (recorded in cellErrs[i]),
 // errStalled when the watchdog reclaimed the cell mid-chunk, and any
 // other error only for cancellation. ws is nil when no watchdog is armed.
-func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, a mm.Algorithm, cellErrs []error, names []string, row string, i int, rowStart int64, ws *watchState) error {
+//
+// With an observer, each chunk's sample carries its stage times from
+// stamps that tile the worker's life: the first ring wait opens at the
+// row's start (until a worker runs, ring set-up included, it is by
+// definition waiting on the generator's lead chunks) and every later one
+// where the previous AccessBatch call closed, so the sample's delivery
+// and the ring release count as waiting on the ring. Set-up, scheduler
+// and hand-off delay all land in wait time, which keeps busy+blocked ≈
+// row wall even on saturated machines.
+func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, a mm.Algorithm, cellErrs []error, names []string, row string, i int, rowStart time.Time, ws *watchState) error {
 	ctx := s.context()
 	cur, seg := 0, 0
 	inWarmup := true
-
-	// One trace timeline per (row, simulator) worker, recorded only at the
-	// chunk boundaries this loop already observes. The worker span and the
-	// first phase and wait-generation spans all open at the row's start
-	// stamp — until a worker runs, ring set-up included, it is by
-	// definition waiting on the generator's lead chunks — and every later
-	// wait-generation span opens where the previous chunk span closed (so
-	// the ring release in between counts as waiting on the ring). Set-up,
-	// scheduler and hand-off delay all land in wait time, which keeps
-	// busy+blocked ≈ row wall even on saturated machines.
-	tr := xtrace.Active()
-	var th *xtrace.Thread
-	var wStart, phaseStart, lastEnd int64
-	if tr != nil {
-		th = tr.Worker(row, names[i])
-		wStart = rowStart
-		phaseStart, lastEnd = wStart, wStart
-	}
-	defer func() {
-		// Trailing phase and worker spans, on every exit path (end of
-		// stream, cancellation, poisoned cell).
-		th.Span(pipePhase(seg), xtrace.CatPhase, phaseStart)
-		th.Span(names[i], xtrace.CatWorker, wStart)
-	}()
+	timed := s.Observer != nil
+	last := rowStart
 
 	for {
 		if cerr := ctx.Err(); cerr != nil {
@@ -284,11 +298,7 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			return fmt.Errorf("experiments: cell %s|%s canceled at a %s chunk boundary: %w",
 				row, names[i], pipePhase(seg), cerr)
 		}
-		genStart := lastEnd
 		c, ok := ring.Get(cur)
-		if th != nil {
-			th.Span(xtrace.WaitGeneration, xtrace.CatWait, genStart, xtrace.ArgInt("seq", int64(cur)))
-		}
 		if !ok {
 			if cerr := ctx.Err(); cerr != nil {
 				ring.DetachFrom(cur)
@@ -297,14 +307,14 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			}
 			break // end of stream
 		}
+		var got time.Time
+		if timed {
+			got = time.Now()
+		}
 		if c.Segment != seg {
 			// Warmup → measured edge: this worker's own counter reset, no
 			// cross-simulator barrier. The ring never straddles segments, so
 			// the reset lands exactly where mm.RunWarm puts it.
-			if th != nil {
-				th.Span(pipePhase(seg), xtrace.CatPhase, phaseStart)
-				phaseStart = th.Now()
-			}
 			seg = c.Segment
 			a.ResetCosts()
 			if inWarmup {
@@ -312,17 +322,10 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 				crossOnce(ws, clock)
 			}
 		}
-		var admitStart int64
-		if th != nil && gate != nil {
-			admitStart = th.Now()
-		}
 		gate.Enter()
-		if th != nil && gate != nil {
-			th.Span(xtrace.WaitAdmission, xtrace.CatWait, admitStart)
-		}
-		var chunkStart int64
-		if th != nil {
-			chunkStart = th.Now()
+		admitted := got
+		if timed && gate != nil {
+			admitted = time.Now()
 		}
 		if ws != nil {
 			// Heartbeat for the watchdog: cursor and beat first, then the
@@ -331,24 +334,26 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			ws.beat.Store(time.Now().UnixNano())
 			ws.state.Store(wsServing)
 		}
-		cellErr := m.serveChunk(s, a, c.Data, row, pipePhase(seg), names[i], ws)
+		cellErr := m.serveChunk(s, a, c.Data, row, names[i], ws)
 		if ws != nil && !ws.state.CompareAndSwap(wsServing, wsIdle) {
 			// The monitor won the race: it already recorded the stall,
 			// released this worker's ring references and gate slot, and
 			// signaled the collector. Exit without touching any of them.
 			return errStalled
 		}
-		if th != nil {
-			lastEnd = th.Now()
-			th.SpanAt(pipePhase(seg), xtrace.CatChunk, chunkStart, lastEnd,
-				xtrace.ArgInt("seq", int64(c.Seq)), xtrace.ArgInt("n", int64(len(c.Data))))
+		if cellErr == nil && timed {
+			e := event.Sample(row, pipePhase(seg), names[i], a, s.Explain)
+			e.At, e.Seq = time.Now(), c.Seq
+			e.RingWait, e.GateWait, e.Batch = got.Sub(last), admitted.Sub(got), e.At.Sub(admitted)
+			s.Observer.Observe(e)
+			last = e.At
 		}
 		gate.Leave()
 		ring.Release(cur)
 		cur++
 		if cellErr != nil {
 			cellErrs[i] = cellErr
-			tr.Instant(xtrace.InstantQuarantine, xtrace.ArgStr("cell", row+"|"+names[i]))
+			s.mark(event.MarkQuarantine, row, names[i], "")
 			ring.DetachFrom(cur)
 			if inWarmup {
 				crossOnce(ws, clock)
@@ -365,18 +370,17 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 	return nil
 }
 
-// serveChunk services one chunk on one simulator, with the observer and
-// fault-injection points at the chunk boundary. A panic (algorithm bug or
-// injected cell fault) is recovered into the returned error.
-func (m *fig1Machine) serveChunk(s Scale, a mm.Algorithm, chunk []uint64, row, phase, name string, ws *watchState) (err error) {
+// serveChunk services one chunk on one simulator, with the
+// fault-injection points at the chunk boundary. A panic (algorithm bug
+// or injected cell fault) is recovered into the returned error.
+func (m *fig1Machine) serveChunk(s Scale, a mm.Algorithm, chunk []uint64, row, name string, ws *watchState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiments: cell %s|%s panicked: %v", row, name, r)
 		}
 	}()
 	if faultinject.Armed() && faultinject.Fire(faultinject.CellPanic, row+"|"+name) {
-		xtrace.Active().Instant(xtrace.InstantFault,
-			xtrace.ArgStr("point", faultinject.CellPanic), xtrace.ArgStr("cell", row+"|"+name))
+		s.mark(event.MarkFault, row, name, faultinject.CellPanic)
 		panic("injected cell fault")
 	}
 	if faultinject.Armed() && faultinject.Fire(faultinject.SimStall, row+"|"+name) {
@@ -386,8 +390,7 @@ func (m *fig1Machine) serveChunk(s Scale, a mm.Algorithm, chunk []uint64, row, p
 		// its (possibly recycled) buffer; with no watchdog armed the stall
 		// simply elapses and the chunk is then served normally, so results
 		// are unchanged — only slower.
-		xtrace.Active().Instant(xtrace.InstantFault,
-			xtrace.ArgStr("point", faultinject.SimStall), xtrace.ArgStr("cell", row+"|"+name))
+		s.mark(event.MarkFault, row, name, faultinject.SimStall)
 		deadline := time.Now().Add(faultinject.StallDuration())
 		for time.Now().Before(deadline) {
 			if ws != nil && ws.state.Load() == wsStalled {
@@ -397,9 +400,6 @@ func (m *fig1Machine) serveChunk(s Scale, a mm.Algorithm, chunk []uint64, row, p
 		}
 	}
 	a.AccessBatch(chunk)
-	if s.Observer != nil {
-		s.Observer.Observe(event.Sample(row, phase, name, a, s.Explain))
-	}
 	return nil
 }
 
@@ -407,11 +407,13 @@ func (m *fig1Machine) serveChunk(s Scale, a mm.Algorithm, chunk []uint64, row, p
 // which the last simulator left the warmup segment. With the barrier gone
 // the phases of different simulators overlap; the stamp is where every
 // sim has finished warming, which is what the per-phase wall-time split
-// in the manifest means.
+// in the manifest means. It reads the clock only when timed (an observer
+// will receive the split).
 type phaseClock struct {
-	mu   sync.Mutex
-	left int
-	at   time.Time
+	mu    sync.Mutex
+	left  int
+	timed bool
+	at    time.Time
 }
 
 // cross records that one simulator is done with warmup (by crossing into
@@ -419,7 +421,7 @@ type phaseClock struct {
 func (p *phaseClock) cross() {
 	p.mu.Lock()
 	p.left--
-	if p.left == 0 {
+	if p.left == 0 && p.timed {
 		p.at = time.Now()
 	}
 	p.mu.Unlock()

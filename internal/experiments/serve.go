@@ -12,7 +12,6 @@ import (
 	"addrxlat/internal/mm"
 	"addrxlat/internal/serve"
 	"addrxlat/internal/workload"
-	"addrxlat/internal/xtrace"
 )
 
 // serveEpoch versions the serving layer for cache keys: bump it whenever
@@ -228,9 +227,6 @@ func (sp *serveSpec) runCell(s Scale, ai, li int) (pt serve.Point, err error) {
 	if err := res.Counters.CheckIdentity(); err != nil {
 		return serve.Point{}, err
 	}
-	// Replay the window stream and exemplar lifecycles onto the trace (a
-	// no-op without an installed tracer or an armed collector).
-	sim.TraceInto(xtrace.Active(), fmt.Sprintf("%s %s|load=%g", sp.table, a.name, load))
 	return serve.PointFrom(a.name, load, res), nil
 }
 
@@ -249,7 +245,6 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 	if faultinject.Planned(faultinject.ServeBurst) {
 		s.Cache = nil
 	}
-	tr := xtrace.Active()
 	err = s.forEach(n, func(i int) error {
 		ai, li := i/len(sp.loads), i%len(sp.loads)
 		a, load := sp.algs[ai], sp.loads[li]
@@ -265,26 +260,20 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 			pts[i] = pt
 			return nil
 		}
-		var th *xtrace.Thread
-		var cellStart int64
-		if tr != nil {
-			th = tr.Worker(sp.table, fmt.Sprintf("%s|load=%g", a.name, load))
-			cellStart = th.Now()
+		var start time.Time
+		if s.Observer != nil {
+			start = time.Now()
 		}
-		start := time.Now()
 		pt, cerr := sp.runCell(s, ai, li)
-		if th != nil {
-			th.Span(fmt.Sprintf("serve load=%g", load), xtrace.CatChunk, cellStart,
-				xtrace.ArgStr("alg", a.name))
-		}
 		if cerr != nil {
 			cellErrs[i] = cerr
 			return nil
 		}
 		pts[i] = pt
 		if s.Observer != nil {
-			s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: sp.table, Phase: "serve",
-				Alg: fmt.Sprintf("%s|load=%g", a.name, load), Accesses: sp.measuredReq, Elapsed: time.Since(start)})
+			now := time.Now()
+			s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: sp.table, Phase: event.PhaseServe,
+				Alg: fmt.Sprintf("%s|load=%g", a.name, load), At: now, Accesses: sp.measuredReq, Elapsed: now.Sub(start)})
 		}
 		s.cachePut(key, pt)
 		return nil
@@ -294,7 +283,7 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 	}
 	if s.Observer != nil {
 		rec := sp.record(pts, cellErrs)
-		s.Observer.Observe(event.Event{Kind: event.KindServe, Row: sp.table, Serve: &rec})
+		s.Observer.Observe(event.Event{Kind: event.KindServe, Row: sp.table, At: time.Now(), Serve: &rec})
 	}
 	return pts, cellErrs, nil
 }

@@ -4,10 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"time"
 
+	"addrxlat/internal/event"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/workload"
-	"addrxlat/internal/xtrace"
 )
 
 // streamChunk is the request-chunk granularity of the row drivers. One
@@ -31,8 +32,8 @@ type Cache interface {
 }
 
 // cacheGet decodes the value cached under key, tolerating a nil cache. A
-// value that does not decode (schema drift) is a miss. A hit lands on
-// the execution trace (it explains a row finishing "instantly").
+// value that does not decode (schema drift) is a miss. A hit is marked
+// on the event stream (it explains a row finishing "instantly").
 func cacheGet[T any](s Scale, key string) (T, bool) {
 	var v T
 	if s.Cache == nil {
@@ -43,7 +44,7 @@ func cacheGet[T any](s Scale, key string) (T, bool) {
 		var zero T
 		return zero, false
 	}
-	xtrace.Active().Instant(xtrace.InstantCacheHit, xtrace.ArgStr("key", key))
+	s.mark(event.MarkCacheHit, "", "", key)
 	return v, true
 }
 
@@ -100,15 +101,11 @@ func (m *fig1Machine) runRow(s Scale, sims []mm.Algorithm) (cellErrs []error, er
 	if err != nil {
 		return cellErrs, err
 	}
-	// Execution tracing: the row's lifecycle span lives on its own
-	// timeline, and the workers' timelines open at the same stamp. The
-	// disarmed cost of the whole row is this one atomic load.
-	row := m.row
-	tr := xtrace.Active()
-	rowStart := tr.Now()
-	if tr != nil {
-		rowTh := tr.RowThread(row)
-		defer func() { rowTh.Span(row, xtrace.CatRow, rowStart) }()
+	// The row's wall time, and the first ring wait of every worker,
+	// start here; the clock is read only for an observer.
+	var rowStart time.Time
+	if s.Observer != nil {
+		rowStart = time.Now()
 	}
 	// Simulator names are resolved once per row: the observer needs
 	// them per chunk, the fault-injection matcher per cell, the workers'

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"addrxlat/internal/serve"
-	"addrxlat/internal/xtrace"
 )
 
 // PhaseRecord is one phase in a run manifest — a streamed row's warmup or
@@ -56,11 +55,11 @@ type RunRecord struct {
 	// Explain summarizes the experiment's cost attribution (summed across
 	// rows, phases and algorithms) when the run recorded it (-explain).
 	Explain *Counters `json:"explain,omitempty"`
-	// Timeline holds the per-row straggler / chunk-latency reports derived
-	// from the execution trace when the run recorded one (-trace). The
+	// Timeline holds the per-row straggler / chunk-latency reports built
+	// from the run's events when it drew an execution trace (-trace). The
 	// numbers are wall-clock measurements: useful for diagnosis,
 	// reproducible in shape but not in value.
-	Timeline []xtrace.RowReport `json:"timeline,omitempty"`
+	Timeline []RowReport `json:"timeline,omitempty"`
 	// Serve holds the serving sweep's full record — offered-load grid,
 	// admission and governor configuration, and every point's serve-counter
 	// taxonomy — when the experiment is one of the serving tables. The

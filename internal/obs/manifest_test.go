@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -164,5 +166,22 @@ func TestManifestWritesOwnFile(t *testing.T) {
 			t.Errorf("%s loads back args %v, experiments %+v; run %d wrote %v, %+v",
 				paths[i], back.Args, back.Experiments, i, m.Args, m.Experiments)
 		}
+	}
+}
+
+// TestWriteFile: a side file lands in a directory that does not exist
+// yet (atsim's serve-metrics dump used to fail there, before the
+// manifest created the directory), and the writer's error is returned.
+func TestWriteFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "new", "dir", "x.tsv")
+	if err := WriteFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "a\tb\n"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "a\tb\n" {
+		t.Fatalf("read back %q, %v", b, err)
+	}
+	boom := errors.New("boom")
+	if err := WriteFile(path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("writer error = %v, want boom", err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"addrxlat/internal/event"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/serve"
-	"addrxlat/internal/xtrace"
 )
 
 // Point is one sample of an algorithm's cumulative cost counters.
@@ -44,16 +43,19 @@ type seriesKey struct{ row, phase, alg string }
 
 // Recorder is the standard event.Observer: it collects cost-over-time
 // series, attribution snapshots, phase timing records and serve sweep
-// records, and renders them for the CLIs. All methods are safe for
-// concurrent use and no-ops on a nil receiver.
+// records, and renders them for the CLIs. With a Trace (SetTrace) it
+// also forwards every event to it and collects the straggler report of
+// each row that ends. All methods are safe for concurrent use and no-ops
+// on a nil receiver.
 type Recorder struct {
 	interval uint64
+	trace    *Trace
 
 	mu        sync.Mutex
 	series    map[seriesKey]*Series
 	phases    []PhaseRecord
 	explains  map[seriesKey]*ExplainSeries
-	timelines []xtrace.RowReport
+	timelines []RowReport
 	serves    []serve.SweepRecord
 }
 
@@ -70,15 +72,23 @@ func NewRecorder(interval uint64) *Recorder {
 	}
 }
 
+// SetTrace has the recorder forward every event to t, which draws the
+// execution trace, and keep the report of every row t sees end (see
+// Timelines). Call before the run.
+func (r *Recorder) SetTrace(t *Trace) { r.trace = t }
+
 // Observe implements event.Observer. A sample extends its (row, phase,
 // alg) curve and, when it carries attribution, its explain series; a
-// phase becomes a manifest phase record; a ring event is mirrored into
+// phase becomes a manifest phase record; a row's end is mirrored into
 // expvar (see mirrorRing); a serve sweep is mirrored into expvar and
 // kept for the manifest (see ServeRecord). A nil Recorder ignores every
 // event.
 func (r *Recorder) Observe(e event.Event) {
 	if r == nil {
 		return
+	}
+	if rep := r.trace.observe(e); rep != nil {
+		r.rowTimeline(*rep)
 	}
 	switch e.Kind {
 	case event.KindSample:

@@ -1,9 +1,9 @@
-// Metrics and trace surface of the serving event loop: arming the
-// virtual-time window collector (internal/metrics), sampling event-
-// boundary gauges, attributing each terminal request's latency to
-// queue/service/backoff time for the exemplar reservoir, and replaying
-// the finished stream onto an xtrace tracer as Perfetto-loadable
-// virtual-time threads.
+// Metrics surface of the serving event loop: arming the virtual-time
+// window collector (internal/metrics), sampling event-boundary gauges,
+// and attributing each terminal request's latency to queue/service/
+// backoff time for the exemplar reservoir. The attempt timeline is
+// walked once, by Segments, for that split and for the trace's request
+// spans (drawn by internal/obs from the sweep record).
 //
 // Everything here observes; nothing schedules, draws randomness, or
 // mutates simulator state. The hooks in serve.go are nil-safe no-ops
@@ -12,12 +12,7 @@
 // event sequence (pinned by TestServeMetricsByteIdentical).
 package serve
 
-import (
-	"fmt"
-
-	"addrxlat/internal/metrics"
-	"addrxlat/internal/xtrace"
-)
+import "addrxlat/internal/metrics"
 
 // Terminal outcome labels carried by exemplars and trace spans.
 const (
@@ -79,10 +74,10 @@ func (s *Sim) tokensNow() int64 {
 
 // observeTerminal offers a finished request to the exemplar reservoir
 // with the causal split of its latency: time queued, in service, and in
-// retry backoff, reconstructed from the attempt timeline. Requests whose
-// attempt count overflows the fixed timeline keep their true Attempts
-// and LatencyNs but an under-counted split (the harness runs 3 attempts;
-// the cap is 8).
+// retry backoff, summed over the segments of its attempt timeline.
+// Requests whose attempt count overflows the fixed timeline keep their
+// true Attempts and LatencyNs but an under-counted split (the harness
+// runs 3 attempts; the cap is 8).
 func (s *Sim) observeTerminal(r *request, outcome string) {
 	if s.met == nil {
 		return
@@ -97,102 +92,62 @@ func (s *Sim) observeTerminal(r *request, outcome string) {
 		Degraded:   r.degraded,
 		Timeline:   r.rec,
 	}
-	last := r.attempts
-	if last > metrics.MaxAttemptRecs {
-		last = metrics.MaxAttemptRecs
-	}
-	for i := 0; i < last; i++ {
-		rec := r.rec[i]
-		ex.QueuedNs += rec.StartNs - rec.EnqueueNs
-		ex.ServiceNs += rec.EndNs - rec.StartNs
-		if i+1 < metrics.MaxAttemptRecs && r.rec[i+1].EnqueueNs > 0 {
-			ex.BackoffNs += r.rec[i+1].EnqueueNs - rec.EndNs
+	Segments(&ex, func(g Segment) {
+		switch g.Kind {
+		case SegmentQueued:
+			ex.QueuedNs += g.EndNs - g.StartNs
+		case SegmentAttempt:
+			ex.ServiceNs += g.EndNs - g.StartNs
+		case SegmentBackoff:
+			ex.BackoffNs += g.EndNs - g.StartNs
 		}
-	}
-	switch {
-	case last < metrics.MaxAttemptRecs && r.rec[last].EnqueueNs > 0 && r.rec[last].StartNs == 0:
-		// A pending enqueue with no service start: the request timed out
-		// or was governor-shed while waiting in the queue.
-		ex.QueuedNs += s.now - r.rec[last].EnqueueNs
-	case last > 0 && s.now > r.rec[last-1].EndNs:
-		// Shed at retry time: the tail is backoff that never re-enqueued.
-		ex.BackoffNs += s.now - r.rec[last-1].EndNs
-	}
+	})
 	s.met.ObserveTerminal(ex)
 }
 
-// TraceInto replays the finished metrics stream onto tr as virtual-time
-// timelines: one cell thread carrying the per-window gauge counter track,
-// per-window shed instants, and governor trip/clear instants, plus one
-// thread per exemplar carrying its request-lifecycle span tree (queued →
-// attempt → backoff spans nested under one request span). Virtual stamps
-// share the trace's microsecond axis with the sweep's wall-clock threads
-// but never the same thread, so Validate's per-thread nesting holds.
-// Call after the loop drains; label names the cell (table|alg|load).
-func (s *Sim) TraceInto(tr *xtrace.Tracer, label string) {
-	if tr == nil || s.met == nil {
-		return
-	}
-	rec := s.MetricsRecord()
-	th := tr.Thread("serve " + label)
-	for i := range rec.Windows {
-		w := &rec.Windows[i]
-		end := w.StartNs + rec.WidthNs
-		th.CounterAt("serve state "+label, end,
-			xtrace.ArgInt("queue_depth", int64(w.QueueDepth)),
-			xtrace.ArgInt("heap_len", int64(w.HeapLen)),
-			xtrace.ArgInt("tokens", w.Tokens))
-		if w.Shed > 0 {
-			th.InstantAt(xtrace.InstantShed, end, xtrace.ArgInt("count", int64(w.Shed)))
-		}
-	}
-	for _, g := range rec.Governor {
-		if g.Trip {
-			th.InstantAt(xtrace.InstantGovTrip, g.AtNs)
-		} else {
-			th.InstantAt(xtrace.InstantGovClear, g.AtNs)
-		}
-	}
-	for _, ex := range rec.Exemplars {
-		traceExemplar(tr, label, ex)
-	}
+// SegmentKind says where a request spent one Segment of its life.
+type SegmentKind uint8
+
+// The segment kinds.
+const (
+	SegmentQueued  SegmentKind = iota // waiting in the admission queue
+	SegmentAttempt                    // one service attempt on the simulator
+	SegmentBackoff                    // retry backoff between attempts
+)
+
+// Segment is one interval of a request's attempt timeline, in virtual
+// nanoseconds. Attempt numbers a SegmentAttempt from 1.
+type Segment struct {
+	Kind           SegmentKind
+	Attempt        int
+	StartNs, EndNs int64
 }
 
-// traceExemplar emits one exemplar's lifecycle span tree on its own
-// thread. The request span covers arrival → terminal; every child span
-// reconstructed from the attempt timeline lies inside it, satisfying the
-// serve schema Validate enforces.
-func traceExemplar(tr *xtrace.Tracer, label string, ex metrics.Exemplar) {
-	th := tr.Thread(fmt.Sprintf("serve req#%d %s", ex.Seq, label))
-	if th == nil {
-		return
-	}
+// Segments walks ex's attempt timeline from arrival to its terminal
+// outcome at ArriveNs+LatencyNs, calling fn once per segment in order:
+// per attempt its queued and service intervals and the backoff before a
+// re-enqueue, then the tail of a request that ended waiting (still
+// queued, or shed during backoff before it re-enqueued). Attempts past
+// metrics.MaxAttemptRecs have no timeline and yield nothing.
+func Segments(ex *metrics.Exemplar, fn func(Segment)) {
+	tl := &ex.Timeline
 	endNs := ex.ArriveNs + ex.LatencyNs
-	deg := int64(0)
-	if ex.Degraded {
-		deg = 1
-	}
-	th.SpanAt("request", xtrace.CatServeRequest, ex.ArriveNs, endNs,
-		xtrace.ArgStr("outcome", ex.Outcome),
-		xtrace.ArgInt("attempts", int64(ex.Attempts)),
-		xtrace.ArgInt("failure_ios", int64(ex.FailureIOs)),
-		xtrace.ArgInt("degraded", deg))
-	last := ex.Attempts
-	if last > metrics.MaxAttemptRecs {
-		last = metrics.MaxAttemptRecs
-	}
+	last := min(ex.Attempts, metrics.MaxAttemptRecs)
 	for i := 0; i < last; i++ {
-		rec := ex.Timeline[i]
-		th.SpanAt("queued", xtrace.CatServeQueued, rec.EnqueueNs, rec.StartNs)
-		th.SpanAt(fmt.Sprintf("attempt %d", i+1), xtrace.CatServeAttempt, rec.StartNs, rec.EndNs)
-		if i+1 < metrics.MaxAttemptRecs && ex.Timeline[i+1].EnqueueNs > 0 {
-			th.SpanAt("backoff", xtrace.CatServeBackoff, rec.EndNs, ex.Timeline[i+1].EnqueueNs)
+		rec := tl[i]
+		fn(Segment{Kind: SegmentQueued, StartNs: rec.EnqueueNs, EndNs: rec.StartNs})
+		fn(Segment{Kind: SegmentAttempt, Attempt: i + 1, StartNs: rec.StartNs, EndNs: rec.EndNs})
+		if i+1 < metrics.MaxAttemptRecs && tl[i+1].EnqueueNs > 0 {
+			fn(Segment{Kind: SegmentBackoff, StartNs: rec.EndNs, EndNs: tl[i+1].EnqueueNs})
 		}
 	}
 	switch {
-	case last < metrics.MaxAttemptRecs && ex.Timeline[last].EnqueueNs > 0 && ex.Timeline[last].StartNs == 0:
-		th.SpanAt("queued", xtrace.CatServeQueued, ex.Timeline[last].EnqueueNs, endNs)
-	case last > 0 && endNs > ex.Timeline[last-1].EndNs:
-		th.SpanAt("backoff", xtrace.CatServeBackoff, ex.Timeline[last-1].EndNs, endNs)
+	case last < metrics.MaxAttemptRecs && tl[last].EnqueueNs > 0 && tl[last].StartNs == 0:
+		// A pending enqueue with no service start: the request timed out
+		// or was governor-shed while waiting in the queue.
+		fn(Segment{Kind: SegmentQueued, StartNs: tl[last].EnqueueNs, EndNs: endNs})
+	case last > 0 && endNs > tl[last-1].EndNs:
+		// Shed at retry time: the tail is backoff that never re-enqueued.
+		fn(Segment{Kind: SegmentBackoff, StartNs: tl[last-1].EndNs, EndNs: endNs})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"addrxlat/internal/metrics"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/workload"
-	"addrxlat/internal/xtrace"
 )
 
 // armTest attaches a collector with the standard test policy: windows of
@@ -189,56 +188,6 @@ func TestMetricsOverloadZeroAlloc(t *testing.T) {
 	}
 	if d := after.Mallocs - before.Mallocs; d > 128 {
 		t.Fatalf("armed steady-state run allocated %d objects, want ~0", d)
-	}
-}
-
-// TestMetricsTraceValidates pins the trace surface end to end: replay
-// an armed overload run (governor trips, sheds, timeouts) and an armed
-// retry run (backoff spans) onto one tracer, export, and require the
-// serve schema to pass Validate — and the expected span categories to
-// be present.
-func TestMetricsTraceValidates(t *testing.T) {
-	tr := xtrace.New()
-	s := testSim(t, 42, 2.5, true)
-	armTest(s)
-	s.Run()
-	s.TraceInto(tr, "overload")
-	// Retain every terminal request: retries are rare in this run, and the
-	// retried requests are not necessarily among the slowest few, but the
-	// backoff spans must still appear in the trace.
-	s2 := retrySim(t, 11)
-	s2.ArmMetrics(metrics.Config{
-		WidthNs:   64 * s2.MeanServiceNs(),
-		BudgetNs:  40 * s2.MeanServiceNs(),
-		Exemplars: 3000,
-	})
-	s2.Run()
-	s2.TraceInto(tr, "retries")
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	spans, err := xtrace.Validate(buf.Bytes())
-	if err != nil {
-		t.Fatalf("serve trace failed validation: %v", err)
-	}
-	if spans == 0 {
-		t.Fatal("serve trace contains no spans")
-	}
-	out := buf.String()
-	for _, want := range []string{
-		xtrace.CatServeRequest, xtrace.CatServeQueued, xtrace.CatServeAttempt,
-		xtrace.InstantGovTrip, xtrace.InstantShed, "serve req#",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace lacks %q", want)
-		}
-	}
-	// The retry run produces multi-attempt exemplars, so backoff spans
-	// must appear.
-	if !strings.Contains(out, xtrace.CatServeBackoff) {
-		t.Errorf("trace lacks %q despite retries", xtrace.CatServeBackoff)
 	}
 }
 

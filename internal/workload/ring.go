@@ -3,8 +3,7 @@ package workload
 import (
 	"fmt"
 	"sync"
-
-	"addrxlat/internal/xtrace"
+	"time"
 )
 
 // DefaultChunk is the chunk size the experiment harness streams with:
@@ -40,6 +39,20 @@ type RingStats struct {
 	ProducerWaits int // generator blocked on a full ring (simulation-bound)
 	ConsumerWaits int // consumers blocked on an unpublished chunk (generation-bound)
 	PeakInFlight  int // peak published-but-unreleased chunk count (≤ depth)
+	InFlight      int // published-but-unreleased chunks when the stats were read
+}
+
+// Publish is one chunk as the producer published it, handed to the fill
+// hook: the chunk's place in the stream, the ring's counters right after
+// the publish, and the producer's time around it — At (the publish),
+// Wait (blocked on a full ring before the chunk's slot drained, zero
+// when it did not block) and Fill (generating the chunk and publishing
+// it). The ring reads the clock only when a hook is installed.
+type Publish struct {
+	Seq, Segment, Index int
+	At                  time.Time
+	Wait, Fill          time.Duration
+	Stats               RingStats
 }
 
 // Ring streams a bounded prefix of a Generator as fixed-size chunks
@@ -65,8 +78,7 @@ type Ring struct {
 	chunkSize int
 	depth     int
 	nChunks   int
-	fillHook  func(seq, segment, index int)
-	trace     *xtrace.Thread // producer-owned timeline; nil when tracing is off
+	fillHook  func(Publish)
 
 	mu        sync.Mutex
 	canRead   sync.Cond // consumers wait for a publish
@@ -87,21 +99,11 @@ type Ring struct {
 type RingOption func(*Ring)
 
 // WithFillHook installs fn to run in the producer goroutine after each
-// chunk is generated, just before it is published — the hook point for
-// per-chunk fault injection and production-side telemetry. It must not
-// call back into the ring.
-func WithFillHook(fn func(seq, segment, index int)) RingOption {
+// chunk is published, outside the ring's lock — the hook point for
+// per-chunk fault injection and production-side telemetry. A nil fn
+// installs nothing. It must not call back into the ring.
+func WithFillHook(fn func(Publish)) RingOption {
 	return func(r *Ring) { r.fillHook = fn }
-}
-
-// WithTrace attaches an execution-trace timeline to the producer: spans
-// for the episodes it blocks on a full ring (xtrace.WaitConsumers) and a
-// counter track sampling the in-flight depth and backpressure counts at
-// each publish. The thread becomes producer-owned — nothing else may
-// record into it until the producer exits. A nil thread is a no-op, so
-// callers pass the result of RingThread unconditionally.
-func WithTrace(th *xtrace.Thread) RingOption {
-	return func(r *Ring) { r.trace = th }
 }
 
 // NewRing starts streaming the segments' requests from g in chunks of
@@ -165,12 +167,13 @@ func (r *Ring) produce(g Generator, segments []int) {
 				n = total
 			}
 			slot := seq % r.depth
-			waitStart := int64(-1)
+			timed := r.fillHook != nil
+			var waitStart, fillStart time.Time
 			r.mu.Lock()
 			if r.refs[slot] != 0 && !r.stopped && r.consumers > 0 {
 				r.stats.ProducerWaits++
-				if r.trace != nil {
-					waitStart = r.trace.Now()
+				if timed {
+					waitStart = time.Now()
 				}
 				for r.refs[slot] != 0 && !r.stopped && r.consumers > 0 {
 					r.canWrite.Wait()
@@ -178,21 +181,17 @@ func (r *Ring) produce(g Generator, segments []int) {
 			}
 			dead := r.stopped || r.consumers == 0
 			r.mu.Unlock()
-			if waitStart >= 0 {
-				r.trace.Span(xtrace.WaitConsumers, xtrace.CatWait, waitStart,
-					xtrace.ArgInt("seq", int64(seq)))
-			}
 			if dead {
 				return
+			}
+			if timed {
+				fillStart = time.Now()
 			}
 
 			// The slot is invisible to consumers until published below, so
 			// generation runs outside the lock.
 			buf := r.bufs[slot][:n]
 			Fill(g, buf)
-			if r.fillHook != nil {
-				r.fillHook(seq, segIdx, idx)
-			}
 
 			r.mu.Lock()
 			r.meta[slot] = Chunk{Data: buf, Seq: seq, Segment: segIdx, Index: idx}
@@ -203,17 +202,18 @@ func (r *Ring) produce(g Generator, segments []int) {
 				r.stats.PeakInFlight = r.inFlight
 			}
 			r.stats.Chunks++
-			inFlight, st := r.inFlight, r.stats
+			st := r.stats
+			st.InFlight = r.inFlight
 			r.canRead.Broadcast()
 			r.mu.Unlock()
 
-			if r.trace != nil {
-				// Counter samples at publish, outside the lock, from the
-				// values captured under it.
-				r.trace.Counter("ring", xtrace.ArgInt("in_flight", int64(inFlight)))
-				r.trace.Counter("ring backpressure",
-					xtrace.ArgInt("producer_waits", int64(st.ProducerWaits)),
-					xtrace.ArgInt("consumer_waits", int64(st.ConsumerWaits)))
+			if timed {
+				p := Publish{Seq: seq, Segment: segIdx, Index: idx, At: time.Now(), Stats: st}
+				p.Fill = p.At.Sub(fillStart)
+				if !waitStart.IsZero() {
+					p.Wait = fillStart.Sub(waitStart)
+				}
+				r.fillHook(p)
 			}
 
 			seq++
@@ -292,11 +292,8 @@ func (r *Ring) DetachFrom(seq int) {
 // holding chunks need not release them after Stop.
 //
 // Stop blocks until the producer goroutine has exited (at most one
-// chunk-generation time away). That join is what makes trace export
-// safe: the producer emits trailing wait spans and counter samples into
-// its timeline after its last publish, so a Tracer must not be read
-// until Stop has returned. The row executor Stops its ring before
-// returning, hence before any export.
+// chunk-generation time away), so after Stop the fill hook has run for
+// the last time: the row executor Stops its ring before it ends the row.
 func (r *Ring) Stop() {
 	r.mu.Lock()
 	if !r.stopped {
@@ -314,5 +311,7 @@ func (r *Ring) Stop() {
 func (r *Ring) Stats() RingStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stats
+	st := r.stats
+	st.InFlight = r.inFlight
+	return st
 }

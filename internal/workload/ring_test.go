@@ -346,7 +346,7 @@ func TestRingStop(t *testing.T) {
 }
 
 // TestRingFillHook verifies the hook fires once per chunk, in publish
-// order, with the chunk's coordinates.
+// order, with the chunk's coordinates, counters and timing.
 func TestRingFillHook(t *testing.T) {
 	gen, err := NewUniform(1<<20, 5)
 	if err != nil {
@@ -355,10 +355,13 @@ func TestRingFillHook(t *testing.T) {
 	type fire struct{ seq, segment, index int }
 	var mu sync.Mutex
 	var fires []fire
-	hook := func(seq, segment, index int) {
+	hook := func(p Publish) {
 		mu.Lock()
-		fires = append(fires, fire{seq, segment, index})
-		mu.Unlock()
+		defer mu.Unlock()
+		fires = append(fires, fire{p.Seq, p.Segment, p.Index})
+		if p.Stats.Chunks != p.Seq+1 || p.Stats.InFlight < 1 || p.At.IsZero() || p.Fill < 0 || p.Wait < 0 {
+			t.Errorf("publish %d reported %+v", p.Seq, p)
+		}
 	}
 	r, err := NewRing(gen, 16, []int{40, 16}, 2, 1, WithFillHook(hook))
 	if err != nil {
@@ -370,6 +373,9 @@ func TestRingFillHook(t *testing.T) {
 		}
 		r.Release(cur)
 	}
+	// The hook runs after each publish, so the consumer can drain the
+	// stream before the last call returns: Stop joins the producer.
+	r.Stop()
 	want := []fire{{0, 0, 0}, {1, 0, 1}, {2, 0, 2}, {3, 1, 0}}
 	mu.Lock()
 	defer mu.Unlock()

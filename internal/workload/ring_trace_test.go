@@ -1,31 +1,34 @@
 package workload
 
 import (
-	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
-
-	"addrxlat/internal/xtrace"
 )
 
-// TestRingStopWithTracing aborts a traced ring mid-row — while the
-// producer is blocked on a full ring — and asserts the abort contract
-// tracing must not weaken: RingStats stay monotone across the abort, the
-// producer goroutine exits, and the tracer still exports valid JSON (the
-// blocked-on-consumers span is closed on the exit path, not leaked open).
+// TestRingStopWithTracing aborts a ring with the publish hook armed
+// mid-row — while the producer is blocked on a full ring — and asserts
+// the abort contract the hook must not weaken: RingStats stay monotone
+// across the abort, the producer goroutine exits, and the hook reported
+// every chunk published before the abort, in order, with counters that
+// never run ahead of the ring's own.
 func TestRingStopWithTracing(t *testing.T) {
-	tr := xtrace.New()
-	tr.SetScope("test")
-
 	before := runtime.NumGoroutine()
 
 	gen, err := NewBimodal(1<<8, 1<<12, 0.99, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var mu sync.Mutex
+	var pubs []Publish
+	hook := func(p Publish) {
+		mu.Lock()
+		pubs = append(pubs, p)
+		mu.Unlock()
+	}
 	const chunk, depth = 8, 2
-	r, err := NewRing(gen, chunk, []int{64, 64}, depth, 1, WithTrace(tr.RingThread("abort-row")))
+	r, err := NewRing(gen, chunk, []int{64, 64}, depth, 1, WithFillHook(hook))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +87,21 @@ func TestRingStopWithTracing(t *testing.T) {
 		t.Fatalf("expected a full blocked ring before the abort, got %+v", final)
 	}
 
-	// The producer has exited, so the tracer is quiescent: the export must
-	// be schema-valid with the abort-path wait span present and closed.
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	// Stop joined the producer, so the hook is done: one report per
+	// published chunk, in order, none ahead of the final counters. The
+	// wait the abort cut short published nothing and is not reported.
+	mu.Lock()
+	defer mu.Unlock()
+	if len(pubs) != final.Chunks {
+		t.Fatalf("hook reported %d publishes, ring published %d", len(pubs), final.Chunks)
 	}
-	spans, err := xtrace.Validate(buf.Bytes())
-	if err != nil {
-		t.Fatalf("trace invalid after abort: %v", err)
-	}
-	if spans == 0 {
-		t.Fatal("no spans exported: the blocked-producer episode was dropped")
+	for i, p := range pubs {
+		if p.Seq != i || p.Stats.Chunks != i+1 || p.Stats.ProducerWaits > final.ProducerWaits ||
+			p.Stats.InFlight > depth || p.Wait < 0 || p.Fill < 0 {
+			t.Fatalf("publish %d reported %+v (final %+v)", i, p, final)
+		}
+		if i > 0 && p.At.Before(pubs[i-1].At) {
+			t.Fatalf("publish %d stamped before publish %d", i, i-1)
+		}
 	}
 }

@@ -55,9 +55,9 @@ func argsMap(args []Arg) map[string]any {
 
 // WriteJSON exports the whole trace as Chrome trace-event JSON. The
 // tracer must be quiescent: every goroutine that records into it has
-// returned (the row executors join their workers even on cancellation,
-// so exporting after the driver returns is always safe — including after
-// an abort).
+// returned (obs.Trace draws from events, and the row executor joins
+// every goroutine that reports them before a row ends, so exporting
+// after the run returns is always safe — including after an abort).
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("xtrace: nil tracer")

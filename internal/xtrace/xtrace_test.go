@@ -5,25 +5,25 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildTrace records a small but structurally complete trace: sweep and
-// experiment spans on thread 0, a row with two workers whose phase spans
-// contain chunk and wait spans, ring counters, and shared instants.
+// experiment spans on one thread, a row with two workers whose phase
+// spans contain chunk and wait spans, ring counters, and instants.
 func buildTrace() *Tracer {
 	tr := New()
-	tr.SetScope("f1a")
+	events := tr.Thread("events")
 	sweep := tr.Thread("sweep")
-	row := tr.RowThread("bimodal")
+	row := tr.Thread("row bimodal")
 	ring := tr.Thread("ring bimodal")
-	ring.row = "bimodal" // as the executor labels it via rowThread helpers
 
 	sweepStart := tr.Now()
 	expStart := tr.Now()
 	rowStart := tr.Now()
 
 	for _, alg := range []string{"hugepage(h=1)", "decoupled"} {
-		w := tr.Worker("bimodal", alg)
+		w := tr.Thread("bimodal | " + alg)
 		wStart := tr.Now()
 		phaseStart := tr.Now()
 		for i := 0; i < 3; i++ {
@@ -45,11 +45,11 @@ func buildTrace() *Tracer {
 		w.Span("measured", CatPhase, phaseStart)
 		w.Span(alg, CatWorker, wStart)
 	}
-	ring.Counter("ring", ArgInt("in_flight", 3))
+	ring.CounterAt("ring", tr.Now(), ArgInt("in_flight", 3))
 	ws := tr.Now()
 	ring.Span(WaitConsumers, CatWait, ws)
-	tr.Instant(InstantCacheHit, ArgStr("key", "cell|..."))
-	tr.Instant(InstantQuarantine, ArgStr("cell", "bimodal|hugepage(h=4)"))
+	events.InstantAt("resultcache hit", tr.Now(), ArgStr("key", "cell|..."))
+	events.InstantAt("cell quarantined", tr.Now(), ArgStr("cell", "bimodal|hugepage(h=4)"))
 
 	row.Span("bimodal", CatRow, rowStart)
 	sweep.Span("f1a", CatExperiment, expStart)
@@ -128,116 +128,6 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestAnalyze: the straggler report aggregates chunk/wait/worker spans by
-// (row, alg), names the worker that finished last as the straggler, and
-// carries the ring producer's blocked time.
-func TestAnalyze(t *testing.T) {
-	tr := New()
-	tr.SetScope("x")
-	row := tr.RowThread("r")
-	rs := tr.Now()
-
-	// Worker "fast": little busy time, lots of generation wait.
-	fast := tr.Worker("r", "fast")
-	fs := tr.Now()
-	fast.SpanAt("measured", CatChunk, fs, fs+1_000_000)
-	fast.SpanAt(WaitGeneration, CatWait, fs+1_000_000, fs+9_000_000)
-	fast.SpanAt("fast", CatWorker, fs, fs+10_000_000)
-
-	// Worker "slow": dominated by busy time.
-	slow := tr.Worker("r", "slow")
-	ss := tr.Now()
-	slow.SpanAt("measured", CatChunk, ss, ss+4_000_000)
-	slow.SpanAt("measured", CatChunk, ss+4_000_000, ss+9_000_000)
-	slow.SpanAt(WaitAdmission, CatWait, ss+9_000_000, ss+9_500_000)
-	slow.SpanAt("slow", CatWorker, ss, ss+10_000_000)
-
-	row.SpanAt("r", CatRow, rs, rs+10_500_000)
-
-	reps := tr.Analyze()
-	if len(reps) != 1 {
-		t.Fatalf("got %d row reports, want 1", len(reps))
-	}
-	r := reps[0]
-	if r.Experiment != "x" || r.Row != "r" {
-		t.Fatalf("report identity = %q/%q", r.Experiment, r.Row)
-	}
-	if r.Straggler != "slow" || r.Bottleneck != "simulation" {
-		t.Fatalf("straggler/bottleneck = %q/%q, want slow/simulation", r.Straggler, r.Bottleneck)
-	}
-	if got := r.WallSeconds; got < 0.0104 || got > 0.0106 {
-		t.Fatalf("row wall = %v, want 0.0105", got)
-	}
-	if len(r.Workers) != 2 {
-		t.Fatalf("got %d workers", len(r.Workers))
-	}
-	byAlg := map[string]WorkerReport{}
-	for _, w := range r.Workers {
-		byAlg[w.Alg] = w
-	}
-	if w := byAlg["fast"]; w.Chunks != 1 || w.BlockedGenerationSeconds < 0.0079 || w.BusySeconds > 0.0011 {
-		t.Fatalf("fast worker attribution off: %+v", w)
-	}
-	if w := byAlg["slow"]; w.Chunks != 2 || w.BusySeconds < 0.0089 || w.BlockedAdmissionSeconds < 0.00049 {
-		t.Fatalf("slow worker attribution off: %+v", w)
-	}
-	// busy+blocked accounts for each worker's wall within 1%.
-	for _, w := range r.Workers {
-		acc := w.BusySeconds + w.Blocked()
-		if diff := w.WallSeconds - acc; diff < 0 || diff > 0.01*w.WallSeconds+0.0011 {
-			t.Errorf("worker %s: busy+blocked %.6f vs wall %.6f", w.Alg, acc, w.WallSeconds)
-		}
-	}
-
-	var tsv strings.Builder
-	if err := WriteTimelineTSV(&tsv, reps); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(tsv.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("timeline TSV has %d lines, want header + 2 workers:\n%s", len(lines), tsv.String())
-	}
-	if !strings.Contains(lines[0], "p999_us") || !strings.Contains(tsv.String(), "simulation") {
-		t.Fatalf("timeline TSV missing columns:\n%s", tsv.String())
-	}
-	if !strings.Contains(r.Summary(), "straggler slow") {
-		t.Fatalf("summary = %q", r.Summary())
-	}
-}
-
-// TestAnalyzeStragglerEndsLast: the straggler is the worker whose
-// lifetime span ends last even when another worker was busier — with an
-// admission gate the busiest worker can finish first, and the row's wall
-// time ends with the last one. Workers without lifetime spans (serve
-// cells) tie, and the busier one is named.
-func TestAnalyzeStragglerEndsLast(t *testing.T) {
-	tr := New()
-	start := tr.Now()
-	busy := tr.Worker("r", "busy")
-	busy.SpanAt("measured", CatChunk, start, start+8_000_000)
-	busy.SpanAt("busy", CatWorker, start, start+8_000_000)
-	late := tr.Worker("r", "late")
-	late.SpanAt(WaitAdmission, CatWait, start, start+6_000_000)
-	late.SpanAt("measured", CatChunk, start+6_000_000, start+10_000_000)
-	late.SpanAt("late", CatWorker, start, start+10_000_000)
-
-	light := tr.Worker("", "light")
-	light.SpanAt("measured", CatChunk, start, start+1_000_000)
-	heavy := tr.Worker("", "heavy")
-	heavy.SpanAt("measured", CatChunk, start, start+3_000_000)
-
-	reps := tr.Analyze()
-	if len(reps) != 2 {
-		t.Fatalf("got %d row reports, want 2", len(reps))
-	}
-	if r := reps[0]; r.Straggler != "late" || r.Bottleneck != "admission" {
-		t.Errorf("row r: straggler/bottleneck = %q/%q, want late/admission", r.Straggler, r.Bottleneck)
-	}
-	if r := reps[1]; r.Straggler != "heavy" {
-		t.Errorf("materialized row: straggler = %q, want heavy", r.Straggler)
-	}
-}
-
 // TestValidateServeSchema: the request-lifecycle checks — queued/
 // attempt/backoff spans must live inside a serve-request span on their
 // thread, and governor trip/clear instants alternate starting with a
@@ -297,7 +187,7 @@ func TestInstantCounterAt(t *testing.T) {
 	th.InstantAt(InstantShed, 12345, ArgInt("count", 3))
 	th.CounterAt("serve state", 67890, ArgInt("queue_depth", 7))
 	th.InstantAt("early", -5)
-	evs := th.Events()
+	evs := th.events
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3", len(evs))
 	}
@@ -319,42 +209,30 @@ func TestInstantCounterAt(t *testing.T) {
 // disarmed instrumentation costs a nil check.
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	tr.SetScope("x")
-	tr.Instant("i")
-	if tr.Now() != 0 {
+	if tr.Now() != 0 || tr.Stamp(time.Now()) != 0 {
 		t.Fatal("nil tracer must be inert")
 	}
 	var th *Thread
 	th.Span("s", CatChunk, 0)
 	th.SpanAt("s", CatChunk, 0, 1)
-	th.Instant("i")
-	th.Counter("c", ArgInt("v", 1))
-	if th.Events() != nil {
-		t.Fatal("nil thread recorded events")
-	}
-	if tr.Thread("t") != nil || tr.Worker("r", "a") != nil || tr.RowThread("r") != nil {
+	th.InstantAt("i", 1)
+	th.CounterAt("c", 1, ArgInt("v", 1))
+	if tr.Thread("t") != nil {
 		t.Fatal("nil tracer handed out threads")
-	}
-	if got := tr.Analyze(); got != nil {
-		t.Fatal("nil tracer analyzed something")
 	}
 }
 
-// TestInstallUninstall: the active tracer is swapped atomically and
-// Enabled reflects it.
-func TestInstallUninstall(t *testing.T) {
-	if Enabled() {
-		t.Fatal("tracer already installed")
-	}
+// TestStamp: a wall time converts to nanoseconds since the tracer
+// started, and a time before the start clamps to zero.
+func TestStamp(t *testing.T) {
+	before := time.Now()
 	tr := New()
-	Install(tr)
-	defer Install(nil)
-	if Active() != tr || !Enabled() {
-		t.Fatal("Install did not take")
+	at := tr.start.Add(1500 * time.Microsecond)
+	if got := tr.Stamp(at); got != 1_500_000 {
+		t.Fatalf("Stamp = %d, want 1500000", got)
 	}
-	Install(nil)
-	if Active() != nil || Enabled() {
-		t.Fatal("uninstall did not take")
+	if got := tr.Stamp(before); got != 0 {
+		t.Fatalf("Stamp before the start = %d, want 0", got)
 	}
 }
 
@@ -364,13 +242,13 @@ func TestThreadCap(t *testing.T) {
 	tr := New()
 	var got *Thread
 	for i := 0; i < maxThreads+10; i++ {
-		got = tr.Worker("r", "a")
+		got = tr.Thread("r | a")
 	}
 	if got != nil {
 		t.Fatal("thread cap not enforced")
 	}
 	threads, _, dropped := tr.Stats()
-	if threads != maxThreads || dropped != 11 {
-		t.Fatalf("threads=%d dropped=%d, want %d/11", threads, dropped, maxThreads)
+	if threads != maxThreads || dropped != 10 {
+		t.Fatalf("threads=%d dropped=%d, want %d/10", threads, dropped, maxThreads)
 	}
 }
