@@ -131,20 +131,27 @@ trace-smoke:
 # goodput+latency sweep (five offered loads per algorithm, up to 3×
 # overload, so admission control and the degradation governor both
 # engage), then the same sweep with a serve-burst fault fired on the
-# first serve cell (a burst of decoupling-failure IOs, exercising the
-# retry/backoff path; the result cache is bypassed by design while the
-# fault is planned, so a clean run can never see a burst-perturbed
-# point), and finally sanity checks: every grid point rendered a data
-# row, no cell footnoted an error, and the manifest carries the serve
-# record (offered-load grid + governor config) that makes the numbers
-# auditable. Artifacts land in results/serve-smoke/ and are uploaded by CI.
+# first serve cell (a spike of 256 back-to-back arrivals, exercising
+# admission and shedding; the result cache is bypassed by design while
+# the fault is planned, so a clean run can never see a burst-perturbed
+# point), then one `atsim -serve` cell (decoupled single-choice at 1.5×
+# load with bursty arrivals and the window collector armed, so its
+# retry path fires), and finally sanity checks: every grid point
+# rendered a data row, no cell footnoted an error, the manifests carry
+# the serve record (offered-load grid + governor config, and for atsim
+# the token bucket) that makes the numbers auditable, and the atsim run
+# printed its taxonomy, retried, and wrote its window dump. Artifacts
+# land in results/serve-smoke/ and are uploaded by CI.
 serve-smoke:
-	@rm -rf results/serve-smoke && mkdir -p results/serve-smoke
+	@rm -rf results/serve-smoke && mkdir -p results/serve-smoke/atsim
 	$(GO) run ./cmd/figures -fig sv1,sv2 -seed 7 -out results/serve-smoke \
 		-manifest results/serve-smoke -cache results/serve-smoke/cache -progress=false
 	ADDRXLAT_FAULTS='serve-burst@1' $(GO) run ./cmd/figures -fig sv1 -seed 7 \
 		-out results/serve-smoke/burst -manifest results/serve-smoke/burst \
 		-cache results/serve-smoke/burst-cache -progress=false
+	$(GO) run ./cmd/atsim -serve -algo decoupled -alloc single -vpages 16384 -ram 1024 -tlb 64 \
+		-workload uniform -serve-load 1.5 -serve-arrivals burst -serve-metrics \
+		-manifest results/serve-smoke/atsim > results/serve-smoke/atsim/atsim-serve.txt
 	@test "$$(grep -c '^[0-9]' results/serve-smoke/sv-goodput.tsv)" -eq 20 || \
 		{ echo "serve-smoke: sv-goodput.tsv is missing grid rows" >&2; exit 1; }
 	@! grep -q 'error' results/serve-smoke/sv-goodput.tsv || \
@@ -152,6 +159,18 @@ serve-smoke:
 	@grep -q '"table": "sv-goodput"' results/serve-smoke/manifest-*.json && \
 		grep -q '"governor"' results/serve-smoke/manifest-*.json || \
 		{ echo "serve-smoke: manifest is missing the serve record" >&2; exit 1; }
+	@grep -q '^taxonomy:  offered' results/serve-smoke/atsim/atsim-serve.txt && \
+		grep -q '^           admitted' results/serve-smoke/atsim/atsim-serve.txt || \
+		{ echo "serve-smoke: atsim -serve printed no taxonomy" >&2; exit 1; }
+	@grep -Eq '^ +retries [1-9]' results/serve-smoke/atsim/atsim-serve.txt || \
+		{ echo "serve-smoke: atsim -serve never retried" >&2; exit 1; }
+	@test -s results/serve-smoke/atsim/atsim-serve.serve.metrics.tsv || \
+		{ echo "serve-smoke: atsim -serve wrote no window dump" >&2; exit 1; }
+	@grep -q '"table": "atsim-serve"' results/serve-smoke/atsim/manifest-*.json && \
+		grep -q '"governor"' results/serve-smoke/atsim/manifest-*.json && \
+		grep -q '"refill_div"' results/serve-smoke/atsim/manifest-*.json && \
+		grep -q '"burst"' results/serve-smoke/atsim/manifest-*.json || \
+		{ echo "serve-smoke: atsim manifest lacks the governor or the token bucket" >&2; exit 1; }
 
 # serve-metrics-smoke runs the serving-telemetry drill: the sv3
 # SLO-curve sweep (per-cell window collectors always armed) with -trace,

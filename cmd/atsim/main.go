@@ -172,13 +172,16 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		rr, err := runServeMode(alg, gen, serveModeConfig{
-			workload: *wl, seed: *seed,
-			load: *serveLoad, requests: *serveReq, warmup: *serveWarm,
-			blockPages: *serveBlock, deadlineMul: *serveDeadline,
-			arrivals: *serveArrivals, queueCap: *serveQueue, attempts: *serveAttempts,
-			metrics: *serveMetrics,
-		}, timeline)
+		// The sweep's policy, with the run's shape from the -serve-* flags;
+		// -serve-queue sizes the queue, the token bucket and the
+		// governor's depths.
+		rec := experiments.ServePolicy(*serveMetrics)
+		rec.Table, rec.Workload, rec.Loads = "atsim-serve", *wl, []float64{*serveLoad}
+		rec.Requests, rec.Warmup, rec.BlockPages = *serveReq, *serveWarm, *serveBlock
+		rec.DeadlineNs, rec.MaxAttempts = *serveDeadline, *serveAttempts
+		rec.QueueCap, rec.Burst = *serveQueue, int64(*serveQueue)
+		rec.Governor.QueueHigh, rec.Governor.RecoverDepth = *serveQueue*3/4, *serveQueue/5
+		rr, err := runServeMode(alg, gen, rec, *serveArrivals, *seed, timeline)
 		if err != nil {
 			fail(err)
 		}
@@ -634,99 +637,61 @@ func fail(err error) {
 	os.Exit(code)
 }
 
-// serveModeConfig carries the -serve-* flags into runServeMode.
-type serveModeConfig struct {
-	workload    string
-	seed        uint64
-	load        float64
-	requests    int
-	warmup      int
-	blockPages  int
-	deadlineMul int64
-	arrivals    string
-	queueCap    int
-	attempts    int
-	metrics     bool
+// serveArrivals returns the -serve-arrivals process, built from the
+// calibrated mean service time at the offered load.
+func serveArrivals(kind string, seed uint64, load float64) (func(meanNs int64) workload.ArrivalProcess, error) {
+	switch kind {
+	case "poisson":
+		return func(mean int64) workload.ArrivalProcess {
+			return workload.NewPoisson(seed, float64(mean)/load)
+		}, nil
+	case "burst":
+		// 50% duty cycle at twice the rate: same offered load, bursty.
+		return func(mean int64) workload.ArrivalProcess {
+			return workload.NewOnOffBurst(seed, float64(mean)/(2*load), 500*mean, 500*mean)
+		}, nil
+	case "diurnal":
+		return func(mean int64) workload.ArrivalProcess {
+			return workload.NewDiurnal(seed, float64(mean)/load, []int64{2000 * mean}, []float64{0.5})
+		}, nil
+	}
+	return nil, fmt.Errorf("unknown -serve-arrivals %q (want poisson|burst|diurnal)", kind)
 }
 
-// Metrics policy of -serve-metrics, mirroring the sv3 sweep: windows of
-// 64× the calibrated mean service time, a 40×mean p99 budget, and 5
-// slowest-request exemplars.
-const (
-	serveMetricsWindowMul = 64
-	serveSLOBudgetMul     = 40
-	serveExemplarK        = 5
-)
-
-// runServeMode drives the discrete-event serving front-end (DESIGN.md
-// §13) over one algorithm: calibrate capacity closed-loop, scale the
-// latency-sensitive knobs to the measured mean service time, then run the
-// offered load open-loop and print the serve taxonomy and latency
-// quantiles. The full sweep record lands in the manifest.
-func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig, timeline *obs.Trace) (obs.RunRecord, error) {
-	if !(cfg.load > 0) || math.IsInf(cfg.load, 1) {
-		return obs.RunRecord{}, fmt.Errorf("-serve-load must be finite and positive, got %g", cfg.load)
+// runServeMode runs one cell of the serve sweep (DESIGN.md §13) under
+// rec's policy, at its one offered load, over one algorithm, and prints
+// the serve taxonomy and latency quantiles. The sweep record, with its
+// one point, lands in the manifest.
+func runServeMode(alg mm.Algorithm, gen workload.Generator, rec serve.SweepRecord, arrivals string, seed uint64, timeline *obs.Trace) (obs.RunRecord, error) {
+	load := rec.Loads[0]
+	if !(load > 0) || math.IsInf(load, 1) {
+		return obs.RunRecord{}, fmt.Errorf("-serve-load must be finite and positive, got %g", load)
 	}
-	// Explain stays on in serve mode: the retry machinery triggers on the
-	// explain taxonomy's failure-IO counter.
-	ec := mm.EnableExplain(alg)
-	sim, err := serve.New(serve.Config{
-		Seed:        cfg.seed,
-		Requests:    cfg.requests,
-		BlockPages:  cfg.blockPages,
-		QueueCap:    cfg.queueCap,
-		MaxAttempts: cfg.attempts,
-		Governor: serve.GovernorConfig{
-			WindowNs:     1, // rescaled to the calibrated mean below
-			QueueHigh:    cfg.queueCap * 3 / 4,
-			MissNum:      1,
-			MissDen:      5,
-			RecoverDepth: cfg.queueCap / 5,
-			DegradedDiv:  4,
-		},
-	}, alg, gen, nil, ec)
+	newArrivals, err := serveArrivals(arrivals, seed+2, load)
 	if err != nil {
 		return obs.RunRecord{}, err
 	}
-	start := time.Now()
-	mean := sim.Calibrate(cfg.warmup)
-	sim.SetDeadlineNs(cfg.deadlineMul * mean)
-	sim.SetGovernorWindowNs(20 * mean)
-	sim.SetRetryBaseNs(4 * mean)
-	sim.SetTokenBucket(mean/4+1, int64(cfg.queueCap))
 	var arr workload.ArrivalProcess
-	switch cfg.arrivals {
-	case "poisson":
-		arr = workload.NewPoisson(cfg.seed+2, float64(mean)/cfg.load)
-	case "burst":
-		// 50% duty cycle at twice the rate: same offered load, bursty.
-		arr = workload.NewOnOffBurst(cfg.seed+2, float64(mean)/(2*cfg.load), 500*mean, 500*mean)
-	case "diurnal":
-		arr = workload.NewDiurnal(cfg.seed+2, float64(mean)/cfg.load, []int64{2000 * mean}, []float64{0.5})
-	default:
-		return obs.RunRecord{}, fmt.Errorf("unknown -serve-arrivals %q (want poisson|burst|diurnal)", cfg.arrivals)
-	}
-	sim.SetArrivals(arr)
-	if cfg.metrics {
-		sim.ArmMetrics(metrics.Config{
-			WidthNs:   serveMetricsWindowMul * mean,
-			BudgetNs:  serveSLOBudgetMul * mean,
-			Exemplars: serveExemplarK,
-		})
-	}
-	res := sim.Run()
-	end := time.Now()
-	elapsed := end.Sub(start)
-	if err := res.Counters.CheckIdentity(); err != nil {
+	start := time.Now()
+	pt, err := rec.RunCell(serve.Cell{
+		Name: alg.Name(), Alg: alg, Gen: gen, Load: load, Seed: seed,
+		Arrivals: func(mean int64) workload.ArrivalProcess {
+			arr = newArrivals(mean)
+			return arr
+		},
+	})
+	if err != nil {
 		return obs.RunRecord{}, err
 	}
+	end := time.Now()
+	elapsed := end.Sub(start)
 
-	c := res.Counters
+	c, mean := pt.Counters, pt.MeanServiceNs
 	fmt.Printf("algorithm: %s\n", alg.Name())
 	fmt.Printf("serving:   %s arrivals at %.2fx capacity, %d requests of %d pages (calibrated on %d)\n",
-		arr.Name(), cfg.load, cfg.requests, cfg.blockPages, cfg.warmup)
+		arr.Name(), load, rec.Requests, rec.BlockPages, rec.Warmup)
 	fmt.Printf("capacity:  mean service %d ns -> %.1f req/s; deadline %dx mean, queue cap %d, %d attempts\n",
-		mean, 1e9/float64(mean), cfg.deadlineMul, cfg.queueCap, cfg.attempts)
+		mean, 1e9/float64(mean), rec.DeadlineNs, rec.QueueCap, rec.MaxAttempts)
 	fmt.Printf("taxonomy:  offered %d = admitted %d + rejected %d (queue %d, throttle %d)\n",
 		c.Offered, c.Admitted, c.RejectedQueue+c.RejectedThrottle, c.RejectedQueue, c.RejectedThrottle)
 	fmt.Printf("           admitted %d = completed %d + timed out %d (queued %d, served %d) + shed %d\n",
@@ -734,46 +699,19 @@ func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig,
 	fmt.Printf("           retries %d (exhausted %d), degraded %d, governor trips %d / recovers %d\n",
 		c.Retries, c.RetryExhausted, c.Degraded, c.GovernorTrips, c.GovernorRecovers)
 	fmt.Printf("goodput:   %.1f req/s over a %.3fs virtual horizon\n",
-		res.GoodputPerSec(), float64(res.HorizonNs)/1e9)
+		pt.GoodputPerSec, float64(pt.HorizonNs)/1e9)
 	fmt.Printf("latency:   p50 %d ns, p99 %d ns, p999 %d ns (completed requests; max queue depth %d)\n",
-		res.Latency.Quantile(0.50), res.Latency.Quantile(0.99), res.Latency.Quantile(0.999), res.MaxQueueDepth)
-	if m := res.Metrics; m != nil {
+		pt.P50Ns, pt.P99Ns, pt.P999Ns, pt.MaxQueueDepth)
+	if m := pt.Metrics; m != nil {
 		printServeMetrics(m)
 	}
 
-	pt := serve.PointFrom(alg.Name(), cfg.load, res)
-	rec := serve.SweepRecord{
-		Table:       "atsim-serve",
-		Workload:    cfg.workload,
-		Arrivals:    arr.Name(),
-		Loads:       []float64{cfg.load},
-		Requests:    cfg.requests,
-		Warmup:      cfg.warmup,
-		BlockPages:  cfg.blockPages,
-		QueueCap:    cfg.queueCap,
-		DeadlineNs:  cfg.deadlineMul, // multiples of the calibrated mean
-		MaxAttempts: cfg.attempts,
-		RetryBaseNs: 4,
-		Cost:        serve.DefaultCostModel(),
-		Governor: serve.GovernorConfig{
-			WindowNs:     20,
-			QueueHigh:    cfg.queueCap * 3 / 4,
-			MissNum:      1,
-			MissDen:      5,
-			RecoverDepth: cfg.queueCap / 5,
-			DegradedDiv:  4,
-		},
-		Points: []serve.Point{pt},
-	}
-	if cfg.metrics {
-		rec.MetricsWindowMul = serveMetricsWindowMul
-		rec.SLOBudgetMul = serveSLOBudgetMul
-		rec.ExemplarK = serveExemplarK
-	}
+	rec.Arrivals = arr.Name()
+	rec.Points = []serve.Point{pt}
 	// With -trace the run is one serve cell of an "atsim" table: its wall
 	// span and, with -serve-metrics, its virtual-time threads.
 	timeline.Observe(event.Event{Kind: event.KindPhase, Row: "atsim", Phase: event.PhaseServe,
-		Alg: fmt.Sprintf("%s|load=%g", pt.Alg, pt.Load), At: end, Accesses: cfg.requests, Elapsed: elapsed})
+		Alg: fmt.Sprintf("%s|load=%g", pt.Alg, pt.Load), At: end, Accesses: rec.Requests, Elapsed: elapsed})
 	timeline.Observe(event.Event{Kind: event.KindServe, Row: "atsim", At: end, Serve: &rec})
 	return obs.RunRecord{
 		ID: "serve", Table: "atsim-serve", Rows: 1,

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"addrxlat/internal/core"
+	"addrxlat/internal/experiments"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/obs"
 	"addrxlat/internal/policy"
@@ -124,10 +125,10 @@ func TestServeModeRejectsBadLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = runServeMode(alg, gen, serveModeConfig{
-			workload: "bimodal", seed: 1, load: load, requests: 50, warmup: 10,
-			blockPages: 4, deadlineMul: 80, arrivals: "poisson", queueCap: 16, attempts: 3,
-		}, nil)
+		rec := experiments.ServePolicy(false)
+		rec.Workload, rec.Loads = "bimodal", []float64{load}
+		rec.Requests, rec.Warmup, rec.BlockPages, rec.QueueCap = 50, 10, 4, 16
+		_, err = runServeMode(alg, gen, rec, "poisson", 1, nil)
 		if err == nil || !strings.Contains(err.Error(), "-serve-load") {
 			t.Errorf("-serve-load %g: err = %v, want a -serve-load rejection", load, err)
 		}

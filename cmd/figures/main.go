@@ -109,7 +109,7 @@ func flushTrace() {
 // options are figures' command-line flags.
 type options struct {
 	fig, format, out, cache, manifest, http, resume, trace string
-	full, noCache, explain, progress, serveMetrics         bool
+	full, noCache, explain, progress                       bool
 	seed, sample                                           uint64
 	workers                                                int
 	profile                                                *prof.Flags
@@ -132,7 +132,6 @@ func (o *options) define(fs *flag.FlagSet) {
 	fs.StringVar(&o.resume, "resume", "", "resume an interrupted run from its manifest: restores the recorded flags (explicit flags here win) and skips every experiment the manifest lists")
 	fs.IntVar(&o.workers, "workers", 0, "max concurrent simulations per streaming row / tasks per sweep (0 = GOMAXPROCS, 1 = one at a time); results are identical at any setting")
 	fs.StringVar(&o.trace, "trace", "", "export a Perfetto-loadable execution trace (Chrome trace-event JSON) of the sweep to this file; also derives <experiment>.timeline.tsv straggler reports next to the outputs. Results stay byte-identical")
-	fs.BoolVar(&o.serveMetrics, "serve-metrics", false, "arm the virtual-time window collector on serve sweeps (sv1/sv2; sv3 always arms it): per-window counters/gauges/quantiles, SLO verdicts, and slowest-request exemplars, written as <table>.serve.metrics.tsv next to the outputs and recorded in the manifest. Tables stay byte-identical")
 	o.profile = prof.Register(fs)
 }
 
@@ -241,7 +240,6 @@ func main() {
 	// The stalled-worker watchdog arms from the environment, never a
 	// default: ADDRXLAT_WATCHDOG=30s style (see DESIGN.md).
 	scale.Watchdog = experiments.WatchdogFromEnv()
-	scale.ServeMetrics = o.serveMetrics
 	var cache *resultcache.Cache
 	if !o.noCache && o.cache != "" {
 		var err error

@@ -73,16 +73,6 @@ type Scale struct {
 	// tables are byte-identical with it on or off (pinned by
 	// TestSampledRunsByteIdentical).
 	Explain bool
-	// ServeMetrics arms the virtual-time window collector
-	// (internal/metrics) on every serve-sweep cell: per-window counters,
-	// gauges, latency quantiles, SLO verdicts, and slowest-request
-	// exemplars ride on each point and into the manifest. The collector
-	// observes the event loop strictly at event boundaries, so sv1/sv2
-	// tables are byte-identical with it on or off (pinned by
-	// TestServeMetricsByteIdentical). The SLO-curve table (sv3) arms it
-	// regardless of this flag — its columns are derived from the window
-	// stream.
-	ServeMetrics bool
 	// Watchdog, when > 0, arms a bounded-wait monitor over the pipelined
 	// row executor's workers: a simulator that spends longer than this
 	// inside a single chunk is declared stalled — its cell degrades to a

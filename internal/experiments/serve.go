@@ -8,7 +8,6 @@ import (
 	"addrxlat/internal/event"
 	"addrxlat/internal/faultinject"
 	"addrxlat/internal/hashutil"
-	"addrxlat/internal/metrics"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/serve"
 	"addrxlat/internal/workload"
@@ -26,36 +25,49 @@ const (
 	ServeSLOID     = "sv-slo"
 )
 
-// Knobs of the serving machine, all expressed as multiples of the
-// calibrated mean service time so one sweep definition holds at every
-// Scale (absolute nanoseconds would starve or trivialize the queue as
-// SpaceDiv/AccessDiv move the service time).
-const (
-	serveQueueCap     = 256 // bounded FIFO capacity
-	serveMaxAttempts  = 3   // total service attempts per request
-	serveDeadlineMul  = 80  // deadline = 80 × mean service
-	serveWindowMul    = 20  // governor window = 20 × mean service
-	serveRetryMul     = 4   // retry backoff base = 4 × mean service
-	serveRefillDiv    = 4   // token refill = mean/4 (rate 4× capacity)
-	serveQueueHigh    = 192 // governor queue-depth trip
-	serveRecoverDepth = 48  // governor shed/recovery target
-	serveDegradedDiv  = 4   // degraded-mode block divisor
-	serveMissNum      = 1   // deadline-miss trip ratio: 1/5 of a window's
-	serveMissDen      = 5   // terminal outcomes missing their deadline
-)
+// ServePolicy is the serving machine's policy as a sweep-record template:
+// admission, retry and governor knobs and, when armed, the window
+// collector's. Every latency knob is relative to a cell's calibrated
+// mean service time, so one definition holds at every Scale (absolute
+// nanoseconds would starve or trivialize the queue as SpaceDiv/AccessDiv
+// move the service time). sv1–sv3 fill in their grid; atsim -serve takes
+// the queue, deadline and attempts from its flags.
+func ServePolicy(armed bool) serve.SweepRecord {
+	p := serve.SweepRecord{
+		QueueCap:    256, // bounded FIFO capacity
+		RefillDiv:   4,   // token refill = mean/4 (rate 4× capacity)
+		Burst:       256, // token bucket depth
+		DeadlineNs:  80,  // deadline = 80 × mean service
+		MaxAttempts: 3,   // total service attempts per request
+		RetryBaseNs: 4,   // retry backoff base = 4 × mean service
+		Cost:        serve.DefaultCostModel(),
+		Governor: serve.GovernorConfig{
+			WindowNs:     20,  // governor window = 20 × mean service
+			QueueHigh:    192, // governor queue-depth trip
+			MissNum:      1,   // deadline-miss trip ratio: 1/5 of a window's
+			MissDen:      5,   // terminal outcomes missing their deadline
+			RecoverDepth: 48,  // governor shed/recovery target
+			DegradedDiv:  4,   // degraded-mode block divisor
+		},
+	}
+	if armed {
+		// The window is wide enough (64×mean ≈ tens of requests at
+		// capacity) for a meaningful per-window p99, narrow enough that a
+		// run spans dozens of windows; the SLO budget sits midway between
+		// the p50 of a healthy cell and the deadline (80×mean), so
+		// underload passes and overload burns.
+		p.MetricsWindowMul = 64 // metrics window = 64 × mean service
+		p.SLOBudgetMul = 40     // SLO p99 budget = 40 × mean service
+		p.ExemplarK = 5         // slowest-request exemplars kept per cell
+	}
+	return p
+}
 
-// Metrics-layer policy, again in multiples of the calibrated mean
-// service time. The window is wide enough (64×mean ≈ tens of requests at
-// capacity) for a meaningful per-window p99, narrow enough that a run
-// spans dozens of windows; the SLO budget sits midway between the p50 of
-// a healthy cell and the deadline (80×mean), so underload passes and
-// overload burns; the burn ceiling is the SRE-conventional 5%.
+// sv3's SLO verdict: a cell meets the SLO iff at most 1/20 of its windows
+// violate the budget (the SRE-conventional 5% burn-rate ceiling).
 const (
-	serveMetricsWindowMul = 64 // metrics window = 64 × mean service
-	serveSLOBudgetMul     = 40 // SLO p99 budget = 40 × mean service
-	serveExemplarK        = 5  // slowest-request exemplars kept per cell
-	serveSLOBurnNum       = 1  // SLO met iff violating windows ≤ 1/20
-	serveSLOBurnDen       = 20 // of all windows (5% burn-rate ceiling)
+	serveSLOBurnNum = 1
+	serveSLOBurnDen = 20
 )
 
 // serveLoads is the offered-load grid, as multiples of each cell's
@@ -71,20 +83,16 @@ type serveAlg struct {
 }
 
 // serveSpec is the resolved serving machine: geometry after scaling, the
-// request-block shape, and the algorithm roster.
+// algorithm roster, and the sweep record whose policy and grid every cell
+// runs under.
 type serveSpec struct {
-	table        string // experiment id, for fault keys and progress rows
+	rec          serve.SweepRecord // policy and grid; record adds the points
 	ramPages     uint64
 	virtualPages uint64
 	hotPages     uint64
 	tlbEntries   int
-	blockPages   int
-	warmupReq    int // closed-loop calibration requests (doubles as warmup)
-	measuredReq  int // open-loop offered arrivals
-	loads        []float64
 	algs         []serveAlg
 	seed         uint64
-	metrics      bool // arm the per-cell window collector
 }
 
 // buildServeSpec resolves the serving machine at the given scale: a
@@ -93,32 +101,28 @@ type serveSpec struct {
 // pages, and the decoupled scheme with both the Iceberg (Theorem 3) and
 // single-choice (Theorem 1) allocators. The single-choice column is the
 // one that overflows buckets under pressure, so the failure-IO retry path
-// shows up in the tables, not just in unit tests.
+// shows up in the tables, not just in unit tests. sv3's columns are read
+// from the window stream, so its cells arm the collector.
 func buildServeSpec(table string, s Scale, seed uint64) (*serveSpec, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	sp := &serveSpec{
-		table:        table,
 		ramPages:     s.pages(1 * paperGiB),
 		virtualPages: s.pages(4 * paperGiB),
 		hotPages:     s.pages(64 << 20),
 		tlbEntries:   s.entries(paperTLBEntries, 16),
-		blockPages:   256,
-		loads:        serveLoads(),
 		seed:         seed,
-		metrics:      s.ServeMetrics,
 	}
-	if n := s.accesses(20_000_000) / sp.blockPages; n > 300 {
-		sp.warmupReq = n
-	} else {
-		sp.warmupReq = 300
-	}
-	if n := s.accesses(80_000_000) / sp.blockPages; n > 1200 {
-		sp.measuredReq = n
-	} else {
-		sp.measuredReq = 1200
-	}
+	rec := ServePolicy(table == ServeSLOID)
+	rec.Table = table
+	rec.Workload = fmt.Sprintf("bimodal(hot=%d,V=%d,p=0.9)", sp.hotPages, sp.virtualPages)
+	rec.Arrivals = "poisson"
+	rec.Loads = serveLoads()
+	rec.BlockPages = 256
+	rec.Warmup = max(s.accesses(20_000_000)/rec.BlockPages, 300)    // closed-loop calibration requests (doubles as warmup)
+	rec.Requests = max(s.accesses(80_000_000)/rec.BlockPages, 1200) // open-loop offered arrivals
+	sp.rec = rec
 	ram, vp, tlb := sp.ramPages, sp.virtualPages, sp.tlbEntries
 	sp.algs = []serveAlg{
 		{name: "hugepage(h=1)", build: func(seed uint64) (mm.Algorithm, error) {
@@ -143,32 +147,32 @@ func buildServeSpec(table string, s Scale, seed uint64) (*serveSpec, error) {
 // seed — but NOT the table id: sv-goodput and sv-latency project the same
 // sweep, so they share cells.
 func (sp *serveSpec) cellKey(s Scale, alg string, load float64) string {
+	p, g := &sp.rec, &sp.rec.Governor
 	key := fmt.Sprintf("serve|epoch=%d|alg=%s|load=%g|V=%d|P=%d|hot=%d|tlb=%d|block=%d|warm=%d|req=%d|"+
 		"qcap=%d|att=%d|dl=%d|win=%d|retry=%d|refill=%d|qhigh=%d|rec=%d|deg=%d|miss=%d/%d|space=%d|acc=%d|seed=%d",
-		serveEpoch, alg, load, sp.virtualPages, sp.ramPages, sp.hotPages, sp.tlbEntries, sp.blockPages,
-		sp.warmupReq, sp.measuredReq, serveQueueCap, serveMaxAttempts, serveDeadlineMul, serveWindowMul,
-		serveRetryMul, serveRefillDiv, serveQueueHigh, serveRecoverDepth, serveDegradedDiv,
-		serveMissNum, serveMissDen, s.SpaceDiv, s.AccessDiv, sp.seed)
-	if sp.metrics {
+		serveEpoch, alg, load, sp.virtualPages, sp.ramPages, sp.hotPages, sp.tlbEntries, p.BlockPages,
+		p.Warmup, p.Requests, p.QueueCap, p.MaxAttempts, p.DeadlineNs, g.WindowNs,
+		p.RetryBaseNs, p.RefillDiv, g.QueueHigh, g.RecoverDepth, g.DegradedDiv,
+		g.MissNum, g.MissDen, s.SpaceDiv, s.AccessDiv, sp.seed)
+	if p.MetricsWindowMul > 0 {
 		// Armed cells carry the window stream in their cached point, so
 		// they form a separate cache family from bare cells; the base
 		// Point fields are identical either way (the collector only
 		// observes), which is exactly what TestServeMetricsByteIdentical
 		// pins.
-		key += fmt.Sprintf("|met=win%d,slo%d,k%d", serveMetricsWindowMul, serveSLOBudgetMul, serveExemplarK)
+		key += fmt.Sprintf("|met=win%d,slo%d,k%d", p.MetricsWindowMul, p.SLOBudgetMul, p.ExemplarK)
 	}
 	return key
 }
 
-// runCell computes one (algorithm, load) point: build a fresh simulator,
-// calibrate closed-loop (which is also the warmup), scale the
-// latency-sensitive knobs to the measured capacity, then run the
-// open-loop event loop to completion. A panic (algorithm bug or injected
-// fault) is recovered into the returned error, degrading the point to a
+// runCell computes one (algorithm, load) point: build a fresh simulator
+// and its page source, then run the cell under the sweep's policy
+// (serve.SweepRecord.RunCell). A panic (algorithm bug or injected fault)
+// is recovered into the returned error, degrading the point to a
 // footnoted error row.
-func (sp *serveSpec) runCell(s Scale, ai, li int) (pt serve.Point, err error) {
+func (sp *serveSpec) runCell(ai, li int) (pt serve.Point, err error) {
 	a := sp.algs[ai]
-	load := sp.loads[li]
+	load := sp.rec.Loads[li]
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiments: serve cell %s|load=%g panicked: %v", a.name, load, r)
@@ -183,51 +187,17 @@ func (sp *serveSpec) runCell(s Scale, ai, li int) (pt serve.Point, err error) {
 	if err != nil {
 		return serve.Point{}, fmt.Errorf("experiments: serve cell %s: %w", a.name, err)
 	}
-	// Explain is always on for serve cells: the retry trigger is the
-	// explain taxonomy's failure-IO counter. Attribution never mutates
-	// algorithm state, so it cannot perturb service times.
-	ec := mm.EnableExplain(alg)
 	gen, err := workload.NewBimodal(sp.hotPages, sp.virtualPages, 0.9, hashutil.Mix64(base+1))
 	if err != nil {
 		return serve.Point{}, err
 	}
-	sim, err := serve.New(serve.Config{
-		Seed:        hashutil.Mix64(base + 2),
-		Requests:    sp.measuredReq,
-		BlockPages:  sp.blockPages,
-		QueueCap:    serveQueueCap,
-		MaxAttempts: serveMaxAttempts,
-		Governor: serve.GovernorConfig{
-			WindowNs:     1, // rescaled below; >0 arms the governor
-			QueueHigh:    serveQueueHigh,
-			MissNum:      serveMissNum,
-			MissDen:      serveMissDen,
-			RecoverDepth: serveRecoverDepth,
-			DegradedDiv:  serveDegradedDiv,
+	return sp.rec.RunCell(serve.Cell{
+		Name: a.name, Alg: alg, Gen: gen, Load: load, Seed: hashutil.Mix64(base + 2),
+		Arrivals: func(mean int64) workload.ArrivalProcess {
+			return workload.NewPoisson(hashutil.Mix64(base+3), float64(mean)/load)
 		},
-		FaultKey: fmt.Sprintf("%s|%s|load=%g", sp.table, a.name, load),
-	}, alg, gen, nil, ec)
-	if err != nil {
-		return serve.Point{}, err
-	}
-	mean := sim.Calibrate(sp.warmupReq)
-	sim.SetDeadlineNs(serveDeadlineMul * mean)
-	sim.SetGovernorWindowNs(serveWindowMul * mean)
-	sim.SetRetryBaseNs(serveRetryMul * mean)
-	sim.SetTokenBucket(mean/serveRefillDiv+1, serveQueueCap)
-	sim.SetArrivals(workload.NewPoisson(hashutil.Mix64(base+3), float64(mean)/load))
-	if sp.metrics {
-		sim.ArmMetrics(metrics.Config{
-			WidthNs:   serveMetricsWindowMul * mean,
-			BudgetNs:  serveSLOBudgetMul * mean,
-			Exemplars: serveExemplarK,
-		})
-	}
-	res := sim.Run()
-	if err := res.Counters.CheckIdentity(); err != nil {
-		return serve.Point{}, err
-	}
-	return serve.PointFrom(a.name, load, res), nil
+		FaultKey: fmt.Sprintf("%s|%s|load=%g", sp.rec.Table, a.name, load),
+	})
 }
 
 // serveSweep computes every (algorithm, load) point of the grid, cache
@@ -236,7 +206,7 @@ func (sp *serveSpec) runCell(s Scale, ai, li int) (pt serve.Point, err error) {
 // failures (footnote rows); the error return is sweep-fatal
 // (cancellation).
 func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, err error) {
-	n := len(sp.algs) * len(sp.loads)
+	n := len(sp.algs) * len(sp.rec.Loads)
 	pts = make([]serve.Point, n)
 	cellErrs = make([]error, n)
 	// A planned serve-burst fault changes results by design, so neither
@@ -246,14 +216,14 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 		s.Cache = nil
 	}
 	err = s.forEach(n, func(i int) error {
-		ai, li := i/len(sp.loads), i%len(sp.loads)
-		a, load := sp.algs[ai], sp.loads[li]
+		ai, li := i/len(sp.rec.Loads), i%len(sp.rec.Loads)
+		a, load := sp.algs[ai], sp.rec.Loads[li]
 		// The sweep-kill cadence for serve tables is the cell boundary
 		// (cells, not chunks, are the unit of resumable work here); the
 		// key is the table id, matching the row-name convention of the
 		// streaming drivers.
-		if faultinject.Armed() && faultinject.Fire(faultinject.SweepKill, sp.table) {
-			faultinject.Kill(fmt.Sprintf("serve table %s, cell %s|load=%g", sp.table, a.name, load))
+		if faultinject.Armed() && faultinject.Fire(faultinject.SweepKill, sp.rec.Table) {
+			faultinject.Kill(fmt.Sprintf("serve table %s, cell %s|load=%g", sp.rec.Table, a.name, load))
 		}
 		key := sp.cellKey(s, a.name, load)
 		if pt, ok := cacheGet[serve.Point](s, key); ok {
@@ -264,7 +234,7 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 		if s.Observer != nil {
 			start = time.Now()
 		}
-		pt, cerr := sp.runCell(s, ai, li)
+		pt, cerr := sp.runCell(ai, li)
 		if cerr != nil {
 			cellErrs[i] = cerr
 			return nil
@@ -272,8 +242,8 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 		pts[i] = pt
 		if s.Observer != nil {
 			now := time.Now()
-			s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: sp.table, Phase: event.PhaseServe,
-				Alg: fmt.Sprintf("%s|load=%g", a.name, load), At: now, Accesses: sp.measuredReq, Elapsed: now.Sub(start)})
+			s.Observer.Observe(event.Event{Kind: event.KindPhase, Row: sp.rec.Table, Phase: event.PhaseServe,
+				Alg: fmt.Sprintf("%s|load=%g", a.name, load), At: now, Accesses: sp.rec.Requests, Elapsed: now.Sub(start)})
 		}
 		s.cachePut(key, pt)
 		return nil
@@ -283,42 +253,15 @@ func serveSweep(sp *serveSpec, s Scale) (pts []serve.Point, cellErrs []error, er
 	}
 	if s.Observer != nil {
 		rec := sp.record(pts, cellErrs)
-		s.Observer.Observe(event.Event{Kind: event.KindServe, Row: sp.table, At: time.Now(), Serve: &rec})
+		s.Observer.Observe(event.Event{Kind: event.KindServe, Row: sp.rec.Table, At: time.Now(), Serve: &rec})
 	}
 	return pts, cellErrs, nil
 }
 
-// record assembles the manifest-facing sweep record: the offered-load
-// grid, the full admission/governor configuration, and every computed
-// point (failed cells are simply absent).
+// record assembles the manifest-facing sweep record: the sweep's policy
+// and grid, and every computed point (failed cells are simply absent).
 func (sp *serveSpec) record(pts []serve.Point, cellErrs []error) serve.SweepRecord {
-	rec := serve.SweepRecord{
-		Table:       sp.table,
-		Workload:    fmt.Sprintf("bimodal(hot=%d,V=%d,p=0.9)", sp.hotPages, sp.virtualPages),
-		Arrivals:    "poisson",
-		Loads:       sp.loads,
-		Requests:    sp.measuredReq,
-		Warmup:      sp.warmupReq,
-		BlockPages:  sp.blockPages,
-		QueueCap:    serveQueueCap,
-		DeadlineNs:  serveDeadlineMul, // recorded as multiples of mean service
-		MaxAttempts: serveMaxAttempts,
-		RetryBaseNs: serveRetryMul,
-		Cost:        serve.DefaultCostModel(),
-		Governor: serve.GovernorConfig{
-			WindowNs:     serveWindowMul,
-			QueueHigh:    serveQueueHigh,
-			MissNum:      serveMissNum,
-			MissDen:      serveMissDen,
-			RecoverDepth: serveRecoverDepth,
-			DegradedDiv:  serveDegradedDiv,
-		},
-	}
-	if sp.metrics {
-		rec.MetricsWindowMul = serveMetricsWindowMul
-		rec.SLOBudgetMul = serveSLOBudgetMul
-		rec.ExemplarK = serveExemplarK
-	}
+	rec := sp.rec
 	for i, pt := range pts {
 		if cellErrs[i] == nil {
 			rec.Points = append(rec.Points, pt)
@@ -346,7 +289,7 @@ func ServeGoodput(s Scale, seed uint64) (*Table, error) {
 		Name: ServeGoodputID,
 		Caption: fmt.Sprintf(
 			"Goodput vs offered load (bimodal tenant, V=%d pages, RAM=%d pages, TLB=%d entries, blocks of %d pages, %d offered requests, queue cap %d, deadline %d×mean)",
-			sp.virtualPages, sp.ramPages, sp.tlbEntries, sp.blockPages, sp.measuredReq, serveQueueCap, serveDeadlineMul),
+			sp.virtualPages, sp.ramPages, sp.tlbEntries, sp.rec.BlockPages, sp.rec.Requests, sp.rec.QueueCap, sp.rec.DeadlineNs),
 		Columns: []string{"offered_load", "alg", "offered_per_sec", "goodput_per_sec",
 			"admitted", "completed", "rejected", "shed", "timed_out", "retries", "degraded"},
 	}
@@ -382,7 +325,7 @@ func ServeLatency(s Scale, seed uint64) (*Table, error) {
 		Name: ServeLatencyID,
 		Caption: fmt.Sprintf(
 			"Request latency quantiles vs offered load (bimodal tenant, V=%d pages, RAM=%d pages, TLB=%d entries, blocks of %d pages, %d offered requests)",
-			sp.virtualPages, sp.ramPages, sp.tlbEntries, sp.blockPages, sp.measuredReq),
+			sp.virtualPages, sp.ramPages, sp.tlbEntries, sp.rec.BlockPages, sp.rec.Requests),
 		Columns: []string{"offered_load", "alg", "p50_ns", "p99_ns", "p999_ns",
 			"mean_service_ns", "max_queue_depth"},
 	}
@@ -410,7 +353,6 @@ func ServeSLO(s Scale, seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp.metrics = true
 	pts, cellErrs, err := serveSweep(sp, s)
 	if err != nil {
 		return nil, err
@@ -419,8 +361,8 @@ func ServeSLO(s Scale, seed uint64) (*Table, error) {
 	// cell met the SLO. 0 means no load in the grid qualified.
 	sustainable := make(map[string]float64, len(sp.algs))
 	for ai, a := range sp.algs {
-		for li, load := range sp.loads {
-			i := ai*len(sp.loads) + li
+		for li, load := range sp.rec.Loads {
+			i := ai*len(sp.rec.Loads) + li
 			if cellErrs[i] != nil || pts[i].Metrics == nil {
 				continue
 			}
@@ -433,8 +375,8 @@ func ServeSLO(s Scale, seed uint64) (*Table, error) {
 		Name: ServeSLOID,
 		Caption: fmt.Sprintf(
 			"SLO curve: windowed p99 vs a %d×mean-service budget (windows of %d×mean, SLO met iff ≤ %d/%d windows violate; bimodal tenant, V=%d pages, RAM=%d pages, TLB=%d entries, %d offered requests)",
-			serveSLOBudgetMul, serveMetricsWindowMul, serveSLOBurnNum, serveSLOBurnDen,
-			sp.virtualPages, sp.ramPages, sp.tlbEntries, sp.measuredReq),
+			sp.rec.SLOBudgetMul, sp.rec.MetricsWindowMul, serveSLOBurnNum, serveSLOBurnDen,
+			sp.virtualPages, sp.ramPages, sp.tlbEntries, sp.rec.Requests),
 		Columns: []string{"offered_load", "alg", "goodput_per_sec", "p99_ns", "budget_ns",
 			"windows", "violations", "burn_rate_pct", "max_streak", "slo_ok", "max_sustainable_load"},
 	}
@@ -460,9 +402,9 @@ func ServeSLO(s Scale, seed uint64) (*Table, error) {
 // offered load so the goodput curve reads top to bottom — degrading
 // failed cells to footnoted error rows exactly like the Fig1 tables.
 func (sp *serveSpec) forGrid(pts []serve.Point, cellErrs []error, t *Table, row func(serve.Point) []interface{}) {
-	for li, load := range sp.loads {
+	for li, load := range sp.rec.Loads {
 		for ai, a := range sp.algs {
-			i := ai*len(sp.loads) + li
+			i := ai*len(sp.rec.Loads) + li
 			if cellErrs[i] != nil {
 				cells := []interface{}{load, a.name}
 				for len(cells) < len(t.Columns) {

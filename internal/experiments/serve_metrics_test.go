@@ -4,29 +4,49 @@ import (
 	"bytes"
 	"strconv"
 	"testing"
+
+	"addrxlat/internal/serve"
 )
 
 // TestServeMetricsByteIdentical is the harness-level byte-identity pin
 // the metrics layer is designed around: arming the per-cell window
-// collector must not change a single byte of the existing serve tables —
-// the collector observes at event boundaries, never draws randomness,
-// never perturbs virtual time — at every seed and worker count.
+// collector must not change a single point of the serve grid — the
+// collector observes at event boundaries, never draws randomness, never
+// perturbs virtual time. sv1 runs the grid bare and sv3 armed, so apart
+// from the window stream every serve.Point must be equal, at every seed
+// and worker count.
 func TestServeMetricsByteIdentical(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42} {
-		bare := renderServe(t, ServeGoodput, serveTestScale(1), seed)
-		armed := serveTestScale(1)
-		armed.ServeMetrics = true
-		got := renderServe(t, ServeGoodput, armed, seed)
-		if !bytes.Equal(bare, got) {
-			t.Fatalf("seed %d: arming metrics changed %s:\n%s\n---\n%s",
-				seed, ServeGoodputID, bare, got)
+	sweep := func(table string, s Scale, seed uint64) []serve.Point {
+		t.Helper()
+		sp, err := buildServeSpec(table, s, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		armedPar := serveTestScale(4)
-		armedPar.ServeMetrics = true
-		gotPar := renderServe(t, ServeGoodput, armedPar, seed)
-		if !bytes.Equal(bare, gotPar) {
-			t.Fatalf("seed %d: armed -workers 4 diverged from bare -workers 1:\n%s\n---\n%s",
-				seed, bare, gotPar)
+		pts, cellErrs, err := serveSweep(sp, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cerr := range cellErrs {
+			if cerr != nil {
+				t.Fatalf("%s seed %d: cell %d failed: %v", table, seed, i, cerr)
+			}
+		}
+		return pts
+	}
+	for _, seed := range []uint64{1, 7, 42} {
+		bare := sweep(ServeGoodputID, serveTestScale(1), seed)
+		for _, workers := range []int{1, 4} {
+			armed := sweep(ServeSLOID, serveTestScale(workers), seed)
+			for i, pt := range armed {
+				if pt.Metrics == nil || bare[i].Metrics != nil {
+					t.Fatalf("seed %d: %s|load=%g: window stream armed %v, bare %v",
+						seed, pt.Alg, pt.Load, pt.Metrics != nil, bare[i].Metrics != nil)
+				}
+				if pt.Metrics = nil; pt != bare[i] {
+					t.Fatalf("seed %d -workers %d: arming metrics changed %s|load=%g:\n bare  %+v\n armed %+v",
+						seed, workers, pt.Alg, pt.Load, bare[i], pt)
+				}
+			}
 		}
 	}
 }

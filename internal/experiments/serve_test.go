@@ -71,10 +71,10 @@ func TestServeOverloadBoundedSweep(t *testing.T) {
 		if err := c.CheckIdentity(); err != nil {
 			t.Fatalf("%s|load=%g: %v", pt.Alg, pt.Load, err)
 		}
-		if pt.MaxQueueDepth > serveQueueCap {
-			t.Fatalf("%s|load=%g: queue depth %d exceeded cap %d", pt.Alg, pt.Load, pt.MaxQueueDepth, serveQueueCap)
+		if qcap := sp.rec.QueueCap; pt.MaxQueueDepth > qcap {
+			t.Fatalf("%s|load=%g: queue depth %d exceeded cap %d", pt.Alg, pt.Load, pt.MaxQueueDepth, qcap)
 		}
-		if pt.MaxHeapLen > 4*serveQueueCap {
+		if pt.MaxHeapLen > 4*sp.rec.QueueCap {
 			t.Fatalf("%s|load=%g: event heap grew to %d", pt.Alg, pt.Load, pt.MaxHeapLen)
 		}
 		if pt.Load < 2 {

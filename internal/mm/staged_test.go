@@ -63,8 +63,12 @@ var batchChunks = [2]int{777, 1023}
 // attribution armed the explain counters, must be identical. With
 // attribution armed, the attribution must also add up to the costs on
 // either path: after the trace as warm-up and ResetCosts, a second pass
-// attributes every IO, TLB miss and decoding miss it charges. The three
-// algorithms must be built alike and not yet have served a request.
+// attributes every IO, TLB miss and decoding miss it charges, and its
+// failure IOs equal its decoding misses — Theorem 4 charges a request to
+// a page in F one IO plus one decoding miss, and nothing else charges a
+// decoding miss, which is the identity serve's retry trigger reads. The
+// three algorithms must be built alike and not yet have served a
+// request.
 func matchesScalar(t *testing.T, label string, scalar Algorithm, batched [2]Algorithm, reqs []uint64, withExplain bool) {
 	t.Helper()
 	name := scalar.Name()
@@ -103,7 +107,8 @@ func matchesScalar(t *testing.T, label string, scalar Algorithm, batched [2]Algo
 		a.ResetCosts()
 		serve()
 		c, e := a.Costs(), explainOf(t, a)
-		if e.IOs() != c.IOs || e.TLBMisses() != c.TLBMisses || e.DecodeMisses != c.DecodingMisses {
+		if e.IOs() != c.IOs || e.TLBMisses() != c.TLBMisses || e.DecodeMisses != c.DecodingMisses ||
+			e.IOFailure != c.DecodingMisses {
 			t.Errorf("%s %s %s: attribution does not add up to the costs after ResetCosts:\n costs   %+v\n explain %+v",
 				label, name, path, c, e)
 		}

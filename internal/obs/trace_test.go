@@ -184,14 +184,13 @@ func serveRuns(t *testing.T, retryK int) []serve.SweepRecord {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ec := mm.EnableExplain(a)
 		gen, err := workload.NewUniform(1<<14, seed+1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s, err := serve.New(serve.Config{
 			Seed: seed, Requests: 3000, BlockPages: 64, QueueCap: 128, MaxAttempts: 3, RetryBaseNs: 500,
-		}, a, gen, nil, ec)
+		}, a, gen, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,9 +27,6 @@ const (
 // calibrated mean so it is seed/host-stable) and before Start.
 func (s *Sim) ArmMetrics(cfg metrics.Config) { s.met = metrics.New(cfg) }
 
-// MetricsArmed reports whether a collector is attached.
-func (s *Sim) MetricsArmed() bool { return s.met != nil }
-
 // MetricsRecord finalizes and returns the collector's record, nil when
 // disarmed. The first call closes the trailing partial window with the
 // loop's final gauges; each call assembles a fresh Record. Valid once

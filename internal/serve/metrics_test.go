@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,7 +35,6 @@ func retrySim(t *testing.T, seed uint64) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec := mm.EnableExplain(a)
 	gen, err := workload.NewUniform(1<<14, seed+1)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func retrySim(t *testing.T, seed uint64) *Sim {
 	s, err := New(Config{
 		Seed: seed, Requests: 3000, BlockPages: 64, QueueCap: 128,
 		MaxAttempts: 3, RetryBaseNs: 500,
-	}, a, gen, nil, ec)
+	}, a, gen, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +155,24 @@ func TestMetricsExemplarAttribution(t *testing.T) {
 				t.Errorf("%s: exemplar seq=%d: unknown outcome %q", cfg.name, ex.Seq, ex.Outcome)
 			}
 		}
+	}
+}
+
+// TestSegmentsShedDuringBackoff pins Segments' last tail on a hand-built
+// exemplar: a request shed at retry time, after its one attempt and
+// before it re-enqueued, spends the rest of its life in backoff.
+func TestSegmentsShedDuringBackoff(t *testing.T) {
+	ex := metrics.Exemplar{ArriveNs: 100, LatencyNs: 900, Outcome: OutcomeShed, Attempts: 1}
+	ex.Timeline[0] = metrics.AttemptRec{EnqueueNs: 100, StartNs: 150, EndNs: 400}
+	var got []Segment
+	Segments(&ex, func(g Segment) { got = append(got, g) })
+	want := []Segment{
+		{Kind: SegmentQueued, StartNs: 100, EndNs: 150},
+		{Kind: SegmentAttempt, Attempt: 1, StartNs: 150, EndNs: 400},
+		{Kind: SegmentBackoff, StartNs: 400, EndNs: 1000},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("segments of a request shed during backoff:\n got  %+v\n want %+v", got, want)
 	}
 }
 

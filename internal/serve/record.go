@@ -5,6 +5,8 @@ import (
 	"io"
 
 	"addrxlat/internal/metrics"
+	"addrxlat/internal/mm"
+	"addrxlat/internal/workload"
 )
 
 // Point is one (algorithm, offered-load) cell of a serve sweep, in the
@@ -52,7 +54,11 @@ func PointFrom(alg string, load float64, r Result) Point {
 // SweepRecord is the manifest record of one serve experiment: the full
 // offered-load grid, governor and admission configuration, and every
 // computed point — enough to audit or regenerate the tables without
-// re-running the sweep.
+// re-running the sweep. It is also the policy RunCell runs every cell
+// under, so the record is by construction what ran. Its latency knobs
+// are relative to each cell's calibrated mean service time: DeadlineNs,
+// RetryBaseNs and Governor.WindowNs multiply the mean, RefillDiv
+// divides it.
 type SweepRecord struct {
 	Table       string         `json:"table"`
 	Workload    string         `json:"workload"`
@@ -62,8 +68,8 @@ type SweepRecord struct {
 	Warmup      int            `json:"warmup_requests"`
 	BlockPages  int            `json:"block_pages"`
 	QueueCap    int            `json:"queue_cap"`
-	RefillNs    int64          `json:"refill_ns,omitempty"`
-	Burst       int64          `json:"burst,omitempty"`
+	RefillDiv   int64          `json:"refill_div"` // one token per mean/RefillDiv + 1 ns; 0 disables throttling
+	Burst       int64          `json:"burst"`      // token bucket depth
 	DeadlineNs  int64          `json:"deadline_ns"`
 	MaxAttempts int            `json:"max_attempts"`
 	RetryBaseNs int64          `json:"retry_base_ns"`
@@ -78,6 +84,55 @@ type SweepRecord struct {
 	MetricsWindowMul int64 `json:"metrics_window_mul,omitempty"`
 	SLOBudgetMul     int64 `json:"slo_budget_mul,omitempty"`
 	ExemplarK        int   `json:"exemplar_k,omitempty"`
+}
+
+// Cell is one cell of a serve sweep: the simulator it serves, its page
+// blocks, its offered load and its seeds.
+type Cell struct {
+	Name string // the point's algorithm label
+	Alg  mm.Algorithm
+	Gen  workload.Generator
+	Load float64 // offered load, as a multiple of the calibrated capacity
+	Seed uint64  // retry jitter
+	// Arrivals builds the open-loop arrival process from the calibrated
+	// mean service time.
+	Arrivals func(meanNs int64) workload.ArrivalProcess
+	FaultKey string // serve-burst fault-injection key; "" disables the hook
+}
+
+// RunCell runs one cell under r's policy: calibrate on r.Warmup
+// closed-loop requests (which is also the warmup), scale the deadline,
+// governor window, retry base and token bucket to the calibrated mean,
+// arm the metrics collector when r.MetricsWindowMul > 0, run r.Requests
+// open-loop arrivals to completion, and check the accounting identities.
+func (r *SweepRecord) RunCell(c Cell) (Point, error) {
+	sim, err := New(Config{
+		Seed: c.Seed, Requests: r.Requests, BlockPages: r.BlockPages, Cost: r.Cost,
+		QueueCap: r.QueueCap, MaxAttempts: r.MaxAttempts, Governor: r.Governor, FaultKey: c.FaultKey,
+	}, c.Alg, c.Gen, nil, nil)
+	if err != nil {
+		return Point{}, err
+	}
+	mean := sim.Calibrate(r.Warmup)
+	sim.SetDeadlineNs(r.DeadlineNs * mean)
+	sim.SetGovernorWindowNs(r.Governor.WindowNs * mean)
+	sim.SetRetryBaseNs(r.RetryBaseNs * mean)
+	if r.RefillDiv > 0 {
+		sim.SetTokenBucket(mean/r.RefillDiv+1, r.Burst)
+	}
+	sim.SetArrivals(c.Arrivals(mean))
+	if r.MetricsWindowMul > 0 {
+		sim.ArmMetrics(metrics.Config{
+			WidthNs:   r.MetricsWindowMul * mean,
+			BudgetNs:  r.SLOBudgetMul * mean,
+			Exemplars: r.ExemplarK,
+		})
+	}
+	res := sim.Run()
+	if err := res.Counters.CheckIdentity(); err != nil {
+		return Point{}, err
+	}
+	return PointFrom(c.Name, c.Load, res), nil
 }
 
 // WriteMetricsTSV dumps every armed point's window stream as one flat

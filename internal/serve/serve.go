@@ -173,7 +173,6 @@ type Sim struct {
 	cfg Config
 	alg mm.Algorithm
 	gen workload.Generator // page-block source
-	ec  *explain.Counters  // non-nil enables failure-IO retry detection
 	arr workload.ArrivalProcess
 	rng *hashutil.RNG // retry jitter
 
@@ -201,11 +200,12 @@ type Sim struct {
 	started       bool
 }
 
-// New builds a Sim over one simulator. gen supplies the page blocks and
-// ec (when non-nil) the explain counters whose IOFailure deltas trigger
-// retries. The *mm.Scratch parameter is ignored — simulators own their
-// batch buffers — and is kept only so existing callers compile.
-func New(cfg Config, a mm.Algorithm, gen workload.Generator, _ *mm.Scratch, ec *explain.Counters) (*Sim, error) {
+// New builds a Sim over one simulator; gen supplies the page blocks. The
+// last two parameters are ignored and kept only so existing callers
+// compile: the *mm.Scratch, because simulators own their batch buffers,
+// and the *explain.Counters, because retries read failure IOs from the
+// cost model (serviceBlock), so a serving run needs no attribution.
+func New(cfg Config, a mm.Algorithm, gen workload.Generator, _ *mm.Scratch, _ *explain.Counters) (*Sim, error) {
 	if cfg.Requests <= 0 || cfg.BlockPages <= 0 || cfg.QueueCap <= 0 {
 		return nil, fmt.Errorf("serve: Requests, BlockPages, QueueCap must all be > 0 (got %d, %d, %d)",
 			cfg.Requests, cfg.BlockPages, cfg.QueueCap)
@@ -235,7 +235,6 @@ func New(cfg Config, a mm.Algorithm, gen workload.Generator, _ *mm.Scratch, ec *
 		cfg:   cfg,
 		alg:   a,
 		gen:   gen,
-		ec:    ec,
 		rng:   hashutil.NewRNG(hashutil.Mix64(cfg.Seed) ^ 0x5e27e_b0c5),
 		block: make([]uint64, cfg.BlockPages),
 		queue: newRingQueue(cfg.QueueCap),
@@ -292,29 +291,24 @@ func (s *Sim) Calibrate(n int) int64 {
 }
 
 // serviceBlock draws one page block, services it on the simulator, and
-// prices the cost delta. failIOs is the number of decoupling failure IOs
-// the attempt generated (non-zero triggers the retry path; only
-// meaningful when explain is enabled).
+// prices the cost delta. failIOs is the number of failure IOs the attempt
+// generated (non-zero triggers the retry path). Under Theorem 4 a request
+// to a page in the failure set F costs one IO plus one decoding miss, and
+// no algorithm charges a decoding miss anywhere else, so the block's
+// decoding-miss delta is its failure-IO count.
 func (s *Sim) serviceBlock(pages int) (ns int64, failIOs uint64) {
 	buf := s.block[:pages]
 	workload.Fill(s.gen, buf)
 	before := s.alg.Costs()
-	var failBefore uint64
-	if s.ec != nil {
-		failBefore = s.ec.IOFailure
-	}
 	s.alg.AccessBatch(buf)
 	after := s.alg.Costs()
-	ns = s.cfg.Cost.ServiceNs(mm.Costs{
+	d := mm.Costs{
 		IOs:            after.IOs - before.IOs,
 		TLBMisses:      after.TLBMisses - before.TLBMisses,
 		DecodingMisses: after.DecodingMisses - before.DecodingMisses,
 		Accesses:       after.Accesses - before.Accesses,
-	})
-	if s.ec != nil {
-		failIOs = s.ec.IOFailure - failBefore
 	}
-	return ns, failIOs
+	return s.cfg.Cost.ServiceNs(d), d.DecodingMisses
 }
 
 // Start seeds the event loop: the first arrival and, when the governor is

@@ -153,9 +153,10 @@ func TestTokenBucketThrottles(t *testing.T) {
 	}
 }
 
-// TestRetriesOnFailureIOs drives a decoupled simulator with explain
-// enabled hard enough that iceberg failure IOs occur, and checks the
-// retry machinery engages and the identity still holds.
+// TestRetriesOnFailureIOs drives a decoupled simulator hard enough that
+// failure IOs occur, and checks the retry machinery engages and the
+// identity still holds. The Sim gets no explain counters: retries read
+// failure IOs from the cost model alone.
 func TestRetriesOnFailureIOs(t *testing.T) {
 	seed := uint64(11)
 	// SingleChoice (k=1, Theorem 1) overflows buckets far more readily
@@ -167,7 +168,6 @@ func TestRetriesOnFailureIOs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec := mm.EnableExplain(a)
 	gen, err := workload.NewUniform(1<<14, seed+1)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestRetriesOnFailureIOs(t *testing.T) {
 	s, err := New(Config{
 		Seed: seed, Requests: 3000, BlockPages: 64, QueueCap: 128,
 		MaxAttempts: 3, RetryBaseNs: 500,
-	}, a, gen, nil, ec)
+	}, a, gen, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
