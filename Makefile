@@ -43,13 +43,14 @@ examples:
 # race runs the race detector over the packages that actually spawn or
 # share goroutines: the sweep worker pool, the experiment drivers that use
 # it, the chunk ring the row executor streams through (its DetachFrom,
-# Stop, refcount and publish-hook unit tests), the observers that take
-# events from the row executor's workers and the ring's producer at once
-# (internal/obs: the recorder and the trace renderer), the span buffer's
-# locked thread registry, the shared on-disk result cache, and the fault
-# plan the sweep workers fire.
+# Stop, refcount and publish-hook unit tests), the graph500 build, whose
+# workers draw the R-MAT edges into disjoint blocks of one buffer, the
+# observers that take events from the row executor's workers and the
+# ring's producer at once (internal/obs: the recorder and the trace
+# renderer), the span buffer's locked thread registry, the shared on-disk
+# result cache, and the fault plan the sweep workers fire.
 race:
-	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/workload/ ./internal/obs/ ./internal/xtrace/ ./internal/resultcache/ ./internal/faultinject/
+	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/workload/ ./internal/graph500/ ./internal/obs/ ./internal/xtrace/ ./internal/resultcache/ ./internal/faultinject/
 
 # fuzz-smoke runs short fuzzing passes over the trace codec (seeded from
 # testdata/fuzz), the TLB encoder (random kind, P, w and page-in/page-out

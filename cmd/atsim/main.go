@@ -163,6 +163,9 @@ func main() {
 		if *replay != "" {
 			fail(fmt.Errorf("-serve drives a live generator; it cannot replay a trace"))
 		}
+		if err := checkServeFlags(*serveWarm, *serveAttempts, *serveDeadline); err != nil {
+			fail(err)
+		}
 		gen, err := buildGenerator(*wl, *vPages, *hotPg, *hotFrac, *zipfS, *alpha, *seed)
 		if err != nil {
 			fail(err)
@@ -172,15 +175,12 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// The sweep's policy, with the run's shape from the -serve-* flags;
-		// -serve-queue sizes the queue, the token bucket and the
-		// governor's depths.
+		// The sweep's policy, with the run's shape from the -serve-* flags.
 		rec := experiments.ServePolicy(*serveMetrics)
 		rec.Table, rec.Workload, rec.Loads = "atsim-serve", *wl, []float64{*serveLoad}
 		rec.Requests, rec.Warmup, rec.BlockPages = *serveReq, *serveWarm, *serveBlock
 		rec.DeadlineNs, rec.MaxAttempts = *serveDeadline, *serveAttempts
-		rec.QueueCap, rec.Burst = *serveQueue, int64(*serveQueue)
-		rec.Governor.QueueHigh, rec.Governor.RecoverDepth = *serveQueue*3/4, *serveQueue/5
+		sizeServeQueue(&rec, *serveQueue)
 		rr, err := runServeMode(alg, gen, rec, *serveArrivals, *seed, timeline)
 		if err != nil {
 			fail(err)
@@ -612,6 +612,33 @@ func checkModelFlags(eps float64, wBits int) error {
 	return nil
 }
 
+// sizeServeQueue sizes rec's queue, token bucket and governor depths
+// from -serve-queue, keeping the sweep's ratios: the governor trips at
+// 3/4 of the queue and recovers at 1/4 of the trip depth, serve.New's
+// own default. At the sweep's queue of 256 that is the sweep's cell.
+func sizeServeQueue(rec *serve.SweepRecord, queue int) {
+	rec.QueueCap, rec.Burst = queue, int64(queue)
+	rec.Governor.QueueHigh = queue * 3 / 4
+	rec.Governor.RecoverDepth = rec.Governor.QueueHigh / 4
+}
+
+// checkServeFlags rejects -serve-* values that the serve cell would run
+// differently from how the report prints them: calibration runs at least
+// one request, a request gets at least one attempt, and a negative
+// deadline would run as 0, which disables deadlines.
+func checkServeFlags(warmup, attempts int, deadline int64) error {
+	if warmup < 1 {
+		return fmt.Errorf("-serve-warmup must be at least 1, got %d", warmup)
+	}
+	if attempts < 1 {
+		return fmt.Errorf("-serve-attempts must be at least 1, got %d", attempts)
+	}
+	if deadline < 0 {
+		return fmt.Errorf("-serve-deadline must be non-negative (0 disables deadlines), got %d", deadline)
+	}
+	return nil
+}
+
 // machineLine is the `machine:` line of a run's report, with the value
 // width w the run uses: -w 0 selects the default of 64 bits.
 func machineLine(vPages, ramPages uint64, tlbEntries, wBits int) string {
@@ -661,7 +688,9 @@ func serveArrivals(kind string, seed uint64, load float64) (func(meanNs int64) w
 // runServeMode runs one cell of the serve sweep (DESIGN.md §13) under
 // rec's policy, at its one offered load, over one algorithm, and prints
 // the serve taxonomy and latency quantiles. The sweep record, with its
-// one point, lands in the manifest.
+// one point, lands in the manifest. The cell's fault key has the sweep's
+// form, "atsim-serve|<alg>|load=<l>", so an armed serve-burst rule fires
+// here as it does in sv1–sv3.
 func runServeMode(alg mm.Algorithm, gen workload.Generator, rec serve.SweepRecord, arrivals string, seed uint64, timeline *obs.Trace) (obs.RunRecord, error) {
 	load := rec.Loads[0]
 	if !(load > 0) || math.IsInf(load, 1) {
@@ -679,6 +708,7 @@ func runServeMode(alg mm.Algorithm, gen workload.Generator, rec serve.SweepRecor
 			arr = newArrivals(mean)
 			return arr
 		},
+		FaultKey: fmt.Sprintf("%s|%s|load=%g", rec.Table, alg.Name(), load),
 	})
 	if err != nil {
 		return obs.RunRecord{}, err

@@ -12,9 +12,11 @@ import (
 
 	"addrxlat/internal/core"
 	"addrxlat/internal/experiments"
+	"addrxlat/internal/faultinject"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/obs"
 	"addrxlat/internal/policy"
+	"addrxlat/internal/serve"
 	"addrxlat/internal/trace"
 	"addrxlat/internal/workload"
 )
@@ -134,6 +136,99 @@ func TestServeModeRejectsBadLoad(t *testing.T) {
 		}
 		if alg.Costs().Accesses != 0 {
 			t.Errorf("-serve-load %g: the simulator serviced %d accesses", load, alg.Costs().Accesses)
+		}
+	}
+}
+
+// TestServeModeFaultKey: the serve cell carries a fault key, so an armed
+// serve-burst rule changes the run. With the rule armed the counters
+// differ from the clean run's; once the plan is disarmed they equal them
+// again.
+func TestServeModeFaultKey(t *testing.T) {
+	run := func() serve.Counters {
+		t.Helper()
+		alg, err := buildAlgorithm("hugepage", core.IcebergAlloc, 1, 2, testVPages, testRAMPages,
+			64, 64, policy.LRUKind, policy.LRUKind, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := buildGenerator("uniform", testVPages, 1<<10, 0.99, 1.1, 0.01, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := experiments.ServePolicy(false)
+		rec.Table, rec.Workload, rec.Loads = "atsim-serve", "uniform", []float64{1.5}
+		rec.Requests, rec.Warmup, rec.BlockPages = 400, 20, 16
+		rr, err := runServeMode(alg, gen, rec, "poisson", 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rr.Serve.Points[0].Counters
+	}
+	clean := run()
+	t.Cleanup(faultinject.Disarm)
+	if err := faultinject.Arm(faultinject.ServeBurst + "=atsim-serve|@1"); err != nil {
+		t.Fatal(err)
+	}
+	burst := run()
+	faultinject.Disarm()
+	if burst == clean {
+		t.Fatalf("serve-burst armed: counters %+v equal the clean run's", burst)
+	}
+	if again := run(); again != clean {
+		t.Fatalf("after disarming: counters %+v, clean run %+v", again, clean)
+	}
+}
+
+// TestServeQueueSizing: at the sweep's queue capacity, -serve-queue
+// sizes the queue, the token bucket and the governor's depths exactly as
+// the sweep's policy does, so atsim -serve at default flags runs the
+// sweep's cell; other capacities keep the ratios.
+func TestServeQueueSizing(t *testing.T) {
+	want := experiments.ServePolicy(false)
+	got := serve.SweepRecord{Governor: want.Governor}
+	got.Governor.QueueHigh, got.Governor.RecoverDepth = 0, 0
+	sizeServeQueue(&got, want.QueueCap)
+	if got.QueueCap != want.QueueCap || got.Burst != want.Burst || got.Governor != want.Governor {
+		t.Fatalf("-serve-queue %d: queue %d, burst %d, governor %+v; the sweep's %d, %d, %+v",
+			want.QueueCap, got.QueueCap, got.Burst, got.Governor, want.QueueCap, want.Burst, want.Governor)
+	}
+	sizeServeQueue(&got, 100)
+	if got.QueueCap != 100 || got.Burst != 100 || got.Governor.QueueHigh != 75 || got.Governor.RecoverDepth != 18 {
+		t.Fatalf("-serve-queue 100: queue %d, burst %d, trip %d, recover %d; want 100, 100, 75, 18",
+			got.QueueCap, got.Burst, got.Governor.QueueHigh, got.Governor.RecoverDepth)
+	}
+}
+
+// TestServeFlagBounds: -serve-warmup and -serve-attempts must be at
+// least 1 and -serve-deadline non-negative, the values the serve cell
+// runs as given; every rejection names its flag.
+func TestServeFlagBounds(t *testing.T) {
+	for _, c := range []struct {
+		warmup, attempts int
+		deadline         int64
+		flag             string // "" when the triple is accepted
+	}{
+		{1000, 3, 80, ""},
+		{1, 1, 0, ""},
+		{0, 3, 80, "-serve-warmup"},
+		{-1, 3, 80, "-serve-warmup"},
+		{1000, 0, 80, "-serve-attempts"},
+		{1000, -2, 80, "-serve-attempts"},
+		{1000, 3, -1, "-serve-deadline"},
+		{1000, 3, -3, "-serve-deadline"},
+	} {
+		err := checkServeFlags(c.warmup, c.attempts, c.deadline)
+		if c.flag == "" {
+			if err != nil {
+				t.Errorf("-serve-warmup %d -serve-attempts %d -serve-deadline %d: rejected: %v",
+					c.warmup, c.attempts, c.deadline, err)
+			}
+			continue
+		}
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("-serve-warmup %d -serve-attempts %d -serve-deadline %d: err = %v, want a %s rejection",
+				c.warmup, c.attempts, c.deadline, err, c.flag)
 		}
 	}
 }

@@ -95,8 +95,8 @@ type Scale struct {
 }
 
 // PaperScale runs the paper's exact dimensions. On a 2-vCPU Xeon host
-// Figure 1's tables take under a minute each (f1a 18 s, f1b 58 s, f1c
-// 28 s at 1.6 GiB peak RSS; EXPERIMENTS.md). The t4 offline-OPT rows do
+// Figure 1's tables take under a minute each (f1a 20 s, f1b 52 s, f1c
+// 17 s at 1.2 GiB peak RSS; EXPERIMENTS.md). The t4 offline-OPT rows do
 // not finish in 8 GiB of memory.
 func PaperScale() Scale { return Scale{SpaceDiv: 1, AccessDiv: 1} }
 

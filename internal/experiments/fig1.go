@@ -90,7 +90,7 @@ func buildFig1Machine(w Fig1Workload, s Scale, seed uint64) (*fig1Machine, error
 		if gscale < 10 {
 			gscale = 10
 		}
-		g, err := graph500.Generate(graph500.Config{Scale: gscale, EdgeFactor: 16, Seed: seed})
+		g, err := graph500.Generate(graph500.Config{Scale: gscale, EdgeFactor: 16, Seed: seed, Workers: s.rowWorkers()})
 		if err != nil {
 			return nil, err
 		}

@@ -17,9 +17,11 @@
 package graph500
 
 import (
+	"context"
 	"fmt"
 
 	"addrxlat/internal/hashutil"
+	"addrxlat/internal/parallel"
 )
 
 // Reference R-MAT parameters from the graph500 specification.
@@ -38,6 +40,10 @@ type Config struct {
 	EdgeFactor int
 	// Seed drives generation.
 	Seed uint64
+	// Workers is how many goroutines draw the R-MAT edges, in as many
+	// contiguous blocks; 0 or 1 draws them on the caller's goroutine.
+	// The graph is the same at any value.
+	Workers int
 }
 
 func (c *Config) validate() error {
@@ -68,23 +74,29 @@ type Graph struct {
 // and appends w to each of w's neighbours' lists. Because every edge is
 // stored in both directions, x appears in w's list exactly as often as w
 // in x's, so the second pass rebuilds the same lists, each in order.
+//
+// The edges are drawn first, in cfg.Workers contiguous blocks at once:
+// edge e takes draws e·scale+1 … e·scale+scale of the seed's stream, and
+// the stream is counter-based, so each block starts its own RNG at its
+// first edge with RNG.Skip and writes only its own range of the endpoint
+// buffer. One serial pass then counts the degrees, and the two CSR passes
+// stay serial.
 func Generate(cfg Config) (*Graph, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	n := uint64(1) << uint(cfg.Scale)
 	m := n * uint64(cfg.EdgeFactor)
-	rng := hashutil.NewRNG(cfg.Seed)
 
 	// buf holds the m edges' endpoints (u, v) in draw order, then, after
 	// the first pass has read them, the sorted lists: it becomes Targets.
 	buf := make([]uint32, 2*m)
+	if err := drawEdges(buf, cfg); err != nil {
+		return nil, err
+	}
 	offsets := make([]uint64, n+1)
-	for e := 0; e < len(buf); e += 2 {
-		u, v := rmatEdge(rng, cfg.Scale)
-		buf[e], buf[e+1] = u, v
+	for _, u := range buf {
 		offsets[u+1]++
-		offsets[v+1]++
 	}
 	for i := uint64(1); i <= n; i++ {
 		offsets[i] += offsets[i-1]
@@ -116,6 +128,29 @@ func Generate(cfg Config) (*Graph, error) {
 		Offsets:     offsets,
 		Targets:     buf,
 	}, nil
+}
+
+// drawEdges fills buf with the R-MAT edges' endpoint pairs in edge
+// order, drawing cfg.Workers contiguous blocks of edges at once.
+func drawEdges(buf []uint32, cfg Config) error {
+	m := uint64(len(buf) / 2)
+	scale := uint64(cfg.Scale)
+	block := func(lo, hi uint64) {
+		rng := hashutil.NewRNG(cfg.Seed)
+		rng.Skip(lo * scale)
+		for e := lo; e < hi; e++ {
+			buf[2*e], buf[2*e+1] = rmatEdge(rng, cfg.Scale)
+		}
+	}
+	w := uint64(max(cfg.Workers, 1))
+	if w == 1 {
+		block(0, m)
+		return nil
+	}
+	return parallel.ForEach(context.Background(), int(w), int(w), func(b int) error {
+		block(m*uint64(b)/w, m*uint64(b+1)/w)
+		return nil
+	})
 }
 
 // rmatEdge draws one edge by recursive quadrant descent. Level bit's

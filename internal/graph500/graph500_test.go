@@ -2,6 +2,7 @@ package graph500
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -76,43 +77,59 @@ func referenceRMATEdge(rng *hashutil.RNG, scale int) (uint32, uint32) {
 	return u, v
 }
 
-// TestGenerateMatchesReference pins Generate's branch-free draw and
-// sort-free build to the comparison-sort reference: the same offsets and
-// the same sorted targets, over scales from a 2-vertex graph up to
-// Figure 1c's default (16), sparse to the spec's edge factor, three seeds.
+// TestGenerateMatchesReference pins Generate's branch-free draw, its
+// parallel edge blocks and its sort-free build to the comparison-sort
+// reference: the same offsets and the same sorted targets at every
+// worker count, over scales from a 2-vertex graph up to Figure 1c's
+// default (16), sparse to the spec's edge factor, three seeds. Worker
+// counts above the edge count leave blocks empty.
 func TestGenerateMatchesReference(t *testing.T) {
 	for _, scale := range []int{1, 2, 5, 10, 12, 16} {
+		workers := []int{0, 1, 2, 3, 7}
+		if scale > 12 {
+			workers = []int{0, 3}
+		}
 		for _, ef := range []int{1, 3, 16} {
 			for _, seed := range []uint64{1, 7, 42} {
-				cfg := Config{Scale: scale, EdgeFactor: ef, Seed: seed}
 				t.Run(fmt.Sprintf("scale%d/ef%d/seed%d", scale, ef, seed), func(t *testing.T) {
-					got, err := Generate(cfg)
+					want, err := referenceGenerate(Config{Scale: scale, EdgeFactor: ef, Seed: seed})
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := referenceGenerate(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.NumVertices != want.NumVertices || got.NumEdges != want.NumEdges {
-						t.Fatalf("%d vertices, %d edges; reference %d, %d",
-							got.NumVertices, got.NumEdges, want.NumVertices, want.NumEdges)
-					}
-					for i := range want.Offsets {
-						if got.Offsets[i] != want.Offsets[i] {
-							t.Fatalf("Offsets[%d] = %d, reference %d", i, got.Offsets[i], want.Offsets[i])
-						}
-					}
-					if len(got.Targets) != len(want.Targets) {
-						t.Fatalf("%d targets, reference %d", len(got.Targets), len(want.Targets))
-					}
-					for i := range want.Targets {
-						if got.Targets[i] != want.Targets[i] {
-							t.Fatalf("Targets[%d] = %d, reference %d", i, got.Targets[i], want.Targets[i])
-						}
+					for _, w := range workers {
+						t.Run(fmt.Sprintf("workers%d", w), func(t *testing.T) {
+							got, err := Generate(Config{Scale: scale, EdgeFactor: ef, Seed: seed, Workers: w})
+							if err != nil {
+								t.Fatal(err)
+							}
+							requireSameGraph(t, got, want)
+						})
 					}
 				})
 			}
+		}
+	}
+}
+
+// requireSameGraph requires got's shape, offsets and targets to equal
+// want's.
+func requireSameGraph(t *testing.T, got, want *Graph) {
+	t.Helper()
+	if got.NumVertices != want.NumVertices || got.NumEdges != want.NumEdges {
+		t.Fatalf("%d vertices, %d edges; reference %d, %d",
+			got.NumVertices, got.NumEdges, want.NumVertices, want.NumEdges)
+	}
+	for i := range want.Offsets {
+		if got.Offsets[i] != want.Offsets[i] {
+			t.Fatalf("Offsets[%d] = %d, reference %d", i, got.Offsets[i], want.Offsets[i])
+		}
+	}
+	if len(got.Targets) != len(want.Targets) {
+		t.Fatalf("%d targets, reference %d", len(got.Targets), len(want.Targets))
+	}
+	for i := range want.Targets {
+		if got.Targets[i] != want.Targets[i] {
+			t.Fatalf("Targets[%d] = %d, reference %d", i, got.Targets[i], want.Targets[i])
 		}
 	}
 }
@@ -375,6 +392,18 @@ func TestFootprintLayout(t *testing.T) {
 func BenchmarkGenerateScale16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(Config{Scale: 16, EdgeFactor: 16, Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGenerateScale16Parallel builds the same graph with its edges
+// drawn on GOMAXPROCS goroutines, as Figure 1c does at its default
+// worker count.
+func BenchmarkGenerateScale16Parallel(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cfg := Config{Scale: 16, EdgeFactor: 16, Seed: uint64(i), Workers: runtime.GOMAXPROCS(0)}
+		if _, err := Generate(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

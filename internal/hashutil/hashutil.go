@@ -10,7 +10,10 @@
 // to the same value, so simulations are reproducible.
 package hashutil
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Mix64 is a strong 64-bit finalizer (the splitmix64 finalizer with a
 // pre-add so 0 is not a fixed point). It is a bijection on 64-bit values,
@@ -98,10 +101,14 @@ func (f *Family) All(dst []uint64, key uint64) []uint64 {
 // RNG is a tiny, fast, deterministic pseudo-random generator (xoshiro-style
 // splitmix stream) used by workload generators. math/rand would also work,
 // but a local implementation keeps every byte of randomness under our
-// control and identical across Go versions.
+// control and identical across Go versions. The stream is counter-based:
+// draw k (from 1) is Mix64(seed + k·γ), so Skip can jump ahead in O(1).
 type RNG struct {
 	state uint64
 }
+
+// gamma is the stream's increment, the golden-ratio constant γ.
+const gamma = 0x9e3779b97f4a7c15
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
@@ -110,8 +117,14 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next pseudo-random 64-bit value.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	return Mix64(r.state)
+}
+
+// Skip advances the stream past its next k draws, as k Uint64 calls
+// would, in O(1): the draws that follow are the ones after them.
+func (r *RNG) Skip(k uint64) {
+	r.state += k * gamma
 }
 
 // Uint64n returns a value uniform in [0, n). n must be > 0.
@@ -130,4 +143,13 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a value uniform in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
+}
+
+// Float64Below returns the integer threshold k for which Float64() < p
+// holds exactly when Uint64()>>11 < k, for p in [0, 1]: k = ⌈p·2^53⌉.
+// Both sides of Float64's test are exact — Float64 is j/2^53 for the
+// 53-bit j, and p·2^53 only shifts p's exponent — so a generator that
+// tests one fixed probability per draw can compare integers instead.
+func Float64Below(p float64) uint64 {
+	return uint64(math.Ceil(p * (1 << 53)))
 }

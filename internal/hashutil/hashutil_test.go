@@ -184,6 +184,57 @@ func TestRNGFloat64Mean(t *testing.T) {
 	}
 }
 
+// TestRNGSkip pins Skip(k) to k draws: the next Uint64 after Skip(k) is
+// the (k+1)-th draw of a fresh RNG. k = 2^40 is checked as 2^20 skips of
+// 2^20, each of which is checked against 2^20 real draws.
+func TestRNGSkip(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42} {
+		for _, k := range []uint64{0, 1, 17, 1 << 20} {
+			skipped, drawn := NewRNG(seed), NewRNG(seed)
+			skipped.Skip(k)
+			for range k {
+				drawn.Uint64()
+			}
+			if got, want := skipped.Uint64(), drawn.Uint64(); got != want {
+				t.Fatalf("seed %d: draw after Skip(%d) = %#x, draw %d = %#x", seed, k, got, k+1, want)
+			}
+		}
+		skipped, stepped := NewRNG(seed), NewRNG(seed)
+		skipped.Skip(1 << 40)
+		for range 1 << 20 {
+			stepped.Skip(1 << 20)
+		}
+		if got, want := skipped.Uint64(), stepped.Uint64(); got != want {
+			t.Fatalf("seed %d: draw after Skip(2^40) = %#x, after 2^20 × Skip(2^20) %#x", seed, got, want)
+		}
+	}
+}
+
+// TestFloat64Below pins the integer threshold to Float64's test: for
+// each p, j < Float64Below(p) exactly when j/2^53 < p, at the 53-bit
+// values j next to the threshold and on random draws.
+func TestFloat64Below(t *testing.T) {
+	r := NewRNG(3)
+	ps := []float64{0, 1, 0.5, 0.9, 0.9999, 0x1p-53, 1 - 0x1p-53, 0x1p-60, math.SmallestNonzeroFloat64}
+	for range 100 {
+		ps = append(ps, r.Float64(), float64(r.Uint64()>>11)/(1<<53))
+	}
+	for _, p := range ps {
+		k := Float64Below(p)
+		for j := max(k, 2) - 2; j <= k+2 && j < 1<<53; j++ {
+			if below, want := j < k, float64(j)/(1<<53) < p; below != want {
+				t.Fatalf("p = %v: %d < Float64Below = %d is %v, %d/2^53 < p is %v", p, j, k, below, j, want)
+			}
+		}
+		a, b := NewRNG(11), NewRNG(11)
+		for range 1000 {
+			if got, want := a.Uint64()>>11 < k, b.Float64() < p; got != want {
+				t.Fatalf("p = %v: integer test %v, Float64() < p %v", p, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkHash64(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {

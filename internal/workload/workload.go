@@ -61,7 +61,7 @@ type Bimodal struct {
 	hotStart   uint64
 	hotPages   uint64
 	totalPages uint64
-	hotProb    float64
+	hotBelow   uint64 // hashutil.Float64Below(hotProb): a draw is hot below it
 	rng        *hashutil.RNG
 }
 
@@ -89,14 +89,15 @@ func NewBimodal(hotPages, totalPages uint64, hotProb float64, seed uint64) (*Bim
 		hotStart:   hotStart,
 		hotPages:   hotPages,
 		totalPages: totalPages,
-		hotProb:    hotProb,
+		hotBelow:   hashutil.Float64Below(hotProb),
 		rng:        rng,
 	}, nil
 }
 
-// Next implements Generator.
+// Next implements Generator. A draw is hot when rng.Float64() < hotProb,
+// tested as the equivalent integer comparison.
 func (b *Bimodal) Next() uint64 {
-	if b.rng.Float64() < b.hotProb {
+	if b.rng.Uint64()>>11 < b.hotBelow {
 		return b.hotStart + b.rng.Uint64n(b.hotPages)
 	}
 	return b.rng.Uint64n(b.totalPages)
@@ -104,16 +105,20 @@ func (b *Bimodal) Next() uint64 {
 
 // NextBatch implements Batcher: the same draws as repeated Next calls —
 // identical RNG sequence, so the stream is byte-identical — but looped
-// over the concrete receiver, so chunked fills (workload.Fill, Ring)
-// pay one interface call per chunk instead of one per request.
+// over the concrete receiver with the RNG and the bounds in locals, so
+// chunked fills (workload.Fill, Ring) pay one interface call per chunk
+// instead of one per request and keep the generator state in registers.
 func (b *Bimodal) NextBatch(dst []uint64) {
+	rng := *b.rng
+	hotStart, hotPages, totalPages, hotBelow := b.hotStart, b.hotPages, b.totalPages, b.hotBelow
 	for i := range dst {
-		if b.rng.Float64() < b.hotProb {
-			dst[i] = b.hotStart + b.rng.Uint64n(b.hotPages)
+		if rng.Uint64()>>11 < hotBelow {
+			dst[i] = hotStart + rng.Uint64n(hotPages)
 		} else {
-			dst[i] = b.rng.Uint64n(b.totalPages)
+			dst[i] = rng.Uint64n(totalPages)
 		}
 	}
+	*b.rng = rng
 }
 
 // Name implements Generator.
@@ -136,12 +141,17 @@ type GraphWalk struct {
 	outDegree   int
 	fMax        float64 // 1 − (N+1)^−α, the CDF's mass on the page range
 	negInvAlpha float64 // −1/α, the inverse CDF's exponent
+	powN        uint64  // 1/α when it is a whole number in [1, maxPowN], else 0
 	rng         *hashutil.RNG
 	edgeSeed    uint64
 	current     uint64
 }
 
 var _ Generator = (*GraphWalk)(nil)
+
+// maxPowN bounds the whole-number exponents power takes by squaring; a
+// larger 1/α (up to +Inf, for a subnormal α) keeps math.Pow.
+const maxPowN = 1 << 32
 
 // NewGraphWalk creates the Pareto graph-walk generator over totalPages
 // pages with the given finite Pareto shape α > 0.
@@ -154,6 +164,10 @@ func NewGraphWalk(totalPages uint64, alpha float64, seed uint64) (*GraphWalk, er
 	}
 	outDegree := int(math.Max(1, math.Log2(float64(totalPages))))
 	rng := hashutil.NewRNG(seed)
+	var powN uint64
+	if n := 1 / alpha; n == math.Trunc(n) && n <= maxPowN {
+		powN = uint64(n)
+	}
 	// Truncated Pareto with x_m = 1 over [1, N+1): CDF F(x) = 1 − x^{−α};
 	// pareto normalizes by F(N+1).
 	return &GraphWalk{
@@ -161,6 +175,7 @@ func NewGraphWalk(totalPages uint64, alpha float64, seed uint64) (*GraphWalk, er
 		outDegree:   outDegree,
 		fMax:        1 - math.Pow(float64(totalPages)+1, -alpha),
 		negInvAlpha: -1 / alpha,
+		powN:        powN,
 		rng:         rng,
 		edgeSeed:    hashutil.Mix64(seed ^ 0xedce5eed),
 		current:     rng.Uint64n(totalPages),
@@ -171,12 +186,40 @@ func NewGraphWalk(totalPages uint64, alpha float64, seed uint64) (*GraphWalk, er
 // transform sampling of the continuous Pareto CDF truncated to the page
 // range: i = ⌊(1−u·F)^{−1/α}⌋ − 1 for u ∈ [0,1), with F = F(N+1).
 func (g *GraphWalk) pareto(u float64) uint64 {
-	x := math.Pow(1-u*g.fMax, g.negInvAlpha)
-	i := uint64(x) - 1
+	i := uint64(g.power(1-u*g.fMax)) - 1
 	if i >= g.totalPages {
 		i = g.totalPages - 1
 	}
 	return i
+}
+
+// power returns t^(−1/α) for t in the walk's domain [(N+1)^−α, 1].
+//
+// When 1/α is a whole number n (α = 0.01 gives n = 100 exactly), it
+// returns 1/tⁿ with tⁿ taken by squaring: walking n's bits from the
+// lowest, multiply the product by t^(2^k) for each set bit k, and square
+// t while higher bits remain. The result is bit-identical to
+// math.Pow(t, −n): for an integral exponent math.Pow takes these same
+// products in the same order, on Frexp mantissas renormalized by exact
+// doubling, then computes 1/a1 and Ldexp. Correctly rounded × and ÷
+// commute with scaling by powers of two while nothing is subnormal, and
+// on the walk's domain every intermediate is at least (N+1)^−2. So the
+// walk does not depend on how math.Pow is implemented either.
+func (g *GraphWalk) power(t float64) float64 {
+	n := g.powN
+	if n == 0 {
+		return math.Pow(t, g.negInvAlpha)
+	}
+	p := 1.0
+	for {
+		if n&1 == 1 {
+			p *= t
+		}
+		if n >>= 1; n == 0 {
+			return 1 / p
+		}
+		t *= t
+	}
 }
 
 // destination returns edge j of node v, deterministic in (v, j).
@@ -193,6 +236,18 @@ func (g *GraphWalk) Next() uint64 {
 	j := g.rng.Intn(g.outDegree)
 	g.current = g.destination(v, j)
 	return v
+}
+
+// NextBatch implements Batcher: the same draws as repeated Next calls,
+// looped over the concrete receiver so chunked fills pay one interface
+// call per chunk instead of one per request.
+func (g *GraphWalk) NextBatch(dst []uint64) {
+	rng, v := *g.rng, g.current
+	for i := range dst {
+		dst[i] = v
+		v = g.destination(v, rng.Intn(g.outDegree))
+	}
+	*g.rng, g.current = rng, v
 }
 
 // Name implements Generator.

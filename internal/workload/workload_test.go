@@ -382,7 +382,12 @@ func requireSameStream(t *testing.T, gen Generator, ref interface{ Next() uint64
 // default-scale space and a large odd one.
 var referenceSizes = []uint64{1, 100, 1 << 18, 1<<24 - 3}
 
+// TestGraphWalkMatchesReference also covers NextBatch: requireSameStream
+// draws through Fill, which takes GraphWalk's batch path.
 func TestGraphWalkMatchesReference(t *testing.T) {
+	if _, ok := any(&GraphWalk{}).(Batcher); !ok {
+		t.Fatal("GraphWalk expected to batch")
+	}
 	for _, n := range referenceSizes {
 		for _, alpha := range []float64{0.01, 1, 2.5} {
 			for _, seed := range []uint64{1, 42} {
@@ -394,6 +399,87 @@ func TestGraphWalkMatchesReference(t *testing.T) {
 					requireSameStream(t, g, newRefGraphWalk(n, alpha, seed))
 				})
 			}
+		}
+	}
+}
+
+// TestGraphWalkPowerMatchesMathPow pins power's squaring path to
+// math.Pow(t, −1/α) bit for bit over the walk's whole domain
+// [(N+1)^−α, 1]: random t, both ends and their Nextafter neighbours, on
+// a grid of shapes whose 1/α is whole and of space sizes up to 2^40.
+// Shapes whose 1/α is not whole must keep math.Pow.
+func TestGraphWalkPowerMatchesMathPow(t *testing.T) {
+	const draws = 20_000
+	for _, alpha := range []float64{0.001, 0.01, 0.02, 0.1, 0.25, 0.5, 1, 0.3, 2.5} {
+		whole := alpha != 0.3 && alpha != 2.5
+		for _, n := range []uint64{1, 100, 1 << 18, 1 << 24, 1 << 40} {
+			t.Run(fmt.Sprintf("alpha=%v/N=%d", alpha, n), func(t *testing.T) {
+				g, err := NewGraphWalk(n, alpha, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if whole != (g.powN != 0) {
+					t.Fatalf("powN = %d for 1/α = %v: the squaring path must run exactly when 1/α is whole", g.powN, 1/alpha)
+				}
+				lo := math.Pow(float64(n)+1, -alpha)
+				ts := []float64{lo, math.Nextafter(lo, 0), math.Nextafter(lo, 1), 1, math.Nextafter(1, 0)}
+				rng := hashutil.NewRNG(uint64(n) ^ math.Float64bits(alpha))
+				for range draws {
+					ts = append(ts, lo+rng.Float64()*(1-lo))
+				}
+				for _, x := range ts {
+					if got, want := g.power(x), math.Pow(x, -1/alpha); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("power(%v) = %v (%#x), math.Pow %v (%#x)",
+							x, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			})
+		}
+	}
+}
+
+// refBimodal is Bimodal's reference: the hot test written as
+// Float64() < hotProb on every draw.
+type refBimodal struct {
+	hotStart, hotPages, totalPages uint64
+	hotProb                        float64
+	rng                            *hashutil.RNG
+}
+
+func newRefBimodal(hotPages, totalPages uint64, hotProb float64, seed uint64) *refBimodal {
+	r := &refBimodal{hotPages: hotPages, totalPages: totalPages, hotProb: hotProb, rng: hashutil.NewRNG(seed)}
+	if totalPages > hotPages {
+		r.hotStart = r.rng.Uint64n(totalPages - hotPages)
+	}
+	return r
+}
+
+func (b *refBimodal) Next() uint64 {
+	if b.rng.Float64() < b.hotProb {
+		return b.hotStart + b.rng.Uint64n(b.hotPages)
+	}
+	return b.rng.Uint64n(b.totalPages)
+}
+
+// TestBimodalMatchesReference pins Bimodal's integer hot test, in Next
+// and in NextBatch, to Float64() < hotProb. Beside the fixed
+// probabilities it takes hotProb equal to the stream's first hot-test
+// draw and one ulp of 2^−53 above it, where the two tests part if the
+// threshold is off by one.
+func TestBimodalMatchesReference(t *testing.T) {
+	const hot, total = 1 << 8, 1 << 14
+	for _, seed := range []uint64{1, 42} {
+		rng := hashutil.NewRNG(seed)
+		rng.Skip(1) // the hot region's offset
+		first := float64(rng.Uint64()>>11) / (1 << 53)
+		for _, p := range []float64{0, 0.5, 0.9, 0.9999, 1, first, first + 0x1p-53} {
+			t.Run(fmt.Sprintf("seed=%d/p=%v", seed, p), func(t *testing.T) {
+				g, err := NewBimodal(hot, total, p, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameStream(t, g, newRefBimodal(hot, total, p, seed))
+			})
 		}
 	}
 }
@@ -447,4 +533,25 @@ func BenchmarkZipf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Next()
 	}
+}
+
+// benchmarkFill times Fill in DefaultChunk chunks, the row executor's
+// producer shape, reporting ns per drawn page.
+func benchmarkFill(b *testing.B, g Generator) {
+	buf := make([]uint64, DefaultChunk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Fill(g, buf)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/page")
+}
+
+func BenchmarkBimodalFill(b *testing.B) {
+	g, _ := NewBimodal(1<<18, 1<<24, 0.9999, 1)
+	benchmarkFill(b, g)
+}
+
+func BenchmarkGraphWalkFill(b *testing.B) {
+	g, _ := NewGraphWalk(1<<24, 0.01, 1)
+	benchmarkFill(b, g)
 }
