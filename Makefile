@@ -25,12 +25,18 @@ fmt-check:
 # internal/xtrace, internal/obs or net/http. The simulation reports
 # through event.Event; internal/obs draws the trace from those events
 # and serves the expvars, so every binary that runs an experiment links
-# neither unless it asks for them.
+# neither unless it asks for them. It also keeps internal/metrics a leaf
+# below serve: `go list -deps` of internal/metrics must list no addrxlat
+# package but itself and internal/hist, so the window collector depends
+# on nothing it observes and imports go only from serve to metrics.
 deps-check:
 	@bad=$$($(GO) list -deps ./internal/mm ./internal/workload ./internal/serve ./internal/event ./internal/experiments | \
 		grep -x -e addrxlat/internal/xtrace -e addrxlat/internal/obs -e net/http); \
 	if [ -n "$$bad" ]; then echo "deps-check: simulation packages depend on:" $$bad >&2; exit 1; fi; \
-	echo "deps-check: no simulation package depends on internal/xtrace, internal/obs or net/http"
+	bad=$$($(GO) list -deps ./internal/metrics | grep '^addrxlat/' | \
+		grep -v -x -e addrxlat/internal/metrics -e addrxlat/internal/hist); \
+	if [ -n "$$bad" ]; then echo "deps-check: internal/metrics is not a leaf; it depends on:" $$bad >&2; exit 1; fi; \
+	echo "deps-check: no simulation package depends on internal/xtrace, internal/obs or net/http; internal/metrics imports only internal/hist"
 
 # examples runs every program under examples/ and fails on the first
 # nonzero exit: `go build ./...` only compiles them.
@@ -224,7 +230,8 @@ results-check:
 	exit $$status
 
 # check is the pre-commit gate: gofmt (fmt-check), vet, the import
-# boundary of the simulation packages (deps-check), full tests,
+# boundaries of the simulation packages and of the internal/metrics leaf
+# (deps-check), full tests,
 # race-detector pass over the concurrent packages, a 1-iteration
 # benchmark smoke covering the scalar
 # Access and batch AccessBatch kernels (the regex matches by prefix, so

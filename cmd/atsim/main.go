@@ -163,7 +163,7 @@ func main() {
 		if *replay != "" {
 			fail(fmt.Errorf("-serve drives a live generator; it cannot replay a trace"))
 		}
-		if err := checkServeFlags(*serveWarm, *serveAttempts, *serveDeadline); err != nil {
+		if err := checkServeFlags(*serveReq, *serveBlock, *serveQueue, *serveWarm, *serveAttempts, *serveDeadline); err != nil {
 			fail(err)
 		}
 		gen, err := buildGenerator(*wl, *vPages, *hotPg, *hotFrac, *zipfS, *alpha, *seed)
@@ -622,16 +622,23 @@ func sizeServeQueue(rec *serve.SweepRecord, queue int) {
 	rec.Governor.RecoverDepth = rec.Governor.QueueHigh / 4
 }
 
-// checkServeFlags rejects -serve-* values that the serve cell would run
-// differently from how the report prints them: calibration runs at least
-// one request, a request gets at least one attempt, and a negative
-// deadline would run as 0, which disables deadlines.
-func checkServeFlags(warmup, attempts int, deadline int64) error {
-	if warmup < 1 {
-		return fmt.Errorf("-serve-warmup must be at least 1, got %d", warmup)
-	}
-	if attempts < 1 {
-		return fmt.Errorf("-serve-attempts must be at least 1, got %d", attempts)
+// checkServeFlags rejects -serve-* values that the serve cell would
+// refuse or run differently from how the report prints them: the run
+// offers at least one request of at least one page to a queue of at
+// least one slot, calibration runs at least one request, a request gets
+// at least one attempt, and a negative deadline would run as 0, which
+// disables deadlines.
+func checkServeFlags(requests, block, queue, warmup, attempts int, deadline int64) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-serve-requests", requests}, {"-serve-block", block}, {"-serve-queue", queue},
+		{"-serve-warmup", warmup}, {"-serve-attempts", attempts},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("%s must be at least 1, got %d", f.name, f.v)
+		}
 	}
 	if deadline < 0 {
 		return fmt.Errorf("-serve-deadline must be non-negative (0 disables deadlines), got %d", deadline)

@@ -200,35 +200,42 @@ func TestServeQueueSizing(t *testing.T) {
 	}
 }
 
-// TestServeFlagBounds: -serve-warmup and -serve-attempts must be at
-// least 1 and -serve-deadline non-negative, the values the serve cell
+// TestServeFlagBounds: -serve-requests, -serve-block, -serve-queue,
+// -serve-warmup and -serve-attempts must be at least 1 and
+// -serve-deadline non-negative, the values the serve cell accepts and
 // runs as given; every rejection names its flag.
 func TestServeFlagBounds(t *testing.T) {
 	for _, c := range []struct {
-		warmup, attempts int
-		deadline         int64
-		flag             string // "" when the triple is accepted
+		requests, block, queue, warmup, attempts int
+		deadline                                 int64
+		flag                                     string // "" when the flags are accepted
 	}{
-		{1000, 3, 80, ""},
-		{1, 1, 0, ""},
-		{0, 3, 80, "-serve-warmup"},
-		{-1, 3, 80, "-serve-warmup"},
-		{1000, 0, 80, "-serve-attempts"},
-		{1000, -2, 80, "-serve-attempts"},
-		{1000, 3, -1, "-serve-deadline"},
-		{1000, 3, -3, "-serve-deadline"},
+		{5000, 256, 256, 1000, 3, 80, ""},
+		{1, 1, 1, 1, 1, 0, ""},
+		{0, 256, 256, 1000, 3, 80, "-serve-requests"},
+		{-1, 256, 256, 1000, 3, 80, "-serve-requests"},
+		{5000, 0, 256, 1000, 3, 80, "-serve-block"},
+		{5000, -1, 256, 1000, 3, 80, "-serve-block"},
+		{5000, 256, 0, 1000, 3, 80, "-serve-queue"},
+		{5000, 256, -1, 1000, 3, 80, "-serve-queue"},
+		{5000, 256, 256, 0, 3, 80, "-serve-warmup"},
+		{5000, 256, 256, -1, 3, 80, "-serve-warmup"},
+		{5000, 256, 256, 1000, 0, 80, "-serve-attempts"},
+		{5000, 256, 256, 1000, -2, 80, "-serve-attempts"},
+		{5000, 256, 256, 1000, 3, -1, "-serve-deadline"},
+		{5000, 256, 256, 1000, 3, -3, "-serve-deadline"},
 	} {
-		err := checkServeFlags(c.warmup, c.attempts, c.deadline)
+		args := fmt.Sprintf("-serve-requests %d -serve-block %d -serve-queue %d -serve-warmup %d -serve-attempts %d -serve-deadline %d",
+			c.requests, c.block, c.queue, c.warmup, c.attempts, c.deadline)
+		err := checkServeFlags(c.requests, c.block, c.queue, c.warmup, c.attempts, c.deadline)
 		if c.flag == "" {
 			if err != nil {
-				t.Errorf("-serve-warmup %d -serve-attempts %d -serve-deadline %d: rejected: %v",
-					c.warmup, c.attempts, c.deadline, err)
+				t.Errorf("%s: rejected: %v", args, err)
 			}
 			continue
 		}
 		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
-			t.Errorf("-serve-warmup %d -serve-attempts %d -serve-deadline %d: err = %v, want a %s rejection",
-				c.warmup, c.attempts, c.deadline, err, c.flag)
+			t.Errorf("%s: err = %v, want a %s rejection", args, err, c.flag)
 		}
 	}
 }

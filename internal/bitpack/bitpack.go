@@ -40,9 +40,6 @@ func NewFieldArray(n int, width uint) *FieldArray {
 // Len returns the number of fields.
 func (a *FieldArray) Len() int { return a.n }
 
-// Width returns the width in bits of each field.
-func (a *FieldArray) Width() uint { return a.width }
-
 // Bits returns the total number of bits the array occupies (n * width).
 func (a *FieldArray) Bits() int { return a.n * int(a.width) }
 

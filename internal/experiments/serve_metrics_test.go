@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strconv"
 	"testing"
 
@@ -47,6 +49,46 @@ func TestServeMetricsByteIdentical(t *testing.T) {
 						seed, workers, pt.Alg, pt.Load, bare[i], pt)
 				}
 			}
+		}
+	}
+}
+
+// TestServeWindowStreamDigest pins sv3's window stream, not just its
+// table: the SHA-256 of serve.WriteMetricsTSV over the sweep record
+// (every cell's windows, SLO summary and exemplars) at seeds 1, 7 and
+// 42. results-check skips the *.serve.metrics.tsv dump and the other
+// serve tests compare windows only with Counters or with each other, so
+// this is the one check that a change to how windows are counted leaves
+// every window value as it was. A deliberate change to the stream
+// updates the digests.
+func TestServeWindowStreamDigest(t *testing.T) {
+	want := map[uint64]string{
+		1:  "025935bf7ec6dedc4337610e613888623d98fb27209f8baac698c61334e69767",
+		7:  "3233f4a7d312ad61818c2b3650c56ed5c57fb4acd78120c399f75cfad14a41bd",
+		42: "e5a268698c3d11c4d6f077644c2fd8d434ced84e52795025f3ad57af5b9f865b",
+	}
+	for _, seed := range []uint64{1, 7, 42} {
+		s := serveTestScale(1)
+		sp, err := buildServeSpec(ServeSLOID, s, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, cellErrs, err := serveSweep(sp, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cerr := range cellErrs {
+			if cerr != nil {
+				t.Fatalf("seed %d: cell %d failed: %v", seed, i, cerr)
+			}
+		}
+		rec := sp.record(pts, cellErrs)
+		h := sha256.New()
+		if err := serve.WriteMetricsTSV(h, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[seed] {
+			t.Errorf("seed %d: sv3 window stream digest %s, want %s", seed, got, want[seed])
 		}
 	}
 }

@@ -1,26 +1,33 @@
 // Package metrics is the virtual-time telemetry substrate of the serving
 // front-end (internal/serve): fixed-width windows over the run's integer
-// virtual clock, each carrying the window's serve-event counters, gauges
+// virtual clock, each carrying the window's serve-event counts, gauges
 // sampled at window close, and the latency quantiles of the completions
 // that landed inside it; a rolling SLO tracker comparing each window's
 // p99 against a budget (burn rate and longest-violation streak); and a
 // top-K reservoir of the slowest requests with causal attribution.
 //
+// The collector counts no events itself. The caller hands it the run's
+// cumulative Tally with every gauge sample, and a window's counts are the
+// tally's growth from the previous close to its own, the way the paper
+// reads C_TLB and C_IO as the growth of cumulative counters over the
+// measured window.
+//
 // Everything here is observational and deterministic. The collector
-// consumes only virtual-time stamps and counter deltas the event loop
-// already computes — it draws no randomness, schedules no events, and
-// mutates no simulator state — so an instrumented serving run stays
-// byte-identical to a bare one (pinned by TestServeMetricsByteIdentical).
-// The window width is derived by the caller from the calibrated mean
-// service time, which is itself a pure function of (config, seeds), so
-// the window stream is stable across hosts and worker counts.
+// consumes only virtual-time stamps and counts the event loop already
+// keeps — it draws no randomness, schedules no events, and mutates no
+// simulator state — so an instrumented serving run stays byte-identical
+// to a bare one (pinned by TestServeMetricsByteIdentical). The window
+// width is derived by the caller from the calibrated mean service time,
+// which is itself a pure function of (config, seeds), so the window
+// stream is stable across hosts and worker counts.
 //
-// Steady state allocates nothing per event: the open window is a struct
-// of counters, the window latency histogram is one reusable hist.H that
-// Resets at window close, closed windows append compact integer records
-// to a pre-grown slice, and the exemplar reservoir is a fixed array.
+// Steady state allocates nothing per event: the window latency histogram
+// is one reusable hist.H that Resets at window close, closed windows
+// append compact integer records to a pre-grown slice, and the exemplar
+// reservoir is a fixed array.
 //
-// The package is a leaf below serve: it imports only hist.
+// The package is a leaf below serve: it imports only hist (make
+// deps-check enforces this).
 package metrics
 
 import "addrxlat/internal/hist"
@@ -38,16 +45,9 @@ type Config struct {
 	Exemplars int
 }
 
-// Window is one closed fixed-width virtual-time window: counter deltas
-// accumulated between its edges, gauges sampled at the first event at or
-// after its close, and the latency summary of its completions. All fields
-// are integers computed from virtual time, so the JSON encoding (blob
-// cache, manifest) is byte-stable.
-type Window struct {
-	Index   int   `json:"index"`    // window number, 0-based
-	StartNs int64 `json:"start_ns"` // Index * WidthNs
-
-	// Counter deltas within the window.
+// Tally counts the serve events a window reports. The caller keeps it
+// cumulative over the run; a Window carries its growth across the window.
+type Tally struct {
 	Admitted       uint64 `json:"admitted,omitempty"`
 	Completed      uint64 `json:"completed,omitempty"`
 	Rejected       uint64 `json:"rejected,omitempty"`
@@ -56,6 +56,32 @@ type Window struct {
 	Retries        uint64 `json:"retries,omitempty"`
 	FailureIOs     uint64 `json:"failure_ios,omitempty"`
 	DegradedServed uint64 `json:"degraded_served,omitempty"`
+}
+
+// sub returns the growth from an earlier tally of the same run.
+func (t Tally) sub(prev Tally) Tally {
+	return Tally{
+		Admitted:       t.Admitted - prev.Admitted,
+		Completed:      t.Completed - prev.Completed,
+		Rejected:       t.Rejected - prev.Rejected,
+		Shed:           t.Shed - prev.Shed,
+		TimedOut:       t.TimedOut - prev.TimedOut,
+		Retries:        t.Retries - prev.Retries,
+		FailureIOs:     t.FailureIOs - prev.FailureIOs,
+		DegradedServed: t.DegradedServed - prev.DegradedServed,
+	}
+}
+
+// Window is one closed fixed-width virtual-time window: the events
+// counted between its edges, gauges sampled at the first event at or
+// after its close, and the latency summary of its completions. All fields
+// are integers computed from virtual time, so the JSON encoding (blob
+// cache, manifest) is byte-stable.
+type Window struct {
+	Index   int   `json:"index"`    // window number, 0-based
+	StartNs int64 `json:"start_ns"` // Index * WidthNs
+
+	Tally // events within the window
 
 	// Gauges sampled at window close. Virtual time between events carries
 	// no state changes, so the sample taken at the first event at or
@@ -85,6 +111,7 @@ type Gauges struct {
 	HeapLen    int
 	Tokens     int64
 	Degraded   bool
+	Tally      Tally // the run's cumulative event counts
 }
 
 // SLO is the rolling service-level summary over the closed windows:
@@ -172,7 +199,8 @@ type Record struct {
 // safe for concurrent use.
 type C struct {
 	cfg      Config
-	cur      Window // open window's counter accumulators
+	cur      Window // open window's index and start
+	mark     Tally  // the tally at the last close
 	lat      hist.H // reusable window histogram, Reset at close
 	windows  []Window
 	slo      SLO
@@ -211,8 +239,10 @@ func (c *C) WidthNs() int64 { return c.cfg.WidthNs }
 
 // Advance closes every window whose edge is at or before now, sampling g
 // into each. Call it with the event loop's clock before applying the
-// event's counter effects, so an event at time t lands in t's own window
-// and the closing gauges describe the state at the edge. Nil-safe.
+// event's effects, so an event at time t lands in t's own window and the
+// closing gauges describe the state at the edge. The first window closed
+// takes the tally's growth since the last close; any further ones the
+// clock jumped over saw no events and count zero. Nil-safe.
 func (c *C) Advance(now int64, g Gauges) {
 	if c == nil {
 		return
@@ -225,6 +255,8 @@ func (c *C) Advance(now int64, g Gauges) {
 // close seals the open window and opens the next one.
 func (c *C) close(g Gauges) {
 	w := c.cur
+	w.Tally = g.Tally.sub(c.mark)
+	c.mark = g.Tally
 	w.QueueDepth = g.QueueDepth
 	w.HeapLen = g.HeapLen
 	w.Tokens = g.Tokens
@@ -234,7 +266,6 @@ func (c *C) close(g Gauges) {
 	w.P99Ns = c.lat.Quantile(0.99)
 	w.MaxNs = c.lat.Max()
 	if c.cfg.BudgetNs > 0 {
-		c.slo.Windows++
 		if w.Count > 0 && w.P99Ns > c.cfg.BudgetNs {
 			w.Violation = true
 			c.slo.Violations++
@@ -251,9 +282,9 @@ func (c *C) close(g Gauges) {
 	c.cur = Window{Index: w.Index + 1, StartNs: w.StartNs + c.cfg.WidthNs}
 }
 
-// Finish closes the trailing partial window (gauges sampled from the
-// loop's final state) exactly once; further calls are no-ops. Call after
-// the event loop drains, before Report.
+// Finish closes the trailing partial window (gauges and tally sampled
+// from the loop's final state) exactly once; further calls are no-ops.
+// Call after the event loop drains, before Report.
 func (c *C) Finish(g Gauges) {
 	if c == nil || c.finished {
 		return
@@ -262,63 +293,11 @@ func (c *C) Finish(g Gauges) {
 	c.close(g)
 }
 
-// Counter hooks, one per serve taxonomy event. All nil-safe so the event
-// loop can call them unconditionally behind a single armed check.
-
-// Admit counts one admission into the open window.
-func (c *C) Admit() {
-	if c != nil {
-		c.cur.Admitted++
-	}
-}
-
-// Reject counts one rejection (queue-full or throttled).
-func (c *C) Reject() {
-	if c != nil {
-		c.cur.Rejected++
-	}
-}
-
-// Complete counts one in-deadline completion with its sojourn latency.
+// Complete observes one in-deadline completion's sojourn latency into
+// the open window. Nil-safe, so the event loop calls it unconditionally.
 func (c *C) Complete(latNs int64) {
 	if c != nil {
-		c.cur.Completed++
 		c.lat.Observe(latNs)
-	}
-}
-
-// TimedOut counts one deadline miss (queued or served).
-func (c *C) TimedOut() {
-	if c != nil {
-		c.cur.TimedOut++
-	}
-}
-
-// Shed counts one governor or retry-time shed.
-func (c *C) Shed() {
-	if c != nil {
-		c.cur.Shed++
-	}
-}
-
-// Retry counts one scheduled re-service attempt.
-func (c *C) Retry() {
-	if c != nil {
-		c.cur.Retries++
-	}
-}
-
-// FailureIOs adds n decoupling-failure IOs to the open window.
-func (c *C) FailureIOs(n uint64) {
-	if c != nil {
-		c.cur.FailureIOs += n
-	}
-}
-
-// DegradedServed counts one service attempt run in degraded mode.
-func (c *C) DegradedServed() {
-	if c != nil {
-		c.cur.DegradedServed++
 	}
 }
 
@@ -377,9 +356,13 @@ func (c *C) Report() Record {
 			}
 		}
 	}
+	slo := c.slo
+	if c.cfg.BudgetNs > 0 {
+		slo.Windows = len(c.windows)
+	}
 	return Record{
 		WidthNs:   c.cfg.WidthNs,
-		SLO:       c.slo,
+		SLO:       slo,
 		Windows:   c.windows,
 		Exemplars: ex,
 		Governor:  c.gov,

@@ -8,18 +8,15 @@ import (
 // TestWindowBoundaries pins the window math: an event at exactly a
 // window edge closes the prior window and lands in the next one, and a
 // clock jump over several edges closes every crossed window with the
-// same gauge sample.
+// same gauge sample. The caller's tally is cumulative; each window
+// reports its growth since the previous close.
 func TestWindowBoundaries(t *testing.T) {
 	c := New(Config{WidthNs: 100})
 	c.Advance(0, Gauges{})
-	c.Admit() // window 0
-	c.Advance(99, Gauges{})
-	c.Admit()                             // still window 0
-	c.Advance(100, Gauges{QueueDepth: 7}) // closes window 0
-	c.Admit()                             // window 1
-	c.Advance(350, Gauges{QueueDepth: 3}) // closes windows 1 and 2
-	c.Admit()                             // window 3
-	c.Finish(Gauges{QueueDepth: 1})
+	c.Advance(99, Gauges{Tally: Tally{Admitted: 1}})                 // one admission in window 0
+	c.Advance(100, Gauges{QueueDepth: 7, Tally: Tally{Admitted: 2}}) // closes window 0
+	c.Advance(350, Gauges{QueueDepth: 3, Tally: Tally{Admitted: 3}}) // closes windows 1 and 2
+	c.Finish(Gauges{QueueDepth: 1, Tally: Tally{Admitted: 4}})
 
 	rec := c.Report()
 	if len(rec.Windows) != 4 {
@@ -36,6 +33,32 @@ func TestWindowBoundaries(t *testing.T) {
 		}
 		if w.QueueDepth != wantDepth[i] {
 			t.Errorf("window %d: queue depth = %d, want %d", i, w.QueueDepth, wantDepth[i])
+		}
+	}
+}
+
+// TestTallyGrowth pins how windows read the cumulative tally, field by
+// field: an Advance that closes several windows gives the first the
+// growth since the last close and the others zero, and Finish gives the
+// trailing window the growth up to the final tally.
+func TestTallyGrowth(t *testing.T) {
+	at := func(n uint64) Tally {
+		return Tally{Admitted: 8 * n, Completed: 7 * n, Rejected: 6 * n, Shed: 5 * n,
+			TimedOut: 4 * n, Retries: 3 * n, FailureIOs: 2 * n, DegradedServed: n}
+	}
+	c := New(Config{WidthNs: 100})
+	c.Advance(50, Gauges{Tally: at(1)})  // window 0 stays open
+	c.Advance(320, Gauges{Tally: at(3)}) // closes windows 0, 1 and 2
+	c.Finish(Gauges{Tally: at(10)})      // closes window 3
+
+	wins := c.Report().Windows
+	want := []Tally{at(3), {}, {}, at(7)}
+	if len(wins) != len(want) {
+		t.Fatalf("windows = %d, want %d", len(wins), len(want))
+	}
+	for i, w := range wins {
+		if w.Tally != want[i] {
+			t.Errorf("window %d: tally %+v, want %+v", i, w.Tally, want[i])
 		}
 	}
 }
@@ -119,19 +142,12 @@ func TestExemplarReservoir(t *testing.T) {
 	}
 }
 
-// TestNilSafety pins that a nil collector ignores every hook — the
-// serving event loop calls them unconditionally.
+// TestNilSafety pins that a nil collector ignores every call — the
+// serving event loop makes them unconditionally.
 func TestNilSafety(t *testing.T) {
 	var c *C
 	c.Advance(100, Gauges{})
-	c.Admit()
-	c.Reject()
 	c.Complete(5)
-	c.TimedOut()
-	c.Shed()
-	c.Retry()
-	c.FailureIOs(3)
-	c.DegradedServed()
 	c.Governor(7, true)
 	c.ObserveTerminal(Exemplar{})
 	c.Finish(Gauges{})
@@ -146,12 +162,11 @@ func TestNilSafety(t *testing.T) {
 func TestRecordJSONStable(t *testing.T) {
 	build := func() Record {
 		c := New(Config{WidthNs: 100, BudgetNs: 50, Exemplars: 2})
-		c.Admit()
 		c.Complete(75)
 		c.Governor(42, true)
 		c.ObserveTerminal(Exemplar{Seq: 1, LatencyNs: 75, Outcome: "completed",
 			Timeline: [MaxAttemptRecs]AttemptRec{{EnqueueNs: 1, StartNs: 2, EndNs: 76}}})
-		c.Finish(Gauges{QueueDepth: 1})
+		c.Finish(Gauges{QueueDepth: 1, Tally: Tally{Admitted: 1, Completed: 1}})
 		return c.Report()
 	}
 	a, err := json.Marshal(build())
@@ -171,5 +186,23 @@ func TestRecordJSONStable(t *testing.T) {
 	}
 	if decoded.Exemplars[0].Timeline != ([MaxAttemptRecs]AttemptRec{}) {
 		t.Errorf("attempt timeline leaked into JSON: %s", a)
+	}
+}
+
+// TestWindowJSONLayout pins a window's encoding, which the blob cache,
+// the manifests and the cached serve points store: the embedded Tally's
+// counts sit between the window's start and its gauges, in this order.
+func TestWindowJSONLayout(t *testing.T) {
+	c := New(Config{WidthNs: 100, BudgetNs: 50})
+	c.Complete(75)
+	c.Finish(Gauges{QueueDepth: 1, HeapLen: 2, Tokens: -1, Degraded: true, Tally: Tally{
+		Admitted: 1, Completed: 1, Rejected: 1, Shed: 1, TimedOut: 1, Retries: 1, FailureIOs: 3, DegradedServed: 1}})
+	got, err := json.Marshal(c.Report().Windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[{"index":0,"start_ns":0,"admitted":1,"completed":1,"rejected":1,"shed":1,"timed_out":1,"retries":1,"failure_ios":3,"degraded_served":1,"queue_depth":1,"heap_len":2,"tokens":-1,"degraded":true,"count":1,"p50_ns":75,"p99_ns":75,"max_ns":75,"violation":true}]`
+	if string(got) != want {
+		t.Fatalf("window encoding changed:\n got  %s\n want %s", got, want)
 	}
 }

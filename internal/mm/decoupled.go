@@ -79,8 +79,6 @@ type Decoupled struct {
 	tlb    *tlb.TLB      // X: fully associative, over huge pages of size hmax
 	ramY   policy.Policy // Y: base-page cache of capacity m
 
-	failureHits uint64 // requests serviced while the page was in F
-
 	// Staged-path specializations, resolved once at construction: the
 	// huge-page shift (HMax is a power of two) and the concrete flat-LRU
 	// Y cache. A nil ramFlat or a non-flat TLB routes AccessBatch to the
@@ -168,7 +166,6 @@ func (z *Decoupled) serviceFailed() {
 	z.costs.DecodingMisses++
 	z.ex.FailureIO(1)
 	z.ex.DecodeMiss()
-	z.failureHits++
 }
 
 // AccessBatch implements Batcher: the chunk is processed as three column
@@ -274,10 +271,7 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 }
 
 // ResetCosts implements Algorithm.
-func (z *Decoupled) ResetCosts() {
-	z.resetMeter()
-	z.failureHits = 0
-}
+func (z *Decoupled) ResetCosts() { z.resetMeter() }
 
 // ExplainGauges implements Algorithm: RAM headroom against the derived δ,
 // TLB reach at hmax granularity, and — when the allocator exposes bucket
@@ -322,5 +316,8 @@ func (z *Decoupled) Params() core.Params { return z.params }
 func (z *Decoupled) Scheme() *core.Scheme { return z.scheme }
 
 // FailureHits reports how many requests were serviced while their page was
-// in the failure set F (each cost 1+ε extra).
-func (z *Decoupled) FailureHits() uint64 { return z.failureHits }
+// in the failure set F (each cost 1+ε extra) since the last ResetCosts.
+// serviceFailed charges each one the decoding miss of Theorem 4's
+// failure handling, and nothing else charges Z a decoding miss, so this
+// is the cost counter itself.
+func (z *Decoupled) FailureHits() uint64 { return z.costs.DecodingMisses }

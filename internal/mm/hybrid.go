@@ -3,7 +3,6 @@ package mm
 import (
 	"fmt"
 
-	"addrxlat/internal/core"
 	"addrxlat/internal/explain"
 )
 
@@ -127,13 +126,3 @@ func (h *Hybrid) CoveragePages() uint64 {
 
 // Inner exposes the underlying decoupled algorithm.
 func (h *Hybrid) Inner() *Decoupled { return h.inner }
-
-// hmaxOf is a convenience for experiments needing the derived hmax without
-// building a whole algorithm.
-func hmaxOf(kind core.AllocKind, P, V uint64, w int) (int, error) {
-	p, err := core.DeriveParams(kind, P, V, w)
-	if err != nil {
-		return 0, err
-	}
-	return p.HMax, nil
-}

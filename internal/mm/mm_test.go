@@ -476,13 +476,3 @@ func TestRunWarmDiscardsWarmup(t *testing.T) {
 		t.Fatalf("Accesses = %d, want 4", c.Accesses)
 	}
 }
-
-func TestHmaxOfHelper(t *testing.T) {
-	h, err := hmaxOf(core.IcebergAlloc, 1<<20, 1<<24, 64)
-	if err != nil || h < 2 {
-		t.Fatalf("hmaxOf = %d, %v", h, err)
-	}
-	if _, err := hmaxOf("bogus", 1<<20, 1<<24, 64); err == nil {
-		t.Fatal("bogus kind should error")
-	}
-}

@@ -1,15 +1,17 @@
 // Metrics surface of the serving event loop: arming the virtual-time
-// window collector (internal/metrics), sampling event-boundary gauges,
-// and attributing each terminal request's latency to queue/service/
-// backoff time for the exemplar reservoir. The attempt timeline is
-// walked once, by Segments, for that split and for the trace's request
-// spans (drawn by internal/obs from the sweep record).
+// window collector (internal/metrics), sampling event-boundary gauges
+// and the cumulative tally the windows difference, and attributing each
+// terminal request's latency to queue/service/backoff time for the
+// exemplar reservoir. The attempt timeline is walked once, by Segments,
+// for that split and for the trace's request spans (drawn by
+// internal/obs from the sweep record).
 //
 // Everything here observes; nothing schedules, draws randomness, or
-// mutates simulator state. The hooks in serve.go are nil-safe no-ops
-// when disarmed, and the request-struct bookkeeping they feed is written
-// branch-free either way, so armed and disarmed runs execute the same
-// event sequence (pinned by TestServeMetricsByteIdentical).
+// mutates simulator state. The loop counts each event once, in Counters,
+// armed or not; the collector reads Counters at window close, and the
+// request-struct bookkeeping the exemplars read is written branch-free
+// either way, so armed and disarmed runs execute the same event sequence
+// (pinned by TestServeMetricsByteIdentical).
 package serve
 
 import "addrxlat/internal/metrics"
@@ -41,14 +43,26 @@ func (s *Sim) MetricsRecord() *metrics.Record {
 }
 
 // gauges snapshots the event-boundary state the window collector samples
-// at window close. Between events every gauge is constant, so the sample
-// is exact for any window edge the clock jumped over.
+// at window close, with the run's counts so far as the tally whose growth
+// each window reports. Between events every gauge is constant, so the
+// sample is exact for any window edge the clock jumped over.
 func (s *Sim) gauges() metrics.Gauges {
+	c := &s.c
 	return metrics.Gauges{
 		QueueDepth: s.queue.len(),
 		HeapLen:    len(s.heap),
 		Tokens:     s.tokensNow(),
 		Degraded:   s.degraded,
+		Tally: metrics.Tally{
+			Admitted:       c.Admitted,
+			Completed:      c.Completed,
+			Rejected:       c.RejectedQueue + c.RejectedThrottle,
+			Shed:           c.Shed,
+			TimedOut:       c.TimedOutQueued + c.TimedOutServed,
+			Retries:        c.Retries,
+			FailureIOs:     s.failIOs,
+			DegradedServed: c.Degraded,
+		},
 	}
 }
 

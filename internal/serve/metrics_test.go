@@ -75,22 +75,36 @@ func TestMetricsByteIdenticalRun(t *testing.T) {
 // TestMetricsWindowAccounting pins that the window stream is a lossless
 // decomposition of the run: summing any counter over the windows yields
 // the run's terminal counter, and the completion latency count matches.
+// Failure IOs are checked against the cost model instead: Theorem 4
+// charges a request to a page in F one decoding miss, and nothing else
+// charges one, so the windows' failure IOs must add up to the
+// simulator's decoding-miss growth over the measured run.
 func TestMetricsWindowAccounting(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		sim  func() *Sim
+		name     string
+		sim      func() *Sim
+		failures bool // the run must see failure IOs
+		degraded bool // the run must serve in degraded mode
 	}{
-		{"overload", func() *Sim { s := testSim(t, 42, 2.5, true); return s }},
-		{"retries", func() *Sim { return retrySim(t, 11) }},
+		{"overload", func() *Sim { s := testSim(t, 42, 2.5, true); return s }, false, true},
+		{"retries", func() *Sim { return retrySim(t, 11) }, true, false},
+		// TestTokenBucketThrottles' starved bucket: throttle rejections.
+		{"throttled", func() *Sim {
+			s := testSim(t, 5, 2.0, false)
+			s.SetTokenBucket(4*s.MeanServiceNs(), 8)
+			return s
+		}, false, false},
 	} {
 		s := cfg.sim()
 		armTest(s)
+		decodeBefore := s.alg.Costs().DecodingMisses
 		r := s.Run()
+		decodeGrowth := s.alg.Costs().DecodingMisses - decodeBefore
 		m := r.Metrics
 		if m == nil || len(m.Windows) == 0 {
 			t.Fatalf("%s: no windows", cfg.name)
 		}
-		var adm, comp, rej, shed, tout, retries, lat uint64
+		var adm, comp, rej, shed, tout, retries, failIOs, degraded, lat uint64
 		for _, w := range m.Windows {
 			adm += w.Admitted
 			comp += w.Completed
@@ -98,6 +112,8 @@ func TestMetricsWindowAccounting(t *testing.T) {
 			shed += w.Shed
 			tout += w.TimedOut
 			retries += w.Retries
+			failIOs += w.FailureIOs
+			degraded += w.DegradedServed
 			lat += w.Count
 			if w.QueueDepth < 0 || w.QueueDepth > 128 {
 				t.Errorf("%s: window %d queue depth %d outside [0, cap]", cfg.name, w.Index, w.QueueDepth)
@@ -112,6 +128,14 @@ func TestMetricsWindowAccounting(t *testing.T) {
 		}
 		if lat != c.Completed || lat != r.Latency.Count() {
 			t.Fatalf("%s: window latency count %d != completed %d", cfg.name, lat, c.Completed)
+		}
+		if failIOs != decodeGrowth || (failIOs > 0) != cfg.failures {
+			t.Fatalf("%s: windows count %d failure IOs, the simulator charged %d decoding misses (want failures: %v)",
+				cfg.name, failIOs, decodeGrowth, cfg.failures)
+		}
+		if degraded != c.Degraded || (degraded > 0) != cfg.degraded {
+			t.Fatalf("%s: windows count %d degraded attempts, run counted %d (want degraded: %v)",
+				cfg.name, degraded, c.Degraded, cfg.degraded)
 		}
 		if m.SLO.Windows != len(m.Windows) {
 			t.Fatalf("%s: SLO judged %d of %d windows", cfg.name, m.SLO.Windows, len(m.Windows))

@@ -61,7 +61,9 @@ func (cm CostModel) ServiceNs(d mm.Costs) int64 {
 }
 
 // Counters is the serve-event taxonomy, the request-level analogue of the
-// explain package's cost taxonomy. Two identities hold exactly (pinned by
+// explain package's cost taxonomy, and the serving loop's only per-event
+// tally: each event adds to one field, and the governor and the metrics
+// windows read differences of it. Two identities hold exactly (pinned by
 // CheckIdentity and the experiment tests):
 //
 //	Offered  = Admitted + RejectedQueue + RejectedThrottle
@@ -93,11 +95,16 @@ func (c Counters) CheckIdentity() error {
 		return fmt.Errorf("serve: offered %d != admitted %d + rejected_queue %d + rejected_throttle %d",
 			c.Offered, c.Admitted, c.RejectedQueue, c.RejectedThrottle)
 	}
-	if got := c.Completed + c.TimedOutQueued + c.TimedOutServed + c.Shed; got != c.Admitted {
+	if got := c.terminals(); got != c.Admitted {
 		return fmt.Errorf("serve: admitted %d != completed %d + timed_out_queued %d + timed_out_served %d + shed %d",
 			c.Admitted, c.Completed, c.TimedOutQueued, c.TimedOutServed, c.Shed)
 	}
 	return nil
+}
+
+// terminals counts terminal outcomes; every admitted request reaches one.
+func (c Counters) terminals() uint64 {
+	return c.Completed + c.TimedOutQueued + c.TimedOutServed + c.Shed
 }
 
 // GovernorConfig shapes the graceful-degradation governor: a recurring
@@ -108,7 +115,7 @@ func (c Counters) CheckIdentity() error {
 type GovernorConfig struct {
 	WindowNs     int64 `json:"window_ns"`     // tick period; 0 disables the governor
 	QueueHigh    int   `json:"queue_high"`    // depth at tick that trips degraded mode
-	MissNum      int   `json:"miss_num"`      // trip when windowTimeouts/windowDone >= MissNum/MissDen
+	MissNum      int   `json:"miss_num"`      // trip when a window's timeouts/terminals >= MissNum/MissDen
 	MissDen      int   `json:"miss_den"`      //
 	RecoverDepth int   `json:"recover_depth"` // shed down to this depth on trip; recovery requires depth <= this
 	DegradedDiv  int   `json:"degraded_div"`  // block-size divisor in degraded mode (>= 1)
@@ -185,17 +192,15 @@ type Sim struct {
 	now       int64
 	busy      *request
 	c         Counters
+	failIOs   uint64   // failure IOs over the run; Counters has no field for them
+	govMark   Counters // c at the governor's last tick
 	lat       *hist.H
-	met       *metrics.C // nil unless ArmMetrics; hooks are nil-safe
+	met       *metrics.C // nil unless ArmMetrics
 	degraded  bool
 	burstLeft int
-	offered   int
 
 	meanServiceNs int64
 	bkt           bucketState
-	winTimeouts   uint64
-	winDone       uint64
-	maxQueue      int
 	maxHeap       int
 	started       bool
 }
@@ -322,7 +327,6 @@ func (s *Sim) Start() {
 	if s.arr == nil {
 		// No arrival process: a degenerate but legal run with zero offered
 		// load; the loop drains immediately.
-		s.offered = s.cfg.Requests
 		return
 	}
 	s.push(event{at: s.arr.NextDelayNs(), kind: evArrival})
@@ -375,8 +379,7 @@ func (s *Sim) Run() Result {
 // to admit this one through the token bucket and the bounded queue.
 func (s *Sim) arrive() {
 	s.c.Offered++
-	s.offered++
-	if s.offered < s.cfg.Requests {
+	if s.c.Offered < uint64(s.cfg.Requests) {
 		gap := int64(1)
 		if s.burstLeft > 0 {
 			s.burstLeft--
@@ -393,16 +396,13 @@ func (s *Sim) arrive() {
 
 	if !s.takeToken() {
 		s.c.RejectedThrottle++
-		s.met.Reject()
 		return
 	}
 	if s.queue.full() {
 		s.c.RejectedQueue++
-		s.met.Reject()
 		return
 	}
 	s.c.Admitted++
-	s.met.Admit()
 	r := s.alloc()
 	r.arriveNs = s.now
 	r.seq = s.c.Admitted
@@ -412,9 +412,6 @@ func (s *Sim) arrive() {
 		r.deadlineNs = s.now + s.cfg.DeadlineNs
 	}
 	s.queue.push(r)
-	if d := s.queue.len(); d > s.maxQueue {
-		s.maxQueue = d
-	}
 	s.startService()
 }
 
@@ -428,9 +425,6 @@ func (s *Sim) startService() {
 		}
 		if s.now > r.deadlineNs {
 			s.c.TimedOutQueued++
-			s.met.TimedOut()
-			s.winTimeouts++
-			s.terminal()
 			s.observeTerminal(r, OutcomeTimedOutQueued)
 			s.freeReq(r)
 			continue
@@ -444,16 +438,13 @@ func (s *Sim) startService() {
 				}
 			}
 			s.c.Degraded++
-			s.met.DegradedServed()
 			r.degraded = true
 		}
 		r.attempts++
 		ns, failIOs := s.serviceBlock(pages)
 		r.failed = failIOs > 0
 		r.failIOs += failIOs
-		if failIOs > 0 {
-			s.met.FailureIOs(failIOs)
-		}
+		s.failIOs += failIOs
 		if i := r.attempts - 1; i < metrics.MaxAttemptRecs {
 			r.rec[i].StartNs = s.now
 			r.rec[i].EndNs = s.now + ns
@@ -470,14 +461,10 @@ func (s *Sim) depart(r *request) {
 	switch {
 	case s.now > r.deadlineNs:
 		s.c.TimedOutServed++
-		s.met.TimedOut()
-		s.winTimeouts++
-		s.terminal()
 		s.observeTerminal(r, OutcomeTimedOutServed)
 		s.freeReq(r)
 	case r.failed && r.attempts < s.cfg.MaxAttempts:
 		s.c.Retries++
-		s.met.Retry()
 		s.push(event{at: s.now + s.backoff(r.attempts), kind: evRetry, req: r})
 	default:
 		if r.failed {
@@ -486,7 +473,6 @@ func (s *Sim) depart(r *request) {
 		s.c.Completed++
 		s.met.Complete(s.now - r.arriveNs)
 		s.lat.Observe(s.now - r.arriveNs)
-		s.terminal()
 		s.observeTerminal(r, OutcomeCompleted)
 		s.freeReq(r)
 	}
@@ -499,8 +485,6 @@ func (s *Sim) depart(r *request) {
 func (s *Sim) retry(r *request) {
 	if s.queue.full() {
 		s.c.Shed++
-		s.met.Shed()
-		s.terminal()
 		s.observeTerminal(r, OutcomeShed)
 		s.freeReq(r)
 		return
@@ -509,9 +493,6 @@ func (s *Sim) retry(r *request) {
 		r.rec[i].EnqueueNs = s.now
 	}
 	s.queue.push(r)
-	if d := s.queue.len(); d > s.maxQueue {
-		s.maxQueue = d
-	}
 	s.startService()
 }
 
@@ -532,11 +513,17 @@ func (s *Sim) backoff(attempts int) int64 {
 
 // govTick is the governor: trip into degraded mode on sustained overload
 // (queue depth or window deadline-miss rate), shedding the queue down to
-// RecoverDepth; recover when both signals clear for a window.
+// RecoverDepth; recover when both signals clear for a window. The
+// window's deadline misses and terminal outcomes are the growth of
+// Counters since the last tick's govMark, which the tick takes after its
+// own shedding.
 func (s *Sim) govTick() {
 	g := s.cfg.Governor
 	depth := s.queue.len()
-	missHigh := s.winDone > 0 && s.winTimeouts*uint64(g.MissDen) >= s.winDone*uint64(g.MissNum)
+	c, m := &s.c, &s.govMark
+	done := c.terminals() - m.terminals()
+	misses := c.TimedOutQueued + c.TimedOutServed - m.TimedOutQueued - m.TimedOutServed
+	missHigh := done > 0 && misses*uint64(g.MissDen) >= done*uint64(g.MissNum)
 	if !s.degraded {
 		if depth >= g.QueueHigh || missHigh {
 			s.degraded = true
@@ -545,8 +532,6 @@ func (s *Sim) govTick() {
 			for s.queue.len() > g.RecoverDepth {
 				r := s.queue.pop()
 				s.c.Shed++
-				s.met.Shed()
-				s.terminal()
 				s.observeTerminal(r, OutcomeShed)
 				s.freeReq(r)
 			}
@@ -556,17 +541,12 @@ func (s *Sim) govTick() {
 		s.c.GovernorRecovers++
 		s.met.Governor(s.now, false)
 	}
-	s.winTimeouts, s.winDone = 0, 0
+	s.govMark = s.c
 	// Reschedule while anything remains in flight; an empty heap here
 	// means arrivals, service, and retries have all drained.
 	if len(s.heap) > 0 {
 		s.push(event{at: s.now + g.WindowNs, kind: evGovTick})
 	}
-}
-
-// terminal records one terminal outcome into the governor window.
-func (s *Sim) terminal() {
-	s.winDone++
 }
 
 // Result snapshots the run. Valid once Step returns false (or Run
@@ -576,7 +556,7 @@ func (s *Sim) Result() Result {
 		Counters:      s.c,
 		MeanServiceNs: s.meanServiceNs,
 		HorizonNs:     s.now,
-		MaxQueueDepth: s.maxQueue,
+		MaxQueueDepth: s.queue.peak,
 		MaxHeapLen:    s.maxHeap,
 		Latency:       s.lat,
 		Metrics:       s.MetricsRecord(),
@@ -701,12 +681,13 @@ func (s *Sim) freeReq(r *request) {
 	s.free = r
 }
 
-// fixed-capacity FIFO ring of requests.
+// fixed-capacity FIFO ring of requests, with its high-water mark.
 
 type ringQueue struct {
 	buf  []*request
 	head int
 	n    int
+	peak int
 }
 
 func newRingQueue(capacity int) ringQueue {
@@ -719,6 +700,7 @@ func (q *ringQueue) full() bool { return q.n == len(q.buf) }
 func (q *ringQueue) push(r *request) {
 	q.buf[(q.head+q.n)%len(q.buf)] = r
 	q.n++
+	q.peak = max(q.peak, q.n)
 }
 
 func (q *ringQueue) pop() *request {

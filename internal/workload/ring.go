@@ -87,7 +87,6 @@ type Ring struct {
 	meta      []Chunk // per-slot descriptor of the chunk currently occupying it
 	refs      []int   // consumers yet to release the slot's current chunk
 	consumers int
-	published int
 	inFlight  int
 	stopped   bool
 	stats     RingStats
@@ -196,7 +195,6 @@ func (r *Ring) produce(g Generator, segments []int) {
 			r.mu.Lock()
 			r.meta[slot] = Chunk{Data: buf, Seq: seq, Segment: segIdx, Index: idx}
 			r.refs[slot] = r.consumers
-			r.published++
 			r.inFlight++
 			if r.inFlight > r.stats.PeakInFlight {
 				r.stats.PeakInFlight = r.inFlight
@@ -234,13 +232,13 @@ func (r *Ring) Get(seq int) (c Chunk, ok bool) {
 		return Chunk{}, false
 	}
 	r.mu.Lock()
-	if seq >= r.published && !r.stopped {
+	if seq >= r.stats.Chunks && !r.stopped {
 		r.stats.ConsumerWaits++
-		for seq >= r.published && !r.stopped {
+		for seq >= r.stats.Chunks && !r.stopped {
 			r.canRead.Wait()
 		}
 	}
-	if r.stopped || seq >= r.published {
+	if r.stopped || seq >= r.stats.Chunks {
 		r.mu.Unlock()
 		return Chunk{}, false
 	}
