@@ -63,16 +63,21 @@ race:
 # scripts, every touched huge page decoded after each step), DenseLRU's
 # column kernel (misses, victims, Len and Keys against a per-element
 # AccessSlot twin, over fuzzed streams, chunkings, capacities and
-# shifts), figures' -resume input (manifest bytes and the flags restored
-# from them) and the ADDRXLAT_FAULTS plan parser, catching decoder,
-# kernel and parser regressions without a dedicated fuzz farm. The
-# resume fuzzer touches the file system per input, and the column
-# fuzzer finds new inputs faster than the default minimizing budget
-# (60s each) lets it test them, so both cap minimizing at 2s.
+# shifts), the recency stack's stamped warm-up (zone lengths, distinct
+# keys, the recency list and a continuation's misses against a twin
+# warmed by Access, over fuzzed capacities, windows, chunkings and stamp
+# budgets), figures' -resume input (manifest bytes and the flags
+# restored from them) and the ADDRXLAT_FAULTS plan parser, catching
+# decoder, kernel and parser regressions without a dedicated fuzz farm.
+# The resume fuzzer touches the file system per input, and the two
+# policy fuzzers find new inputs faster than the default minimizing
+# budget (60s each) lets them test them, so all three cap minimizing at
+# 2s.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzEncoderDecode -fuzztime=15s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzDenseLRUColumn -fuzztime=15s -fuzzminimizetime=2s ./internal/policy/
+	$(GO) test -run=^$$ -fuzz=FuzzRecencyStackStamp -fuzztime=15s -fuzzminimizetime=2s ./internal/policy/
 	$(GO) test -run=^$$ -fuzz=FuzzResumeManifest -fuzztime=15s -fuzzminimizetime=2s ./cmd/figures/
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/faultinject/
 

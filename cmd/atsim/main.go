@@ -155,7 +155,7 @@ func main() {
 		man.Trace = *traceF
 	}
 
-	if err := checkModelFlags(*eps, *wBits); err != nil {
+	if err := checkModelFlags(*eps, *wBits, *warmN, *measN); err != nil {
 		fail(err)
 	}
 
@@ -231,11 +231,13 @@ func main() {
 	rec := obs.NewRecorder(*sample)
 	rec.SetTrace(timeline)
 	runStart := time.Now()
+	cpu0, _ := obs.ReadUsage()
 	costs, dumpStats, err := runStream(ctx, alg, *wl, src, *dumpTo, rec)
 	if err != nil {
 		fail(err)
 	}
 	runElapsed := time.Since(runStart)
+	cpu, maxRSS := obs.ReadUsage()
 	fmt.Printf("algorithm: %s\n", alg.Name())
 	fmt.Printf("workload:  %s (%d warmup + %d measured accesses)\n", *wl, *warmN, *measN)
 	fmt.Println(machineLine(*vPages, *ramPg, *tlbEnt, *wBits))
@@ -293,6 +295,7 @@ func main() {
 	rr := obs.RunRecord{
 		ID: *algo, Table: *wl, Rows: 1,
 		WallSeconds: runElapsed.Seconds(), Phases: rec.Phases(),
+		CPUSeconds: cpu - cpu0, MaxRSSMiB: maxRSS,
 	}
 	if rec.HasExplain() {
 		tot := rec.ExplainTotals()
@@ -601,13 +604,21 @@ func flushManifest(status, errMsg string) {
 // checkModelFlags rejects cost-model flags outside the model's range
 // (DESIGN.md §1): ε must lie in (0, 1), and w must be non-negative, where
 // 0 selects the default of 64 bits. flag.Float64 parses "NaN", which
-// fails every comparison, so the ε test is written to reject it.
-func checkModelFlags(eps float64, wBits int) error {
+// fails every comparison, so the ε test is written to reject it. The
+// two windows of the methodology, -warmup and -measure, must be
+// non-negative; either may be empty.
+func checkModelFlags(eps float64, wBits, warmup, measure int) error {
 	if !(eps > 0 && eps < 1) {
 		return fmt.Errorf("-eps must be in (0, 1), got %g", eps)
 	}
 	if wBits < 0 {
 		return fmt.Errorf("-w must be non-negative (0 means 64 bits), got %d", wBits)
+	}
+	if warmup < 0 {
+		return fmt.Errorf("-warmup must be non-negative, got %d", warmup)
+	}
+	if measure < 0 {
+		return fmt.Errorf("-measure must be non-negative, got %d", measure)
 	}
 	return nil
 }

@@ -242,36 +242,46 @@ func TestServeFlagBounds(t *testing.T) {
 
 // TestModelFlagBounds: -eps must lie in (0, 1), the model's range, and
 // -w must be non-negative, 0 meaning the default 64 bits. flag.Float64
-// parses "NaN" and "Inf", and NaN passes any ≤ or ≥ test. Every
+// parses "NaN" and "Inf", and NaN passes any ≤ or ≥ test. -warmup and
+// -measure must be non-negative, and 0 is legal for either. Every
 // rejection names its flag; a -w that gets through must reach the
 // decoupled scheme as given, not as 64.
 func TestModelFlagBounds(t *testing.T) {
 	for _, c := range []struct {
-		eps   float64
-		wBits int
-		flag  string // "" when the pair is accepted
+		eps             float64
+		wBits           int
+		warmup, measure int
+		flag            string // "" when the flags are accepted
 	}{
-		{0.01, 64, ""},
-		{0.5, 0, ""},
-		{0.01, 32, ""},
-		{math.NaN(), 64, "-eps"},
-		{math.Inf(1), 64, "-eps"},
-		{-1, 64, "-eps"},
-		{0, 64, "-eps"},
-		{1, 64, "-eps"},
-		{2, 64, "-eps"},
-		{0.01, -3, "-w"},
-		{0.01, -1, "-w"},
+		{0.01, 64, 1000, 1000, ""},
+		{0.5, 0, 1000, 1000, ""},
+		{0.01, 32, 1000, 1000, ""},
+		{0.01, 64, 0, 1000, ""},
+		{0.01, 64, 1000, 0, ""},
+		{0.01, 64, 0, 0, ""},
+		{math.NaN(), 64, 1000, 1000, "-eps"},
+		{math.Inf(1), 64, 1000, 1000, "-eps"},
+		{-1, 64, 1000, 1000, "-eps"},
+		{0, 64, 1000, 1000, "-eps"},
+		{1, 64, 1000, 1000, "-eps"},
+		{2, 64, 1000, 1000, "-eps"},
+		{0.01, -3, 1000, 1000, "-w"},
+		{0.01, -1, 1000, 1000, "-w"},
+		{0.01, 64, -1, 1000, "-warmup"},
+		{0.01, 64, -5, 0, "-warmup"},
+		{0.01, 64, 1000, -1, "-measure"},
+		{0.01, 64, 0, -5, "-measure"},
 	} {
-		err := checkModelFlags(c.eps, c.wBits)
+		err := checkModelFlags(c.eps, c.wBits, c.warmup, c.measure)
 		if c.flag == "" {
 			if err != nil {
-				t.Errorf("-eps %g -w %d: rejected: %v", c.eps, c.wBits, err)
+				t.Errorf("-eps %g -w %d -warmup %d -measure %d: rejected: %v", c.eps, c.wBits, c.warmup, c.measure, err)
 			}
 			continue
 		}
 		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
-			t.Errorf("-eps %g -w %d: err = %v, want a %s rejection", c.eps, c.wBits, err, c.flag)
+			t.Errorf("-eps %g -w %d -warmup %d -measure %d: err = %v, want a %s rejection",
+				c.eps, c.wBits, c.warmup, c.measure, err, c.flag)
 		}
 	}
 	for _, c := range []struct{ wBits, want int }{{0, 64}, {32, 32}} {

@@ -22,11 +22,11 @@
 // See EXPERIMENTS.md for the key scheme and when to wipe the cache.
 //
 // Every run writes a JSON manifest (flag configuration, seeds, go
-// version, git revision, per-experiment wall times and phase splits,
-// cache hit counts) into the -manifest directory, prints per-experiment
-// progress with ETA and cache hit rate on stderr, and — with -sample N —
-// emits one <experiment>.curves.tsv cost-over-time file per experiment
-// next to the figure outputs. See the Observability sections of README.md
+// version, host CPUs, git revision, per-experiment wall and CPU times,
+// peak RSS and phase splits, cache hit counts) into the -manifest
+// directory, prints per-experiment progress with ETA and cache hit rate
+// on stderr, and — with -sample N — emits one <experiment>.curves.tsv
+// cost-over-time file per experiment next to the figure outputs. See the Observability sections of README.md
 // and EXPERIMENTS.md.
 //
 // Fault tolerance: SIGINT/SIGTERM drains the sweep at a chunk boundary,
@@ -320,7 +320,9 @@ func main() {
 		prog.Start(e.ID)
 		expStart := tracer.Now()
 		start := time.Now()
+		cpu0, _ := obs.ReadUsage()
 		tab, err := e.Run(runScale, o.seed)
+		cpu, maxRSS := obs.ReadUsage()
 		sweepThread.Span(e.ID, xtrace.CatExperiment, expStart)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -350,6 +352,7 @@ func main() {
 		rr := obs.RunRecord{
 			ID: e.ID, Table: tab.Name, Rows: len(tab.Rows),
 			WallSeconds: elapsed.Seconds(), Phases: rec.Phases(),
+			CPUSeconds: cpu - cpu0, MaxRSSMiB: maxRSS,
 		}
 		if rec.HasExplain() {
 			tot := rec.ExplainTotals()

@@ -1,0 +1,45 @@
+package main
+
+import (
+	"runtime"
+	"testing"
+
+	"addrxlat/internal/obs"
+)
+
+// TestManifestRecordsHostAndUsage runs two experiments, the closed-form
+// e2 and the simulated f1a, and checks the manifest's host fields and
+// each experiment's CPU time and resident-set high-water mark: the host
+// is this one, no experiment's CPU time exceeds its wall time on every
+// CPU, f1a's is positive (e2's may read 0 at getrusage's resolution),
+// and the high-water mark is positive and never falls from one
+// experiment to the next.
+func TestManifestRecordsHostAndUsage(t *testing.T) {
+	bin := buildFigures(t)
+	dir := t.TempDir()
+	if code, errOut := runFigures(t, bin, nil, "-fig", "e2,f1a", "-no-cache", "-progress=false",
+		"-out", dir, "-manifest", dir); code != 0 {
+		t.Fatalf("figures exited %d:\n%s", code, errOut)
+	}
+	m, err := obs.LoadManifest(newestManifest(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumCPU != runtime.NumCPU() || m.GOMAXPROCS < 1 || m.CPUModel == "" {
+		t.Errorf("host: num_cpu %d (this host %d), gomaxprocs %d, cpu_model %q",
+			m.NumCPU, runtime.NumCPU(), m.GOMAXPROCS, m.CPUModel)
+	}
+	if len(m.Experiments) != 2 {
+		t.Fatalf("%d experiment records, want 2", len(m.Experiments))
+	}
+	var prevRSS float64
+	for _, r := range m.Experiments {
+		if r.CPUSeconds < 0 || (r.ID == "f1a" && r.CPUSeconds == 0) || r.CPUSeconds > r.WallSeconds*float64(m.NumCPU)+0.05 {
+			t.Errorf("%s: cpu_seconds %g against wall_seconds %g on %d CPUs", r.ID, r.CPUSeconds, r.WallSeconds, m.NumCPU)
+		}
+		if r.MaxRSSMiB <= 0 || r.MaxRSSMiB < prevRSS {
+			t.Errorf("%s: max_rss_mib %g after the previous experiment's %g", r.ID, r.MaxRSSMiB, prevRSS)
+		}
+		prevRSS = r.MaxRSSMiB
+	}
+}

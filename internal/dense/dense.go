@@ -159,6 +159,12 @@ func (t *Table[V]) Cap() int { return len(t.vals) }
 // Delete; after a Set, call Flat again, because it may have grown.
 func (t *Table[V]) Flat() []V { return t.vals }
 
+// Sparse returns the map that holds the keys at or above SparseBound,
+// nil while there are none, for a caller that visits every key: Flat
+// and Sparse together hold them all. Write through Set and Delete; a
+// Set that overwrites a present key may run while ranging over it.
+func (t *Table[V]) Sparse() map[uint64]V { return t.sparse }
+
 // Bitset is a flat bit-vector over dense uint64 keys, for boolean page
 // state (touched, promoted, populated) that was previously map[uint64]bool.
 type Bitset struct {

@@ -26,6 +26,8 @@ const (
 	// KindSample is one simulator's cumulative Costs at a chunk boundary,
 	// with its Explain counters (and Gauges, if it has any) when cost
 	// attribution is armed. Costs.Accesses counts from the phase start.
+	// A warm-up sample carries only Costs.Accesses when the observer
+	// does not read warm-up costs (see WarmupReader).
 	// The row executor also sets Seq and the chunk's stage times:
 	// RingWait (waiting for the chunk to be published), GateWait
 	// (waiting on the Workers gate) and Batch (the AccessBatch call);
@@ -109,9 +111,22 @@ type Observer interface {
 	Observe(Event)
 }
 
+// WarmupReader is the optional method of an Observer that says whether
+// it reads the costs of warm-up samples (Phase mm.PhaseWarmup). When it
+// says no, the row executor may warm a simulator that implements
+// mm.Warmer by state alone, and those samples carry Costs.Accesses and
+// their stage times but no other cost. An Observer without the method
+// is taken to read them; with no Observer, nothing does.
+type WarmupReader interface {
+	ReadsWarmupCosts() bool
+}
+
 // Sample snapshots simulator a at a chunk boundary as a KindSample event:
 // its cumulative counters and, when attribution is wanted and a records
-// it, its explain counters and structural gauges.
+// it, its explain counters and structural gauges. A simulator warmed
+// through mm.Warmer.Warm counts only its accesses, so a warm-up sample
+// taken when the observer does not read warm-up costs carries only
+// Costs.Accesses.
 func Sample(row, phase, alg string, a mm.Algorithm, attribution bool) Event {
 	e := Event{Kind: KindSample, Row: row, Phase: phase, Alg: alg, Costs: a.Costs()}
 	if !attribution {

@@ -64,7 +64,10 @@ type Scale struct {
 	// Snapshots are taken between chunks, never inside the access loop,
 	// so an observer cannot change a single counter; nil disables all
 	// telemetry at the cost of one nil check per chunk, and the executor
-	// reads the clock only for an observer.
+	// reads the clock only for an observer. Unless the observer reads
+	// warm-up costs (event.WarmupReader; an observer without the method
+	// does), the executor warms each mm.Warmer by state, and a warm-up
+	// sample carries only Costs.Accesses besides its stage times.
 	Observer event.Observer
 	// Explain enables cost attribution: every simulator gets its explain
 	// counters allocated before the run, and the Observer's

@@ -171,6 +171,16 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 	return nil
 }
 
+// readsWarmupCosts reports whether the observer may read the costs of
+// warm-up samples (event.WarmupReader). When it may not, the row
+// executor warms every simulator that implements mm.Warmer by state.
+func (s Scale) readsWarmupCosts() bool {
+	if w, ok := s.Observer.(event.WarmupReader); ok {
+		return w.ReadsWarmupCosts()
+	}
+	return s.Observer != nil
+}
+
 // mark reports a KindMark event stamped now, when an observer is
 // attached.
 func (s Scale) mark(name, row, alg, note string) {
@@ -277,6 +287,11 @@ func (m *fig1Machine) runWorkers(s Scale, ring *workload.Ring, gate *parallel.Ga
 // errStalled when the watchdog reclaimed the cell mid-chunk, and any
 // other error only for cancellation. ws is nil when no watchdog is armed.
 //
+// The warm-up's costs are reset unread unless the observer reads them,
+// so then a simulator that implements mm.Warmer gets its warm-up chunks
+// through Warm: the measured window starts from the same state, and the
+// warm-up samples keep Costs.Accesses and their stage times.
+//
 // With an observer, each chunk's sample carries its stage times from
 // stamps that tile the worker's life: the first ring wait opens at the
 // row's start (until a worker runs, ring set-up included, it is by
@@ -291,6 +306,10 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 	inWarmup := true
 	timed := s.Observer != nil
 	last := rowStart
+	warmer, _ := a.(mm.Warmer)
+	if s.readsWarmupCosts() {
+		warmer = nil
+	}
 
 	for {
 		if cerr := ctx.Err(); cerr != nil {
@@ -317,6 +336,7 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			// the reset lands exactly where mm.RunWarm puts it.
 			seg = c.Segment
 			a.ResetCosts()
+			warmer = nil
 			if inWarmup {
 				inWarmup = false
 				crossOnce(ws, clock)
@@ -334,7 +354,7 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			ws.beat.Store(time.Now().UnixNano())
 			ws.state.Store(wsServing)
 		}
-		cellErr := m.serveChunk(s, a, c.Data, row, names[i], ws)
+		cellErr := m.serveChunk(s, a, warmer, c.Data, row, names[i], ws)
 		if ws != nil && !ws.state.CompareAndSwap(wsServing, wsIdle) {
 			// The monitor won the race: it already recorded the stall,
 			// released this worker's ring references and gate slot, and
@@ -370,10 +390,11 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 	return nil
 }
 
-// serveChunk services one chunk on one simulator, with the
-// fault-injection points at the chunk boundary. A panic (algorithm bug
-// or injected cell fault) is recovered into the returned error.
-func (m *fig1Machine) serveChunk(s Scale, a mm.Algorithm, chunk []uint64, row, name string, ws *watchState) (err error) {
+// serveChunk services one chunk on one simulator, through warm when it
+// is not nil, with the fault-injection points at the chunk boundary. A
+// panic (algorithm bug or injected cell fault) is recovered into the
+// returned error.
+func (m *fig1Machine) serveChunk(s Scale, a mm.Algorithm, warm mm.Warmer, chunk []uint64, row, name string, ws *watchState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiments: cell %s|%s panicked: %v", row, name, r)
@@ -398,6 +419,10 @@ func (m *fig1Machine) serveChunk(s Scale, a mm.Algorithm, chunk []uint64, row, n
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+	if warm != nil {
+		warm.Warm(chunk)
+		return nil
 	}
 	a.AccessBatch(chunk)
 	return nil

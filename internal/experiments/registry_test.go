@@ -94,16 +94,19 @@ func (b *batchIntervals) overlap() string {
 	return ""
 }
 
+// streaming lists the registry entries that stream rows through the row
+// executor; TestWorkersOneServesOneChunkAtATime checks that each does.
+var streaming = map[string]bool{
+	"f1a": true, "f1b": true, "f1c": true, "t4": true, "e4": true, "e5": true, "e6": true,
+	"e7": true, "e8": true, "e9": true, "e10": true, "h1": true, "x1": true,
+}
+
 // TestWorkersOneServesOneChunkAtATime: at Workers: 1 every registry entry
 // that streams rows simulates one chunk at a time, across its rows as
 // well as within them — no two AccessBatch calls overlap in wall time.
 // The control shows the check can fail: f1a at four admission slots
 // overlaps (it needs two CPUs to run two simulators at once).
 func TestWorkersOneServesOneChunkAtATime(t *testing.T) {
-	streaming := map[string]bool{
-		"f1a": true, "f1b": true, "f1c": true, "t4": true, "e4": true, "e5": true, "e6": true,
-		"e7": true, "e8": true, "e9": true, "e10": true, "h1": true, "x1": true,
-	}
 	ran := 0
 	for _, e := range Registry() {
 		if !streaming[e.ID] {

@@ -136,10 +136,10 @@ func drawEdges(buf []uint32, cfg Config) error {
 	m := uint64(len(buf) / 2)
 	scale := uint64(cfg.Scale)
 	block := func(lo, hi uint64) {
-		rng := hashutil.NewRNG(cfg.Seed)
+		rng := *hashutil.NewRNG(cfg.Seed)
 		rng.Skip(lo * scale)
 		for e := lo; e < hi; e++ {
-			buf[2*e], buf[2*e+1] = rmatEdge(rng, cfg.Scale)
+			buf[2*e], buf[2*e+1], rng = rmatEdge(rng, cfg.Scale)
 		}
 	}
 	w := uint64(max(cfg.Workers, 1))
@@ -153,26 +153,42 @@ func drawEdges(buf []uint32, cfg Config) error {
 	})
 }
 
-// rmatEdge draws one edge by recursive quadrant descent. Level bit's
-// quadrant q counts the thresholds its draw r reaches: q = 0 below A
-// (top-left, no bit set), 1 below A+B (v's bit), 2 below A+B+C (u's bit),
-// 3 otherwise (both bits). So u's bit is q>>1 and v's is q&1, with no
-// branch on r.
-func rmatEdge(rng *hashutil.RNG, scale int) (uint32, uint32) {
-	var u, v uint32
+// rmatBelow holds the R-MAT thresholds A, A+B and A+B+C as integers: a
+// level's draw Float64() reaches threshold t exactly when its 53 bits,
+// Uint64()>>11, reach hashutil.Float64Below(t).
+var rmatBelow = [3]uint64{
+	hashutil.Float64Below(ParamA),
+	hashutil.Float64Below(ParamA + ParamB),
+	hashutil.Float64Below(ParamA + ParamB + ParamC),
+}
+
+// rmatEdge draws one edge by recursive quadrant descent from rng and
+// returns rng after its draws; taking and returning the generator by
+// value keeps its state in a register across a block of edges. Level
+// bit's quadrant q counts the thresholds its draw reaches (rmatQuadrant),
+// so u's bit is q>>1 and v's is q&1, with no branch on the draw.
+func rmatEdge(rng hashutil.RNG, scale int) (u, v uint32, next hashutil.RNG) {
 	for bit := 0; bit < scale; bit++ {
-		r := rng.Float64()
-		q := atLeast(r, ParamA) + atLeast(r, ParamA+ParamB) + atLeast(r, ParamA+ParamB+ParamC)
+		var r uint64
+		r, rng = rng.Next()
+		q := rmatQuadrant(r >> 11)
 		u |= q >> 1 << uint(bit)
 		v |= q & 1 << uint(bit)
 	}
-	return u, v
+	return u, v, rng
 }
 
-// atLeast is 1 if r ≥ t and 0 otherwise; the compiler lowers it to a
+// rmatQuadrant is the quadrant of a level whose draw has the 53 bits j:
+// 0 below A (top-left, no bit set), 1 below A+B (v's bit), 2 below
+// A+B+C (u's bit), 3 otherwise (both bits).
+func rmatQuadrant(j uint64) uint32 {
+	return atLeast(j, rmatBelow[0]) + atLeast(j, rmatBelow[1]) + atLeast(j, rmatBelow[2])
+}
+
+// atLeast is 1 if j ≥ k and 0 otherwise; the compiler lowers it to a
 // flag-setting compare with no branch.
-func atLeast(r, t float64) uint32 {
-	if r >= t {
+func atLeast(j, k uint64) uint32 {
+	if j >= k {
 		return 1
 	}
 	return 0

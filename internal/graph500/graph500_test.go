@@ -57,24 +57,64 @@ func referenceGenerate(cfg Config) (*Graph, error) {
 	}, nil
 }
 
-// referenceRMATEdge draws one edge by recursive quadrant descent.
+// referenceRMATEdge draws one edge by recursive quadrant descent, each
+// level's quadrant from its Float64 draw.
 func referenceRMATEdge(rng *hashutil.RNG, scale int) (uint32, uint32) {
 	var u, v uint32
 	for bit := 0; bit < scale; bit++ {
-		r := rng.Float64()
-		switch {
-		case r < ParamA:
-			// top-left: no bits set
-		case r < ParamA+ParamB:
-			v |= 1 << uint(bit)
-		case r < ParamA+ParamB+ParamC:
-			u |= 1 << uint(bit)
-		default:
-			u |= 1 << uint(bit)
-			v |= 1 << uint(bit)
-		}
+		q := referenceQuadrant(rng.Float64())
+		u |= q >> 1 << uint(bit)
+		v |= q & 1 << uint(bit)
 	}
 	return u, v
+}
+
+// referenceQuadrant is the R-MAT quadrant of a level's draw r, compared
+// as a float with the parameters: 0 top-left (no bits set), 1 v's bit,
+// 2 u's bit, 3 both.
+func referenceQuadrant(r float64) uint32 {
+	switch {
+	case r < ParamA:
+		return 0
+	case r < ParamA+ParamB:
+		return 1
+	case r < ParamA+ParamB+ParamC:
+		return 2
+	}
+	return 3
+}
+
+// TestRmatEdgeMatchesFloat pins rmatEdge's integer thresholds to the
+// float comparison they replace: the same 2^20 edges as
+// referenceRMATEdge at seeds 1, 7 and 42, with the generator left at
+// the same draw, and for each threshold t the same quadrant at the 53
+// bits k − 1, k and k + 1 around k = hashutil.Float64Below(t), where an
+// off-by-one threshold would part them. (Each threshold lies in [0.5,
+// 1), where t·2^53 is a whole number, so Float64Below's rounding
+// direction cannot move it; TestFloat64Below pins that rounding.)
+func TestRmatEdgeMatchesFloat(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42} {
+		rng := *hashutil.NewRNG(seed)
+		ref := hashutil.NewRNG(seed)
+		for e := 0; e < 1<<20; e++ {
+			var u, v uint32
+			u, v, rng = rmatEdge(rng, 16)
+			if wu, wv := referenceRMATEdge(ref, 16); u != wu || v != wv {
+				t.Fatalf("seed %d edge %d: (%d, %d), float form (%d, %d)", seed, e, u, v, wu, wv)
+			}
+		}
+		if rng.Uint64() != ref.Uint64() {
+			t.Fatalf("seed %d: the generator ends at another draw than the float form's", seed)
+		}
+	}
+	for _, th := range []float64{ParamA, ParamA + ParamB, ParamA + ParamB + ParamC} {
+		k := hashutil.Float64Below(th)
+		for j := k - 1; j <= k+1; j++ {
+			if got, want := rmatQuadrant(j), referenceQuadrant(float64(j)/(1<<53)); got != want {
+				t.Errorf("threshold %v: 53 bits %d (k%+d) give quadrant %d, float form %d", th, j, int64(j-k), got, want)
+			}
+		}
+	}
 }
 
 // TestGenerateMatchesReference pins Generate's branch-free draw, its

@@ -121,6 +121,14 @@ func (r *RNG) Uint64() uint64 {
 	return Mix64(r.state)
 }
 
+// Next returns the next draw, as Uint64 would, and the generator after
+// it. A loop that takes its generator by value this way can keep the
+// state in a register.
+func (r RNG) Next() (uint64, RNG) {
+	r.state += gamma
+	return Mix64(r.state), r
+}
+
 // Skip advances the stream past its next k draws, as k Uint64 calls
 // would, in O(1): the draws that follow are the ones after them.
 func (r *RNG) Skip(k uint64) {

@@ -210,6 +210,24 @@ func TestRNGSkip(t *testing.T) {
 	}
 }
 
+// TestRNGNext: drawing by value with Next yields Uint64's stream and
+// leaves the generator where Uint64 leaves it, at seeds 0, 1 and 42.
+func TestRNGNext(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42} {
+		byValue, byPointer := *NewRNG(seed), NewRNG(seed)
+		for i := range 1000 {
+			var got uint64
+			got, byValue = byValue.Next()
+			if want := byPointer.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: Next %#x, Uint64 %#x", seed, i, got, want)
+			}
+		}
+		if byValue != *byPointer {
+			t.Fatalf("seed %d: Next left the generator at %+v, Uint64 at %+v", seed, byValue, *byPointer)
+		}
+	}
+}
+
 // TestFloat64Below pins the integer threshold to Float64's test: for
 // each p, j < Float64Below(p) exactly when j/2^53 < p, at the 53-bit
 // values j next to the threshold and on random draws.

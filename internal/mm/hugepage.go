@@ -77,7 +77,10 @@ type HugePage struct {
 	ram policy.Policy // cache of huge-page ids, capacity P/h
 }
 
-var _ Algorithm = (*HugePage)(nil)
+var (
+	_ Algorithm = (*HugePage)(nil)
+	_ Warmer    = (*HugePage)(nil)
+)
 
 // NewHugePage builds the baseline simulator.
 func NewHugePage(cfg HugePageConfig) (*HugePage, error) {
@@ -176,6 +179,19 @@ func (m *HugePage) AccessBatch(vs []uint64) {
 	for _, v := range vs {
 		m.Access(v)
 	}
+}
+
+// Warm implements Warmer. On the merged-LRU path, unarmed, a stack that
+// has never been read is stamped (policy.RecencyStack.Stamp): the
+// warm-up costs one store per run of one huge page instead of a
+// simulated access, and the first access after it settles the exact
+// warm state. Otherwise, and once the stack declines, it is AccessBatch.
+func (m *HugePage) Warm(vs []uint64) {
+	if m.stack != nil && m.ex == nil && m.stack.Stamp(vs, m.shift) {
+		m.costs.Accesses += uint64(len(vs))
+		return
+	}
+	m.AccessBatch(vs)
 }
 
 // attributeStack attributes the zone misses the merged stack reported

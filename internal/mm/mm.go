@@ -102,6 +102,16 @@ type Batcher interface {
 	AccessBatch(vs []uint64)
 }
 
+// Warmer is an Algorithm that can be warmed by state alone. Warm services
+// the requests of a warm-up window whose costs nobody reads: it leaves
+// the algorithm in the state AccessBatch(vs) would and counts
+// Costs.Accesses, but need not charge any cost, so the other counters
+// mean nothing until the next ResetCosts. Where it cannot skip the
+// simulation, as with cost attribution armed, Warm is AccessBatch.
+type Warmer interface {
+	Warm(vs []uint64)
+}
+
 // Run services every request in order and returns the final counters.
 func Run(a Algorithm, requests []uint64) Costs {
 	a.AccessBatch(requests)

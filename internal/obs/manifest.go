@@ -44,10 +44,20 @@ type CacheStats struct {
 // it resumed: the experiment finished in an earlier run, whose numbers
 // the record keeps, and was not re-executed.
 type RunRecord struct {
-	ID          string        `json:"id"`
-	Table       string        `json:"table,omitempty"`
-	Rows        int           `json:"rows,omitempty"`
-	WallSeconds float64       `json:"wall_seconds"`
+	ID          string  `json:"id"`
+	Table       string  `json:"table,omitempty"`
+	Rows        int     `json:"rows,omitempty"`
+	WallSeconds float64 `json:"wall_seconds"`
+	// CPUSeconds is the process's user plus system CPU time over the
+	// experiment (a getrusage difference; experiments run one at a time,
+	// so it is the experiment's own). MaxRSSMiB is the process's
+	// resident-set high-water mark when the experiment finished: once an
+	// earlier experiment of the run went higher it is that experiment's
+	// peak, not this one's, and like getrusage's ru_maxrss it counts the
+	// image the process replaced at exec. Both are 0 where the platform
+	// does not report them, and in records written before they existed.
+	CPUSeconds  float64       `json:"cpu_seconds,omitempty"`
+	MaxRSSMiB   float64       `json:"max_rss_mib,omitempty"`
 	CacheHits   uint64        `json:"cache_hits,omitempty"`
 	CacheMisses uint64        `json:"cache_misses,omitempty"`
 	Skipped     bool          `json:"skipped,omitempty"`
@@ -79,10 +89,16 @@ type Manifest struct {
 	Seeds   []uint64          `json:"seeds,omitempty"`
 	// FaultPlan records the armed ADDRXLAT_FAULTS plan, so a table produced
 	// under fault injection can never masquerade as a clean run.
-	FaultPlan   string    `json:"fault_plan,omitempty"`
-	GoVersion   string    `json:"go_version"`
-	OS          string    `json:"os"`
-	Arch        string    `json:"arch"`
+	FaultPlan string `json:"fault_plan,omitempty"`
+	GoVersion string `json:"go_version"`
+	OS        string `json:"os"`
+	Arch      string `json:"arch"`
+	// The host the run's wall and CPU times were measured on: its
+	// logical CPUs, the GOMAXPROCS the run used, and the CPU model
+	// (/proc/cpuinfo's first "model name", "unknown" without one).
+	NumCPU      int       `json:"num_cpu,omitempty"`
+	GOMAXPROCS  int       `json:"gomaxprocs,omitempty"`
+	CPUModel    string    `json:"cpu_model,omitempty"`
 	GitRevision string    `json:"git_revision,omitempty"`
 	GitDirty    bool      `json:"git_dirty,omitempty"`
 	Start       time.Time `json:"start"`
@@ -110,8 +126,8 @@ type Manifest struct {
 }
 
 // NewManifest starts a manifest for the named command, stamping the
-// environment (go version, platform, source revision) and the start time.
-// args is the raw command line (os.Args[1:]).
+// environment (go version, platform, host CPUs, source revision) and the
+// start time. args is the raw command line (os.Args[1:]).
 func NewManifest(command string, args []string) *Manifest {
 	rev, dirty := gitVersion()
 	return &Manifest{
@@ -120,6 +136,9 @@ func NewManifest(command string, args []string) *Manifest {
 		GoVersion:   runtime.Version(),
 		OS:          runtime.GOOS,
 		Arch:        runtime.GOARCH,
+		NumCPU:      runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		CPUModel:    cpuModel(),
 		GitRevision: rev,
 		GitDirty:    dirty,
 		Start:       time.Now().UTC(),
@@ -228,6 +247,20 @@ func (m *Manifest) place(tmp, dir string) error {
 		m.path = path
 		return os.Remove(tmp)
 	}
+}
+
+// cpuModel is the first "model name" in /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // gitVersion resolves the source revision: the VCS stamp the go tool

@@ -77,6 +77,13 @@ func NewRecorder(interval uint64) *Recorder {
 // Timelines). Call before the run.
 func (r *Recorder) SetTrace(t *Trace) { r.trace = t }
 
+// ReadsWarmupCosts implements event.WarmupReader: the recorder reads a
+// warm-up sample's costs only to draw its curve, so only when it
+// records curves (interval > 0). The trace and the phase records read
+// Costs.Accesses and wall times alone, and attribution snapshots come
+// from armed simulators, which warm by simulating.
+func (r *Recorder) ReadsWarmupCosts() bool { return r != nil && r.interval > 0 }
+
 // Observe implements event.Observer. A sample extends its (row, phase,
 // alg) curve and, when it carries attribution, its explain series; a
 // phase becomes a manifest phase record; a row's end is mirrored into
