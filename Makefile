@@ -128,16 +128,27 @@ bench-diff:
 # required keys, and per-timeline span nesting — with cmd/tracelint. The
 # sweep's tables stay byte-identical with the trace armed (pinned by
 # TestTraceByteIdentical); this target guards the other side: that the
-# export itself stays loadable in Perfetto. Artifacts (trace + timeline
-# TSV + manifest) land in results/trace-smoke/ and are uploaded by CI.
+# export itself stays loadable in Perfetto. It then runs one traced
+# atsim simulation whose trace goes into a directory that does not exist
+# yet (the run creates it, and the manifest names the trace only once it
+# is written) and validates that trace too. Artifacts (traces + timeline
+# TSVs + manifests) land in results/trace-smoke/, emptied first so the
+# sweep simulates every cell instead of answering them from the cache
+# an earlier run left there, and are uploaded by CI.
 trace-smoke:
-	@mkdir -p results/trace-smoke
+	@rm -rf results/trace-smoke && mkdir -p results/trace-smoke
 	$(GO) run ./cmd/figures -fig f1a -workers 4 -sample 100000 \
 		-out results/trace-smoke -manifest results/trace-smoke -cache results/trace-smoke/cache \
 		-trace results/trace-smoke/figures.trace.json
 	$(GO) run ./cmd/tracelint results/trace-smoke/figures.trace.json
 	@test -s results/trace-smoke/f1a-bimodal.timeline.tsv || \
 		{ echo "trace-smoke: missing timeline TSV" >&2; exit 1; }
+	$(GO) run ./cmd/atsim -algo hugepage -h 4 -vpages 16384 -ram 1024 -tlb 64 -warmup 20000 -measure 20000 \
+		-manifest results/trace-smoke/atsim -trace results/trace-smoke/atsim/trace/atsim.trace.json > /dev/null
+	$(GO) run ./cmd/tracelint results/trace-smoke/atsim/trace/atsim.trace.json
+	@grep -q '^  "trace": "results/trace-smoke/atsim/trace/atsim.trace.json"' results/trace-smoke/atsim/manifest-*.json && \
+		test -s results/trace-smoke/atsim/atsim.timeline.tsv || \
+		{ echo "trace-smoke: atsim's manifest does not name its trace, or its timeline TSV is missing" >&2; exit 1; }
 
 # serve-smoke runs the serving-layer drill end-to-end: the sv1/sv2
 # goodput+latency sweep (five offered loads per algorithm, up to 3×
@@ -152,8 +163,9 @@ trace-smoke:
 # rendered a data row, no cell footnoted an error, the manifests carry
 # the serve record (offered-load grid + governor config, and for atsim
 # the token bucket) that makes the numbers auditable, and the atsim run
-# printed its taxonomy, retried, and wrote its window dump. Artifacts
-# land in results/serve-smoke/ and are uploaded by CI.
+# printed its taxonomy, retried, and wrote its window dump, and its
+# record carries the CPU time and phase record every run's record
+# carries. Artifacts land in results/serve-smoke/ and are uploaded by CI.
 serve-smoke:
 	@rm -rf results/serve-smoke && mkdir -p results/serve-smoke/atsim
 	$(GO) run ./cmd/figures -fig sv1,sv2 -seed 7 -out results/serve-smoke \
@@ -183,6 +195,9 @@ serve-smoke:
 		grep -q '"refill_div"' results/serve-smoke/atsim/manifest-*.json && \
 		grep -q '"burst"' results/serve-smoke/atsim/manifest-*.json || \
 		{ echo "serve-smoke: atsim manifest lacks the governor or the token bucket" >&2; exit 1; }
+	@grep -q '"cpu_seconds"' results/serve-smoke/atsim/manifest-*.json && \
+		grep -q '"phases"' results/serve-smoke/atsim/manifest-*.json || \
+		{ echo "serve-smoke: atsim manifest's record lacks cpu_seconds or phases" >&2; exit 1; }
 
 # serve-metrics-smoke runs the serving-telemetry drill: the sv3
 # SLO-curve sweep (per-cell window collectors always armed) with -trace,

@@ -9,6 +9,18 @@
 //	atsim -workload graph500 -algo hybrid -g 4
 //	atsim -workload zipf -zipf-s 1.2 -algo decoupled
 //	atsim -workload bimodal -algo thp -h 64 -explain
+//
+// A run's lifecycle is obs.Run's, as for cmd/figures: every value atsim
+// can judge from its flags (the names given to -algo, -workload, -alloc,
+// -tlb-policy, -ram-policy and -serve-arrivals, the model's and the
+// serve cell's ranges, -serve with -replay) and the ADDRXLAT_FAULTS plan
+// are checked first, and a rejected invocation exits 2 having written
+// nothing. The run then writes its manifest as "running", and run.Exit
+// ends it "ok", "canceled" (SIGINT/SIGTERM, exit 130) or "failed" (exit
+// 1). The run's side files go next to the manifest, named atsim.*
+// (atsim-serve.* under -serve): .curves.tsv (or -curves), .explain.tsv
+// and .json, .timeline.tsv under -trace, and .serve.metrics.tsv with
+// -serve-metrics. One that cannot be written fails the run.
 package main
 
 import (
@@ -19,9 +31,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
+	"slices"
+	"strings"
 	"time"
 
 	"addrxlat/internal/core"
@@ -37,48 +49,15 @@ import (
 	"addrxlat/internal/serve"
 	"addrxlat/internal/trace"
 	"addrxlat/internal/workload"
-	"addrxlat/internal/xtrace"
 )
 
-// profile is flushed on every exit path, including fail().
-var profile *prof.Flags
-
-// exitMan/exitManDir let fail() and cancellation flush the run manifest
-// with an honest status before exiting.
-var (
-	exitMan    *obs.Manifest
-	exitManDir string
-)
-
-// exitTrace is the armed execution tracer (-trace), flushed on every exit
-// path — a canceled simulation still exports a well-formed trace, since
-// the row executor drains at a chunk boundary before fail() runs. obs's
-// Trace draws into it from the run's events.
-var (
-	exitTrace     *xtrace.Tracer
-	exitTracePath string
-)
-
-// flushTrace writes the Chrome trace-event JSON. Idempotent, best effort.
-func flushTrace() {
-	t := exitTrace
-	if t == nil {
-		return
-	}
-	exitTrace = nil
-	if err := t.WriteFile(exitTracePath); err != nil {
-		fmt.Fprintf(os.Stderr, "atsim: trace: %v\n", err)
-	} else {
-		fmt.Fprintf(os.Stderr, "atsim: wrote execution trace %s; load it at https://ui.perfetto.dev\n", exitTracePath)
-	}
-}
-
-// The names -algo and -workload accept: buildAlgorithm takes every
-// algorithm, buildGenerator every streaming generator, and buildWorkload
-// the generators plus graph500.
+// The names -algo, -workload and -alloc accept: buildAlgorithm takes
+// every algorithm, buildGenerator every streaming generator, and
+// buildWorkload the generators plus graph500.
 const (
 	algorithmNames = "hugepage|decoupled|hybrid|thp|superpage|hawkeye|directseg|coalesced|nested|tlb-only|ram-only"
 	generatorNames = "bimodal|graphwalk|uniform|zipf|sequential"
+	allocNames     = "full|single|iceberg"
 )
 
 func main() {
@@ -117,63 +96,37 @@ func main() {
 		serveWarm     = flag.Int("serve-warmup", 1000, "closed-loop calibration requests before the measured run")
 		serveBlock    = flag.Int("serve-block", 256, "pages each request accesses")
 		serveDeadline = flag.Int64("serve-deadline", 80, "request deadline, in multiples of the calibrated mean service time (0 disables deadlines)")
-		serveArrivals = flag.String("serve-arrivals", "poisson", "arrival process: poisson|burst|diurnal")
+		serveArr      = flag.String("serve-arrivals", "poisson", "arrival process: poisson|burst|diurnal")
 		serveQueue    = flag.Int("serve-queue", 256, "admission queue capacity")
 		serveAttempts = flag.Int("serve-attempts", 3, "total service attempts for requests hitting decoupling failure IOs")
 		serveMetrics  = flag.Bool("serve-metrics", false, "arm the virtual-time window collector on the serving run: print the per-window summary and slowest-request exemplars, record windows/SLO/exemplars in the manifest, and (with -manifest) write atsim-serve.serve.metrics.tsv next to it")
 	)
-	profile = prof.Register(nil)
+	profile := prof.Register(nil)
 	flag.Parse()
-	if err := faultinject.ArmFromEnv(); err != nil {
-		fail(err)
-	}
-	if err := profile.Start(); err != nil {
-		fail(err)
-	}
-	defer func() {
-		if !flushProfile() {
-			os.Exit(1)
-		}
-	}()
-
-	// SIGINT/SIGTERM drain the simulation at the next chunk boundary; the
-	// run exits 130 through fail() with a "canceled" manifest.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	man := obs.NewManifest("atsim", os.Args[1:])
-	man.Config = obs.FlagConfig(nil)
-	man.Seeds = []uint64{*seed}
-	man.FaultPlan = faultinject.Plan()
-	exitMan, exitManDir = man, *maniDir
-
-	var timeline *obs.Trace
-	if *traceF != "" {
-		tracer := xtrace.New()
-		timeline = obs.NewTrace(tracer)
-		exitTrace, exitTracePath = tracer, *traceF
-		man.Trace = *traceF
-	}
-
-	if err := checkModelFlags(*eps, *wBits, *warmN, *measN); err != nil {
-		fail(err)
-	}
-
+	// Every check of the invocation comes before the run starts: a
+	// rejected run exits 2 and leaves no profile, manifest or side file.
+	reject(faultinject.ArmFromEnv())
+	reject(checkModelFlags(*eps, *wBits, *warmN, *measN))
+	reject(checkNames(*algo, *alloc, *tlbPol, *ramPol, *wl, *replay != "", *serveF))
+	var arrivals func(meanNs int64) workload.ArrivalProcess
 	if *serveF {
-		if *replay != "" {
-			fail(fmt.Errorf("-serve drives a live generator; it cannot replay a trace"))
-		}
-		if err := checkServeFlags(*serveReq, *serveBlock, *serveQueue, *serveWarm, *serveAttempts, *serveDeadline); err != nil {
-			fail(err)
-		}
+		reject(checkServeFlags(*serveReq, *serveBlock, *serveQueue, *serveWarm, *serveAttempts, *serveDeadline, *serveLoad))
+		var err error
+		arrivals, err = serveArrivals(*serveArr, *seed+2, *serveLoad)
+		reject(err)
+	}
+
+	run := obs.StartRun(obs.RunConfig{Command: "atsim", Seed: *seed, Profile: profile,
+		Manifest: *maniDir, Files: *maniDir, Trace: *traceF})
+	if *serveF {
 		gen, err := buildGenerator(*wl, *vPages, *hotPg, *hotFrac, *zipfS, *alpha, *seed)
 		if err != nil {
-			fail(err)
+			run.Exit(err)
 		}
-		alg, err := buildAlgorithm(*algo, core.AllocKind(allocName(*alloc)), *h, *g, *vPages, *ramPg,
+		alg, err := buildAlgorithm(*algo, core.AllocKind(*alloc), *h, *g, *vPages, *ramPg,
 			*tlbEnt, *wBits, policy.Kind(*tlbPol), policy.Kind(*ramPol), *seed)
 		if err != nil {
-			fail(err)
+			run.Exit(err)
 		}
 		// The sweep's policy, with the run's shape from the -serve-* flags.
 		rec := experiments.ServePolicy(*serveMetrics)
@@ -181,23 +134,16 @@ func main() {
 		rec.Requests, rec.Warmup, rec.BlockPages = *serveReq, *serveWarm, *serveBlock
 		rec.DeadlineNs, rec.MaxAttempts = *serveDeadline, *serveAttempts
 		sizeServeQueue(&rec, *serveQueue)
-		rr, err := runServeMode(alg, gen, rec, *serveArrivals, *seed, timeline)
+		x := run.Begin("atsim", 0)
+		if err := runServeMode(alg, gen, rec, arrivals, *seed, x.Rec); err != nil {
+			run.Exit(err)
+		}
+		rr, err := x.End(obs.RunRecord{ID: "serve", Table: rec.Table, Rows: 1}, rec.Table)
 		if err != nil {
-			fail(err)
+			run.Exit(err)
 		}
-		if rr.Serve != nil && rr.Serve.HasMetrics() && *maniDir != "" {
-			path := filepath.Join(*maniDir, "atsim-serve.serve.metrics.tsv")
-			err := obs.WriteFile(path, func(w io.Writer) error { return serve.WriteMetricsTSV(w, rr.Serve) })
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "atsim: serve metrics: %v\n", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "atsim: wrote serve metrics windows to %s\n", path)
-			}
-		}
-		man.Experiments = []obs.RunRecord{rr}
-		flushTrace()
-		flushManifest("ok", "")
-		return
+		printTimelines(rr)
+		run.Exit(nil)
 	}
 
 	var (
@@ -206,38 +152,46 @@ func main() {
 	)
 	if *replay != "" {
 		*wl = "replay:" + *replay
-		var f *os.File
-		if src, f, err = openReplay(*replay, *warmN, *measN); err != nil {
-			fail(err)
+		// The recording stays open until the process exits.
+		if src, _, err = openReplay(*replay, *warmN, *measN); err != nil {
+			run.Exit(err)
 		}
-		defer f.Close()
 	} else if src, err = buildWorkload(*wl, *vPages, *warmN, *measN, *hotPg, *hotFrac, *zipfS, *alpha, *gscale, *seed); err != nil {
-		fail(err)
+		run.Exit(err)
 	}
 	*warmN, *measN = src.warmN, src.measN
 	if src.vSpace > 0 {
 		*vPages = src.vSpace
 	}
 
-	alg, err := buildAlgorithm(*algo, core.AllocKind(allocName(*alloc)), *h, *g, *vPages, *ramPg,
+	alg, err := buildAlgorithm(*algo, core.AllocKind(*alloc), *h, *g, *vPages, *ramPg,
 		*tlbEnt, *wBits, policy.Kind(*tlbPol), policy.Kind(*ramPol), *seed)
 	if err != nil {
-		fail(err)
+		run.Exit(err)
 	}
 	if *explainF {
 		mm.EnableExplain(alg)
 	}
 
-	rec := obs.NewRecorder(*sample)
-	rec.SetTrace(timeline)
-	runStart := time.Now()
-	cpu0, _ := obs.ReadUsage()
-	costs, dumpStats, err := runStream(ctx, alg, *wl, src, *dumpTo, rec)
-	if err != nil {
-		fail(err)
+	x := run.Begin("atsim", *sample)
+	x.Curves = *curves
+	if x.Curves == "" && *maniDir != "" {
+		x.Curves = filepath.Join(*maniDir, "atsim.curves.tsv")
 	}
-	runElapsed := time.Since(runStart)
-	cpu, maxRSS := obs.ReadUsage()
+	costs, dumpStats, err := runStream(run.Ctx, alg, *wl, src, *dumpTo, x.Rec)
+	if err != nil {
+		run.Exit(err)
+	}
+	// The measured window's attribution (ResetCosts resets the explain
+	// counters with the costs, so only post-warmup events remain).
+	ev := event.Sample(*wl, mm.PhaseMeasured, alg.Name(), alg, *explainF)
+	if ev.Explain != nil {
+		x.Rec.Observe(ev)
+	}
+	rr, err := x.End(obs.RunRecord{ID: *algo, Table: *wl, Rows: 1}, "atsim")
+	if err != nil {
+		run.Exit(err)
+	}
 	fmt.Printf("algorithm: %s\n", alg.Name())
 	fmt.Printf("workload:  %s (%d warmup + %d measured accesses)\n", *wl, *warmN, *measN)
 	fmt.Println(machineLine(*vPages, *ramPg, *tlbEnt, *wBits))
@@ -248,10 +202,7 @@ func main() {
 		fmt.Printf("failures:  %d lifetime paging failures, %d failure-path accesses\n",
 			z.Scheme().TotalFailures(), z.FailureHits())
 	}
-	if ev := event.Sample(*wl, mm.PhaseMeasured, alg.Name(), alg, *explainF); ev.Explain != nil {
-		// The measured window's attribution (ResetCosts resets the explain
-		// counters with the costs, so only post-warmup events remain).
-		c := ev.Explain
+	if c := ev.Explain; c != nil {
 		fmt.Printf("explain:   ios = %d demand + %d amplified + %d failure (%d evictions)\n",
 			c.IODemand, c.IOAmplified, c.IOFailure, c.Evictions)
 		fmt.Printf("           tlb = %d compulsory + %d capacity + %d coverage-loss (%d invalidations), %d decode misses\n",
@@ -264,53 +215,27 @@ func main() {
 					g.Buckets, g.AvgLoad, g.MaxLoad, g.Theorem2Bound)
 			}
 		}
-		rec.Observe(ev)
 	}
 	if *dumpTo != "" {
 		fmt.Printf("trace:     wrote %d accesses to %s (%s)\n", *measN, *dumpTo, dumpStats)
 	}
-
-	if rec.HasSeries() {
-		path := *curves
-		if path == "" && *maniDir != "" {
-			path = filepath.Join(*maniDir, "atsim.curves.tsv")
-		}
-		if path != "" {
-			if err := obs.WriteFile(path, rec.WriteTSV); err != nil {
-				fail(err)
-			}
-			fmt.Printf("curves:    wrote cost-over-time series to %s\n", path)
-		}
+	if x.Rec.HasSeries() && x.Curves != "" {
+		fmt.Printf("curves:    wrote cost-over-time series to %s\n", x.Curves)
 	}
-	if rec.HasExplain() && *maniDir != "" {
+	if rr.Explain != nil && *maniDir != "" {
 		base := filepath.Join(*maniDir, "atsim.explain")
-		if err := obs.WriteFile(base+".tsv", rec.WriteExplainTSV); err != nil {
-			fail(err)
-		}
-		if err := obs.WriteFile(base+".json", rec.WriteExplainJSON); err != nil {
-			fail(err)
-		}
 		fmt.Printf("explain:   wrote attribution to %s.tsv and %s.json\n", base, base)
 	}
-	rr := obs.RunRecord{
-		ID: *algo, Table: *wl, Rows: 1,
-		WallSeconds: runElapsed.Seconds(), Phases: rec.Phases(),
-		CPUSeconds: cpu - cpu0, MaxRSSMiB: maxRSS,
+	printTimelines(rr)
+	run.Exit(nil)
+}
+
+// printTimelines prints the straggler digest of each row the run
+// traced (-trace).
+func printTimelines(rr obs.RunRecord) {
+	for _, rep := range rr.Timeline {
+		fmt.Printf("timeline:  %s\n", rep.Summary())
 	}
-	if rec.HasExplain() {
-		tot := rec.ExplainTotals()
-		rr.Explain = &tot
-	}
-	if timeline != nil {
-		rr.Timeline = rec.Timelines()
-		for i := range rr.Timeline {
-			rr.Timeline[i].Experiment = "atsim"
-			fmt.Printf("timeline:  %s\n", rr.Timeline[i].Summary())
-		}
-	}
-	man.Experiments = []obs.RunRecord{rr}
-	flushTrace()
-	flushManifest("ok", "")
 }
 
 // runStream runs alg over src's warmup and measured windows through the
@@ -443,16 +368,6 @@ func openReplay(path string, warmN, measN int) (stream, *os.File, error) {
 	return stream{gen: sr, warmN: warmN, measN: measN, vSpace: st.MaxPage + 1}, f, nil
 }
 
-func allocName(s string) string {
-	switch s {
-	case "full", "single", "iceberg":
-		return s
-	default:
-		fail(fmt.Errorf("unknown alloc kind %q", s))
-		return ""
-	}
-}
-
 // buildGenerator constructs the streaming generator workloads — the ones
 // the serving front-end can drive directly (graph500 and replay are
 // materialized traces, not generators).
@@ -570,37 +485,6 @@ func buildAlgorithm(kind string, alloc core.AllocKind, h, g, vPages, ramPages ui
 	}
 }
 
-// flushProfile stops the CPU profile and writes the heap profile, if
-// either was requested. It reports whether flushing succeeded.
-func flushProfile() bool {
-	if profile == nil {
-		return true
-	}
-	if err := profile.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "atsim: %v\n", err)
-		return false
-	}
-	return true
-}
-
-// flushManifest stamps the run's final status and writes the manifest.
-// Best effort — a manifest failure must not fail the simulation it
-// describes.
-func flushManifest(status, errMsg string) {
-	if exitMan == nil || exitManDir == "" {
-		return
-	}
-	exitMan.Status = status
-	exitMan.Partial = status != "ok"
-	exitMan.Error = errMsg
-	exitMan.Finish()
-	if path, err := exitMan.Write(exitManDir); err != nil {
-		fmt.Fprintf(os.Stderr, "atsim: manifest: %v\n", err)
-	} else {
-		fmt.Fprintf(os.Stderr, "atsim: wrote run manifest %s\n", path)
-	}
-}
-
 // checkModelFlags rejects cost-model flags outside the model's range
 // (DESIGN.md §1): ε must lie in (0, 1), and w must be non-negative, where
 // 0 selects the default of 64 bits. flag.Float64 parses "NaN", which
@@ -637,9 +521,10 @@ func sizeServeQueue(rec *serve.SweepRecord, queue int) {
 // refuse or run differently from how the report prints them: the run
 // offers at least one request of at least one page to a queue of at
 // least one slot, calibration runs at least one request, a request gets
-// at least one attempt, and a negative deadline would run as 0, which
-// disables deadlines.
-func checkServeFlags(requests, block, queue, warmup, attempts int, deadline int64) error {
+// at least one attempt, a negative deadline would run as 0, which
+// disables deadlines, and the offered load is finite and positive
+// (flag.Float64 parses "NaN" and "Inf", and NaN passes a <= 0 check).
+func checkServeFlags(requests, block, queue, warmup, attempts int, deadline int64, load float64) error {
 	for _, f := range []struct {
 		name string
 		v    int
@@ -654,7 +539,57 @@ func checkServeFlags(requests, block, queue, warmup, attempts int, deadline int6
 	if deadline < 0 {
 		return fmt.Errorf("-serve-deadline must be non-negative (0 disables deadlines), got %d", deadline)
 	}
+	if !(load > 0) || math.IsInf(load, 1) {
+		return fmt.Errorf("-serve-load must be finite and positive, got %g", load)
+	}
 	return nil
+}
+
+// checkNames rejects a name -algo, -alloc, -tlb-policy, -ram-policy or
+// -workload does not accept, and -serve with -replay. A -replay run
+// reads its requests from the recording and ignores -workload; -serve
+// drives a streaming generator, so it takes no recording and no
+// graph500.
+func checkNames(algo, alloc, tlbPol, ramPol, wl string, replay, serve bool) error {
+	if serve && replay {
+		return errors.New("-serve drives a live generator; it cannot replay a trace")
+	}
+	var policies []string
+	for _, k := range policy.Kinds() {
+		policies = append(policies, string(k))
+	}
+	type choice struct {
+		flag, name string
+		names      []string
+	}
+	choices := []choice{
+		{"-algo", algo, strings.Split(algorithmNames, "|")},
+		{"-alloc", alloc, strings.Split(allocNames, "|")},
+		{"-tlb-policy", tlbPol, policies},
+		{"-ram-policy", ramPol, policies},
+	}
+	if !replay {
+		workloads := strings.Split(generatorNames, "|")
+		if !serve {
+			workloads = append(workloads, "graph500")
+		}
+		choices = append(choices, choice{"-workload", wl, workloads})
+	}
+	for _, c := range choices {
+		if !slices.Contains(c.names, c.name) {
+			return fmt.Errorf("%s %q is not one of %s", c.flag, c.name, strings.Join(c.names, "|"))
+		}
+	}
+	return nil
+}
+
+// reject ends a rejected invocation before the run starts: it reports
+// err and exits 2, writing nothing. A nil err lets the run go on.
+func reject(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "atsim: %v\n", err)
+		os.Exit(2)
+	}
 }
 
 // machineLine is the `machine:` line of a run's report, with the value
@@ -665,21 +600,6 @@ func machineLine(vPages, ramPages uint64, tlbEntries, wBits int) string {
 	}
 	return fmt.Sprintf("machine:   V=%d pages, P=%d pages, TLB=%d entries, w=%d bits",
 		vPages, ramPages, tlbEntries, wBits)
-}
-
-// fail flushes profiles and the manifest before exiting, since os.Exit
-// skips defers. A canceled run (SIGINT/SIGTERM) exits 130 with a
-// "canceled" manifest; everything else exits 1 with "failed".
-func fail(err error) {
-	flushProfile()
-	flushTrace()
-	status, code := "failed", 1
-	if errors.Is(err, context.Canceled) {
-		status, code = "canceled", 130
-	}
-	flushManifest(status, err.Error())
-	fmt.Fprintf(os.Stderr, "atsim: %v\n", err)
-	os.Exit(code)
 }
 
 // serveArrivals returns the -serve-arrivals process, built from the
@@ -704,20 +624,15 @@ func serveArrivals(kind string, seed uint64, load float64) (func(meanNs int64) w
 }
 
 // runServeMode runs one cell of the serve sweep (DESIGN.md §13) under
-// rec's policy, at its one offered load, over one algorithm, and prints
-// the serve taxonomy and latency quantiles. The sweep record, with its
-// one point, lands in the manifest. The cell's fault key has the sweep's
-// form, "atsim-serve|<alg>|load=<l>", so an armed serve-burst rule fires
-// here as it does in sv1–sv3.
-func runServeMode(alg mm.Algorithm, gen workload.Generator, rec serve.SweepRecord, arrivals string, seed uint64, timeline *obs.Trace) (obs.RunRecord, error) {
+// rec's policy, at its one offered load, over one algorithm, with the
+// arrival process newArrivals builds from the calibrated mean service
+// time, and prints the serve taxonomy and latency quantiles. o observes
+// the cell as a sweep's observer would: one serve phase and the sweep
+// record, with its one point, which the run's record takes. The cell's
+// fault key has the sweep's form, "atsim-serve|<alg>|load=<l>", so an
+// armed serve-burst rule fires here as it does in sv1–sv3.
+func runServeMode(alg mm.Algorithm, gen workload.Generator, rec serve.SweepRecord, newArrivals func(meanNs int64) workload.ArrivalProcess, seed uint64, o event.Observer) error {
 	load := rec.Loads[0]
-	if !(load > 0) || math.IsInf(load, 1) {
-		return obs.RunRecord{}, fmt.Errorf("-serve-load must be finite and positive, got %g", load)
-	}
-	newArrivals, err := serveArrivals(arrivals, seed+2, load)
-	if err != nil {
-		return obs.RunRecord{}, err
-	}
 	var arr workload.ArrivalProcess
 	start := time.Now()
 	pt, err := rec.RunCell(serve.Cell{
@@ -729,10 +644,9 @@ func runServeMode(alg mm.Algorithm, gen workload.Generator, rec serve.SweepRecor
 		FaultKey: fmt.Sprintf("%s|%s|load=%g", rec.Table, alg.Name(), load),
 	})
 	if err != nil {
-		return obs.RunRecord{}, err
+		return err
 	}
 	end := time.Now()
-	elapsed := end.Sub(start)
 
 	c, mean := pt.Counters, pt.MeanServiceNs
 	fmt.Printf("algorithm: %s\n", alg.Name())
@@ -756,15 +670,12 @@ func runServeMode(alg mm.Algorithm, gen workload.Generator, rec serve.SweepRecor
 
 	rec.Arrivals = arr.Name()
 	rec.Points = []serve.Point{pt}
-	// With -trace the run is one serve cell of an "atsim" table: its wall
+	// In the trace the run is one serve cell of an "atsim" table: its wall
 	// span and, with -serve-metrics, its virtual-time threads.
-	timeline.Observe(event.Event{Kind: event.KindPhase, Row: "atsim", Phase: event.PhaseServe,
-		Alg: fmt.Sprintf("%s|load=%g", pt.Alg, pt.Load), At: end, Accesses: rec.Requests, Elapsed: elapsed})
-	timeline.Observe(event.Event{Kind: event.KindServe, Row: "atsim", At: end, Serve: &rec})
-	return obs.RunRecord{
-		ID: "serve", Table: "atsim-serve", Rows: 1,
-		WallSeconds: elapsed.Seconds(), Serve: &rec,
-	}, nil
+	o.Observe(event.Event{Kind: event.KindPhase, Row: "atsim", Phase: event.PhaseServe,
+		Alg: fmt.Sprintf("%s|load=%g", pt.Alg, pt.Load), At: end, Accesses: rec.Requests, Elapsed: end.Sub(start)})
+	o.Observe(event.Event{Kind: event.KindServe, Row: "atsim", At: end, Serve: &rec})
+	return nil
 }
 
 // printServeMetrics renders the windowed telemetry stream of a

@@ -26,8 +26,14 @@
 // peak RSS and phase splits, cache hit counts) into the -manifest
 // directory, prints per-experiment progress with ETA and cache hit rate
 // on stderr, and — with -sample N — emits one <experiment>.curves.tsv
-// cost-over-time file per experiment next to the figure outputs. See the Observability sections of README.md
-// and EXPERIMENTS.md.
+// cost-over-time file per experiment next to the figure outputs. See the
+// Observability sections of README.md and EXPERIMENTS.md.
+//
+// A run's lifecycle is obs.Run's: an invocation rejected for its flags,
+// its fault plan or its -resume manifest exits (2, or 1 for a manifest
+// that cannot be read) before anything is written; once the run starts,
+// run.Exit is its one exit path, and a side file or trace that cannot be
+// written fails it (exit 1, "status": "failed").
 //
 // Fault tolerance: SIGINT/SIGTERM drains the sweep at a chunk boundary,
 // flushes the manifest with "status": "canceled" and "partial": true, and
@@ -43,17 +49,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"slices"
 	"strings"
-	"syscall"
 	"time"
 
 	"addrxlat/internal/experiments"
@@ -61,50 +62,7 @@ import (
 	"addrxlat/internal/obs"
 	"addrxlat/internal/prof"
 	"addrxlat/internal/resultcache"
-	"addrxlat/internal/serve"
-	"addrxlat/internal/xtrace"
 )
-
-// profile is flushed on every exit path once the run has started,
-// including die().
-var profile *prof.Flags
-
-// exitMan/exitManDir let every exit path (die, cancellation, normal
-// completion) flush the run manifest with an honest status.
-var (
-	exitMan    *obs.Manifest
-	exitManDir string
-)
-
-// exitTrace is the armed execution tracer, flushed to exitTracePath on
-// every exit path. The sweep span lives on sweepThread, closed by
-// flushTrace so even an aborted run exports a well-formed trace (the row
-// executor joins every goroutine that reports events before a row ends,
-// so the tracer is always quiescent by the time any exit path runs).
-var (
-	exitTrace     *xtrace.Tracer
-	exitTracePath string
-	sweepThread   *xtrace.Thread
-	sweepStart    int64
-)
-
-// flushTrace closes the sweep span and writes the Chrome trace-event
-// JSON. Idempotent; best effort like the other flushers.
-func flushTrace() {
-	t := exitTrace
-	if t == nil {
-		return
-	}
-	exitTrace = nil
-	sweepThread.Span("figures", xtrace.CatSweep, sweepStart)
-	if err := t.WriteFile(exitTracePath); err != nil {
-		fmt.Fprintf(os.Stderr, "figures: trace: %v\n", err)
-	} else {
-		threads, events, _ := t.Stats()
-		fmt.Fprintf(os.Stderr, "figures: wrote execution trace %s (%d timelines, %d events); load it at https://ui.perfetto.dev\n",
-			exitTracePath, threads, events)
-	}
-}
 
 // options are figures' command-line flags.
 type options struct {
@@ -165,7 +123,6 @@ func resumeFrom(prior *obs.Manifest, fs *flag.FlagSet, explicit map[string]bool)
 func main() {
 	var o options
 	o.define(flag.CommandLine)
-	profile = o.profile
 	flag.Parse()
 	if err := faultinject.ArmFromEnv(); err != nil {
 		reject(2, "figures: %v\n", err)
@@ -217,25 +174,35 @@ func main() {
 		reject(2, "figures: unknown -format %q (want tsv or csv)\n", o.format)
 	}
 
-	if err := profile.Start(); err != nil {
-		die(1, "figures: %v\n", err)
-	}
-	defer func() {
-		if !flushProfile() {
-			os.Exit(1)
+	// A resumed run carries the finished experiments' records forward, so
+	// its manifest lists all finished work however many crashes came
+	// before, and runs the rest.
+	var carried []obs.RunRecord
+	var todo []experiments.Experiment
+	for _, e := range selected {
+		r, ok := done[e.ID]
+		if !ok {
+			todo = append(todo, e)
+			continue
 		}
-	}()
-
-	// SIGINT/SIGTERM cancel the sweep context; the row drivers drain at
-	// the next chunk boundary and the run exits 130 below.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+		r.Skipped = true
+		carried = append(carried, r)
+		fmt.Fprintf(os.Stderr, "figures: %s: complete in manifest, skipped (resume)\n", e.ID)
+	}
+	// Side files land next to the figure outputs; with stdout output they
+	// go to the manifest directory instead.
+	files := o.out
+	if files == "" {
+		files = o.manifest
+	}
+	run := obs.StartRun(obs.RunConfig{Command: "figures", Seed: o.seed, Profile: o.profile,
+		Manifest: o.manifest, Files: files, Trace: o.trace, Carry: carried})
 
 	scale := experiments.DownScale()
 	if o.full {
 		scale = experiments.PaperScale()
 	}
-	scale.Ctx = ctx
+	scale.Ctx = run.Ctx
 	scale.Workers = o.workers
 	// The stalled-worker watchdog arms from the environment, never a
 	// default: ADDRXLAT_WATCHDOG=30s style (see DESIGN.md).
@@ -243,165 +210,61 @@ func main() {
 	var cache *resultcache.Cache
 	if !o.noCache && o.cache != "" {
 		var err error
-		cache, err = resultcache.Open(o.cache)
-		if err != nil {
-			die(1, "figures: %v\n", err)
+		if cache, err = resultcache.Open(o.cache); err != nil {
+			run.Exit(err)
 		}
 		scale.Cache = cache
 	}
 
-	man := obs.NewManifest("figures", os.Args[1:])
-	man.Config = obs.FlagConfig(nil)
-	man.Seeds = []uint64{o.seed}
-	man.FaultPlan = faultinject.Plan()
-	exitMan, exitManDir = man, o.manifest
-	// A resumed run carries the finished experiments' records forward, so
-	// its manifest lists all finished work however many crashes came
-	// before.
-	for _, e := range selected {
-		if r, ok := done[e.ID]; ok {
-			r.Skipped = true
-			man.Experiments = append(man.Experiments, r)
-		}
-	}
-	// An early manifest marks the run in flight; a SIGKILL leaves this
-	// "running" manifest behind as the -resume handle.
-	man.Status, man.Partial = "running", true
-	writeManifest()
-
 	var prog *obs.Progress
 	if o.progress {
-		prog = obs.NewProgress(os.Stderr, "figures", len(selected))
+		prog = obs.NewProgress(os.Stderr, "figures", len(todo))
 	}
 	if o.http != "" {
 		addr, err := obs.StartHTTP(o.http)
 		if err != nil {
-			die(1, "figures: %v\n", err)
+			run.Exit(err)
 		}
 		// The bound address goes into the manifest: with -http :0 the
 		// kernel picks the port, and the manifest is where tooling finds it.
-		man.HTTPAddr = addr
+		run.Manifest.HTTPAddr = addr
 		fmt.Fprintf(os.Stderr, "figures: serving live counters on http://%s/debug/vars\n", addr)
 	}
-	// -trace: obs.Trace draws the timelines from the events every
-	// experiment's recorder forwards to it; the sweep and experiment
-	// spans are figures' own.
-	var tracer *xtrace.Tracer
-	var timeline *obs.Trace
-	if o.trace != "" {
-		tracer = xtrace.New()
-		timeline = obs.NewTrace(tracer)
-		sweepThread = tracer.Thread("sweep")
-		sweepStart = tracer.Now()
-		exitTrace, exitTracePath = tracer, o.trace
-		man.Trace = o.trace
-	}
-	// Curves land next to the figure outputs; with stdout output they go
-	// to the manifest directory instead.
-	curveDir := o.out
-	if curveDir == "" {
-		curveDir = o.manifest
-	}
 
-	for _, e := range selected {
-		if _, ok := done[e.ID]; ok {
-			fmt.Fprintf(os.Stderr, "figures: %s: complete in manifest, skipped (resume)\n", e.ID)
-			continue
-		}
-		runScale := scale
-		rec := obs.NewRecorder(o.sample)
-		rec.SetTrace(timeline)
-		runScale.Observer = rec
-		runScale.Explain = o.explain
+	for _, e := range todo {
+		x := run.Begin(e.ID, o.sample)
+		s := scale
+		s.Observer, s.Explain = x.Rec, o.explain
 		var hits0, misses0 uint64
 		if cache != nil {
 			hits0, misses0, _ = cache.Stats()
 		}
 		prog.Start(e.ID)
-		expStart := tracer.Now()
-		start := time.Now()
-		cpu0, _ := obs.ReadUsage()
-		tab, err := e.Run(runScale, o.seed)
-		cpu, maxRSS := obs.ReadUsage()
-		sweepThread.Span(e.ID, xtrace.CatExperiment, expStart)
+		tab, err := e.Run(s, o.seed)
+		if err == nil {
+			err = emit(tab, o.format, o.out)
+		}
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				// Cooperative drain: the workers stopped at a chunk
-				// boundary; flush what we have and exit like an
-				// interrupted process should.
-				if curveDir != "" {
-					_ = writeRecorded(rec, curveDir, e.ID+".partial")
-				}
-				flushProfile()
-				flushTrace()
-				flushManifest("canceled", fmt.Sprintf("%s: %v", e.ID, err))
-				fmt.Fprintf(os.Stderr, "figures: %s: %v\n", e.ID, err)
-				os.Exit(130)
-			}
-			die(1, "figures: %s: %v\n", e.ID, err)
+			run.Exit(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		elapsed := time.Since(start)
-		if err := emit(tab, o.format, o.out); err != nil {
-			die(1, "figures: %s: %v\n", e.ID, err)
-		}
-		if curveDir != "" {
-			if err := writeRecorded(rec, curveDir, tab.Name); err != nil {
-				die(1, "figures: %s: %v\n", e.ID, err)
-			}
-		}
-		rr := obs.RunRecord{
-			ID: e.ID, Table: tab.Name, Rows: len(tab.Rows),
-			WallSeconds: elapsed.Seconds(), Phases: rec.Phases(),
-			CPUSeconds: cpu - cpu0, MaxRSSMiB: maxRSS,
-		}
-		if rec.HasExplain() {
-			tot := rec.ExplainTotals()
-			rr.Explain = &tot
-		}
-		// Serving sweeps put their full offered-load grid and governor
-		// configuration into the manifest, so a serve table is auditable
-		// from its manifest alone.
-		rr.Serve = rec.ServeRecord(tab.Name)
-		if rr.Serve != nil && rr.Serve.HasMetrics() && curveDir != "" {
-			err := obs.WriteFile(filepath.Join(curveDir, tab.Name+".serve.metrics.tsv"),
-				func(w io.Writer) error { return serve.WriteMetricsTSV(w, rr.Serve) })
-			if err != nil {
-				die(1, "figures: %s: %v\n", e.ID, err)
-			}
-		}
-		if tracer != nil {
-			// The straggler reports of this experiment's rows (the
-			// recorder collected one per row that ended) go to the
-			// manifest, the progress stream and <table>.timeline.tsv.
-			reps := rec.Timelines()
-			for i := range reps {
-				reps[i].Experiment = e.ID
-				prog.Timeline(reps[i])
-			}
-			rr.Timeline = reps
-			if len(reps) > 0 && curveDir != "" {
-				err := obs.WriteFile(filepath.Join(curveDir, tab.Name+".timeline.tsv"),
-					func(w io.Writer) error { return obs.WriteTimelineTSV(w, reps) })
-				if err != nil {
-					die(1, "figures: %s: %v\n", e.ID, err)
-				}
-			}
-		}
+		rr := obs.RunRecord{ID: e.ID, Table: tab.Name, Rows: len(tab.Rows)}
 		var hits, misses uint64
 		if cache != nil {
 			hits, misses, _ = cache.Stats()
 			rr.CacheHits, rr.CacheMisses = hits-hits0, misses-misses0
 		}
-		// The rewrite after the experiment's last output file is what
-		// marks it complete for -resume.
-		man.Experiments = append(man.Experiments, rr)
-		writeManifest()
-		prog.Finish(e.ID, elapsed, hits, misses)
+		if rr, err = x.End(rr, tab.Name); err != nil {
+			run.Exit(fmt.Errorf("%s: %w", e.ID, err))
+		}
+		for _, rep := range rr.Timeline {
+			prog.Timeline(rep)
+		}
+		prog.Finish(e.ID, time.Duration(rr.WallSeconds*float64(time.Second)), hits, misses)
 	}
 
 	if cache != nil {
 		hits, misses, corrupt := cache.Stats()
-		man.Cache = &obs.CacheStats{Dir: cache.Dir(), Hits: hits, Misses: misses, Corrupt: corrupt}
+		run.Manifest.Cache = &obs.CacheStats{Dir: cache.Dir(), Hits: hits, Misses: misses, Corrupt: corrupt}
 		rate := 0.0
 		if hits+misses > 0 {
 			rate = 100 * float64(hits) / float64(hits+misses)
@@ -413,8 +276,7 @@ func main() {
 				corrupt, plural(corrupt, "y", "ies"), filepath.Join(cache.Dir(), resultcache.QuarantineDir))
 		}
 	}
-	flushTrace()
-	flushManifest("ok", "")
+	run.Exit(nil)
 }
 
 // experimentIDs lists the registry's ids in run order.
@@ -433,82 +295,10 @@ func plural(n uint64, one, many string) string {
 	return many
 }
 
-// writeRecorded writes what rec recorded next to the outputs, under
-// <dir>/<name>: the cost-over-time curves (.curves.tsv, with -sample)
-// and the cost attribution (.explain.tsv and .explain.json, with
-// -explain).
-func writeRecorded(rec *obs.Recorder, dir, name string) error {
-	base := filepath.Join(dir, name)
-	if rec.HasSeries() {
-		if err := obs.WriteFile(base+".curves.tsv", rec.WriteTSV); err != nil {
-			return err
-		}
-	}
-	if !rec.HasExplain() {
-		return nil
-	}
-	if err := obs.WriteFile(base+".explain.tsv", rec.WriteExplainTSV); err != nil {
-		return err
-	}
-	return obs.WriteFile(base+".explain.json", rec.WriteExplainJSON)
-}
-
-// flushProfile stops the CPU profile and writes the heap profile, if
-// either was requested. It reports whether flushing succeeded.
-func flushProfile() bool {
-	if profile == nil {
-		return true
-	}
-	if err := profile.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		return false
-	}
-	return true
-}
-
-// flushManifest stamps the run's final status and (re)writes the
-// manifest under its stable filename. Best effort — a manifest failure
-// must not mask the run's own outcome.
-func flushManifest(status, errMsg string) {
-	if exitMan == nil || exitManDir == "" {
-		return
-	}
-	exitMan.Status = status
-	exitMan.Partial = status != "ok"
-	exitMan.Error = errMsg
-	exitMan.Finish()
-	if path := writeManifest(); path != "" {
-		fmt.Fprintf(os.Stderr, "figures: wrote run manifest %s\n", path)
-	}
-}
-
-// writeManifest (re)writes the run manifest, if there is one, returning
-// its path. Best effort: a failure is reported, never fatal.
-func writeManifest() string {
-	if exitMan == nil || exitManDir == "" {
-		return ""
-	}
-	path, err := exitMan.Write(exitManDir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "figures: manifest: %v\n", err)
-	}
-	return path
-}
-
 // reject reports a rejected invocation — a bad flag, -resume manifest
 // or fault plan — and exits with code. It runs before the run has
 // started anything, so there is nothing to flush.
 func reject(code int, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format, args...)
-	os.Exit(code)
-}
-
-// die flushes profiles, the trace, and the manifest before exiting,
-// since os.Exit skips defers.
-func die(code int, format string, args ...interface{}) {
-	flushProfile()
-	flushTrace()
-	flushManifest("failed", strings.TrimSpace(fmt.Sprintf(format, args...)))
 	fmt.Fprintf(os.Stderr, format, args...)
 	os.Exit(code)
 }

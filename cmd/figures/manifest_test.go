@@ -1,10 +1,13 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"addrxlat/internal/obs"
+	"addrxlat/internal/xtrace"
 )
 
 // TestManifestRecordsHostAndUsage runs two experiments, the closed-form
@@ -41,5 +44,51 @@ func TestManifestRecordsHostAndUsage(t *testing.T) {
 			t.Errorf("%s: max_rss_mib %g after the previous experiment's %g", r.ID, r.MaxRSSMiB, prevRSS)
 		}
 		prevRSS = r.MaxRSSMiB
+	}
+}
+
+// TestTraceWrittenBeforeRecorded: -trace into a directory that does not
+// exist yet writes a valid trace, which the manifest names; a trace that
+// cannot be written fails the run, and the manifest does not name it.
+func TestTraceWrittenBeforeRecorded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the figures binary")
+	}
+	bin := buildFigures(t)
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "f3tr", "t.json")
+	if code, errOut := runFigures(t, bin, nil, "-fig", "e2", "-no-cache", "-progress=false",
+		"-out", filepath.Join(dir, "f3"), "-manifest", filepath.Join(dir, "fm3"), "-trace", trace); code != 0 {
+		t.Fatalf("figures exited %d:\n%s", code, errOut)
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatalf("trace not written: %v", err)
+	}
+	if _, err := xtrace.Validate(data); err != nil {
+		t.Fatalf("trace does not validate: %v", err)
+	}
+	m, err := obs.LoadManifest(newestManifest(t, filepath.Join(dir, "fm3")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Status != "ok" || m.Trace != trace {
+		t.Errorf("manifest: status %q, trace %q; want ok, %s", m.Status, m.Trace, trace)
+	}
+
+	// A regular file where the trace's directory should be.
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, errOut := runFigures(t, bin, nil, "-fig", "e2", "-no-cache", "-progress=false",
+		"-out", filepath.Join(dir, "g3"), "-manifest", filepath.Join(dir, "gm3"), "-trace", filepath.Join(file, "t.json")); code != 1 {
+		t.Fatalf("figures with an unwritable trace exited %d, want 1:\n%s", code, errOut)
+	}
+	if m, err = obs.LoadManifest(newestManifest(t, filepath.Join(dir, "gm3"))); err != nil {
+		t.Fatal(err)
+	}
+	if m.Status != "failed" || m.Trace != "" {
+		t.Errorf("manifest: status %q, trace %q; want failed and no trace", m.Status, m.Trace)
 	}
 }

@@ -260,7 +260,9 @@ func requireSameTables(t *testing.T, wantDir, gotDir string, names ...string) {
 // TestResumeChainSkipsFinishedWork kills a sweep twice — in f1a, then,
 // resuming, in f1b — and resumes again from the newest manifest. Each
 // manifest carries the records of the runs before it, so the last resume
-// skips both e2 and f1a, and the tables match an uninterrupted run.
+// skips both e2 and f1a, and the tables match an uninterrupted run. Its
+// progress counts only the experiment it runs: the last line reads
+// [1/1], with no ETA.
 func TestResumeChainSkipsFinishedWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the figures binary")
@@ -307,7 +309,7 @@ func TestResumeChainSkipsFinishedWork(t *testing.T) {
 
 	// Resume from the newest manifest: both finished experiments are
 	// skipped, only f1b runs.
-	code, errOut = runFigures(t, bin, nil, "-resume="+second)
+	code, errOut = runFigures(t, bin, nil, "-resume="+second, "-progress")
 	if code != 0 {
 		t.Fatalf("second resume exited %d:\n%s", code, errOut)
 	}
@@ -315,6 +317,15 @@ func TestResumeChainSkipsFinishedWork(t *testing.T) {
 		if !strings.Contains(errOut, id+": complete in manifest, skipped (resume)") {
 			t.Errorf("second resume did not skip %s:\n%s", id, errOut)
 		}
+	}
+	var last string
+	for _, line := range strings.Split(errOut, "\n") {
+		if strings.HasPrefix(line, "figures: [") {
+			last = line
+		}
+	}
+	if !strings.HasPrefix(last, "figures: [ 1/1] f1b ") || strings.Contains(last, "eta") {
+		t.Errorf("last progress line %q, want [ 1/1] f1b with no ETA:\n%s", last, errOut)
 	}
 	if ids := recordedIDs(t, newestManifest(t, partMani)); !slices.Equal(ids, []string{"e2", "f1a", "f1b"}) {
 		t.Errorf("final manifest records %v, want [e2 f1a f1b]", ids)

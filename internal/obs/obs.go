@@ -3,7 +3,13 @@
 // manifests, and live sweep progress for the long-running command-line
 // tools.
 //
-// Four pieces, all zero-overhead when disabled:
+// Five pieces, all zero-overhead when disabled:
+//
+//   - Run owns one CLI invocation of cmd/figures or cmd/atsim from start
+//     to exit: the manifest (written "running" at start, ended "ok",
+//     "canceled" or "failed"), the execution trace, the profiles, and
+//     each experiment's Recorder, record and side files. Exit is the one
+//     exit path after the run starts.
 //
 //   - Recorder is the standard event.Observer. The experiment harness's
 //     row executor (experiments.Scale.Observer) hands it one event.Event
@@ -11,7 +17,8 @@
 //     explain counters and gauges when attribution is armed — and one per
 //     phase, row and serve sweep. The Recorder downsamples the cost
 //     snapshots to a configurable access interval and renders
-//     per-algorithm cost-over-time series and attribution as TSV or JSON.
+//     per-algorithm cost-over-time series as TSV and attribution as TSV
+//     and JSON.
 //     The access hot path is never touched: events arrive between
 //     AccessBatch calls, so attaching a Recorder cannot change a single
 //     counter — TestSampledRunsByteIdentical in internal/experiments pins
@@ -25,8 +32,8 @@
 //   - Manifest records everything needed to reproduce and audit one CLI
 //     invocation: resolved flag configuration, seeds, go version, git
 //     revision, per-experiment wall times and table shapes, per-phase
-//     warmup/measured splits, and result-cache hit counts. cmd/figures
-//     and cmd/atsim write one JSON manifest per run under results/.
+//     warmup/measured splits, and result-cache hit counts. Run writes
+//     one JSON manifest per cmd/figures or cmd/atsim run under results/.
 //
 //   - Progress prints live per-experiment lines (timing, ETA, cache hit
 //     rate) to stderr during a sweep and mirrors the counters into the

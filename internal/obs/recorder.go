@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -241,15 +240,4 @@ func (r *Recorder) WriteTSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the series snapshot as an indented JSON document
-// {"series": [...]}.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	doc := struct {
-		Series []Series `json:"series"`
-	}{Series: r.SeriesSnapshot()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -126,8 +127,11 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// WriteFile exports the trace to path (parent directory must exist).
+// WriteFile exports the trace to path, creating its directory.
 func (t *Tracer) WriteFile(path string) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("xtrace: %w", err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("xtrace: %w", err)
