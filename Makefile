@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check examples bench bench-diff race vet fmt-check deps-check fuzz-smoke trace-smoke serve-smoke serve-metrics-smoke results-check
+.PHONY: all build test check examples bench bench-diff race vet fmt-check deps-check fuzz-smoke trace-smoke serve-smoke serve-metrics-smoke results-check cache-check
 
 all: build
 
@@ -249,6 +249,39 @@ results-check:
 	[ $$status -eq 0 ] && echo "results-check: $$(ls "$$tmp"/*.tsv | grep -vc '\.serve\.metrics\.tsv$$') tables match results/"; \
 	exit $$status
 
+# cache-check runs Figure 1's panels, x1 and the serve sweeps twice,
+# seed 1, against one fresh result cache in a temporary directory. Both
+# passes must write every table byte-identical to its snapshot under
+# results/ (and sv3's window dump identical to the first pass's), and the
+# second pass's manifest must record no cache miss and no phase: every
+# cell the first pass simulated, x1's cached rows included, is answered
+# from the cache, and nothing is simulated (a cell that bypassed the
+# cache would count no miss, but its row would record phases). The
+# kill-and-resume drills read the cache too, but none runs x1.
+cache-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/figures" ./cmd/figures && \
+	for pass in 1 2; do \
+		"$$tmp/figures" -fig f1a,f1b,f1c,x1,sv1,sv2,sv3 -seed 1 -cache "$$tmp/cache" \
+			-out "$$tmp/out$$pass" -manifest "$$tmp/m$$pass" -progress=false > /dev/null || exit 1; \
+		n=0; \
+		for f in "$$tmp/out$$pass"/*.tsv; do \
+			name=$$(basename "$$f"); \
+			case "$$name" in *.serve.metrics.tsv) continue;; esac; \
+			n=$$((n+1)); \
+			cmp -s "$$f" "results/$$name" || \
+				{ echo "cache-check: pass $$pass: $$name differs from results/$$name:" >&2; diff "results/$$name" "$$f" >&2; exit 1; }; \
+		done; \
+		[ $$n -eq 7 ] || { echo "cache-check: pass $$pass wrote $$n tables, want 7" >&2; exit 1; }; \
+	done; \
+	cmp -s "$$tmp/out1/sv-slo.serve.metrics.tsv" "$$tmp/out2/sv-slo.serve.metrics.tsv" || \
+		{ echo "cache-check: sv3's window dump differs between the passes" >&2; exit 1; }; \
+	grep -Eq '^    "misses": 0,?$$' "$$tmp"/m2/manifest-*.json || \
+		{ echo "cache-check: the second pass missed the cache:" >&2; grep -A4 '"cache": {' "$$tmp"/m2/manifest-*.json >&2; exit 1; }; \
+	! grep -q '"phases"' "$$tmp"/m2/manifest-*.json || \
+		{ echo "cache-check: the second pass simulated cells it should have read from the cache" >&2; exit 1; }; \
+	echo "cache-check: both passes match results/; the second answered every cell from the cache"
+
 # check is the pre-commit gate: gofmt (fmt-check), vet, the import
 # boundaries of the simulation packages and of the internal/metrics leaf
 # (deps-check), full tests,
@@ -266,10 +299,11 @@ results-check:
 # serving-layer overload + serve-burst drill (serve-smoke), the
 # serving-telemetry drill (serve-metrics-smoke), a run of every example
 # program (examples), the committed-snapshot comparison of every table
-# (results-check), and vet + tests of the benchmark harness in
+# (results-check), the two-pass result-cache drill over Figure 1, x1 and
+# the serve sweeps (cache-check), and vet + tests of the benchmark harness in
 # perfbench/ (its own module), so a change to an API the harness
 # compiles against fails here rather than only in the benchmark run.
-check: fmt-check vet deps-check test race serve-smoke serve-metrics-smoke examples results-check
+check: fmt-check vet deps-check test race serve-smoke serve-metrics-smoke examples results-check cache-check
 	$(GO) test -bench='BenchmarkAccess(Batch)?(HugePage|Decoupled|THP|Superpage)|BenchmarkFig1bGraphWalk|BenchmarkFig1cGraph500|BenchmarkGraph500TraceGeneration' -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkFig1aBimodal -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkAccessBatchDecoupled -benchtime=1x -run=^$$ .

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"addrxlat/internal/obs"
@@ -67,30 +68,44 @@ func small(args ...string) []string {
 
 // TestRejectedFlagsWriteNothing: an invocation atsim can judge bad from
 // its flags exits 2 before it writes anything — no manifest, profile or
-// side file appears in the working directory.
+// side file appears in the working directory. A raw-run flag given with
+// -serve, which the serve run would ignore, is rejected by name.
 func TestRejectedFlagsWriteNothing(t *testing.T) {
 	bin := buildAtsim(t)
 	for _, tc := range []struct {
 		name string
 		args []string
+		flag string // the flag the rejection names, if checked
 	}{
-		{"eps out of range", []string{"-eps", "2"}},
-		{"eps with profiles", []string{"-eps", "2", "-cpuprofile", "c.pprof", "-memprofile", "m.pprof", "-manifest", ""}},
-		{"unknown algorithm", []string{"-algo", "bogus", "-warmup", "10", "-measure", "10"}},
-		{"unknown alloc", []string{"-alloc", "bogus"}},
-		{"unknown workload", []string{"-workload", "bogus"}},
-		{"unknown tlb policy", []string{"-tlb-policy", "bogus", "-memprofile", "m.pprof"}},
-		{"unknown ram policy", []string{"-ram-policy", "bogus"}},
-		{"serve queue", []string{"-serve", "-serve-queue", "0"}},
-		{"serve load", []string{"-serve", "-serve-load", "NaN"}},
-		{"serve arrivals", []string{"-serve", "-serve-arrivals", "bogus"}},
-		{"serve graph500", []string{"-serve", "-workload", "graph500"}},
-		{"serve replay", []string{"-serve", "-replay", "t.bin"}},
+		{"eps out of range", []string{"-eps", "2"}, ""},
+		{"eps with profiles", []string{"-eps", "2", "-cpuprofile", "c.pprof", "-memprofile", "m.pprof", "-manifest", ""}, ""},
+		{"unknown algorithm", []string{"-algo", "bogus", "-warmup", "10", "-measure", "10"}, ""},
+		{"unknown alloc", []string{"-alloc", "bogus"}, ""},
+		{"unknown workload", []string{"-workload", "bogus"}, ""},
+		{"unknown tlb policy", []string{"-tlb-policy", "bogus", "-memprofile", "m.pprof"}, ""},
+		{"unknown ram policy", []string{"-ram-policy", "bogus"}, ""},
+		{"serve queue", []string{"-serve", "-serve-queue", "0"}, ""},
+		{"serve load", []string{"-serve", "-serve-load", "NaN"}, ""},
+		{"serve arrivals", []string{"-serve", "-serve-arrivals", "bogus"}, ""},
+		{"serve graph500", []string{"-serve", "-workload", "graph500"}, ""},
+		{"serve replay", []string{"-serve", "-replay", "t.bin"}, ""},
+		{"serve dump-trace", []string{"-serve", "-dump-trace", "d.bin"}, "-dump-trace"},
+		{"serve explain", []string{"-serve", "-explain"}, "-explain"},
+		{"serve sample", []string{"-serve", "-sample", "1000"}, "-sample"},
+		{"serve curves", []string{"-serve", "-curves", "c.tsv"}, "-curves"},
+		{"serve warmup", []string{"-serve", "-warmup", "7"}, "-warmup"},
+		{"serve measure", []string{"-serve", "-measure", "9"}, "-measure"},
+		{"serve eps", []string{"-serve", "-eps", "0.5"}, "-eps"},
+		{"serve gscale", []string{"-serve", "-gscale", "12"}, "-gscale"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if code, stderr := runAtsim(t, bin, dir, tc.args...); code != 2 {
+			code, stderr := runAtsim(t, bin, dir, tc.args...)
+			if code != 2 {
 				t.Fatalf("atsim %v exited %d, want 2\n%s", tc.args, code, stderr)
+			}
+			if tc.flag != "" && !strings.Contains(stderr, tc.flag+" ") {
+				t.Errorf("atsim %v: rejection does not name %s:\n%s", tc.args, tc.flag, stderr)
 			}
 			entries, err := os.ReadDir(dir)
 			if err != nil {
@@ -180,5 +195,35 @@ func TestServeRecordLikeEveryRecord(t *testing.T) {
 	}
 	if m := loadManifest(t, filepath.Join(dir, "n")); m.Status != "failed" || len(m.Experiments) != 0 {
 		t.Errorf("manifest: status %q with %d records; want failed with none", m.Status, len(m.Experiments))
+	}
+}
+
+// TestUnwritableManifestStopsRun: a run whose manifest cannot be written
+// (a regular file where its directory should be) exits 1 before it
+// simulates anything. It reports the manifest error once and leaves no
+// profile, trace, trace dump or cost curves behind.
+func TestUnwritableManifestStopsRun(t *testing.T) {
+	bin := buildAtsim(t)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "afile"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := small("-warmup", "20000", "-measure", "20000", "-manifest", "afile/m", "-dump-trace", "d.bin",
+		"-sample", "1000", "-curves", "c.tsv", "-cpuprofile", "c.pprof", "-trace", "t.json")
+	code, stderr := runAtsim(t, bin, dir, args...)
+	if code != 1 {
+		t.Fatalf("atsim with an unwritable manifest exited %d, want 1:\n%s", code, stderr)
+	}
+	if n := strings.Count(stderr, "manifest:"); n != 1 {
+		t.Errorf("manifest error reported %d times, want once:\n%s", n, stderr)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "afile" {
+			t.Errorf("atsim left %s behind", e.Name())
+		}
 	}
 }

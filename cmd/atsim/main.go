@@ -13,7 +13,8 @@
 // A run's lifecycle is obs.Run's, as for cmd/figures: every value atsim
 // can judge from its flags (the names given to -algo, -workload, -alloc,
 // -tlb-policy, -ram-policy and -serve-arrivals, the model's and the
-// serve cell's ranges, -serve with -replay) and the ADDRXLAT_FAULTS plan
+// serve cell's ranges, -serve with -replay or with a raw-run flag it
+// would ignore) and the ADDRXLAT_FAULTS plan
 // are checked first, and a rejected invocation exits 2 having written
 // nothing. The run then writes its manifest as "running", and run.Exit
 // ends it "ok", "canceled" (SIGINT/SIGTERM, exit 130) or "failed" (exit
@@ -110,6 +111,7 @@ func main() {
 	reject(checkNames(*algo, *alloc, *tlbPol, *ramPol, *wl, *replay != "", *serveF))
 	var arrivals func(meanNs int64) workload.ArrivalProcess
 	if *serveF {
+		reject(checkServeIgnores(flag.CommandLine))
 		reject(checkServeFlags(*serveReq, *serveBlock, *serveQueue, *serveWarm, *serveAttempts, *serveDeadline, *serveLoad))
 		var err error
 		arrivals, err = serveArrivals(*serveArr, *seed+2, *serveLoad)
@@ -543,6 +545,24 @@ func checkServeFlags(requests, block, queue, warmup, attempts int, deadline int6
 		return fmt.Errorf("-serve-load must be finite and positive, got %g", load)
 	}
 	return nil
+}
+
+// serveIgnores are the raw-run flags a -serve run has no use for: it
+// sizes its own windows (-serve-warmup, -serve-requests), prices no ε,
+// generates no graph500 and writes no trace dump, attribution or cost
+// curves.
+var serveIgnores = []string{"dump-trace", "explain", "sample", "curves", "warmup", "measure", "eps", "gscale"}
+
+// checkServeIgnores rejects a flag of serveIgnores set explicitly on fs
+// (a -serve run), which the run would otherwise silently ignore.
+func checkServeIgnores(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(serveIgnores, f.Name) {
+			err = fmt.Errorf("-%s configures a raw access run; -serve would ignore it", f.Name)
+		}
+	})
+	return err
 }
 
 // checkNames rejects a name -algo, -alloc, -tlb-policy, -ram-policy or

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"addrxlat/internal/obs"
@@ -90,5 +91,39 @@ func TestTraceWrittenBeforeRecorded(t *testing.T) {
 	}
 	if m.Status != "failed" || m.Trace != "" {
 		t.Errorf("manifest: status %q, trace %q; want failed and no trace", m.Status, m.Trace)
+	}
+}
+
+// TestUnwritableManifestStopsRun: a run whose manifest cannot be written
+// (a regular file where its directory should be) exits 1 before it runs
+// any experiment. It reports the manifest error once and leaves no
+// table, profile or trace behind.
+func TestUnwritableManifestStopsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the figures binary")
+	}
+	bin := buildFigures(t)
+	dir := t.TempDir()
+	file := filepath.Join(dir, "afile")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, errOut := runFigures(t, bin, nil, "-fig", "e2", "-no-cache", "-progress=false",
+		"-manifest", filepath.Join(file, "m"), "-out", filepath.Join(dir, "o"),
+		"-cpuprofile", filepath.Join(dir, "c.pprof"), "-trace", filepath.Join(dir, "t.json"))
+	if code != 1 {
+		t.Fatalf("figures with an unwritable manifest exited %d, want 1:\n%s", code, errOut)
+	}
+	if n := strings.Count(errOut, "manifest:"); n != 1 {
+		t.Errorf("manifest error reported %d times, want once:\n%s", n, errOut)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "afile" {
+			t.Errorf("figures left %s behind", e.Name())
+		}
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"addrxlat/internal/core"
 	"addrxlat/internal/mm"
 )
 
@@ -25,87 +24,39 @@ func Crossover(s Scale, seed uint64) (*Table, error) {
 			"Best fixed huge-page size vs decoupling, total cost at ε=%.2g", paperEpsilon),
 		Columns: []string{"workload", "algo", "ios", "tlb_misses", "total_cost"},
 	}
+	hs := HugePageSweep()
 	for _, w := range []Fig1Workload{F1aBimodal, F1bGraphWalk, F1cGraph500} {
 		machine, err := buildFig1Machine(w, s, seed)
 		if err != nil {
 			return nil, err
 		}
-		zCfg := mm.DecoupledConfig{
-			Alloc: core.IcebergAlloc, RAMPages: machine.ramPages,
-			VirtualPages: machine.virtualPages, TLBEntries: machine.tlbEntries,
-			ValueBits: 64, Seed: seed,
-		}
-		z, err := mm.NewDecoupled(zCfg)
+		z, err := mm.NewDecoupled(machine.zConfig())
 		if err != nil {
 			return nil, err
 		}
 
 		// Row 1: the fixed-h sweep and the decoupled algorithm share one
-		// stream; cells already in the cache stay out of the row.
-		hs := HugePageSweep()
-		costs := make([]mm.Costs, len(hs))
-		valid := make([]bool, len(hs))
-		var (
-			sims    []mm.Algorithm
-			simIdx  []int
-			simKeys []string
-		)
-		for i, h := range hs {
-			if machine.ramPages < h {
-				continue
-			}
-			valid[i] = true
-			key := machine.cellKey(s, seed, fmt.Sprintf("hugepage(h=%d,lru/lru)", h))
-			if c, ok := cacheGet[mm.Costs](s, key); ok {
-				costs[i] = c
-				continue
-			}
-			alg, err := mm.NewHugePage(mm.HugePageConfig{
-				HugePageSize: h, TLBEntries: machine.tlbEntries,
-				RAMPages: machine.ramPages, Seed: seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			sims = append(sims, alg)
-			simIdx = append(simIdx, i)
-			simKeys = append(simKeys, key)
-		}
-		var zc mm.Costs
-		zKey := machine.cellKey(s, seed, z.Name())
-		zCached := false
-		if c, ok := cacheGet[mm.Costs](s, zKey); ok {
-			zc, zCached = c, true
-		} else {
-			sims = append(sims, z)
-		}
-		cellErrs, err := machine.runRow(s, sims)
+		// cached row (Figure 1's h-cells, so x1 after f1a simulates Z
+		// alone). Z is built up front: its name carries the derived hmax,
+		// which also sets row 2's group size.
+		cells := machine.hugePageCells()
+		nh := len(cells)
+		cells = append(cells, cell{z.Name(), func() (mm.Algorithm, error) { return z, nil }})
+		costs, cellErrs, err := machine.runCachedRow(s, cells)
 		if err != nil {
 			return nil, err
 		}
-		// Poisoned fixed-h cells drop out of the best-h contest with a
-		// footnote; the decoupled cell anchors two table rows, so its
-		// failure is fatal for the experiment.
-		for j, key := range simKeys {
-			if cellErrs[j] != nil {
-				valid[simIdx[j]] = false
-				t.AddNote("%s: fixed-h cell h=%d failed: %v", w, hs[simIdx[j]], cellErrs[j])
-				continue
-			}
-			costs[simIdx[j]] = sims[j].Costs()
-			s.cachePut(key, costs[simIdx[j]])
+		// The decoupled cell anchors two table rows, so its failure is
+		// fatal for the experiment; poisoned fixed-h cells drop out of the
+		// best-h contest with a footnote.
+		if err := cellErrs[nh]; err != nil {
+			return nil, err
 		}
-		if !zCached {
-			if zErr := cellErrs[len(simKeys)]; zErr != nil {
-				return nil, zErr
-			}
-			zc = z.Costs()
-			s.cachePut(zKey, zc)
-		}
-
+		zc := costs[nh]
 		bestIdx := -1
-		for i := range hs {
-			if !valid[i] {
+		for i := range nh {
+			if cellErrs[i] != nil {
+				t.AddNote("%s: fixed-h cell h=%d failed: %v", w, hs[i], cellErrs[i])
 				continue
 			}
 			if bestIdx < 0 || costs[i].Total(paperEpsilon) < costs[bestIdx].Total(paperEpsilon) {
@@ -125,21 +76,16 @@ func Crossover(s Scale, seed uint64) (*Table, error) {
 		var hyc mm.Costs
 		hyName := "hybrid(-)"
 		if machine.ramPages/g >= 1 && machine.virtualPages/g >= 1 {
-			hy, err := mm.NewHybrid(mm.HybridConfig{Decoupled: zCfg, GroupSize: g})
+			hy, err := mm.NewHybrid(mm.HybridConfig{Decoupled: machine.zConfig(), GroupSize: g})
 			if err != nil {
 				return nil, err
 			}
 			hyName = hy.Name()
-			hyKey := machine.cellKey(s, seed, hyName)
-			if c, ok := cacheGet[mm.Costs](s, hyKey); ok {
-				hyc = c
-			} else {
-				if err := joinRow(machine.runRow(s, []mm.Algorithm{hy})); err != nil {
-					return nil, err
-				}
-				hyc = hy.Costs()
-				s.cachePut(hyKey, hyc)
+			c, errs, err := machine.runCachedRow(s, []cell{{hyName, func() (mm.Algorithm, error) { return hy, nil }}})
+			if err := joinRow(errs, err); err != nil {
+				return nil, err
 			}
+			hyc = c[0]
 		}
 
 		bc := costs[bestIdx]

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"addrxlat/internal/core"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/policy"
 	"addrxlat/internal/workload"
@@ -85,14 +84,7 @@ func Adaptive(s Scale, seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	z, err := mm.NewDecoupled(mm.DecoupledConfig{
-		Alloc:        core.IcebergAlloc,
-		RAMPages:     machine.ramPages,
-		VirtualPages: machine.virtualPages,
-		TLBEntries:   machine.tlbEntries,
-		ValueBits:    64,
-		Seed:         seed,
-	})
+	z, err := mm.NewDecoupled(machine.zConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -100,15 +92,11 @@ func Adaptive(s Scale, seed uint64) (*Table, error) {
 	if machine.ramPages < 4*h {
 		h = 8
 	}
-	fixed, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: h, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
-	})
+	fixed, err := machine.hugePage(h)
 	if err != nil {
 		return nil, err
 	}
-	small, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 1, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
-	})
+	small, err := machine.hugePage(1)
 	if err != nil {
 		return nil, err
 	}
@@ -136,17 +124,7 @@ func Adaptive(s Scale, seed uint64) (*Table, error) {
 	if g < 1 {
 		g = 1
 	}
-	hy, err := mm.NewHybrid(mm.HybridConfig{
-		Decoupled: mm.DecoupledConfig{
-			Alloc:        core.IcebergAlloc,
-			RAMPages:     machine.ramPages,
-			VirtualPages: machine.virtualPages,
-			TLBEntries:   machine.tlbEntries,
-			ValueBits:    64,
-			Seed:         seed,
-		},
-		GroupSize: g,
-	})
+	hy, err := mm.NewHybrid(mm.HybridConfig{Decoupled: machine.zConfig(), GroupSize: g})
 	if err != nil {
 		return nil, err
 	}

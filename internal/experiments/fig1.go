@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"addrxlat/internal/core"
 	"addrxlat/internal/graph500"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/trace"
@@ -22,9 +23,10 @@ const (
 // fig1Machine is one streamed row: a factory for its request stream, the
 // window lengths, the row label (for cache keys, observer events and
 // traces) and, where the row's cells share one machine — Figure 1's, e7's
-// — its dimensions after scaling. The stream is drawn warmup-first, then
-// measured; newGen returns a fresh generator positioned at the start, so
-// every row (and every differential check) replays the same sequence.
+// — its dimensions after scaling and the seed its simulators take. The
+// stream is drawn warmup-first, then measured; newGen returns a fresh
+// generator positioned at the start, so every row (and every
+// differential check) replays the same sequence.
 type fig1Machine struct {
 	row          string
 	ramPages     uint64
@@ -32,7 +34,42 @@ type fig1Machine struct {
 	tlbEntries   int
 	warmupN      int
 	measuredN    int
+	seed         uint64
 	newGen       func() (workload.Generator, error)
+}
+
+// hugePage builds the physical huge-page baseline at h on the machine:
+// LRU TLB, LRU RAM, each fault moving h pages.
+func (m *fig1Machine) hugePage(h uint64) (*mm.HugePage, error) {
+	return mm.NewHugePage(mm.HugePageConfig{
+		HugePageSize: h, TLBEntries: m.tlbEntries, RAMPages: m.ramPages, Seed: m.seed,
+	})
+}
+
+// zConfig is algorithm Z's configuration on the machine: Iceberg
+// allocation, w = 64, LRU TLB and LRU RAM. The Section 8 hybrids group
+// pages under the same configuration.
+func (m *fig1Machine) zConfig() mm.DecoupledConfig {
+	return mm.DecoupledConfig{
+		Alloc: core.IcebergAlloc, RAMPages: m.ramPages, VirtualPages: m.virtualPages,
+		TLBEntries: m.tlbEntries, ValueBits: 64, Seed: m.seed,
+	}
+}
+
+// hugePageCells is Figure 1's h-sweep on the machine: a huge-page
+// baseline cell for each h of HugePageSweep that fits in RAM. The sweep
+// doubles h, so the sizes past the list are exactly the saturated ones,
+// where RAM holds less than one huge page.
+func (m *fig1Machine) hugePageCells() []cell {
+	var cells []cell
+	for _, h := range HugePageSweep() {
+		if h > m.ramPages {
+			break
+		}
+		cells = append(cells, cell{fmt.Sprintf("hugepage(h=%d,lru/lru)", h),
+			func() (mm.Algorithm, error) { return m.hugePage(h) }})
+	}
+	return cells
 }
 
 // buildFig1Machine constructs the workload's stream factory and machine
@@ -50,6 +87,7 @@ func buildFig1Machine(w Fig1Workload, s Scale, seed uint64) (*fig1Machine, error
 			ramPages:     s.pages(16 * paperGiB),
 			virtualPages: s.pages(64 * paperGiB),
 			tlbEntries:   s.entries(paperTLBEntries, 16),
+			seed:         seed,
 		}
 		n := s.accesses(100_000_000)
 		m.warmupN, m.measuredN = n, n
@@ -66,6 +104,7 @@ func buildFig1Machine(w Fig1Workload, s Scale, seed uint64) (*fig1Machine, error
 			ramPages:     s.pages(32 * paperGiB),
 			virtualPages: s.pages(64 * paperGiB),
 			tlbEntries:   s.entries(paperTLBEntries, 16),
+			seed:         seed,
 		}
 		n := s.accesses(100_000_000)
 		m.warmupN, m.measuredN = n, n
@@ -113,6 +152,7 @@ func buildFig1Machine(w Fig1Workload, s Scale, seed uint64) (*fig1Machine, error
 			tlbEntries:   s.entries(paperTLBEntries, 16),
 			warmupN:      half,
 			measuredN:    len(tr) - half,
+			seed:         seed,
 		}
 		if m.ramPages == 0 {
 			m.ramPages = 1
@@ -134,64 +174,20 @@ func buildFig1Machine(w Fig1Workload, s Scale, seed uint64) (*fig1Machine, error
 // simulator settings: fully associative LRU TLB and LRU RAM, base page
 // 4 KiB, each fault moving h pages at cost h.
 //
-// The whole panel is one streaming row: every chunk of the request stream
-// is generated once and fanned out to all h-cells still missing from the
-// result cache.
+// The whole panel is one cached row: every chunk of the request stream
+// is generated once and fanned out to all h-cells missing from the
+// result cache. A poisoned cell (panic in one simulator, injected or
+// real) renders as a footnoted "error" row and is recomputed by a later
+// run; an h whose huge page exceeds RAM renders as "saturated".
 func Fig1(w Fig1Workload, s Scale, seed uint64) (*Table, error) {
 	machine, err := buildFig1Machine(w, s, seed)
 	if err != nil {
 		return nil, err
 	}
-	hs := HugePageSweep()
-	costs := make([]mm.Costs, len(hs))
-	var (
-		sims    []mm.Algorithm
-		simIdx  []int
-		simKeys []string
-	)
-	for i, h := range hs {
-		if machine.ramPages < h {
-			// Degenerate at extreme scaling: RAM smaller than one huge
-			// page. Mark by max cost so the row is visibly saturated.
-			costs[i] = mm.Costs{IOs: ^uint64(0)}
-			continue
-		}
-		key := machine.cellKey(s, seed, fmt.Sprintf("hugepage(h=%d,lru/lru)", h))
-		if c, ok := cacheGet[mm.Costs](s, key); ok {
-			costs[i] = c
-			continue
-		}
-		alg, err := mm.NewHugePage(mm.HugePageConfig{
-			HugePageSize: h,
-			TLBEntries:   machine.tlbEntries,
-			RAMPages:     machine.ramPages,
-			Seed:         seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("h=%d: %w", h, err)
-		}
-		sims = append(sims, alg)
-		simIdx = append(simIdx, i)
-		simKeys = append(simKeys, key)
-	}
-	cellErrs, err := machine.runRow(s, sims)
+	costs, cellErrs, err := machine.runCachedRow(s, machine.hugePageCells())
 	if err != nil {
 		return nil, err
 	}
-	// A poisoned cell (panic in one simulator, injected or real) degrades
-	// to a footnoted "error" row; its counters never reach the cache, so
-	// a later run recomputes it.
-	failed := make([]error, len(hs))
-	for j, a := range sims {
-		if cellErrs[j] != nil {
-			failed[simIdx[j]] = cellErrs[j]
-			continue
-		}
-		c := a.Costs()
-		costs[simIdx[j]] = c
-		s.cachePut(simKeys[j], c)
-	}
-
 	t := &Table{
 		Name: string(w),
 		Caption: fmt.Sprintf(
@@ -199,18 +195,17 @@ func Fig1(w Fig1Workload, s Scale, seed uint64) (*Table, error) {
 			machine.virtualPages, machine.ramPages, machine.tlbEntries, machine.measuredN),
 		Columns: []string{"huge_page_size", "ios", "tlb_misses", "total_cost_eps0.01"},
 	}
-	for i, h := range hs {
-		if failed[i] != nil {
-			t.AddRow(h, "error", "error", "error")
-			t.AddNote("cell h=%d failed: %v", h, failed[i])
-			continue
-		}
-		c := costs[i]
-		if c.IOs == ^uint64(0) {
+	for i, h := range HugePageSweep() {
+		switch {
+		case i >= len(costs):
 			t.AddRow(h, "saturated", "saturated", "saturated")
-			continue
+		case cellErrs[i] != nil:
+			t.AddRow(h, "error", "error", "error")
+			t.AddNote("cell h=%d failed: %v", h, cellErrs[i])
+		default:
+			c := costs[i]
+			t.AddRow(h, c.IOs, c.TLBMisses, c.Total(paperEpsilon))
 		}
-		t.AddRow(h, c.IOs, c.TLBMisses, c.Total(paperEpsilon))
 	}
 	return t, nil
 }

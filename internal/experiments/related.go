@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"addrxlat/internal/core"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/workload"
 )
@@ -21,9 +20,7 @@ func Related(s Scale, seed uint64) (*Table, error) {
 	m := relatedMachine(s, seed)
 	vPages, ramPages, entries := m.virtualPages, m.ramPages, m.tlbEntries
 
-	plain, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 1, TLBEntries: entries, RAMPages: ramPages, Seed: seed,
-	})
+	plain, err := m.hugePage(1)
 	if err != nil {
 		return nil, err
 	}
@@ -46,10 +43,7 @@ func Related(s Scale, seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	z, err := mm.NewDecoupled(mm.DecoupledConfig{
-		Alloc: core.IcebergAlloc, RAMPages: ramPages, VirtualPages: vPages,
-		TLBEntries: entries, ValueBits: 64, Seed: seed,
-	})
+	z, err := mm.NewDecoupled(m.zConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -98,6 +92,7 @@ func relatedMachine(s Scale, seed uint64) *fig1Machine {
 		tlbEntries:   s.entries(paperTLBEntries, 16),
 		warmupN:      int(vPages/4) + n,
 		measuredN:    n,
+		seed:         seed,
 		newGen: func() (workload.Generator, error) {
 			seg, err := workload.NewSequential(vPages / 4)
 			if err != nil {

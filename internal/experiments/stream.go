@@ -18,8 +18,9 @@ import (
 const streamChunk = workload.DefaultChunk
 
 // Cache stores finished results as opaque bytes keyed by a canonical
-// content key: a Fig1 or Crossover cell's mm.Costs (fig1Machine.cellKey)
-// and a serve sweep's point (serveSpec.cellKey), each as JSON.
+// content key: the mm.Costs of a cell of a cached row — Fig1's and
+// Crossover's (fig1Machine.cellKey) — and a serve sweep's point
+// (serveSpec.cellKey), each as JSON.
 // Implementations must be safe for concurrent use; cmd/figures plugs in
 // the file-backed resultcache. A nil cache (the zero Scale) disables
 // caching entirely.
@@ -68,10 +69,61 @@ const simEpoch = 1
 // the key: workload identity, machine geometry, window lengths, scale
 // divisors, seed, the algorithm's self-describing name, and the simulator
 // epoch. The key is hashed by the cache backend; here it stays readable.
-func (m *fig1Machine) cellKey(s Scale, seed uint64, alg string) string {
+func (m *fig1Machine) cellKey(s Scale, alg string) string {
 	return fmt.Sprintf("cell|epoch=%d|w=%s|alg=%s|V=%d|P=%d|tlb=%d|warm=%d|meas=%d|space=%d|acc=%d|seed=%d",
 		simEpoch, m.row, alg, m.virtualPages, m.ramPages, m.tlbEntries,
-		m.warmupN, m.measuredN, s.SpaceDiv, s.AccessDiv, seed)
+		m.warmupN, m.measuredN, s.SpaceDiv, s.AccessDiv, m.seed)
+}
+
+// cell is one simulator of a cached row: the name its counters are
+// cached under, which must be the built simulator's Name(), and how to
+// build it.
+type cell struct {
+	name  string
+	build func() (mm.Algorithm, error)
+}
+
+// runCachedRow runs cells as one row through the result cache. A cell
+// cached under its name is answered without being built (a HugePage at
+// -full would allocate its recency stack for nothing); the others are
+// built and simulated together by runRow, and every one that finishes
+// is cached. costs[i] and cellErrs[i] are cell i's counters and its
+// poisoned-cell error (see runRow; a poisoned cell is never cached). A
+// build failure, a simulator whose Name() is not its cell's name — so a
+// key can never serve another configuration's counters — and runRow's
+// row-fatal error fail the row.
+func (m *fig1Machine) runCachedRow(s Scale, cells []cell) (costs []mm.Costs, cellErrs []error, err error) {
+	costs, cellErrs = make([]mm.Costs, len(cells)), make([]error, len(cells))
+	var (
+		sims []mm.Algorithm
+		idx  []int // idx[j] is sims[j]'s cell
+	)
+	for i, c := range cells {
+		if v, ok := cacheGet[mm.Costs](s, m.cellKey(s, c.name)); ok {
+			costs[i] = v
+			continue
+		}
+		a, err := c.build()
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", c.name, err)
+		}
+		if a.Name() != c.name {
+			return nil, nil, fmt.Errorf("experiments: cell %q built simulator %q", c.name, a.Name())
+		}
+		sims, idx = append(sims, a), append(idx, i)
+	}
+	errs, err := m.runRow(s, sims)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, a := range sims {
+		i := idx[j]
+		if cellErrs[i] = errs[j]; cellErrs[i] == nil {
+			costs[i] = a.Costs()
+			s.cachePut(m.cellKey(s, cells[i].name), costs[i])
+		}
+	}
+	return costs, cellErrs, nil
 }
 
 // runRow drives every simulator in sims through the row's request stream:
@@ -90,8 +142,8 @@ func (m *fig1Machine) cellKey(s Scale, seed uint64, alg string) string {
 // is fatal for the whole row: a generator failure, or the sweep context
 // being canceled at a chunk boundary (errors.Is(err, context.Canceled)).
 // Callers whose tables cannot degrade per cell collapse both with
-// joinRow; Fig1 and Crossover render poisoned cells as footnoted error
-// rows instead.
+// joinRow; Fig1 and Crossover (through runCachedRow) render poisoned
+// cells as footnoted error rows instead.
 func (m *fig1Machine) runRow(s Scale, sims []mm.Algorithm) (cellErrs []error, err error) {
 	cellErrs = make([]error, len(sims))
 	if len(sims) == 0 {

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,12 +33,15 @@ func fig1MaterializedTSV(t *testing.T, w Fig1Workload, s Scale, seed uint64) str
 	costs := make([]mm.Costs, len(hs))
 	for i, h := range hs {
 		if machine.ramPages < h {
-			costs[i] = mm.Costs{IOs: ^uint64(0)}
 			continue
 		}
-		if c, ok := cacheGet[mm.Costs](s, machine.cellKey(s, seed, fmt.Sprintf("hugepage(h=%d,lru/lru)", h))); ok {
-			costs[i] = c
-			continue
+		if s.Cache != nil {
+			if b, ok := s.Cache.Get(machine.cellKey(s, fmt.Sprintf("hugepage(h=%d,lru/lru)", h))); ok {
+				if err := json.Unmarshal(b, &costs[i]); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
 		}
 		alg, err := mm.NewHugePage(mm.HugePageConfig{
 			HugePageSize: h, TLBEntries: machine.tlbEntries,
@@ -56,7 +61,7 @@ func fig1MaterializedTSV(t *testing.T, w Fig1Workload, s Scale, seed uint64) str
 	}
 	for i, h := range hs {
 		c := costs[i]
-		if c.IOs == ^uint64(0) {
+		if machine.ramPages < h {
 			tab.AddRow(h, "saturated", "saturated", "saturated")
 			continue
 		}
@@ -247,39 +252,109 @@ func (c *memCache) clone() *memCache {
 	return out
 }
 
-// TestFig1CostCache verifies the per-cell result cache: a warm second run
-// answers every cell from the cache and still produces an identical table,
-// and a different seed shares nothing with it.
+// TestFig1CostCache verifies the per-cell result cache of the cached
+// rows: a warm second run answers every cell from the cache, simulates
+// nothing and still produces an identical table, and a different seed
+// shares nothing with it. x1 puts Figure 1's h-cells in its first row, so run after a cold
+// f1a on the same cache its cold run answers exactly f1a's cells from
+// it.
 func TestFig1CostCache(t *testing.T) {
-	s := Scale{SpaceDiv: 4096, AccessDiv: 10000}
+	fig1a := func(s Scale, seed uint64) (*Table, error) { return Fig1(F1aBimodal, s, seed) }
+	for _, tc := range []struct {
+		name  string
+		run   func(Scale, uint64) (*Table, error)
+		after func(Scale, uint64) (*Table, error) // run cold on the cache first, if set
+	}{
+		{"f1a", fig1a, nil},
+		{"x1", Crossover, fig1a},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := newMemCache()
+			s := Scale{SpaceDiv: 4096, AccessDiv: 10000, Cache: cache}
+			shared := 0
+			if tc.after != nil {
+				if _, err := tc.after(s, 7); err != nil {
+					t.Fatal(err)
+				}
+				shared = len(cache.m)
+				cache.hits, cache.misses = 0, 0
+			}
+
+			cold, err := tc.run(s, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := renderTSV(t, cold)
+			if cache.hits != shared || len(cache.m) == shared {
+				t.Fatalf("cold run: hits=%d, want %d; entries=%d", cache.hits, shared, len(cache.m))
+			}
+
+			probed, entries := cache.hits+cache.misses, len(cache.m)
+			cache.hits, cache.misses = 0, 0
+			ws, simulated := s, &sampleCounter{}
+			ws.Observer = simulated
+			warm, err := tc.run(ws, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderTSV(t, warm); got != ref {
+				t.Errorf("cached rerun differs:\n--- cold\n%s--- warm\n%s", ref, got)
+			}
+			if cache.hits != probed || cache.misses != 0 {
+				t.Errorf("warm run hit %d of %d cells, missed %d", cache.hits, probed, cache.misses)
+			}
+			if n := simulated.samples.Load(); n != 0 {
+				t.Errorf("warm run simulated: %d samples", n)
+			}
+
+			if _, err := tc.run(s, 8); err != nil {
+				t.Fatal(err)
+			}
+			if len(cache.m) == entries {
+				t.Error("different seed produced no new cache entries; key is missing the seed")
+			}
+		})
+	}
+}
+
+// TestCachedRowNamesCells pins runCachedRow's two guards: a cell found
+// in the cache is answered without being built, and a cell whose build
+// returns a simulator of another name fails the row before anything is
+// simulated or cached, so a hand-written name can never serve another
+// configuration's counters.
+func TestCachedRowNamesCells(t *testing.T) {
 	cache := newMemCache()
-	s.Cache = cache
-
-	cold, err := Fig1(F1aBimodal, s, 7)
+	s := Scale{SpaceDiv: 4096, AccessDiv: 10000, Cache: cache}
+	m, err := buildFig1Machine(F1aBimodal, s, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := renderTSV(t, cold)
-	if cache.hits != 0 || len(cache.m) == 0 {
-		t.Fatalf("cold run: hits=%d entries=%d", cache.hits, len(cache.m))
-	}
-
-	entries := len(cache.m)
-	warm, err := Fig1(F1aBimodal, s, 7)
-	if err != nil {
+	cells := m.hugePageCells()[:2]
+	want, cellErrs, err := m.runCachedRow(s, cells)
+	if err := joinRow(cellErrs, err); err != nil {
 		t.Fatal(err)
 	}
-	if got := renderTSV(t, warm); got != ref {
-		t.Errorf("cached rerun differs:\n--- cold\n%s--- warm\n%s", ref, got)
-	}
-	if cache.hits != entries {
-		t.Errorf("warm run hit %d of %d cells", cache.hits, entries)
-	}
 
-	if _, err := Fig1(F1aBimodal, s, 8); err != nil {
+	built := false
+	cached := []cell{{cells[1].name, func() (mm.Algorithm, error) {
+		built = true
+		return m.hugePage(2)
+	}}}
+	got, cellErrs, err := m.runCachedRow(s, cached)
+	if err := joinRow(cellErrs, err); err != nil {
 		t.Fatal(err)
 	}
-	if len(cache.m) == entries {
-		t.Error("different seed produced no new cache entries; key is missing the seed")
+	if built || got[0] != want[1] {
+		t.Errorf("cached cell: built %v, costs %+v; want not built, %+v", built, got[0], want[1])
+	}
+
+	puts := cache.puts
+	misnamed := []cell{cells[0], {"hugepage(h=4,lru/lru)", func() (mm.Algorithm, error) { return m.hugePage(8) }}}
+	delete(cache.m, m.cellKey(s, cells[0].name))
+	if _, _, err := m.runCachedRow(s, misnamed); err == nil || !strings.Contains(err.Error(), "hugepage(h=8,lru/lru)") {
+		t.Fatalf("misnamed cell: err = %v, want a failure naming the built simulator", err)
+	}
+	if cache.puts != puts {
+		t.Errorf("a failed row cached %d cells", cache.puts-puts)
 	}
 }

@@ -222,14 +222,7 @@ func Theorem4(s Scale, seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		z, err := mm.NewDecoupled(mm.DecoupledConfig{
-			Alloc:        core.IcebergAlloc,
-			RAMPages:     machine.ramPages,
-			VirtualPages: machine.virtualPages,
-			TLBEntries:   machine.tlbEntries,
-			ValueBits:    64,
-			Seed:         seed,
-		})
+		z, err := mm.NewDecoupled(machine.zConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -242,15 +235,11 @@ func Theorem4(s Scale, seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base1, err := mm.NewHugePage(mm.HugePageConfig{
-			HugePageSize: 1, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
-		})
+		base1, err := machine.hugePage(1)
 		if err != nil {
 			return nil, err
 		}
-		baseH, err := mm.NewHugePage(mm.HugePageConfig{
-			HugePageSize: hmax, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
-		})
+		baseH, err := machine.hugePage(hmax)
 		if err != nil {
 			return nil, err
 		}
@@ -376,17 +365,7 @@ func Hybrid(s Scale, seed uint64) (*Table, error) {
 	hybrids := make([]*mm.Hybrid, len(groups))
 	sims := make([]mm.Algorithm, len(groups))
 	for i, g := range groups {
-		h, err := mm.NewHybrid(mm.HybridConfig{
-			Decoupled: mm.DecoupledConfig{
-				Alloc:        core.IcebergAlloc,
-				RAMPages:     machine.ramPages,
-				VirtualPages: machine.virtualPages,
-				TLBEntries:   machine.tlbEntries,
-				ValueBits:    64,
-				Seed:         seed,
-			},
-			GroupSize: g,
-		})
+		h, err := mm.NewHybrid(mm.HybridConfig{Decoupled: machine.zConfig(), GroupSize: g})
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"addrxlat/internal/core"
 	"addrxlat/internal/mm"
 	"addrxlat/internal/timing"
 )
@@ -28,28 +27,15 @@ func TimeShare(s Scale, seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	h1, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 1, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
-	})
+	h1, err := machine.hugePage(1)
 	if err != nil {
 		return nil, err
 	}
-	z, err := mm.NewDecoupled(mm.DecoupledConfig{
-		Alloc: core.IcebergAlloc, RAMPages: machine.ramPages,
-		VirtualPages: machine.virtualPages, TLBEntries: machine.tlbEntries,
-		ValueBits: 64, Seed: seed,
-	})
+	z, err := mm.NewDecoupled(machine.zConfig())
 	if err != nil {
 		return nil, err
 	}
-	hy, err := mm.NewHybrid(mm.HybridConfig{
-		Decoupled: mm.DecoupledConfig{
-			Alloc: core.IcebergAlloc, RAMPages: machine.ramPages,
-			VirtualPages: machine.virtualPages, TLBEntries: machine.tlbEntries,
-			ValueBits: 64, Seed: seed,
-		},
-		GroupSize: 8,
-	})
+	hy, err := mm.NewHybrid(mm.HybridConfig{Decoupled: machine.zConfig(), GroupSize: 8})
 	if err != nil {
 		return nil, err
 	}

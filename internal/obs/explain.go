@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"addrxlat/internal/explain"
@@ -92,19 +91,7 @@ func (r *Recorder) ExplainSnapshot() []ExplainSeries {
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Row != out[j].Row {
-			return out[i].Row < out[j].Row
-		}
-		ri, rj := phaseRank(out[i].Phase), phaseRank(out[j].Phase)
-		if ri != rj {
-			return ri < rj
-		}
-		if out[i].Phase != out[j].Phase {
-			return out[i].Phase < out[j].Phase
-		}
-		return out[i].Alg < out[j].Alg
-	})
+	sortByKey(out, func(e *ExplainSeries) seriesKey { return seriesKey{e.Row, e.Phase, e.Alg} })
 	return out
 }
 

@@ -152,7 +152,11 @@ func (r *Recorder) HasSeries() bool {
 	return len(r.series) > 0
 }
 
-// Phases returns the phase timing records in arrival order.
+// Phases returns the phase timing records sorted by (row, phase, alg)
+// — warmup before measured, like SeriesSnapshot — so a run whose rows or
+// cells finish in parallel lists them in the same order every time.
+// Records with equal keys (one row label streamed twice) keep their
+// arrival order.
 func (r *Recorder) Phases() []PhaseRecord {
 	if r == nil {
 		return nil
@@ -161,6 +165,7 @@ func (r *Recorder) Phases() []PhaseRecord {
 	defer r.mu.Unlock()
 	out := make([]PhaseRecord, len(r.phases))
 	copy(out, r.phases)
+	sortByKey(out, func(p *PhaseRecord) seriesKey { return seriesKey{p.Row, p.Phase, p.Alg} })
 	return out
 }
 
@@ -174,6 +179,25 @@ func phaseRank(phase string) int {
 		return 1
 	}
 	return 2
+}
+
+// sortByKey sorts out stably by each element's (row, phase, alg) key:
+// by row, then phase (see phaseRank), then alg. It is the order of every
+// snapshot the recorder renders.
+func sortByKey[T any](out []T, key func(*T) seriesKey) {
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := key(&out[i]), key(&out[j])
+		if a.row != b.row {
+			return a.row < b.row
+		}
+		if ra, rb := phaseRank(a.phase), phaseRank(b.phase); ra != rb {
+			return ra < rb
+		}
+		if a.phase != b.phase {
+			return a.phase < b.phase
+		}
+		return a.alg < b.alg
+	})
 }
 
 // SeriesSnapshot returns the recorded series sorted by (row, phase, alg)
@@ -196,19 +220,7 @@ func (r *Recorder) SeriesSnapshot() []Series {
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Row != out[j].Row {
-			return out[i].Row < out[j].Row
-		}
-		ri, rj := phaseRank(out[i].Phase), phaseRank(out[j].Phase)
-		if ri != rj {
-			return ri < rj
-		}
-		if out[i].Phase != out[j].Phase {
-			return out[i].Phase < out[j].Phase
-		}
-		return out[i].Alg < out[j].Alg
-	})
+	sortByKey(out, func(s *Series) seriesKey { return seriesKey{s.Row, s.Phase, s.Alg} })
 	return out
 }
 

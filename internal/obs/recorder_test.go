@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -130,5 +131,45 @@ func TestWriteTSV(t *testing.T) {
 		"bimodal\tmeasured\tzigzag\t20\t5\t9\t2\t10\t1\t3\t0\n"
 	if sb.String() != want {
 		t.Fatalf("WriteTSV:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
+// TestPhasesFixedOrder: phase records observed in two different arrival
+// orders — the rows and serve cells of a table that runs them in
+// parallel — come back equal, by row, warmup before measured, then alg.
+// Records with equal keys (a row label streamed twice, as x1's) keep
+// their arrival order.
+func TestPhasesFixedOrder(t *testing.T) {
+	phase := func(row, ph, alg string, acc int) event.Event {
+		return event.Event{Kind: event.KindPhase, Row: row, Phase: ph, Alg: alg, Accesses: acc}
+	}
+	events := []event.Event{
+		phase("e6-tenants=2", mm.PhaseWarmup, "", 1),
+		phase("e6-tenants=2", mm.PhaseMeasured, "", 2),
+		phase("e6-tenants=1", mm.PhaseWarmup, "", 3),
+		phase("e6-tenants=1", mm.PhaseMeasured, "", 4),
+		phase("sv-goodput", event.PhaseServe, "hugepage(h=1)|load=2", 5),
+		phase("sv-goodput", event.PhaseServe, "hugepage(h=1)|load=0.5", 6),
+	}
+	ties := []event.Event{phase("x1", mm.PhaseWarmup, "", 7), phase("x1", mm.PhaseWarmup, "", 8)}
+	forward, backward := NewRecorder(0), NewRecorder(0)
+	for i := range events {
+		forward.Observe(events[i])
+		backward.Observe(events[len(events)-1-i])
+	}
+	for _, e := range ties {
+		forward.Observe(e)
+		backward.Observe(e)
+	}
+	got := forward.Phases()
+	var order []int
+	for _, p := range got {
+		order = append(order, p.Accesses)
+	}
+	if want := []int{3, 4, 1, 2, 6, 5, 7, 8}; !slices.Equal(order, want) {
+		t.Errorf("phase records in order %v, want %v", order, want)
+	}
+	if back := backward.Phases(); !slices.Equal(got, back) {
+		t.Errorf("arrival order changed the records:\n%+v\n%+v", got, back)
 	}
 }

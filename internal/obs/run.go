@@ -35,9 +35,11 @@ type RunConfig struct {
 // "running"; Begin and End observe and record each experiment; Exit
 // ends the run on every path. A side file the run was asked for (an
 // experiment's curves, attribution, serve windows or timeline, or the
-// trace) that cannot be written fails the run. The manifest itself is
-// written best effort: a manifest that cannot be written is reported
-// and never changes the run's outcome.
+// trace) that cannot be written fails the run. The manifest's first
+// write is the check that the run can keep its record (and its -resume
+// handle): if it fails, the process exits 1 before the run writes
+// anything else. Later rewrites are best effort: one that fails is
+// reported and never changes the run's outcome.
 type Run struct {
 	// Manifest is the run's record. Ctx is canceled by SIGINT or SIGTERM;
 	// the row executor drains at the next chunk boundary.
@@ -52,14 +54,22 @@ type Run struct {
 	cur    *Experiment    // the experiment in flight
 }
 
-// StartRun starts the invocation c describes. A profile that cannot be
-// started fails the run at once.
+// StartRun starts the invocation c describes. It writes the manifest
+// first; one that cannot be written is reported once and exits 1
+// before any profile, trace, table or side file exists. A profile that
+// cannot be started fails the run at once.
 func StartRun(c RunConfig) *Run {
 	m := NewManifest(c.Command, os.Args[1:])
 	m.Config, m.Seeds, m.FaultPlan = FlagConfig(nil), []uint64{c.Seed}, faultinject.Plan()
 	m.Experiments = c.Carry
 	// A SIGKILL leaves this "running" manifest behind as the resume handle.
 	m.Status, m.Partial = "running", true
+	if c.Manifest != "" {
+		if _, err := m.Write(c.Manifest); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: manifest: %v\n", c.Command, err)
+			os.Exit(1)
+		}
+	}
 	r := &Run{Manifest: m, cfg: c}
 	r.Ctx, r.stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	if c.Trace != "" {
@@ -72,7 +82,6 @@ func StartRun(c RunConfig) *Run {
 			r.Exit(err)
 		}
 	}
-	r.write()
 	return r
 }
 
@@ -233,8 +242,8 @@ func (r *Run) writeTrace() error {
 	return nil
 }
 
-// write rewrites the manifest, if the run keeps one, and returns its
-// path ("" when none was written).
+// write rewrites the manifest, if the run keeps one, best effort, and
+// returns its path ("" when none was written).
 func (r *Run) write() string {
 	if r.cfg.Manifest == "" {
 		return ""
